@@ -25,34 +25,34 @@ let cancel t h = Event_queue.cancel t.queue h
 
 let every t ~interval ?until f =
   if Time.to_us interval <= 0 then invalid_arg "Engine.every: zero interval";
-  let rec tick () =
+  (* one pair of closures for the whole series, not one per tick *)
+  let rec arm () =
     let next = Time.add t.clock interval in
     match until with
     | Some stop when Time.(next > stop) -> ()
-    | _ ->
-      ignore (schedule t ~at:next (fun () -> f (); tick ()))
-  in
-  tick ()
-
-let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (at, f) ->
-    t.clock <- at;
-    t.fired <- t.fired + 1;
+    | _ -> ignore (schedule t ~at:next tick)
+  and tick () =
     f ();
-    true
+    arm ()
+  in
+  arm ()
+
+(* Fire events up to [stop] through the option-free [min_time]/[take]
+   pair: dispatching an event allocates nothing. *)
+let rec drain t stop =
+  if not (Event_queue.is_empty t.queue) then begin
+    let at = Event_queue.min_time t.queue in
+    if Time.(at <= stop) then begin
+      let f = Event_queue.take t.queue in
+      t.clock <- at;
+      t.fired <- t.fired + 1;
+      f ();
+      drain t stop
+    end
+  end
 
 let run ?until t =
-  let continue () =
-    match until, Event_queue.peek_time t.queue with
-    | _, None -> false
-    | None, Some _ -> true
-    | Some stop, Some next -> Time.(next <= stop)
-  in
-  while continue () do
-    ignore (step t)
-  done;
+  drain t (match until with Some stop -> stop | None -> max_int);
   match until with
   | Some stop when Time.(stop > t.clock) -> t.clock <- stop
   | _ -> ()

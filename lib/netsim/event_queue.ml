@@ -1,105 +1,184 @@
-type 'a entry = { at : Time.t; seq : int; id : int; payload : 'a }
+(* A 4-ary min-heap kept as parallel flat arrays, plus a slot table that
+   owns the payloads.
 
-type 'a t = {
-  mutable heap : 'a entry array;
-  mutable size : int;
-  mutable next_seq : int;
-  mutable next_id : int;
-  pending : (int, unit) Hashtbl.t;
-  (* ids currently in the heap and not cancelled *)
-}
+   Heap position [i] holds an event's time [at.(i)], its schedule order
+   [seq.(i)] and its handle [hd.(i)] — three int arrays, so sifting moves
+   plain words and never runs the write barrier.  The payload lives in
+   the slot table, not the heap: [payload.(s)] for the slot [s] named in
+   the handle.  A handle packs the slot with that slot's generation;
+   taking or cancelling an event clears its payload, bumps the
+   generation and frees the slot.  A heap entry whose handle's
+   generation no longer matches its slot is dead: it is dropped when it
+   reaches the top.  So [cancel] is O(1), a handle is an immediate int,
+   and the queue never keeps a fired or cancelled payload reachable. *)
 
 type handle = int
 
+let slot_bits = 30
+let slot_mask = (1 lsl slot_bits) - 1
+let gen_mask = max_int lsr slot_bits
+
+type 'a t = {
+  (* heap, indexed by position *)
+  mutable at : int array;
+  mutable seq : int array;
+  mutable hd : int array;
+  mutable size : int;  (* heap entries, dead ones included *)
+  (* slot table, indexed by slot *)
+  mutable gen : int array;
+  mutable payload : 'a array;
+  mutable free : int array;  (* stack of unused slots *)
+  mutable nfree : int;
+  mutable live : int;
+  mutable next_seq : int;
+}
+
+(* Filler for empty payload slots.  An immediate, so [Array.make] never
+   builds a flat float array; every access to [payload] is polymorphic,
+   so a float payload is stored boxed like any other value. *)
+let vacant () : 'a = Obj.magic 0
+
 let create () =
-  { heap = [||]; size = 0; next_seq = 0; next_id = 0;
-    pending = Hashtbl.create 64 }
+  { at = [||]; seq = [||]; hd = [||]; size = 0; gen = [||]; payload = [||];
+    free = [||]; nfree = 0; live = 0; next_seq = 0 }
 
-let is_empty q = Hashtbl.length q.pending = 0
-let length q = Hashtbl.length q.pending
+let is_empty q = q.live = 0
+let length q = q.live
 
-let entry_lt a b =
-  match Time.compare a.at b.at with
-  | 0 -> a.seq < b.seq
-  | c -> c < 0
+let extend a cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
+(* Live slots never outnumber heap entries, so one capacity serves both
+   and a push only grows when the heap is full. *)
 let grow q =
-  let cap = Array.length q.heap in
-  if q.size >= cap then begin
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    let dummy = q.heap.(0) in
-    let nheap = Array.make ncap dummy in
-    Array.blit q.heap 0 nheap 0 q.size;
-    q.heap <- nheap
-  end
+  let old = Array.length q.at in
+  let cap = max 16 (2 * old) in
+  q.at <- extend q.at cap 0;
+  q.seq <- extend q.seq cap 0;
+  q.hd <- extend q.hd cap 0;
+  q.gen <- extend q.gen cap 0;
+  q.payload <- extend q.payload cap (vacant ());
+  q.free <- extend q.free cap 0;
+  for s = cap - 1 downto old do
+    q.free.(q.nfree) <- s;
+    q.nfree <- q.nfree + 1
+  done
 
-let rec sift_up q i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if entry_lt q.heap.(i) q.heap.(parent) then begin
-      let tmp = q.heap.(i) in
-      q.heap.(i) <- q.heap.(parent);
-      q.heap.(parent) <- tmp;
-      sift_up q parent
+let is_live q h =
+  let s = h land slot_mask in
+  s < Array.length q.gen && Array.unsafe_get q.gen s = h lsr slot_bits
+
+let release q s =
+  Array.unsafe_set q.payload s (vacant ());
+  q.gen.(s) <- (q.gen.(s) + 1) land gen_mask;
+  q.free.(q.nfree) <- s;
+  q.nfree <- q.nfree + 1;
+  q.live <- q.live - 1
+
+(* Pushes only compare times: the new event's [seq] is the largest in the
+   queue, so among equal times it belongs below every entry already
+   there, and a strict [<] keeps it there. *)
+let sift_up q i x_at x_seq x_hd =
+  let at = q.at and seq = q.seq and hd = q.hd in
+  let i = ref i and p = ref ((i - 1) lsr 2) in
+  while !i > 0 && x_at < Array.unsafe_get at !p do
+    Array.unsafe_set at !i (Array.unsafe_get at !p);
+    Array.unsafe_set seq !i (Array.unsafe_get seq !p);
+    Array.unsafe_set hd !i (Array.unsafe_get hd !p);
+    i := !p;
+    p := (!p - 1) lsr 2
+  done;
+  Array.unsafe_set at !i x_at;
+  Array.unsafe_set seq !i x_seq;
+  Array.unsafe_set hd !i x_hd
+
+(* Fill the hole at [i] with [x], moving the smallest of up to four
+   children up while it orders before [x] by (time, seq). *)
+let sift_down q i x_at x_seq x_hd =
+  let at = q.at and seq = q.seq and hd = q.hd and n = q.size in
+  let i = ref i and sifting = ref true in
+  while !sifting do
+    let c = (4 * !i) + 1 in
+    if c >= n then sifting := false
+    else begin
+      let m = ref c in
+      let m_at = ref (Array.unsafe_get at c) in
+      let m_seq = ref (Array.unsafe_get seq c) in
+      for j = c + 1 to min (c + 3) (n - 1) do
+        let j_at = Array.unsafe_get at j in
+        if j_at < !m_at
+        || (j_at = !m_at && Array.unsafe_get seq j < !m_seq)
+        then begin
+          m := j;
+          m_at := j_at;
+          m_seq := Array.unsafe_get seq j
+        end
+      done;
+      if !m_at < x_at || (!m_at = x_at && !m_seq < x_seq) then begin
+        Array.unsafe_set at !i !m_at;
+        Array.unsafe_set seq !i !m_seq;
+        Array.unsafe_set hd !i (Array.unsafe_get hd !m);
+        i := !m
+      end
+      else sifting := false
     end
-  end
-
-let rec sift_down q i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < q.size && entry_lt q.heap.(l) q.heap.(!smallest) then smallest := l;
-  if r < q.size && entry_lt q.heap.(r) q.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = q.heap.(i) in
-    q.heap.(i) <- q.heap.(!smallest);
-    q.heap.(!smallest) <- tmp;
-    sift_down q !smallest
-  end
-
-let push q at payload =
-  let id = q.next_id in
-  q.next_id <- id + 1;
-  let e = { at; seq = q.next_seq; id; payload } in
-  q.next_seq <- q.next_seq + 1;
-  if Array.length q.heap = 0 then q.heap <- Array.make 16 e;
-  grow q;
-  q.heap.(q.size) <- e;
-  q.size <- q.size + 1;
-  sift_up q (q.size - 1);
-  Hashtbl.replace q.pending id ();
-  id
-
-let cancel q h =
-  if Hashtbl.mem q.pending h then begin
-    Hashtbl.remove q.pending h;
-    true
-  end else false
+  done;
+  Array.unsafe_set at !i x_at;
+  Array.unsafe_set seq !i x_seq;
+  Array.unsafe_set hd !i x_hd
 
 let remove_top q =
-  q.size <- q.size - 1;
-  if q.size > 0 then begin
-    q.heap.(0) <- q.heap.(q.size);
-    sift_down q 0
+  let n = q.size - 1 in
+  q.size <- n;
+  if n > 0 then sift_down q 0 q.at.(n) q.seq.(n) q.hd.(n)
+
+let push q at x =
+  if q.size = Array.length q.at then grow q;
+  q.nfree <- q.nfree - 1;
+  let s = q.free.(q.nfree) in
+  q.payload.(s) <- x;
+  q.live <- q.live + 1;
+  let h = (q.gen.(s) lsl slot_bits) lor s in
+  let seq = q.next_seq in
+  q.next_seq <- seq + 1;
+  let i = q.size in
+  q.size <- i + 1;
+  sift_up q i at seq h;
+  h
+
+let cancel q h =
+  is_live q h
+  && begin
+    release q (h land slot_mask);
+    true
   end
 
-let rec pop q =
-  if q.size = 0 then None
-  else begin
-    let top = q.heap.(0) in
+(* Drop dead entries off the top until a live one (or nothing) is left. *)
+let rec settle q =
+  if q.size > 0 && not (is_live q (Array.unsafe_get q.hd 0)) then begin
     remove_top q;
-    if Hashtbl.mem q.pending top.id then begin
-      Hashtbl.remove q.pending top.id;
-      Some (top.at, top.payload)
-    end else pop q (* was cancelled; discard *)
+    settle q
   end
 
-let rec peek_time q =
-  if q.size = 0 then None
-  else begin
-    let top = q.heap.(0) in
-    if Hashtbl.mem q.pending top.id then Some top.at
-    else begin
-      remove_top q;
-      peek_time q
-    end
-  end
+let min_time q =
+  settle q;
+  if q.size = 0 then max_int else Array.unsafe_get q.at 0
+
+let take q =
+  settle q;
+  if q.size = 0 then invalid_arg "Event_queue.take: empty";
+  let s = Array.unsafe_get q.hd 0 land slot_mask in
+  let x = q.payload.(s) in
+  release q s;
+  remove_top q;
+  x
+
+let pop q =
+  if is_empty q then None
+  else
+    let at = min_time q in
+    Some (at, take q)
+
+let peek_time q = if is_empty q then None else Some (min_time q)

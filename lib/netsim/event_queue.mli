@@ -1,8 +1,34 @@
 (** Priority queue of timed events.
 
-    A binary min-heap ordered by (time, sequence number): events scheduled
-    for the same instant fire in the order they were scheduled, which keeps
-    simulations deterministic. *)
+    {1 Order}
+
+    Events leave in (time, sequence number) order: the sequence number
+    counts pushes over the queue's lifetime, so events scheduled for the
+    same instant fire in the order they were scheduled.  This keeps
+    simulations deterministic.
+
+    {1 Layout}
+
+    A 4-ary min-heap in three parallel int arrays (time, sequence number,
+    handle), so sifting moves plain words and runs no write barrier.  The
+    payloads sit in a slot table beside it.  A handle is an immediate
+    int: a slot number packed with that slot's generation.
+
+    {1 Cancellation}
+
+    [cancel] is O(1).  It frees the slot, clears the payload and bumps
+    the generation; the heap entry stays behind, dead, and is dropped
+    when it reaches the top.  A handle refers to one event only: once
+    that event fires or is cancelled, the handle never matches again,
+    even after its slot is reused.  The queue never keeps a fired or
+    cancelled payload reachable.
+
+    {1 Allocation}
+
+    Once the arrays have grown to the queue's peak depth, [push],
+    [cancel], [min_time] and [take] allocate nothing.  [pop] and
+    [peek_time] allocate their results; they exist for callers that
+    want options. *)
 
 type 'a t
 
@@ -21,6 +47,14 @@ val push : 'a t -> Time.t -> 'a -> handle
 val cancel : 'a t -> handle -> bool
 (** [cancel q h] removes the event; returns [false] if it already fired or
     was already cancelled. *)
+
+val min_time : 'a t -> Time.t
+(** Time of the earliest live event, or [max_int] when [q] is empty. *)
+
+val take : 'a t -> 'a
+(** Removes the earliest live event and returns its payload; its time is
+    what {!min_time} returned just before.  Raises [Invalid_argument] when
+    [q] is empty. *)
 
 val pop : 'a t -> (Time.t * 'a) option
 (** Earliest live event, removing it. *)

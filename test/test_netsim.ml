@@ -255,6 +255,189 @@ let eq_tests =
             in
             drain [] = expected)) ]
 
+(* --- Event queue against a reference model --- *)
+
+(* [Cancel k] picks the [k mod n]-th of the [n] handles issued so far,
+   which may be live, fired or already cancelled. *)
+type op = Push of int | Cancel of int | Pop | Take | Peek | Length | Is_empty
+
+let show_op = function
+  | Push t -> Printf.sprintf "push %d" t
+  | Cancel k -> Printf.sprintf "cancel #%d" k
+  | Pop -> "pop"
+  | Take -> "min_time+take"
+  | Peek -> "peek"
+  | Length -> "length"
+  | Is_empty -> "is_empty"
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (6, map (fun t -> Push t) (int_bound 7));
+        (3, map (fun k -> Cancel k) (int_bound 1_000));
+        (2, return Pop); (1, return Take); (1, return Peek);
+        (1, return Length); (1, return Is_empty) ])
+
+let ops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 0 300) op_gen)
+
+(* The model is the list of live events, (time, push index), sorted by
+   time and then push index: exactly the order the queue promises. *)
+let model_agrees ops =
+  let q = Eq.create () in
+  let live = ref [] and handles = ref [||] in
+  let insert t v =
+    let rec go = function
+      | (t', _) as e :: rest when t' <= t -> e :: go rest
+      | rest -> (t, v) :: rest
+    in
+    live := go !live
+  in
+  let model_pop () =
+    match !live with
+    | [] -> None
+    | e :: rest ->
+      live := rest;
+      Some e
+  in
+  let step op =
+    match op with
+    | Push t ->
+      let v = Array.length !handles in
+      handles := Array.append !handles [| Eq.push q (Time.of_us t) v |];
+      insert t v;
+      true
+    | Cancel k ->
+      let n = Array.length !handles in
+      n = 0
+      ||
+      let v = k mod n in
+      let expect = List.exists (fun (_, v') -> v' = v) !live in
+      live := List.filter (fun (_, v') -> v' <> v) !live;
+      Eq.cancel q !handles.(v) = expect
+    | Pop ->
+      Option.map (fun (t, v) -> (Time.to_us t, v)) (Eq.pop q) = model_pop ()
+    | Take -> (
+      match model_pop () with
+      | None -> Eq.min_time q = max_int
+      | Some (t, v) -> Eq.min_time q = t && Eq.take q = v)
+    | Peek ->
+      Option.map Time.to_us (Eq.peek_time q)
+      = (match !live with [] -> None | (t, _) :: _ -> Some t)
+    | Length -> Eq.length q = List.length !live
+    | Is_empty -> Eq.is_empty q = (!live = [])
+  in
+  List.for_all step ops
+
+let eq_model_tests =
+  [ qtest
+      (QCheck.Test.make ~name:"random operations agree with a sorted-list model"
+         ~count:500 ops_arb model_agrees);
+    Alcotest.test_case "take on an empty queue is refused" `Quick (fun () ->
+        let q = Eq.create () in
+        ignore (Eq.cancel q (Eq.push q (Time.of_us 3) ()));
+        check Alcotest.int "min_time" max_int (Eq.min_time q);
+        Alcotest.check_raises "take"
+          (Invalid_argument "Event_queue.take: empty") (fun () -> Eq.take q)) ]
+
+(* --- Event queue: retention and allocation --- *)
+
+(* Pushes [n] fresh payloads, each also held by [w]; pops [fired] of them
+   and cancels every third of the rest.  Returns which indices were
+   fired or cancelled.  Kept out of line so no payload stays in a
+   register of the caller. *)
+let[@inline never] churn q w n ~fired =
+  let handles =
+    Array.init n (fun i ->
+        let payload = ref i in
+        Weak.set w i (Some payload);
+        Eq.push q (Time.of_us (i mod 5)) payload)
+  in
+  let gone = Array.make n false in
+  for _ = 1 to fired do
+    match Eq.pop q with
+    | Some (_, payload) -> gone.(!payload) <- true
+    | None -> ()
+  done;
+  Array.iteri
+    (fun i h -> if i mod 3 = 0 && Eq.cancel q h then gone.(i) <- true)
+    handles;
+  gone
+
+let[@inline never] drain q =
+  while not (Eq.is_empty q) do
+    ignore (Eq.take q)
+  done
+
+let retention_tests =
+  [ Alcotest.test_case "fired and cancelled payloads are not retained"
+      `Quick (fun () ->
+        let n = 300 in
+        let q = Eq.create () and w = Weak.create n in
+        let gone = churn q w n ~fired:100 in
+        Gc.full_major ();
+        Array.iteri
+          (fun i gone ->
+             check Alcotest.bool
+               (Printf.sprintf "payload %d reachable iff live" i)
+               (not gone) (Weak.check w i))
+          gone;
+        drain (Sys.opaque_identity q);
+        Gc.full_major ();
+        for i = 0 to n - 1 do
+          check Alcotest.bool
+            (Printf.sprintf "payload %d released after drain" i)
+            false (Weak.check w i)
+        done;
+        check Alcotest.int "queue still usable" 0
+          (Eq.length (Sys.opaque_identity q))) ]
+
+(* Exact minor-heap words allocated by [f ()].  [Gc.minor_words] returns
+   an unboxed float, so the reading itself allocates nothing. *)
+let minor_words_during f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let alloc_tests =
+  [ Alcotest.test_case "dispatch allocates nothing; schedule <= 3 words"
+      `Quick (fun () ->
+        let n = 10_000 in
+        let e = Engine.create () in
+        let fired = ref 0 in
+        let f () = incr fired in
+        let schedule_all () =
+          for i = 1 to n do
+            ignore
+              (Engine.schedule e
+                 ~at:(Time.add (Engine.now e) (Time.of_us (i mod 97)))
+                 f)
+          done
+        in
+        (* grow the queue to depth [n] first *)
+        schedule_all ();
+        Engine.run e;
+        let scheduled = minor_words_during schedule_all in
+        let ran = minor_words_during (fun () -> Engine.run e) in
+        check Alcotest.int "all fired" (2 * n) !fired;
+        check Alcotest.bool
+          (Printf.sprintf "schedule: %.0f words for %d events" scheduled n)
+          true
+          (scheduled <= 3.0 *. float_of_int n);
+        check (Alcotest.float 0.0) "run: words for all events" 0.0 ran);
+    Alcotest.test_case "a periodic series allocates nothing per tick" `Quick
+      (fun () ->
+        let e = Engine.create () in
+        let ticks = ref 0 in
+        Engine.every e ~interval:(Time.of_us 10) ~until:(Time.of_us 100_000)
+          (fun () -> incr ticks);
+        let ran = minor_words_during (fun () -> Engine.run e) in
+        check Alcotest.int "ticks" 10_000 !ticks;
+        check (Alcotest.float 0.0) "words for all ticks" 0.0 ran) ]
+
 (* --- Engine --- *)
 
 let engine_tests =
@@ -415,5 +598,8 @@ let trace_tests =
 
 let suite =
   [ ("time", time_tests); ("rng", rng_tests); ("event-queue", eq_tests);
+    ("event-queue-model", eq_model_tests);
+    ("event-queue-retention", retention_tests);
+    ("engine-alloc", alloc_tests);
     ("engine", engine_tests); ("stats", stats_tests);
     ("trace", trace_tests) ]
