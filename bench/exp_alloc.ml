@@ -12,12 +12,14 @@
      order of magnitude, so the flag is machine-independent in
      practice.
 
-   - an eight-router chain simulation, run once with the fast path
-     engaged (plain transit routers) and once forced onto the classical
+   - an eight-router chain simulation, run three times: plain transit
+     routers on the view path; the same routers forced onto the record
      path (a no-op forward tap, exactly how metric-bearing experiments
-     disable it).  Gates minor words per hop for both modes and the
-     fast-forward engagement counters (Exact: 8 hops x every packet in
-     fast mode, zero in slow mode).
+     turn the view path off); and a snooping MHRP agent on every router,
+     whose cold location cache makes every hop run the cache lookup and
+     then forward on the view path.  Gates minor words per hop for all
+     three modes and the fast-forward engagement counters (Exact: 8 hops
+     x every packet in the fast and agent modes, zero in slow mode).
 
    - the pool-backed wire-level encap/decap against the record-based
      transformations, including byte-for-byte equivalence flags and the
@@ -160,10 +162,12 @@ let part_header () =
 let chain_routers = 8
 let chain_packets = 2000
 
+type chain_mode = Fast | Slow | Agent
+
 (* S on net 0, D on net [chain_routers], router k bridging net k-1 to
-   net k.  No Workload.Metrics: its transmit/drop taps would (by
-   design) force every node onto the classical path. *)
-let chain_run ~slow =
+   net k.  No Workload.Metrics: its transmit taps would (by design) make
+   every transmission decode its packet for them. *)
+let chain_run mode =
   let topo = Topology.create ~seed:11 () in
   Netsim.Trace.set_enabled (Topology.trace topo) false;
   let lans =
@@ -180,8 +184,11 @@ let chain_run ~slow =
   let s = Topology.add_host topo "S" (lan 0) 10 in
   let d = Topology.add_host topo "D" (lan chain_routers) 10 in
   Topology.compute_routes topo;
-  if slow then
-    List.iter (fun r -> Node.on_forward r (fun _ _ -> ())) routers;
+  (match mode with
+   | Fast -> ()
+   | Slow -> List.iter (fun r -> Node.on_forward r (fun _ _ -> ())) routers
+   | Agent ->
+     List.iter (fun r -> ignore (Mhrp.Agent.create ~snoop:true r)) routers);
   Node.set_proto_handler d Ipv4.Proto.udp (fun _ _ -> ());
   let pkt =
     Exp_util.sample_packet ~src:(Node.primary_addr s)
@@ -221,17 +228,24 @@ let part_chain () =
       (float_of_int hops /. wall);
     (per_hop, fast, wall, hops)
   in
-  let fast_ph, fast_n, fast_wall, hops = gate "fast" (chain_run ~slow:false) in
-  let slow_ph, slow_n, slow_wall, _ = gate "slow" (chain_run ~slow:true) in
+  let fast_ph, fast_n, fast_wall, hops = gate "fast" (chain_run Fast) in
+  let slow_ph, slow_n, slow_wall, _ = gate "slow" (chain_run Slow) in
+  let agent_ph, agent_n, agent_wall, agent_hops =
+    gate "agent" (chain_run Agent)
+  in
+  let row mode hops n ph wall =
+    [ mode; Exp_util.i hops; Exp_util.i n; Exp_util.f1 ph;
+      Exp_util.f1 (float_of_int hops /. wall /. 1000.0) ]
+  in
   Exp_util.table
     ~columns:["chain mode"; "hops"; "fast-path"; "minor w/hop"; "kpkt-hops/s"]
-    [ [ "fast"; Exp_util.i hops; Exp_util.i fast_n; Exp_util.f1 fast_ph;
-        Exp_util.f1 (float_of_int hops /. fast_wall /. 1000.0) ];
-      [ "slow"; Exp_util.i hops; Exp_util.i slow_n; Exp_util.f1 slow_ph;
-        Exp_util.f1 (float_of_int hops /. slow_wall /. 1000.0) ] ];
+    [ row "fast" hops fast_n fast_ph fast_wall;
+      row "slow" hops slow_n slow_ph slow_wall;
+      row "agent" agent_hops agent_n agent_ph agent_wall ];
   Exp_util.note
-    "fast path engaged on %d/%d hops; %.1fx fewer minor words per hop"
-    fast_n hops (slow_ph /. fast_ph)
+    "fast path engaged on %d/%d hops (%d/%d through agents); %.1fx fewer \
+     minor words per hop"
+    fast_n hops agent_n agent_hops (slow_ph /. fast_ph)
 
 (* --- part 3: pool-backed encap/decap ------------------------------ *)
 

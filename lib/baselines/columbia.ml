@@ -111,22 +111,22 @@ let setup_msr t msr =
      | None -> false)
     || Hashtbl.mem msr.visitors dst
   in
-  Node.set_accept_ip node (fun _ pkt -> claims pkt.Packet.dst);
+  Node.set_accept_ip node (fun _ dst -> claims dst);
   (* answer ARP for our own mobiles when they are not on this LAN — the
      link-level half of "advertising reachability" *)
   Node.set_arp_proxy node (fun dst ->
       claims dst && not (Hashtbl.mem msr.visitors dst));
-  Node.set_rewrite_forward node (fun _ pkt ->
-      let dst = pkt.Packet.dst in
+  Node.set_rewrite_forward node (fun _ v ->
+      let dst = Packet.View.dst v in
       let is_my_mobile =
         match Hashtbl.find_opt t.homes dst with
         | Some home -> home == msr
         | None -> false
       in
       if (is_my_mobile || Hashtbl.mem msr.visitors dst)
-         && pkt.Packet.proto <> Ipv4.Proto.ipip
+         && Packet.View.proto v <> Ipv4.Proto.ipip
       then begin
-        handle_for_mobile t msr pkt;
+        handle_for_mobile t msr (Packet.View.decode v);
         Node.Consume
       end
       else Node.Forward);

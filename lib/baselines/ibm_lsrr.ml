@@ -54,24 +54,25 @@ let add_base t node ~lan =
       | Some m -> m.mo_home_base.b_node == node
       | None -> false
     in
-    Node.set_accept_ip node (fun _ pkt -> claims pkt.Packet.dst);
+    Node.set_accept_ip node (fun _ dst -> claims dst);
     (* answer ARP on the home LAN for mobiles that have moved away *)
     Node.set_arp_proxy node (fun dst ->
         claims dst
         && (match Hashtbl.find_opt t.current_base dst with
             | Some cur -> not (Addr.equal cur b.b_addr)
             | None -> false));
-    Node.set_rewrite_forward node (fun _ pkt ->
-        match Hashtbl.find_opt t.mobiles pkt.Packet.dst with
+    Node.set_rewrite_forward node (fun _ v ->
+        let dst = Packet.View.dst v in
+        match Hashtbl.find_opt t.mobiles dst with
         | Some m
           when m.mo_home_base.b_node == node
-            && pkt.Packet.options = [] ->
-          (match Hashtbl.find_opt t.current_base pkt.Packet.dst with
+            && not (Packet.View.has_options v) ->
+          (match Hashtbl.find_opt t.current_base dst with
            | Some cur when not (Addr.equal cur b.b_addr) ->
              Node.Replace
-               { pkt with
+               { (Packet.View.decode v) with
                  Packet.dst = cur;
-                 options = [Ipv4.Ip_option.lsrr [pkt.Packet.dst]] }
+                 options = [Ipv4.Ip_option.lsrr [dst]] }
            | _ -> Node.Forward)
         | _ -> Node.Forward);
     (* Same path for packets claimed off the local LAN. *)

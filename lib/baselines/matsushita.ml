@@ -92,7 +92,7 @@ let add_pfs t node =
           | None -> false)
     | None -> false
   in
-  Node.set_accept_ip node (fun _ pkt -> claims pkt.Packet.dst);
+  Node.set_accept_ip node (fun _ dst -> claims dst);
   Node.set_arp_proxy node claims;
   (* Claimed packets arrive by local delivery whatever their protocol. *)
   let dispatch _ (pkt : Packet.t) =
@@ -102,10 +102,11 @@ let add_pfs t node =
   Node.set_proto_handler node Ipv4.Proto.udp dispatch;
   Node.set_proto_handler node Ipv4.Proto.tcp dispatch;
   Node.set_proto_handler node Ipv4.Proto.icmp dispatch;
-  Node.set_rewrite_forward node (fun _ pkt ->
-      if claims pkt.Packet.dst && pkt.Packet.proto <> Ipv4.Proto.iptp
+  Node.set_rewrite_forward node (fun _ v ->
+      if claims (Packet.View.dst v)
+         && Packet.View.proto v <> Ipv4.Proto.iptp
       then begin
-        pfs_tunnel t node pkt;
+        pfs_tunnel t node (Packet.View.decode v);
         Node.Consume
       end
       else Node.Forward)

@@ -64,7 +64,7 @@ let add_router t node =
         | None -> false)
   in
   Node.set_arp_proxy node away;
-  Node.set_accept_ip node (fun _ pkt -> away pkt.Packet.dst);
+  Node.set_accept_ip node (fun _ dst -> away dst);
   Node.set_proto_handler node Ipv4.Proto.vip (fun _ pkt ->
       match Viph.peek pkt with
       | None -> ()
@@ -75,30 +75,34 @@ let add_router t node =
         in
         Node.forward_now node { pkt with Packet.dst = phys }
       | Some _ -> ());
-  Node.set_rewrite_forward node (fun _ pkt ->
-      match Viph.peek pkt with
-      | None -> Node.Forward
-      | Some h ->
-        (* snoop source mapping from packets in transit *)
-        learn r.amt ~vip:h.Viph.vip_src ~phys:pkt.Packet.src
-          ~stamp:h.Viph.timestamp;
-        (* authoritative rewrite at the destination's home router *)
-        (match Hashtbl.find_opt t.home_router h.Viph.vip_dst with
-         | Some home when home == node ->
-           let phys =
-             Option.value ~default:h.Viph.vip_dst
-               (Hashtbl.find_opt t.authoritative h.Viph.vip_dst)
-           in
-           if Addr.equal pkt.Packet.dst phys then Node.Forward
-           else Node.Replace { pkt with Packet.dst = phys }
-         | _ ->
-           (* unresolved packet: rewrite from our own cache if we can *)
-           if Addr.equal pkt.Packet.dst h.Viph.vip_dst then
-             match Hashtbl.find_opt r.amt h.Viph.vip_dst with
-             | Some (phys, _) when not (Addr.equal phys pkt.Packet.dst) ->
-               Node.Replace { pkt with Packet.dst = phys }
-             | _ -> Node.Forward
-           else Node.Forward))
+  Node.set_rewrite_forward node (fun _ v ->
+      (* only VIP packets carry a header worth decoding *)
+      if Packet.View.proto v <> Ipv4.Proto.vip then Node.Forward
+      else
+        let pkt = Packet.View.decode v in
+        match Viph.peek pkt with
+        | None -> Node.Forward
+        | Some h ->
+          (* snoop source mapping from packets in transit *)
+          learn r.amt ~vip:h.Viph.vip_src ~phys:pkt.Packet.src
+            ~stamp:h.Viph.timestamp;
+          (* authoritative rewrite at the destination's home router *)
+          (match Hashtbl.find_opt t.home_router h.Viph.vip_dst with
+           | Some home when home == node ->
+             let phys =
+               Option.value ~default:h.Viph.vip_dst
+                 (Hashtbl.find_opt t.authoritative h.Viph.vip_dst)
+             in
+             if Addr.equal pkt.Packet.dst phys then Node.Forward
+             else Node.Replace { pkt with Packet.dst = phys }
+           | _ ->
+             (* unresolved packet: rewrite from our own cache if we can *)
+             if Addr.equal pkt.Packet.dst h.Viph.vip_dst then
+               match Hashtbl.find_opt r.amt h.Viph.vip_dst with
+               | Some (phys, _) when not (Addr.equal phys pkt.Packet.dst) ->
+                 Node.Replace { pkt with Packet.dst = phys }
+               | _ -> Node.Forward
+             else Node.Forward))
 
 let wrap t host (pkt : Packet.t) =
   let vip_dst = pkt.Packet.dst in

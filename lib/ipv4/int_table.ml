@@ -50,16 +50,18 @@ let capacity t = t.mask + 1
 (* keys + vals arrays, one word per slot each, plus two headers *)
 let footprint_bytes t = (((t.mask + 1) * 2) + 2) * 8
 
-let slot_of t k =
-  let mask = t.mask in
-  let keys = t.keys in
-  let rec probe i =
-    let ki = Array.unsafe_get keys i in
-    if ki = k then i
-    else if ki = empty_key then -1
-    else probe ((i + 1) land mask)
-  in
-  probe (hash k land mask)
+(* The probe loops are top-level functions taking everything they read
+   as arguments: a local [let rec] that captured [keys], [mask] and [k]
+   would heap-allocate a closure on every call (ocamlopt without
+   flambda), and every cache, binding table and compiled route calls
+   [slot_of] per packet. *)
+let rec probe keys mask k i =
+  let ki = Array.unsafe_get keys i in
+  if ki = k then i
+  else if ki = empty_key then -1
+  else probe keys mask k ((i + 1) land mask)
+
+let slot_of t k = probe t.keys t.mask k (hash k land t.mask)
 
 let mem t k = k >= 0 && slot_of t k >= 0
 
@@ -75,18 +77,15 @@ let find_opt t k =
     let i = slot_of t k in
     if i < 0 then None else Some (Array.unsafe_get t.vals i)
 
+let rec free_slot keys mask i =
+  if Array.unsafe_get keys i = empty_key then i
+  else free_slot keys mask ((i + 1) land mask)
+
 let insert_fresh t k v =
   (* precondition: k absent, table not full *)
-  let mask = t.mask in
-  let keys = t.keys in
-  let rec probe i =
-    if Array.unsafe_get keys i = empty_key then begin
-      Array.unsafe_set keys i k;
-      Array.unsafe_set t.vals i v
-    end
-    else probe ((i + 1) land mask)
-  in
-  probe (hash k land mask)
+  let i = free_slot t.keys t.mask (hash k land t.mask) in
+  Array.unsafe_set t.keys i k;
+  Array.unsafe_set t.vals i v
 
 let grow t =
   let old_keys = t.keys and old_vals = t.vals in
@@ -109,34 +108,32 @@ let replace t k v =
     t.len <- t.len + 1
   end
 
+(* Backward-shift repair: walk the cluster after the hole; any element
+   whose home slot lies cyclically at or before the hole moves into it,
+   re-opening the hole further down. *)
+let rec repair keys vals mask hole j =
+  let j = j land mask in
+  let kj = Array.unsafe_get keys j in
+  if kj = empty_key then Array.unsafe_set keys hole empty_key
+  else
+    let home = hash kj land mask in
+    let movable =
+      if j > hole then home <= hole || home > j
+      else home <= hole && home > j
+    in
+    if movable then begin
+      Array.unsafe_set keys hole kj;
+      Array.unsafe_set vals hole (Array.unsafe_get vals j);
+      repair keys vals mask j (j + 1)
+    end
+    else repair keys vals mask hole (j + 1)
+
 let remove t k =
   if k >= 0 then begin
     let i = slot_of t k in
     if i >= 0 then begin
       t.len <- t.len - 1;
-      let mask = t.mask in
-      let keys = t.keys and vals = t.vals in
-      (* Backward-shift repair: walk the cluster after the hole; any
-         element whose home slot lies cyclically at or before the hole
-         moves into it, re-opening the hole further down. *)
-      let rec repair hole j =
-        let j = j land mask in
-        let kj = Array.unsafe_get keys j in
-        if kj = empty_key then Array.unsafe_set keys hole empty_key
-        else
-          let home = hash kj land mask in
-          let movable =
-            if j > hole then home <= hole || home > j
-            else home <= hole && home > j
-          in
-          if movable then begin
-            Array.unsafe_set keys hole kj;
-            Array.unsafe_set vals hole (Array.unsafe_get vals j);
-            repair j (j + 1)
-          end
-          else repair hole (j + 1)
-      in
-      repair i (i + 1)
+      repair t.keys t.vals t.mask i (i + 1)
     end
   end
 

@@ -68,15 +68,19 @@ let on_ha_sync_ack t f = t.ha_sync_ack_tap <- f
 let engine t = Node.engine t.node
 let now t = Engine.now (engine t)
 
+(* Format only when someone is listening, exactly as [Node]'s tracing
+   does: with the trace absent or disabled the arguments are consumed
+   without rendering ([ikfprintf]), so per-packet tunnel, retunnel and
+   delivery events cost nothing on untraced runs. *)
 let tracef t kind fmt =
-  Format.kasprintf
-    (fun detail ->
-       match Node.trace t.node with
-       | None -> ()
-       | Some tr ->
+  match Node.trace t.node with
+  | Some tr when Netsim.Trace.enabled tr ->
+    Format.kasprintf
+      (fun detail ->
          Netsim.Trace.emit tr ~at:(now t) ~node:(Node.name t.node) ~kind
            detail)
-    fmt
+      fmt
+  | _ -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
 (* --- authentication (RFC 2002-style extension; experiment E15) --- *)
 
@@ -156,9 +160,10 @@ let ha_location t mobile =
 
 let ha_claims t dst =
   (* Should this node capture packets addressed to [dst]?  Yes while the
-     mobile host it serves is away or explicitly disconnected. *)
-  match ha_location t dst with
-  | Some fa -> not (Addr.is_zero fa)
+     mobile host it serves is away or explicitly disconnected.  Asked of
+     every forwarded packet, so it must not allocate. *)
+  match t.ha with
+  | Some ha -> Home_agent.is_away ha dst
   | None -> false
 
 (* A regional agent that captured its crashed mirror peer's address
@@ -1576,23 +1581,32 @@ let handle_udp t (pkt : Packet.t) =
 
 (* --- forwarding hook (router cache agents, Sections 4.3, 6.2) --- *)
 
-let rewrite_forward t (pkt : Packet.t) =
-  let dst = pkt.Packet.dst in
+(* An ICMP location update in transit, told from its type byte without
+   decoding the packet. *)
+let is_location_update v =
+  let hlen = Packet.View.header_length v in
+  Packet.View.proto v = Ipv4.Proto.icmp
+  && Packet.View.total_length v > hlen
+  && Bytes.get_uint8 (Packet.View.buffer v) (Packet.View.offset v + hlen)
+     = Ipv4.Icmp.location_update_type
+
+(* Decided from the header: the view is decoded only to intercept as
+   home agent, to snoop a location update, or to tunnel on a cache hit —
+   a miss forwards the received buffer untouched (Section 7: routers
+   between tunnel endpoints forward packets unmodified). *)
+let rewrite_forward t v =
+  let dst = Packet.View.dst v in
   if ha_claims t dst then begin
-    if Encap.is_tunneled pkt then begin
-      handle_mhrp t pkt;
-      Node.Consume
-    end
-    else begin
-      ha_intercept t pkt;
-      Node.Consume
-    end
+    let pkt = Packet.View.decode v in
+    if Encap.is_tunneled pkt then handle_mhrp t pkt else ha_intercept t pkt;
+    Node.Consume
   end
   else if t.snoop then begin
     (* Examine forwarded packets: cache location updates in transit and
        tunnel for destinations we have cached (Section 4.3: routers should
        make this a configuration option — it is ours). *)
-    (if pkt.Packet.proto = Ipv4.Proto.icmp then
+    (if is_location_update v then
+       let pkt = Packet.View.decode v in
        match Ipv4.Icmp.decode_opt pkt.Packet.payload with
        | Some (Ipv4.Icmp.Location_update { mobile; foreign_agent }) ->
          if
@@ -1605,7 +1619,7 @@ let rewrite_forward t (pkt : Packet.t) =
          then cache_update t ~mobile ~foreign_agent
        | Some _ | None -> ()
        | exception Invalid_argument _ -> ());
-    if (not (Encap.is_tunneled pkt)) && t.cache_agent then
+    if Packet.View.proto v <> Ipv4.Proto.mhrp && t.cache_agent then
       match Location_cache.find t.cache dst with
       | Some fa when not (Node.has_address t.node fa) ->
         t.counters.Counters.tunnels_built <-
@@ -1613,7 +1627,8 @@ let rewrite_forward t (pkt : Packet.t) =
         tracef t "tunnel" "forwarding cache hit for %a via %a" Addr.pp dst
           Addr.pp fa;
         Node.Replace
-          (Encap.tunnel_by_agent ~agent:(address t) ~foreign_agent:fa pkt)
+          (Encap.tunnel_by_agent ~agent:(address t) ~foreign_agent:fa
+             (Packet.View.decode v))
       | Some _ | None -> Node.Forward
     else Node.Forward
   end
@@ -1657,9 +1672,9 @@ let create ?(config = Config.default) ?(cache_agent = true)
       dispatch t handle_udp pkt);
   Node.set_proto_handler node Ipv4.Proto.tcp (fun _ pkt ->
       dispatch t (fun t pkt -> t.app_tap pkt) pkt);
-  Node.set_accept_ip node (fun _ pkt -> claims t pkt.Packet.dst);
+  Node.set_accept_ip node (fun _ dst -> claims t dst);
   Node.set_arp_proxy node (fun addr -> claims t addr);
-  Node.set_rewrite_forward node (fun _ pkt -> rewrite_forward t pkt);
+  Node.set_rewrite_forward node (fun _ v -> rewrite_forward t v);
   Node.on_reboot node (fun _ ->
       (match t.fa with Some (fa_state, _) -> Foreign_agent.clear fa_state
                      | None -> ());

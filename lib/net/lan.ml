@@ -95,6 +95,20 @@ let lost t =
       | Some rng -> Netsim.Rng.float rng 1.0 < t.loss
       | None -> false)
 
+(* Per-frame helpers are top-level and closure-free, and the station
+   lookup uses [Hashtbl.find] rather than [find_opt]: a unicast delivery
+   then allocates nothing beyond the frame and its delivery event. *)
+let rec show_monitors frame = function
+  | [] -> ()
+  | monitor :: rest ->
+    monitor frame;
+    show_monitors frame rest
+
+let deliver_to t mac frame =
+  match Hashtbl.find t.stations mac with
+  | station -> station frame
+  | exception Not_found -> ()
+
 let send t frame =
   if t.up && not (lost t) then begin
     t.frames <- t.frames + 1;
@@ -102,21 +116,16 @@ let send t frame =
     let delay = Netsim.Time.add t.latency (tx_delay t frame) in
     let deliver () =
       if t.up then begin
-        List.iter (fun monitor -> monitor frame) (monitors t);
+        show_monitors frame (monitors t);
         if Mac.is_broadcast frame.Frame.dst then
           (* Deliver in deterministic (MAC-sorted) order, skipping the
              sender, matching how tests expect broadcast fan-out. *)
           List.iter
             (fun mac ->
                if not (Mac.equal mac frame.Frame.src) then
-                 match Hashtbl.find_opt t.stations mac with
-                 | Some station -> station frame
-                 | None -> ())
+                 deliver_to t mac frame)
             (stations t)
-        else
-          match Hashtbl.find_opt t.stations frame.Frame.dst with
-          | Some station -> station frame
-          | None -> ()
+        else deliver_to t frame.Frame.dst frame
       end
     in
     ignore (Netsim.Engine.schedule_after t.engine ~delay deliver)

@@ -1,5 +1,6 @@
 module Time = Netsim.Time
 module Engine = Netsim.Engine
+module View = Ipv4.Packet.View
 
 type forward_action =
   | Forward
@@ -32,15 +33,14 @@ type t = {
   mutable table : Route.t;
   arp_cache : (Ipv4.Addr.t, Mac.t * Time.t) Hashtbl.t;
   (* binding plus the time it was learned *)
-  mutable arp_pending : (Ipv4.Addr.t * int * Ipv4.Packet.t) list;
+  mutable arp_pending : (Ipv4.Addr.t * int * View.t) list;
   reassembly : Ipv4.Packet.Reassembly.t;
   arp_tries : (Ipv4.Addr.t, int) Hashtbl.t;
   proto_handlers : (int, t -> Ipv4.Packet.t -> unit) Hashtbl.t;
-  (* [None] means the built-in default (refuse / plain Forward).  Kept
-     as options so the forwarding fast path can see at a glance that no
-     stack is watching and skip the full decode (see [fast_rx]). *)
-  mutable accept_ip : (t -> Ipv4.Packet.t -> bool) option;
-  mutable rewrite_forward : (t -> Ipv4.Packet.t -> forward_action) option;
+  (* Header-level hooks (node.mli): they see a destination or a view,
+     so a hop need not decode the packet to consult them. *)
+  mutable accept_ip : t -> Ipv4.Addr.t -> bool;
+  mutable rewrite_forward : t -> View.t -> forward_action;
   mutable arp_proxy : Ipv4.Addr.t -> bool;
   mutable reboot_hooks : (t -> unit) list;
   mutable deliver_taps : (t -> Ipv4.Packet.t -> unit) list;
@@ -54,7 +54,7 @@ type t = {
   mutable up : bool;
   mutable n_forwarded : int;
   mutable n_fast_forwarded : int;
-  (* subset of [n_forwarded] that took the zero-copy view path *)
+  (* subset of [n_forwarded] that the view path forwarded undecoded *)
   mutable n_delivered : int;
   mutable n_originated : int;
   mutable n_dropped : int;
@@ -80,8 +80,8 @@ let create ~engine ~mac_alloc ?trace ?(router = false) ?proc_delay
     reassembly = Ipv4.Packet.Reassembly.create ();
     arp_tries = Hashtbl.create 8;
     proto_handlers = Hashtbl.create 8;
-    accept_ip = None;
-    rewrite_forward = None;
+    accept_ip = (fun _ _ -> false);
+    rewrite_forward = (fun _ _ -> Forward);
     arp_proxy = (fun _ -> false);
     reboot_hooks = [];
     deliver_taps = [];
@@ -120,19 +120,24 @@ let iface_addrs t =
 
 let addresses t = iface_addrs t @ t.extra_addrs
 
-(* Checked on every received packet (rx_ip) — scan the interface array
-   directly rather than materialising the address list per call. *)
-let has_address t a =
-  let n = Array.length t.ifaces in
-  let rec on_iface i =
-    i < n
-    && ((t.ifaces.(i).active
-         && match t.ifaces.(i).addr with
-            | Some x -> Ipv4.Addr.equal x a
-            | None -> false)
-        || on_iface (i + 1))
-  in
-  on_iface 0 || List.exists (Ipv4.Addr.equal a) t.extra_addrs
+(* Checked on every received and routed packet, so it allocates
+   nothing: the scans are top-level functions (a local [let rec] or a
+   partial application such as [List.exists (Addr.equal a)] would
+   heap-allocate a closure per call). *)
+let rec on_iface ifaces a i =
+  i < Array.length ifaces
+  && ((let s = Array.unsafe_get ifaces i in
+       s.active
+       && match s.addr with
+          | Some x -> Ipv4.Addr.equal x a
+          | None -> false)
+      || on_iface ifaces a (i + 1))
+
+let rec among a = function
+  | [] -> false
+  | x :: rest -> Ipv4.Addr.equal x a || among a rest
+
+let has_address t a = on_iface t.ifaces a 0 || among a t.extra_addrs
 
 let add_address t a =
   if not (List.exists (Ipv4.Addr.equal a) t.extra_addrs) then
@@ -159,8 +164,8 @@ let update_routes t f = t.table <- f t.table
 
 let set_proto_handler t proto h = Hashtbl.replace t.proto_handlers proto h
 let clear_proto_handler t proto = Hashtbl.remove t.proto_handlers proto
-let set_accept_ip t f = t.accept_ip <- Some f
-let set_rewrite_forward t f = t.rewrite_forward <- Some f
+let set_accept_ip t f = t.accept_ip <- f
+let set_rewrite_forward t f = t.rewrite_forward <- f
 let set_arp_proxy t f = t.arp_proxy <- f
 let on_reboot t f = t.reboot_hooks <- f :: t.reboot_hooks
 (* Taps multicast in registration order so a late observer (say, an
@@ -199,15 +204,14 @@ let iface_to t prefix =
     t.ifaces;
   !found
 
-let iface_for_next_hop t next_hop =
-  let found = ref None in
-  Array.iteri
-    (fun i s ->
-       if s.active && !found = None
-          && Ipv4.Addr.Prefix.mem next_hop (Lan.prefix s.lan)
-       then found := Some i)
-    t.ifaces;
-  !found
+let rec iface_covering ifaces next_hop i =
+  if i >= Array.length ifaces then -1
+  else
+    let s = Array.unsafe_get ifaces i in
+    if s.active && Ipv4.Addr.Prefix.mem next_hop (Lan.prefix s.lan) then i
+    else iface_covering ifaces next_hop (i + 1)
+
+let iface_for_next_hop t next_hop = iface_covering t.ifaces next_hop 0
 
 (* --- drops and counters --- *)
 
@@ -221,17 +225,18 @@ let drop t reason pkt =
 let arp_learn t addr mac =
   Hashtbl.replace t.arp_cache addr (mac, Engine.now t.engine)
 
+(* The live binding for [addr], or [Not_found] (aging it out if
+   stale).  Raising rather than returning an option keeps the per-hop
+   hit allocation-free. *)
 let arp_fresh t addr =
-  match Hashtbl.find_opt t.arp_cache addr with
-  | Some (mac, at)
-    when Stdlib.( < )
-        (Time.to_us (Engine.now t.engine) - Time.to_us at)
-        (Time.to_us t.arp_entry_ttl) ->
-    Some mac
-  | Some _ ->
+  let mac, at = Hashtbl.find t.arp_cache addr in
+  if Time.to_us (Engine.now t.engine) - Time.to_us at
+     < Time.to_us t.arp_entry_ttl
+  then mac
+  else begin
     Hashtbl.remove t.arp_cache addr;
-    None
-  | None -> None
+    raise Not_found
+  end
 
 (* --- transmit --- *)
 
@@ -251,12 +256,25 @@ let send_arp_request t i target_ip =
 let deliver_local_ref : (t -> Ipv4.Packet.t -> unit) ref =
   ref (fun _ _ -> assert false)
 
-(* ICMP error generation, used by forwarding failures.  Never generated in
-   response to another ICMP error (RFC 1122) or to a broadcast. *)
-let rec frame_out t i ~dst_mac pkt =
+(* --- the forwarding chain ---
+
+   Every packet a node puts on a LAN travels route -> resolve -> emit as
+   a {!View} over its encoded bytes.  A forwarded packet's view is the
+   received buffer itself, TTL and checksum patched in place (DESIGN.md
+   Section 11): no decode, no copy.  A record enters the chain by being
+   encoded once ([view_of]).  The chain decodes only where a consumer
+   needs the record — loopback delivery, drops, ICMP errors,
+   fragmentation, fault filters and transmit taps — so the wire bytes,
+   counters, drops and errors are those of a record-based chain; only
+   allocation and CPU cost differ. *)
+
+let view_of pkt = View.make (Ipv4.Packet.encode pkt)
+
+let rec frame_out t i ~dst_mac v =
   let s = iface t i in
   let mtu = Lan.mtu s.lan in
-  if Ipv4.Packet.total_length pkt > mtu then
+  if View.total_length v > mtu then begin
+    let pkt = View.decode v in
     if pkt.Ipv4.Packet.dont_fragment then begin
       t.n_dropped <- t.n_dropped + 1;
       tracef t "drop" "needs fragmentation but DF set: %a" Ipv4.Packet.pp
@@ -272,19 +290,25 @@ let rec frame_out t i ~dst_mac pkt =
     end
     else
       List.iter
-        (fun fragment -> frame_out t i ~dst_mac fragment)
+        (fun fragment -> frame_out t i ~dst_mac (view_of fragment))
         (Ipv4.Packet.fragment pkt ~mtu)
+  end
   else begin
-    match t.fault_filter with
-    | Some f when not (f t pkt) -> drop t "fault-loss" pkt
-    | _ ->
-      List.iter (fun f -> f t pkt) t.transmit_taps;
-      let frame =
-        Frame.ip ~src:s.mac ~dst:dst_mac (Ipv4.Packet.encode pkt)
-      in
-      Lan.send s.lan frame
+    let pass =
+      match t.fault_filter, t.transmit_taps with
+      | None, [] -> true
+      | filter, taps ->
+        let pkt = View.decode v in
+        (match filter with
+         | Some f when not (f t pkt) -> drop t "fault-loss" pkt; false
+         | _ -> List.iter (fun f -> f t pkt) taps; true)
+    in
+    if pass then
+      Lan.send s.lan (Frame.ip ~src:s.mac ~dst:dst_mac (View.to_wire v))
   end
 
+(* ICMP error generation, used by forwarding failures.  Never generated in
+   response to another ICMP error (RFC 1122) or to a broadcast. *)
 and icmp_error t make_msg (offending : Ipv4.Packet.t) =
   let is_icmp_error =
     offending.Ipv4.Packet.proto = Ipv4.Proto.icmp
@@ -315,14 +339,14 @@ and icmp_error t make_msg (offending : Ipv4.Packet.t) =
     in
     tracef t "icmp-tx" "%a to %a" Ipv4.Icmp.pp msg Ipv4.Addr.pp
       offending.Ipv4.Packet.src;
-    route_and_send t reply
+    route_and_send t (view_of reply)
   end
 
-and resolve_and_emit t i ~next_hop pkt =
+and resolve_and_emit t i ~next_hop v =
   match arp_fresh t next_hop with
-  | Some mac -> frame_out t i ~dst_mac:mac pkt
-  | None ->
-    t.arp_pending <- (next_hop, i, pkt) :: t.arp_pending;
+  | mac -> frame_out t i ~dst_mac:mac v
+  | exception Not_found ->
+    t.arp_pending <- (next_hop, i, v) :: t.arp_pending;
     if not (Hashtbl.mem t.arp_tries next_hop) then begin
       Hashtbl.replace t.arp_tries next_hop 1;
       send_arp_request t i next_hop;
@@ -349,7 +373,8 @@ and arm_arp_timer t i next_hop =
            in
            t.arp_pending <- rest;
            List.iter
-             (fun (_, _, pkt) ->
+             (fun (_, _, v) ->
+                let pkt = View.decode v in
                 drop t "arp-timeout" pkt;
                 if t.router && not (has_address t pkt.Ipv4.Packet.src) then
                   icmp_error t
@@ -357,66 +382,76 @@ and arm_arp_timer t i next_hop =
                     pkt)
              stuck))
 
-and route_and_send t pkt =
-  if not t.up then ()
-  else if has_address t pkt.Ipv4.Packet.dst then begin
-    tracef t "loopback" "%a" Ipv4.Packet.pp pkt;
-    !deliver_local_ref t pkt
+and route_and_send t v =
+  if t.up then begin
+    let dst = View.dst v in
+    if has_address t dst then begin
+      let pkt = View.decode v in
+      tracef t "loopback" "%a" Ipv4.Packet.pp pkt;
+      !deliver_local_ref t pkt
+    end
+    else
+      match Route.lookup t.table dst with
+      | None ->
+        let pkt = View.decode v in
+        drop t "no-route" pkt;
+        if not (has_address t pkt.Ipv4.Packet.src) then
+          icmp_error t
+            (fun original ->
+               Ipv4.Icmp.Dest_unreachable { code = 0; original })
+            pkt
+      | Some (Route.Direct i) ->
+        (match iface t i with
+         | exception Invalid_argument _ -> drop t "iface-down" (View.decode v)
+         | _ -> resolve_and_emit t i ~next_hop:dst v)
+      | Some (Route.Via gw) ->
+        match iface_for_next_hop t gw with
+        | -1 -> drop t "gateway-unreachable" (View.decode v)
+        | i -> resolve_and_emit t i ~next_hop:gw v
   end
-  else
-    match Route.lookup t.table pkt.Ipv4.Packet.dst with
-    | None ->
-      drop t "no-route" pkt;
-      if not (has_address t pkt.Ipv4.Packet.src) then
-        icmp_error t
-          (fun original ->
-             Ipv4.Icmp.Dest_unreachable { code = 0; original })
-          pkt
-    | Some (Route.Direct i) ->
-      (match iface t i with
-       | exception Invalid_argument _ -> drop t "iface-down" pkt
-       | _ -> resolve_and_emit t i ~next_hop:pkt.Ipv4.Packet.dst pkt)
-    | Some (Route.Via gw) ->
-      match iface_for_next_hop t gw with
-      | None -> drop t "gateway-unreachable" pkt
-      | Some i -> resolve_and_emit t i ~next_hop:gw pkt
 
 (* --- public senders --- *)
 
+(* Schedule [f] after the processing delay.  [f] itself skips its work
+   if the node went down meanwhile ([route_and_send] checks), so no
+   wrapper closure is allocated per packet. *)
 let delayed t ~slow f =
   let d =
     if slow then
       Time.of_us (Time.to_us t.proc_delay * t.option_slow_factor)
     else t.proc_delay
   in
-  ignore (Engine.schedule_after t.engine ~delay:d (fun () -> if t.up then f ()))
+  ignore (Engine.schedule_after t.engine ~delay:d f)
+
+let forward_now t pkt =
+  let v = view_of pkt in
+  delayed t ~slow:(Ipv4.Packet.has_options pkt) (fun () ->
+      route_and_send t v)
 
 let send t pkt =
   t.n_originated <- t.n_originated + 1;
   tracef t "tx" "%a" Ipv4.Packet.pp pkt;
-  delayed t ~slow:(Ipv4.Packet.has_options pkt) (fun () ->
-      route_and_send t pkt)
-
-let forward_now t pkt =
-  delayed t ~slow:(Ipv4.Packet.has_options pkt) (fun () ->
-      route_and_send t pkt)
+  forward_now t pkt
 
 let send_ip_to_mac t ~iface:i ~dst_mac pkt =
-  delayed t ~slow:false (fun () -> frame_out t i ~dst_mac pkt)
+  let v = view_of pkt in
+  delayed t ~slow:false (fun () -> if t.up then frame_out t i ~dst_mac v)
 
 let broadcast_ip t ~iface:i pkt =
   delayed t ~slow:false (fun () ->
-      match iface t i with
-      | exception Invalid_argument _ -> drop t "iface-down" pkt
-      | s ->
-        (match t.fault_filter with
-         | Some f when not (f t pkt) -> drop t "fault-loss" pkt
-         | _ ->
-           List.iter (fun f -> f t pkt) t.broadcast_taps;
-           let frame =
-             Frame.ip ~src:s.mac ~dst:Mac.broadcast (Ipv4.Packet.encode pkt)
-           in
-           Lan.send s.lan frame))
+      if t.up then
+        match iface t i with
+        | exception Invalid_argument _ -> drop t "iface-down" pkt
+        | s ->
+          (match t.fault_filter with
+           | Some f when not (f t pkt) -> drop t "fault-loss" pkt
+           | _ ->
+             List.iter (fun f -> f t pkt) t.broadcast_taps;
+             let frame =
+               Frame.ip ~src:s.mac ~dst:Mac.broadcast
+                 (Ipv4.Packet.encode pkt)
+             in
+             Lan.send s.lan frame))
 
 let gratuitous_arp t ~iface:i ip =
   let s = iface t i in
@@ -431,7 +466,8 @@ let arp_probe t ~iface:i target =
   Hashtbl.remove t.arp_cache target;
   send_arp_request t i target
 
-let arp_cache_lookup t a = arp_fresh t a
+let arp_cache_lookup t a =
+  match arp_fresh t a with mac -> Some mac | exception Not_found -> None
 let arp_cache_size t = Hashtbl.length t.arp_cache
 
 (* --- receive path --- *)
@@ -446,7 +482,7 @@ let flush_arp_pending t resolved_ip =
   t.arp_pending <- rest;
   (* restore scheduling order *)
   List.iter
-    (fun (_, i, pkt) -> resolve_and_emit t i ~next_hop:resolved_ip pkt)
+    (fun (_, i, v) -> resolve_and_emit t i ~next_hop:resolved_ip v)
     (List.rev ready)
 
 let handle_arp t i (a : Arp.t) =
@@ -552,6 +588,15 @@ and deliver_local_whole t (pkt : Ipv4.Packet.t) =
 let () = deliver_local_ref := deliver_local
 let inject_local t pkt = if t.up then deliver_local t pkt
 
+let forward_rewritten t pkt =
+  t.n_forwarded <- t.n_forwarded + 1;
+  tracef t "fwd" "rewritten: %a" Ipv4.Packet.pp pkt;
+  List.iter (fun f -> f t pkt) t.forward_taps;
+  forward_now t pkt
+
+(* The record route, for a packet the receive path decoded: the hook
+   sees the encoding of the decremented record, and the chain forwards
+   those same bytes. *)
 let forward t (pkt : Ipv4.Packet.t) =
   match Ipv4.Packet.decr_ttl pkt with
   | None ->
@@ -560,35 +605,44 @@ let forward t (pkt : Ipv4.Packet.t) =
       (fun original -> Ipv4.Icmp.Time_exceeded { code = 0; original })
       pkt
   | Some pkt ->
-    match
-      (match t.rewrite_forward with Some f -> f t pkt | None -> Forward)
-    with
+    let v = view_of pkt in
+    match t.rewrite_forward t v with
     | Consume -> ()
     | Drop reason -> drop t reason pkt
-    | Replace pkt' ->
-      t.n_forwarded <- t.n_forwarded + 1;
-      tracef t "fwd" "rewritten: %a" Ipv4.Packet.pp pkt';
-      List.iter (fun f -> f t pkt') t.forward_taps;
-      forward_now t pkt'
+    | Replace pkt' -> forward_rewritten t pkt'
     | Forward ->
       t.n_forwarded <- t.n_forwarded + 1;
       tracef t "fwd" "%a" Ipv4.Packet.pp pkt;
       List.iter (fun f -> f t pkt) t.forward_taps;
-      forward_now t pkt
+      delayed t ~slow:(Ipv4.Packet.has_options pkt) (fun () ->
+          route_and_send t v)
+
+(* The view route: TTL and checksum patched in the received buffer, the
+   hook consulted on the header, and — unless it rewrites or claims the
+   packet — the same buffer handed to the chain without a decode. *)
+let forward_view t v =
+  View.decr_ttl v;
+  match t.rewrite_forward t v with
+  | Consume -> ()
+  | Drop reason -> drop t reason (View.decode v)
+  | Replace pkt' -> forward_rewritten t pkt'
+  | Forward ->
+    t.n_forwarded <- t.n_forwarded + 1;
+    t.n_fast_forwarded <- t.n_fast_forwarded + 1;
+    delayed t ~slow:false (fun () -> route_and_send t v)
+
+let intercept t pkt =
+  tracef t "intercept" "%a" Ipv4.Packet.pp pkt;
+  deliver_local t pkt
 
 let rx_ip t (pkt : Ipv4.Packet.t) =
-  if Ipv4.Addr.equal pkt.Ipv4.Packet.dst Ipv4.Addr.broadcast
-     || has_address t pkt.Ipv4.Packet.dst
-  then deliver_local t pkt
-  else if (match t.accept_ip with Some f -> f t pkt | None -> false)
-  then begin
-    tracef t "intercept" "%a" Ipv4.Packet.pp pkt;
+  let dst = pkt.Ipv4.Packet.dst in
+  if Ipv4.Addr.equal dst Ipv4.Addr.broadcast || has_address t dst then
     deliver_local t pkt
-  end
+  else if t.accept_ip t dst then intercept t pkt
   else if t.router then forward t pkt
   else drop t "not-mine" pkt
 
-(* The classical receive path: full decode, then the hook-driven stack. *)
 let rx_ip_bytes t bytes =
   match Ipv4.Packet.decode bytes with
   | pkt -> rx_ip t pkt
@@ -596,95 +650,27 @@ let rx_ip_bytes t bytes =
     tracef t "drop" "malformed packet: %s" msg;
     t.n_dropped <- t.n_dropped + 1
 
-(* --- zero-copy forwarding fast path ---
-
-   A transit router whose stack is not watching (no accept_ip claim, no
-   rewrite hook, no forward taps, tracing off) forwards a packet without
-   ever decoding it: validate the header through a {!Ipv4.Packet.View},
-   rewrite TTL and patch the checksum in place, and hand the *received*
-   buffer straight to the outgoing frame.  Mutating the received buffer
-   is sound because a unicast frame's payload has exactly one owner
-   after delivery (DESIGN.md Section 11): LAN monitors have already run
-   synchronously, and anything they keep is decoded (copied), never the
-   raw buffer.  Every condition the fast path cannot preserve
-   byte-for-byte — options, fragmentation at the egress MTU, TTL
-   expiry, ARP misses, fault filters, transmit taps — falls back to the
-   classical path on the same bytes, so wire semantics, counters, drops
-   and ICMP errors are identical either way; only allocation and CPU
-   cost differ.  Hooks installed between receipt and the (delayed)
-   transmit are honoured by re-checking at emit time, mirroring where
-   the classical path consults them. *)
-
-module View = Ipv4.Packet.View
-
-let fast_forward_eligible t =
-  t.router
-  && (match t.accept_ip with None -> true | Some _ -> false)
-  && (match t.rewrite_forward with None -> true | Some _ -> false)
-  && (match t.forward_taps with [] -> true | _ :: _ -> false)
-  && not (Netsim.Trace.active t.tr)
-
-let fast_frame_out t i ~dst_mac v =
-  let s = iface t i in
-  let needs_slow_emit =
-    View.total_length v > Lan.mtu s.lan
-    || (match t.fault_filter with Some _ -> true | None -> false)
-    || (match t.transmit_taps with [] -> false | _ :: _ -> true)
-  in
-  if needs_slow_emit then frame_out t i ~dst_mac (View.decode v)
-  else Lan.send s.lan (Frame.ip ~src:s.mac ~dst:dst_mac (View.to_wire v))
-
-let fast_resolve_and_emit t i ~next_hop v =
-  match arp_fresh t next_hop with
-  | Some mac -> fast_frame_out t i ~dst_mac:mac v
-  | None ->
-    (* ARP miss: park the decoded packet on the classical pending queue;
-       the eventual flush re-encodes it to the same bytes. *)
-    resolve_and_emit t i ~next_hop (View.decode v)
-
-let fast_route_and_send t v =
-  if not t.up then ()
-  else
-    let dst = View.dst v in
-    match Route.lookup t.table dst with
-    | None ->
-      let pkt = View.decode v in
-      drop t "no-route" pkt;
-      if not (has_address t pkt.Ipv4.Packet.src) then
-        icmp_error t
-          (fun original ->
-             Ipv4.Icmp.Dest_unreachable { code = 0; original })
-          pkt
-    | Some (Route.Direct i) ->
-      (match iface t i with
-       | exception Invalid_argument _ -> drop t "iface-down" (View.decode v)
-       | _ -> fast_resolve_and_emit t i ~next_hop:dst v)
-    | Some (Route.Via gw) ->
-      match iface_for_next_hop t gw with
-      | None -> drop t "gateway-unreachable" (View.decode v)
-      | Some i -> fast_resolve_and_emit t i ~next_hop:gw v
-
-let fast_forward t v =
-  t.n_forwarded <- t.n_forwarded + 1;
-  t.n_fast_forwarded <- t.n_fast_forwarded + 1;
-  View.decr_ttl v;
-  delayed t ~slow:false (fun () -> fast_route_and_send t v)
-
-let fast_rx t bytes =
+(* A router's receive path reads the header through a view, and decodes
+   only what it delivers, hands to a claim, or must answer with ICMP.
+   Mutating the received buffer is sound because a unicast frame's
+   payload has exactly one owner after delivery (DESIGN.md Section 11):
+   LAN monitors have already run synchronously, and anything they keep
+   is decoded (copied), never the raw buffer.  Headers with options
+   (which may be malformed and cost the slow-path delay factor) and
+   buffers with trailing bytes (which the record encoding would trim)
+   take the decoded route. *)
+let rx_view t bytes =
   let v = View.make bytes in
-  if not (View.valid v)
-     (* options may be malformed (decode rejects them) and cost the
-        slow-path delay factor; whole-buffer views only, so the egress
-        frame carries no trailing bytes the classical encode would trim *)
-     || View.has_options v
+  if not (View.valid v) || View.has_options v
      || View.total_length v <> Bytes.length bytes
   then rx_ip_bytes t bytes
   else
     let dst = View.dst v in
-    if Ipv4.Addr.equal dst Ipv4.Addr.broadcast || has_address t dst
-       || View.ttl v <= 1
-    then rx_ip_bytes t bytes
-    else fast_forward t v
+    if Ipv4.Addr.equal dst Ipv4.Addr.broadcast || has_address t dst then
+      deliver_local t (View.decode v)
+    else if t.accept_ip t dst then intercept t (View.decode v)
+    else if View.ttl v <= 1 then forward t (View.decode v)
+    else forward_view t v
 
 let on_frame t i (frame : Frame.t) =
   if t.up then
@@ -692,9 +678,13 @@ let on_frame t i (frame : Frame.t) =
     | Frame.Arp a -> handle_arp t i a
     | Frame.Ip bytes ->
       (* A MAC-broadcast frame's payload is shared by every station on
-         the LAN and must never be mutated in place. *)
-      if fast_forward_eligible t && not (Mac.is_broadcast frame.Frame.dst)
-      then fast_rx t bytes
+         the LAN and must never be mutated in place; forward taps and a
+         live trace consume records. *)
+      if t.router
+         && (match t.forward_taps with [] -> true | _ :: _ -> false)
+         && (not (Netsim.Trace.active t.tr))
+         && not (Mac.is_broadcast frame.Frame.dst)
+      then rx_view t bytes
       else rx_ip_bytes t bytes
 
 (* --- attachment --- *)

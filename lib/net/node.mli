@@ -14,6 +14,12 @@
       cache agent tunneling packets for cached mobile hosts and snooping
       location updates, Sections 4.3 and 6.2).
 
+    The two forwarding hooks see headers, not records: [accept_ip] gets
+    the destination address and [rewrite_forward] a
+    {!Ipv4.Packet.View.t}, so a router whose hooks decide from the header
+    (the common case: a cache miss, a destination nobody claims)
+    forwards without decoding the packet.
+
     Plain IP behaviour — longest-prefix forwarding, TTL decrement with ICMP
     time-exceeded, ICMP destination-unreachable on routing or ARP failure,
     echo replies, RFC 791 loose-source-route processing — lives here, so
@@ -78,6 +84,12 @@ val add_address : t -> Ipv4.Addr.t -> unit
 
 val remove_address : t -> Ipv4.Addr.t -> unit
 val has_address : t -> Ipv4.Addr.t -> bool
+(** Allocation-free: checked on every received and routed packet. *)
+
+val iface_for_next_hop : t -> Ipv4.Addr.t -> int
+(** The first active interface whose LAN prefix covers the address —
+    the egress for a gateway route — or [-1] if none does.
+    Allocation-free. *)
 
 val primary_addr : t -> Ipv4.Addr.t
 (** The node's canonical address (first configured).  Raises [Failure] if
@@ -93,8 +105,24 @@ val update_routes : t -> (Route.t -> Route.t) -> unit
 
 val set_proto_handler : t -> Ipv4.Proto.t -> (t -> Ipv4.Packet.t -> unit) -> unit
 val clear_proto_handler : t -> Ipv4.Proto.t -> unit
-val set_accept_ip : t -> (t -> Ipv4.Packet.t -> bool) -> unit
-val set_rewrite_forward : t -> (t -> Ipv4.Packet.t -> forward_action) -> unit
+
+val set_accept_ip : t -> (t -> Ipv4.Addr.t -> bool) -> unit
+(** [f node dst] claims a received packet addressed to [dst], which is
+    none of this node's addresses: [true] delivers it to the local
+    stack instead of forwarding it.  Replaces any previous claim; the
+    default claims nothing. *)
+
+val set_rewrite_forward :
+  t -> (t -> Ipv4.Packet.View.t -> forward_action) -> unit
+(** [f node v] decides the fate of a packet this router forwards.  [v]
+    covers the packet's bytes after the TTL decrement.  It is valid only
+    for the duration of the call: the node keeps forwarding the same
+    buffer afterwards, so a hook that keeps anything must
+    {!Ipv4.Packet.View.decode} (copy) it, and must never mutate it.
+    Read header fields from the view and decode only when the packet
+    itself is needed (to tunnel or consume it).  Replaces any previous
+    hook; the default returns [Forward]. *)
+
 val set_arp_proxy : t -> (Ipv4.Addr.t -> bool) -> unit
 (** Answer ARP requests for these addresses with this node's MAC —
     the home agent's proxy ARP (Section 2). *)
@@ -186,15 +214,19 @@ val crash_for : t -> Netsim.Time.t -> unit
 val packets_forwarded : t -> int
 
 val packets_fast_forwarded : t -> int
-(** The subset of {!packets_forwarded} received on the zero-copy view
-    path: no decode, in-place TTL/checksum rewrite, and — unless egress
-    needs fragmentation — the received buffer reused for the outgoing
-    frame.  The path engages on transit routers with no accept/rewrite
-    hooks, no forward taps and tracing off, for option-free unicast
-    packets; everything else falls back to the decoded path with
-    identical wire semantics.  Counted at receive time, so a hop whose
-    egress falls back (fragmentation) still counts.  The allocation CI
-    lane gates this counter to catch accidental de-optimisation. *)
+(** The subset of {!packets_forwarded} forwarded without a decode: the
+    TTL and checksum rewritten in the received buffer, the
+    [rewrite_forward] hook (if any) answering [Forward] from the view,
+    and — unless egress needs fragmentation — the received buffer
+    reused for the outgoing frame.  Every router takes this path for
+    option-free unicast packets, MHRP agents and baseline routers
+    included, unless a forward tap or a live trace needs the record.
+    Hops the hook rewrites ([Replace]), claims ([Consume]) or drops do
+    not count; neither does anything that falls back to the decoded
+    path, whose wire semantics are identical.  Counted at receive time,
+    so a hop whose egress falls back (fragmentation) still counts.  The
+    allocation CI lane gates this counter to catch accidental
+    de-optimisation. *)
 
 val packets_delivered : t -> int
 val packets_originated : t -> int

@@ -142,24 +142,27 @@ let compile t =
     t.compiled <- Some c;
     c
 
+(* Index into [c.targets] of the longest sub-32 prefix holding [key],
+   or -1.  Top-level and closure-free: a local [let rec] capturing [c]
+   and [key] would allocate on every lookup. *)
+let rec shorter_match c key i =
+  if i >= Array.length c.lens then -1
+  else
+    match
+      Ipv4.Int_table.find c.len_tbls.(i) (key land c.masks.(i)) ~default:(-1)
+    with
+    | -1 -> shorter_match c key (i + 1)
+    | idx -> idx
+
 let lookup t addr =
   let c = compile t in
   let key = Ipv4.Addr.to_key addr in
-  match Ipv4.Int_table.find c.hosts key ~default:(-1) with
-  | -1 ->
-    let n = Array.length c.lens in
-    let rec go i =
-      if i >= n then None
-      else
-        match
-          Ipv4.Int_table.find c.len_tbls.(i) (key land c.masks.(i))
-            ~default:(-1)
-        with
-        | -1 -> go (i + 1)
-        | idx -> Some c.targets.(idx)
-    in
-    go 0
-  | idx -> Some c.targets.(idx)
+  let idx =
+    match Ipv4.Int_table.find c.hosts key ~default:(-1) with
+    | -1 -> shorter_match c key 0
+    | idx -> idx
+  in
+  if idx < 0 then None else Some c.targets.(idx)
 
 let entries t = t.entries
 let size t = List.length t.entries

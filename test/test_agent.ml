@@ -330,4 +330,44 @@ let basic_tests =
           check Alcotest.bool "not delivered" true (not (delivered r));
           check Alcotest.int "sender told" 1 !errors) ]
 
-let suite = [ ("agent-figure1", basic_tests) ]
+(* --- allocation: sending on a location-cache hit --- *)
+
+let alloc_tests =
+  [ Alcotest.test_case "untraced send_udp on a cache hit: <= 200 words"
+      `Quick (fun () ->
+        (* The sender-built tunnel traces its decision; with the trace
+           off that must not render anything.  Rendering the detail
+           eagerly costs ~500 words per call on its own. *)
+        let f = TG.figure1 () in
+        let topo = f.TG.topo in
+        Netsim.Trace.set_enabled (Topology.trace topo) false;
+        let dst = Agent.address f.TG.m in
+        let prime () =
+          Mhrp.Location_cache.update (Agent.cache f.TG.s) ~mobile:dst
+            ~foreign_agent:(Agent.address f.TG.r4)
+        in
+        let data = Bytes.make 64 'x' in
+        let n = 500 in
+        let burst () =
+          for _ = 1 to n do
+            Agent.send_udp f.TG.s ~dst data
+          done
+        in
+        (* the first burst grows the event queue to the burst's depth;
+           its replies from the foreign agent flush the cache entry *)
+        prime ();
+        burst ();
+        Topology.run ~until:(Time.of_sec 1.0) topo;
+        prime ();
+        let hits = Mhrp.Location_cache.hits (Agent.cache f.TG.s) in
+        let w0 = Gc.minor_words () in
+        burst ();
+        let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+        check Alcotest.int "every send hit the cache" (hits + n)
+          (Mhrp.Location_cache.hits (Agent.cache f.TG.s));
+        check Alcotest.bool
+          (Printf.sprintf "%.0f words per send" per_call)
+          true (per_call <= 200.0)) ]
+
+let suite =
+  [ ("agent-figure1", basic_tests); ("agent-alloc", alloc_tests) ]

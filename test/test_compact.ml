@@ -235,8 +235,72 @@ let pool_tests =
          check Alcotest.int "no cap discards" 0
            (Ipv4.Buffer_pool.cap_discards pool)) ]
 
+(* --- allocation: every forwarded packet runs these lookups --- *)
+
+(* Exact minor-heap words allocated by [f ()]; [Gc.minor_words] returns
+   an unboxed float, so the reading itself allocates nothing. *)
+let minor_words_during f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let alloc_tests =
+  [ Alcotest.test_case "find, mem and replace of a present key allocate 0"
+      `Quick (fun () ->
+        let t = Int_table.create () in
+        for i = 0 to 999 do
+          Int_table.replace t (i * 7919) i
+        done;
+        (* half the probed keys are present, half absent *)
+        let words =
+          minor_words_during (fun () ->
+              for i = 0 to 1999 do
+                let k = i * 7919 in
+                ignore (Sys.opaque_identity (Int_table.find t k ~default:(-1)));
+                ignore (Sys.opaque_identity (Int_table.mem t k))
+              done;
+              for i = 0 to 999 do
+                Int_table.replace t (i * 7919) (i + 1)
+              done)
+        in
+        check (Alcotest.float 0.0) "minor words" 0.0 words;
+        check Alcotest.int "replaced" 1000
+          (Int_table.find t (999 * 7919) ~default:0));
+    Alcotest.test_case "route lookup allocates at most its Some" `Quick
+      (fun () ->
+         let table =
+           Route.bulk
+             [ (Addr.Prefix.make (Addr.host 3 7) 32, Route.Direct 0);
+               (Addr.net 4, Route.Direct 1);
+               (Addr.net_len 5 16, Route.Direct 2);
+               (Addr.Prefix.make Addr.zero 0, Route.Direct 3) ]
+         in
+         (* one probe per entry: /32, /24, /16, default *)
+         let probes =
+           [| Addr.host 3 7; Addr.host 4 9; Addr.host 9 9;
+              Addr.of_octets 192 168 1 1 |]
+         in
+         Array.iteri
+           (fun i a ->
+              check Alcotest.bool "longest match" true
+                (Route.lookup table a = Some (Route.Direct i)))
+           probes;
+         let n = 4000 in
+         let words =
+           minor_words_during (fun () ->
+               for i = 0 to n - 1 do
+                 ignore
+                   (Sys.opaque_identity (Route.lookup table probes.(i land 3)))
+               done)
+         in
+         check Alcotest.bool
+           (Printf.sprintf "%.0f words for %d lookups" words n)
+           true
+           (words <= 2.0 *. float_of_int n)) ]
+
 let suite =
   [ ("compact-addr-keys", addr_key_tests);
     ("compact-int-table", int_table_tests);
     ("compact-route", route_tests);
-    ("compact-buffer-pool", pool_tests) ]
+    ("compact-buffer-pool", pool_tests);
+    ("compact-alloc", alloc_tests) ]

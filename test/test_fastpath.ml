@@ -219,6 +219,112 @@ let chains_equivalent () =
   (* ...and none did with a tap installed *)
   Alcotest.(check (list int)) "fast path disengaged" [0; 0] slow.fast
 
+(* --- the same comparison through MHRP agent routers ------------- *)
+
+module Agent = Mhrp.Agent
+module TG = Workload.Topo_gen
+
+type agent_chain_result = {
+  at_mobile : (Addr.t * Addr.t * int * int * string) list;
+  at_r4 : (Addr.t * Addr.t * int * int * string) list;
+  node_forwarded : int list;
+  node_fast : int list;
+  node_dropped : int list;
+  counters : Mhrp.Counters.t list;
+  caches : (int * int * int) list;  (* hits, misses, evictions *)
+  r1_tunnels : int;
+  r2_intercepts : int;
+}
+
+(* Figure 1 with a snooping agent on every router.  M has moved to R4's
+   cell; S, a plain sender, talks to M's home address and to R4.  The
+   home agent R2 intercepts M's first datagrams and tells S where M is;
+   R1 snoops that location update in transit and tunnels the rest on a
+   cache hit; R3 and R1's misses forward plain and tunneled packets.
+   [tapped] puts a no-op forward tap on every router, which keeps every
+   hop on the record route. *)
+let agent_chain_run ~tapped =
+  let f = TG.figure1 () in
+  let topo = f.TG.topo in
+  Netsim.Trace.set_enabled (Topology.trace topo) false;
+  let routers = [f.TG.r1; f.TG.r2; f.TG.r3; f.TG.r4] in
+  if tapped then
+    List.iter (fun r -> Node.on_forward (Agent.node r) (fun _ _ -> ())) routers;
+  let capture into (pkt : Packet.t) =
+    into :=
+      ( pkt.Packet.src, pkt.Packet.dst, pkt.Packet.id, pkt.Packet.ttl,
+        Bytes.to_string pkt.Packet.payload )
+      :: !into
+  in
+  let at_mobile = ref [] and at_r4 = ref [] in
+  Agent.on_app_receive f.TG.m (capture at_mobile);
+  Agent.on_app_receive f.TG.r4 (capture at_r4);
+  Workload.Mobility.move_at topo f.TG.m ~at:(Time.of_sec 0.5) f.TG.net_d;
+  let s = Agent.node f.TG.s in
+  let datagram ~id dst =
+    Packet.make ~id ~proto:Ipv4.Proto.udp ~src:(Node.primary_addr s) ~dst
+      (Ipv4.Udp.encode
+         (Ipv4.Udp.make ~src_port:1 ~dst_port:2
+            (Bytes.make (5 * id mod 90) 'z')))
+  in
+  for i = 1 to 20 do
+    ignore
+      (Netsim.Engine.schedule (Topology.engine topo)
+         ~at:(Time.of_ms (3000 + (10 * i)))
+         (fun () ->
+            Node.send s (datagram ~id:i (Agent.address f.TG.m));
+            Node.send s (datagram ~id:(100 + i) (Agent.address f.TG.r4))))
+  done;
+  Topology.run ~until:(Time.of_sec 6.0) topo;
+  let nodes = Topology.nodes topo in
+  let agents = [f.TG.s; f.TG.m; f.TG.r1; f.TG.r2; f.TG.r3; f.TG.r4] in
+  let cache a =
+    let c = Agent.cache a in
+    Mhrp.Location_cache.(hits c, misses c, evictions c)
+  in
+  { at_mobile = List.rev !at_mobile;
+    at_r4 = List.rev !at_r4;
+    node_forwarded = List.map Node.packets_forwarded nodes;
+    node_fast = List.map Node.packets_fast_forwarded nodes;
+    node_dropped = List.map Node.packets_dropped nodes;
+    counters = List.map Agent.counters agents;
+    caches = List.map cache agents;
+    r1_tunnels = (Agent.counters f.TG.r1).Mhrp.Counters.tunnels_built;
+    r2_intercepts = (Agent.counters f.TG.r2).Mhrp.Counters.intercepts }
+
+let agent_chains_equivalent () =
+  let view = agent_chain_run ~tapped:false in
+  let record = agent_chain_run ~tapped:true in
+  Alcotest.(check int) "M got every datagram" 20 (List.length view.at_mobile);
+  Alcotest.(check int) "R4 got every datagram" 20 (List.length view.at_r4);
+  Alcotest.(check bool) "traffic to M byte-identical" true
+    (view.at_mobile = record.at_mobile);
+  Alcotest.(check bool) "traffic to R4 byte-identical" true
+    (view.at_r4 = record.at_r4);
+  Alcotest.(check (list int)) "forwarded" record.node_forwarded
+    view.node_forwarded;
+  Alcotest.(check (list int)) "dropped" record.node_dropped view.node_dropped;
+  Alcotest.(check bool) "Mhrp.Counters" true (view.counters = record.counters);
+  Alcotest.(check bool) "cache hits, misses, evictions" true
+    (view.caches = record.caches);
+  (* the scenario exercises all three agent verdicts *)
+  Alcotest.(check bool) "R2 intercepted" true (view.r2_intercepts > 0);
+  Alcotest.(check bool) "R1 tunneled on a cache hit" true
+    (view.r1_tunnels > 0);
+  (* node order: R1 R2 R3 R4 S M.  R3 only ever forwards plainly, R1
+     rewrites its cache hits into tunnels (the record route) and forwards
+     its misses undecoded. *)
+  (match view.node_forwarded, view.node_fast with
+   | r1 :: _ :: r3 :: _, r1_fast :: _ :: r3_fast :: _ ->
+     Alcotest.(check bool) "R3 forwarded" true (r3 > 0);
+     Alcotest.(check int) "R3: every hop on the view path" r3 r3_fast;
+     Alcotest.(check int) "R1: every miss on the view path"
+       (r1 - view.r1_tunnels) r1_fast
+   | _ -> Alcotest.fail "unexpected node list");
+  Alcotest.(check (list int)) "view path off when tapped"
+    (List.map (fun _ -> 0) record.node_fast)
+    record.node_fast
+
 let send_big s src dst =
   Node.send s
     (Packet.make ~id:77 ~proto:Ipv4.Proto.udp ~src ~dst
@@ -258,5 +364,7 @@ let suite =
              ~count:200 arb_seed encap_into_equals_record);
         Alcotest.test_case "fast and slow chains are byte-equivalent"
           `Quick chains_equivalent;
+        Alcotest.test_case "agent-router chains are byte-equivalent"
+          `Quick agent_chains_equivalent;
         Alcotest.test_case "egress fragmentation falls back cleanly"
           `Quick fragmentation_falls_back ] ) ]

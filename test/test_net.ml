@@ -408,8 +408,7 @@ let node_tests =
         let topo, _, a, b = two_hosts () in
         let ghost = Addr.host 1 99 in
         let claimed = ref 0 in
-        Node.set_accept_ip b (fun _ pkt ->
-            Addr.equal pkt.Packet.dst ghost);
+        Node.set_accept_ip b (fun _ dst -> Addr.equal dst ghost);
         Node.set_arp_proxy b (fun addr -> Addr.equal addr ghost);
         Node.set_proto_handler b Ipv4.Proto.udp (fun _ pkt ->
             if Addr.equal pkt.Packet.dst ghost then incr claimed);
@@ -426,9 +425,11 @@ let node_tests =
          let b = Topology.add_host topo "b" l2 10 in
          let c = Topology.add_host topo "c" l2 11 in
          Topology.compute_routes topo;
-         Node.set_rewrite_forward r (fun _ pkt ->
-             if Addr.equal pkt.Packet.dst (Node.primary_addr b) then
-               Node.Replace { pkt with Packet.dst = Node.primary_addr c }
+         Node.set_rewrite_forward r (fun _ v ->
+             if Addr.equal (Packet.View.dst v) (Node.primary_addr b) then
+               Node.Replace
+                 { (Packet.View.decode v) with
+                   Packet.dst = Node.primary_addr c }
              else Node.Forward);
          let got_b = ref 0 and got_c = ref 0 in
          Node.set_proto_handler b Ipv4.Proto.udp (fun _ _ -> incr got_b);
@@ -719,7 +720,41 @@ let topology_tests =
               false
             with Invalid_argument _ -> true)) ]
 
+(* --- allocation: lookups every received or routed packet runs --- *)
+
+let node_alloc_tests =
+  [ Alcotest.test_case "address and next-hop interface lookups allocate 0"
+      `Quick (fun () ->
+        let topo = Topology.create () in
+        let lans =
+          List.init 4 (fun k ->
+              Topology.add_lan topo ~net:(k + 1) (Printf.sprintf "l%d" k))
+        in
+        let r =
+          Topology.add_router topo "r" (List.map (fun l -> (l, 1)) lans)
+        in
+        Node.add_address r (Addr.host 9 1);
+        Node.add_address r (Addr.host 9 2);
+        (* on the last interface, the last extra address, nobody's *)
+        let addrs = [| Addr.host 4 1; Addr.host 9 2; Addr.host 4 2 |] in
+        let hops = [| Addr.host 4 7; Addr.host 1 7; Addr.host 8 7 |] in
+        let words =
+          let w0 = Gc.minor_words () in
+          for i = 0 to 2999 do
+            ignore (Sys.opaque_identity (Node.has_address r addrs.(i mod 3)));
+            ignore
+              (Sys.opaque_identity (Node.iface_for_next_hop r hops.(i mod 3)))
+          done;
+          Gc.minor_words () -. w0
+        in
+        check (Alcotest.float 0.0) "minor words" 0.0 words;
+        check (Alcotest.list Alcotest.bool) "has_address" [true; true; false]
+          (List.map (Node.has_address r) (Array.to_list addrs));
+        check (Alcotest.list Alcotest.int) "next-hop interface" [3; 0; -1]
+          (List.map (Node.iface_for_next_hop r) (Array.to_list hops))) ]
+
 let suite =
   [ ("mac", mac_tests); ("arp-frame", arp_tests); ("lan", lan_tests);
     ("route", route_tests); ("node", node_tests);
+    ("node-alloc", node_alloc_tests);
     ("routing", routing_tests); ("topology", topology_tests) ]
