@@ -27,7 +27,13 @@
 
    - the transport layer: TCP segment encode/decode word counts and the
      full socket send path (queue, segment, deliver, ack) per 256-byte
-     send on a quiet topology, with an exact zero-retransmission gate. *)
+     send on a quiet topology, with an exact zero-retransmission gate.
+
+   - the control receive path: the words each station spends on an
+     agent advertisement it ignores (the slope between LANs of 8 and 32
+     home-agent routers), and the words per completed handoff of Figure
+     1's mobile ping-ponging between R4's cell and home, with the
+     handoff count gated exactly. *)
 
 module Time = Netsim.Time
 module Addr = Ipv4.Addr
@@ -394,13 +400,95 @@ let part_transport () =
      %d retransmissions (gate: exactly 0)"
     sock_w rtx
 
+(* --- part 5: the control receive path ------------------------------ *)
+
+(* The minor words of one advertisement from one of [k] snooping
+   home-agent routers on a LAN: every other router receives it and,
+   being no mobile host, ignores it.  The first advertisement builds
+   the LAN's station order and is not measured. *)
+let advert_words k =
+  let topo = Topology.create ~seed:11 () in
+  Netsim.Trace.set_enabled (Topology.trace topo) false;
+  let lan = Topology.add_lan topo ~net:1 "lan" in
+  let agents =
+    List.init k (fun i ->
+        let r =
+          Topology.add_router topo (Printf.sprintf "R%d" i) [(lan, i + 1)]
+        in
+        let a = Mhrp.Agent.create ~snoop:true r in
+        Mhrp.Agent.enable_home_agent a;
+        a)
+  in
+  let advert_until sec =
+    Mhrp.Agent.broadcast_advert (List.hd agents);
+    Topology.run ~until:(Time.of_sec sec) topo
+  in
+  advert_until 1.0;
+  let (), alloc = Obs.Alloc.measure (fun () -> advert_until 2.0) in
+  alloc.Obs.Alloc.minor_words
+
+let handoff_moves = 200
+let handoff_period_ms = 200
+
+(* Figure 1 under a reliable control plane: M ping-pongs between R4's
+   cell and home, each move a full solicitation, advertisement, connect
+   and registration.  Two untimed moves warm the ARP caches and the
+   event queue. *)
+let handoff_loop () =
+  let f =
+    Workload.Topo_gen.figure1
+      ~config:(Mhrp.Config.make ~reliable_control:true ()) ()
+  in
+  let topo = f.Workload.Topo_gen.topo in
+  Netsim.Trace.set_enabled (Topology.trace topo) false;
+  let m = f.Workload.Topo_gen.m in
+  let completed = ref 0 in
+  Mhrp.Agent.on_registered m (fun _ -> incr completed);
+  let schedule_moves ~from_ms n =
+    for k = 0 to n - 1 do
+      ignore
+        (Netsim.Engine.schedule (Topology.engine topo)
+           ~at:(Time.of_ms (from_ms + (k * handoff_period_ms)))
+           (fun () ->
+              Mhrp.Agent.move_to ~topo m
+                (if k mod 2 = 0 then f.Workload.Topo_gen.net_d
+                 else f.Workload.Topo_gen.net_b)))
+    done
+  in
+  schedule_moves ~from_ms:1000 2;
+  Topology.run ~until:(Time.of_sec 2.0) topo;
+  let warm = !completed in
+  schedule_moves ~from_ms:2000 handoff_moves;
+  let until = Time.of_ms (3000 + (handoff_moves * handoff_period_ms)) in
+  let (), alloc = Obs.Alloc.measure (fun () -> Topology.run ~until topo) in
+  (alloc, !completed - warm)
+
+let part_control () =
+  let small = advert_words 8 and large = advert_words 32 in
+  let per_receiver = (large -. small) /. 24.0 in
+  let alloc, handoffs = handoff_loop () in
+  let per_handoff =
+    (Obs.Alloc.per alloc (max 1 handoffs)).Obs.Alloc.minor_words
+  in
+  Exp_util.rec_f ~exp ~tol:(Obs.Metric.Pct 30.0)
+    "advert_minor_words_per_receiver" per_receiver;
+  Exp_util.rec_i ~exp "handoff_completed" handoffs;
+  Exp_util.rec_f ~exp ~tol:(Obs.Metric.Pct 30.0)
+    "handoff_minor_words_per_op" per_handoff;
+  Exp_util.table
+    ~columns:["control receive path"; "minor words"]
+    [ [ "ignored advertisement, per receiver"; Exp_util.f1 per_receiver ];
+      [ Printf.sprintf "completed handoff (%d of %d)" handoffs handoff_moves;
+        Exp_util.f1 per_handoff ] ]
+
 let run () =
   Exp_util.heading "ALLOC"
     "zero-copy fast path: allocations, throughput, pool behaviour";
   part_header ();
   part_chain ();
   part_encap ();
-  part_transport ()
+  part_transport ();
+  part_control ()
 
 let experiment =
   Exp_util.Experiment.make ~id:"alloc"

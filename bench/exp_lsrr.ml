@@ -21,7 +21,8 @@ let measure ~n ~variant =
   Node.set_proto_handler b Ipv4.Proto.udp (fun _ _ ->
       if !arrival = None then
         arrival := Some (Netsim.Engine.now (Topology.engine topo)));
-  Node.set_proto_handler b Ipv4.Proto.mhrp (fun node pkt ->
+  Node.set_proto_handler b Ipv4.Proto.mhrp (fun node v ->
+      let pkt = Ipv4.Packet.View.decode v in
       ignore node;
       match Mhrp.Encap.detunnel pkt with
       | Some _ when !arrival = None ->

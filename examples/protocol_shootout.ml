@@ -80,7 +80,8 @@ let run_sunshine () =
   let sp = Baselines.Sunshine_postel.create topo ~db_node:db in
   let fwd = Baselines.Sunshine_postel.add_forwarder sp p.TG.p_r4 ~lan:p.TG.p_net_d in
   Baselines.Sunshine_postel.make_mobile sp p.TG.p_m;
-  Node.set_proto_handler p.TG.p_m Ipv4.Proto.udp (fun _ pkt ->
+  Node.set_proto_handler p.TG.p_m Ipv4.Proto.udp (fun _ v ->
+      let pkt = Packet.View.decode v in
       Workload.Metrics.note_delivery metrics pkt);
   ignore
     (Netsim.Engine.schedule (Topology.engine topo) ~at:(Time.of_sec 1.0)
@@ -104,7 +105,8 @@ let run_columbia () =
   let home = Baselines.Columbia.add_msr co p.TG.p_r2 ~cell:p.TG.p_net_b in
   let msr4 = Baselines.Columbia.add_msr co p.TG.p_r4 ~cell:p.TG.p_net_d in
   Baselines.Columbia.make_mobile co p.TG.p_m ~home;
-  Node.set_proto_handler p.TG.p_m Ipv4.Proto.udp (fun _ pkt ->
+  Node.set_proto_handler p.TG.p_m Ipv4.Proto.udp (fun _ v ->
+      let pkt = Packet.View.decode v in
       Workload.Metrics.note_delivery metrics pkt);
   ignore
     (Netsim.Engine.schedule (Topology.engine topo) ~at:(Time.of_sec 1.0)

@@ -46,7 +46,8 @@ let create ?trace ~victim node =
   in
   (* Anything tunneled to us with the victim's address in the MHRP
      header (offset 4) is traffic we stole. *)
-  Net.Node.set_proto_handler node Ipv4.Proto.mhrp (fun _ pkt ->
+  Net.Node.set_proto_handler node Ipv4.Proto.mhrp (fun _ v ->
+      let pkt = Ipv4.Packet.View.decode v in
       let p = pkt.Ipv4.Packet.payload in
       if Bytes.length p >= 8 && Ipv4.Addr.equal (get_addr p 4) t.victim
       then begin

@@ -130,7 +130,8 @@ let setup_msr t msr =
         Node.Consume
       end
       else Node.Forward);
-  Node.set_proto_handler node Ipv4.Proto.ipip (fun _ pkt ->
+  Node.set_proto_handler node Ipv4.Proto.ipip (fun _ v ->
+      let pkt = Packet.View.decode v in
       match Ipip.decap pkt with
       | None -> ()
       | Some inner ->
@@ -142,7 +143,8 @@ let setup_msr t msr =
   (* Packets claimed off the LAN or in transit for a mobile host arrive
      through local delivery whatever their protocol; dispatch them to the
      mobile-host path before looking for MSR control traffic. *)
-  let dispatch control _ (pkt : Packet.t) =
+  let dispatch control _ v =
+    let pkt = Packet.View.decode v in
     if not (Node.has_address node pkt.Packet.dst) then
       handle_for_mobile t msr pkt
     else control pkt

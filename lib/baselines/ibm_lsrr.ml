@@ -76,7 +76,8 @@ let add_base t node ~lan =
            | _ -> Node.Forward)
         | _ -> Node.Forward);
     (* Same path for packets claimed off the local LAN. *)
-    Node.set_proto_handler node Ipv4.Proto.udp (fun _ pkt ->
+    Node.set_proto_handler node Ipv4.Proto.udp (fun _ v ->
+        let pkt = Packet.View.decode v in
         if not (Node.has_address node pkt.Packet.dst) then
           match Hashtbl.find_opt t.current_base pkt.Packet.dst with
           | Some cur ->
@@ -137,7 +138,8 @@ let peer_state t node =
         p_receive = (fun _ -> ()) }
     in
     Hashtbl.replace t.peers (Node.name node) st;
-    let learn_and_deliver _ (pkt : Packet.t) =
+    let learn_and_deliver _ v =
+      let pkt = Packet.View.decode v in
       (* An exhausted LSRR's recorded route names the base station the
          packet came through: save the reversal for replies. *)
       (match pkt.Packet.options with
@@ -149,7 +151,8 @@ let peer_state t node =
     in
     Node.set_proto_handler node Ipv4.Proto.udp learn_and_deliver;
     Node.set_proto_handler node Ipv4.Proto.tcp learn_and_deliver;
-    Node.set_proto_handler node Ipv4.Proto.icmp (fun _ pkt ->
+    Node.set_proto_handler node Ipv4.Proto.icmp (fun _ v ->
+        let pkt = Packet.View.decode v in
         match Ipv4.Icmp.decode_opt pkt.Packet.payload with
         | Some (Ipv4.Icmp.Dest_unreachable { original; _ }) ->
           (match Packet.decode_prefix original with

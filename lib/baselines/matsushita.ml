@@ -95,7 +95,8 @@ let add_pfs t node =
   Node.set_accept_ip node (fun _ dst -> claims dst);
   Node.set_arp_proxy node claims;
   (* Claimed packets arrive by local delivery whatever their protocol. *)
-  let dispatch _ (pkt : Packet.t) =
+  let dispatch _ v =
+    let pkt = Packet.View.decode v in
     if claims pkt.Packet.dst && pkt.Packet.proto <> Ipv4.Proto.iptp then
       pfs_tunnel t node pkt
   in
@@ -112,7 +113,8 @@ let add_pfs t node =
       else Node.Forward)
 
 let setup_mobile m =
-  Node.set_proto_handler m.mo_node Ipv4.Proto.iptp (fun _ pkt ->
+  Node.set_proto_handler m.mo_node Ipv4.Proto.iptp (fun _ v ->
+      let pkt = Packet.View.decode v in
       match Iptp.decap pkt with
       | Some inner when Addr.equal inner.Packet.dst m.home ->
         m.mo_receive inner
@@ -171,7 +173,8 @@ let sender_state t node =
   | None ->
     let st = { s_cache = Hashtbl.create 8; s_last = Hashtbl.create 8 } in
     Hashtbl.replace t.senders (Node.name node) st;
-    Node.set_proto_handler node Ipv4.Proto.udp (fun _ pkt ->
+    Node.set_proto_handler node Ipv4.Proto.udp (fun _ v ->
+        let pkt = Packet.View.decode v in
         match Ipv4.Udp.decode pkt.Packet.payload with
         | exception Invalid_argument _ -> ()
         | udp ->
@@ -181,7 +184,8 @@ let sender_state t node =
               if Addr.is_zero temp then Hashtbl.remove st.s_cache mobile
               else Hashtbl.replace st.s_cache mobile temp
             | None -> ());
-    Node.set_proto_handler node Ipv4.Proto.icmp (fun _ pkt ->
+    Node.set_proto_handler node Ipv4.Proto.icmp (fun _ v ->
+        let pkt = Packet.View.decode v in
         (* stale direct tunnel: fall back to the PFS path *)
         match Ipv4.Icmp.decode_opt pkt.Packet.payload with
         | Some (Ipv4.Icmp.Dest_unreachable { original; _ }) ->

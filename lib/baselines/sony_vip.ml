@@ -65,7 +65,8 @@ let add_router t node =
   in
   Node.set_arp_proxy node away;
   Node.set_accept_ip node (fun _ dst -> away dst);
-  Node.set_proto_handler node Ipv4.Proto.vip (fun _ pkt ->
+  Node.set_proto_handler node Ipv4.Proto.vip (fun _ v ->
+      let pkt = Packet.View.decode v in
       match Viph.peek pkt with
       | None -> ()
       | Some h when away h.Viph.vip_dst ->
@@ -125,7 +126,8 @@ let send t ~src pkt =
     Node.send src (wrap t host pkt)
 
 let setup_host t host =
-  Node.set_proto_handler host.h_node Ipv4.Proto.vip (fun _ pkt ->
+  Node.set_proto_handler host.h_node Ipv4.Proto.vip (fun _ v ->
+      let pkt = Packet.View.decode v in
       match Viph.strip pkt with
       | None -> ()
       | Some (h, inner) ->
@@ -141,7 +143,8 @@ let setup_host t host =
         (* else: misdelivered to a reused physical address — a real VIP
            host discards and signals an error; with our address plan
            physical addresses are never reused, so this cannot arise *));
-  Node.set_proto_handler host.h_node Ipv4.Proto.icmp (fun _ pkt ->
+  Node.set_proto_handler host.h_node Ipv4.Proto.icmp (fun _ v ->
+      let pkt = Packet.View.decode v in
       (* Stale mapping sent our packet into a void: fall back to routing
          by VIP (via the home network) and retransmit once. *)
       match Ipv4.Icmp.decode_opt pkt.Packet.payload with

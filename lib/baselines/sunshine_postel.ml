@@ -79,7 +79,8 @@ let create topo ~db_node =
     { topo; db_node; db = Hashtbl.create 64; mobiles = Hashtbl.create 16;
       senders = Hashtbl.create 16; forwarders = []; ctrl = 0; lookups = 0 }
   in
-  Node.set_proto_handler db_node Ipv4.Proto.udp (fun node pkt ->
+  Node.set_proto_handler db_node Ipv4.Proto.udp (fun node v ->
+      let pkt = Packet.View.decode v in
       match Ipv4.Udp.decode pkt.Packet.payload with
       | exception Invalid_argument _ -> ()
       | udp ->
@@ -162,7 +163,8 @@ let query_db t ~src mobile =
 
 let setup_sender t node =
   let st = sender_state t node in
-  Node.set_proto_handler node Ipv4.Proto.udp (fun _ pkt ->
+  Node.set_proto_handler node Ipv4.Proto.udp (fun _ v ->
+      let pkt = Packet.View.decode v in
       match Ipv4.Udp.decode pkt.Packet.payload with
       | exception Invalid_argument _ -> ()
       | udp ->
@@ -181,7 +183,8 @@ let setup_sender t node =
             end
             else Hashtbl.remove st.s_pending mobile
           | Some _ | None -> ());
-  Node.set_proto_handler node Ipv4.Proto.icmp (fun _ pkt ->
+  Node.set_proto_handler node Ipv4.Proto.icmp (fun _ v ->
+      let pkt = Packet.View.decode v in
       match Ipv4.Icmp.decode_opt pkt.Packet.payload with
       | Some (Ipv4.Icmp.Dest_unreachable { original; _ }) ->
         (match Packet.decode_prefix original with

@@ -9,6 +9,7 @@ type t =
   | Agent_solicitation
 
 let location_update_type = 41
+let agent_advertisement_type = 9
 
 let type_code = function
   | Echo_reply _ -> (0, 0)
@@ -81,39 +82,42 @@ let encode ?ext t =
   Checksum.set buf ~at:2 ~off:0 ~len;
   buf
 
-let decode_opt buf =
-  if Bytes.length buf < 8 then None
-  else if not (Checksum.valid buf) then None
-  else begin
-    let ty = get_u8 buf 0 in
-    let code = get_u8 buf 1 in
-    let rest = Bytes.sub buf 8 (Bytes.length buf - 8) in
-    match ty with
+(* The body after the 8-byte header, copied only by the types that keep
+   it. *)
+let body_at buf off len = Bytes.sub buf (off + 8) (len - 8)
+
+let decode_at buf ~off ~len =
+  if off < 0 || len < 8 || off > Bytes.length buf - len
+     || not (Checksum.valid_range buf ~off ~len)
+  then None
+  else
+    let code = get_u8 buf (off + 1) in
+    match get_u8 buf off with
     | 0 ->
-      Some (Echo_reply { ident = get_u16 buf 4; seq = get_u16 buf 6;
-                         data = rest })
+      Some (Echo_reply { ident = get_u16 buf (off + 4);
+                         seq = get_u16 buf (off + 6);
+                         data = body_at buf off len })
     | 8 ->
-      Some (Echo_request { ident = get_u16 buf 4; seq = get_u16 buf 6;
-                           data = rest })
-    | 3 -> Some (Dest_unreachable { code; original = rest })
-    | 11 -> Some (Time_exceeded { code; original = rest })
-    | 5 -> Some (Redirect { gateway = get_addr buf 4; original = rest })
-    | 41 ->
-      if Bytes.length buf < 16 then None
-      else
-        Some (Location_update { mobile = get_addr buf 8;
-                                foreign_agent = get_addr buf 12 })
-    | 9 ->
-      if Bytes.length buf < 16 then None
-      else begin
-        let flags = get_u8 buf 12 in
-        Some (Agent_advertisement { agent = get_addr buf 8;
-                                    home = flags land 1 <> 0;
-                                    foreign = flags land 2 <> 0 })
-      end
+      Some (Echo_request { ident = get_u16 buf (off + 4);
+                           seq = get_u16 buf (off + 6);
+                           data = body_at buf off len })
+    | 3 -> Some (Dest_unreachable { code; original = body_at buf off len })
+    | 11 -> Some (Time_exceeded { code; original = body_at buf off len })
+    | 5 ->
+      Some (Redirect { gateway = get_addr buf (off + 4);
+                       original = body_at buf off len })
+    | 41 when len >= 16 ->
+      Some (Location_update { mobile = get_addr buf (off + 8);
+                              foreign_agent = get_addr buf (off + 12) })
+    | 9 when len >= 16 ->
+      let flags = get_u8 buf (off + 12) in
+      Some (Agent_advertisement { agent = get_addr buf (off + 8);
+                                  home = flags land 1 <> 0;
+                                  foreign = flags land 2 <> 0 })
     | 10 -> Some Agent_solicitation
     | _ -> None
-  end
+
+let decode_opt buf = decode_at buf ~off:0 ~len:(Bytes.length buf)
 
 let decode buf =
   match decode_opt buf with

@@ -31,6 +31,10 @@ val type_code : t -> int * int
 val location_update_type : int
 (** 41. *)
 
+val agent_advertisement_type : int
+(** 9, the type byte a receiver may peek at to skip an advertisement it
+    would ignore without decoding it. *)
+
 val host_unreachable : original:bytes -> t
 (** [Dest_unreachable] with code 1. *)
 
@@ -46,8 +50,14 @@ val decode : bytes -> t
     type this simulator does not model (matching RFC 1122 hosts, callers
     should treat that as "silently discard"). *)
 
+val decode_at : bytes -> off:int -> len:int -> t option
+(** Decode the message in the [len] bytes at [off], checksum included:
+    [None] for unknown types, truncations, checksum mismatches and
+    ranges outside the buffer alike — the "silently discard" path.
+    Total: never raises, whatever the bytes.  Only the types that carry
+    a body (echoes, errors, redirects) copy it. *)
+
 val decode_opt : bytes -> t option
-(** [None] instead of an exception — the "silently discard" path for
-    unknown types, truncations and checksum mismatches alike. *)
+(** [decode_at] over the whole buffer. *)
 
 val pp : Format.formatter -> t -> unit

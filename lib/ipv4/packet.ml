@@ -202,6 +202,8 @@ module View = struct
   let src v = Addr.of_int ((u16 v 12 lsl 16) lor u16 v 14)
   let dst v = Addr.of_int ((u16 v 16 lsl 16) lor u16 v 18)
   let has_options v = header_length v > 20
+  let payload_offset v = v.off + header_length v
+  let payload_length v = total_length v - header_length v
   let dont_fragment v = u16 v 6 land 0x4000 <> 0
 
   let is_fragment v =

@@ -124,6 +124,13 @@ module View : sig
   val src : t -> Addr.t
   val dst : t -> Addr.t
   val has_options : t -> bool
+
+  val payload_offset : t -> int
+  (** Where the payload starts in {!buffer}: [offset + header_length]. *)
+
+  val payload_length : t -> int
+  (** [total_length - header_length]. *)
+
   val dont_fragment : t -> bool
   val is_fragment : t -> bool
 

@@ -29,17 +29,25 @@ let encode t =
   Checksum.set buf ~at:6 ~off:0 ~len;
   buf
 
+let length_at buf ~off ~len =
+  if off < 0 || len < header_length || off > Bytes.length buf - len then -1
+  else
+    let n = get_u16 buf (off + 4) in
+    if n < header_length || n > len then -2
+    else if not (Checksum.valid_range buf ~off ~len:n) then -3
+    else n
+
+let dst_port_at buf ~off = get_u16 buf (off + 2)
+
 let decode buf =
-  if Bytes.length buf < header_length then
-    invalid_arg "Udp.decode: too short";
-  let len = get_u16 buf 4 in
-  if len < header_length || len > Bytes.length buf then
-    invalid_arg "Udp.decode: bad length";
-  if not (Checksum.valid ~off:0 ~len buf) then
-    invalid_arg "Udp.decode: bad checksum";
-  { src_port = get_u16 buf 0;
-    dst_port = get_u16 buf 2;
-    data = Bytes.sub buf 8 (len - 8) }
+  match length_at buf ~off:0 ~len:(Bytes.length buf) with
+  | -1 -> invalid_arg "Udp.decode: too short"
+  | -2 -> invalid_arg "Udp.decode: bad length"
+  | -3 -> invalid_arg "Udp.decode: bad checksum"
+  | len ->
+    { src_port = get_u16 buf 0;
+      dst_port = get_u16 buf 2;
+      data = Bytes.sub buf 8 (len - 8) }
 
 let pp ppf t =
   Format.fprintf ppf "udp %d->%d (%d bytes)" t.src_port t.dst_port

@@ -16,7 +16,20 @@ val encode : t -> bytes
     simulator never corrupts packets in ways a pseudo-header would
     catch). *)
 
+val length_at : bytes -> off:int -> len:int -> int
+(** Check the datagram in the [len] bytes at [off] without decoding it:
+    its length (header included) if the header is complete, its length
+    field fits [len] and its checksum verifies; otherwise [-1]
+    (truncated, or a range outside the buffer), [-2] (bad length) or
+    [-3] (bad checksum).  Total: never raises, whatever the bytes. *)
+
+val dst_port_at : bytes -> off:int -> int
+(** The destination port of the datagram at [off], after {!length_at}
+    accepted it. *)
+
 val decode : bytes -> t
-(** Raises [Invalid_argument] on truncation or checksum mismatch. *)
+(** {!length_at} over the whole buffer, then the fields.  Raises
+    [Invalid_argument] on truncation, a bad length or a checksum
+    mismatch. *)
 
 val pp : Format.formatter -> t -> unit

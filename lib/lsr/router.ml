@@ -364,7 +364,8 @@ let create ?(config = Config.default) ?(stagger = Netsim.Time.zero) node =
       last_origination = Netsim.Time.zero; force_originate = false;
       spf_pending = false; own_seq = 0; started = false }
   in
-  Node.set_proto_handler node Ipv4.Proto.lsrp (fun _ pkt -> handle t pkt);
+  Node.set_proto_handler node Ipv4.Proto.lsrp (fun _ v ->
+      handle t (Ipv4.Packet.View.decode v));
   Node.on_reboot node (fun _ ->
       Hashtbl.reset t.neighbors;
       Hashtbl.reset t.lsdb;

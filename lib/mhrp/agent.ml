@@ -114,42 +114,51 @@ let auth_append t ~mobile payload =
   | None -> payload
   | Some ext -> Bytes.cat payload ext
 
-(* Gate a state mutation on the extension at the tail of [wire], which
-   must authenticate [canonical] — the message's canonical re-encoding,
-   not the wire prefix, so a checksum covering the extension can never
-   enter its own MAC.  [kind] tags the rejection trace event. *)
+(* With [Config.authenticate] on, gate a state mutation on the
+   extension at the tail of [wire], which must authenticate [canonical]
+   — the message's canonical re-encoding, not the wire prefix, so a
+   checksum covering the extension can never enter its own MAC.  [kind]
+   tags the rejection trace event.  Callers test the flag first: both
+   byte strings cost a buffer (and [canonical] a checksum) to build. *)
 let authorize t ~mobile ~src ~wire ~canonical ~kind =
-  if not t.config.Config.authenticate then true
-  else begin
-    let verdict =
-      match Auth.Extension.split wire with
-      | None -> None
-      | Some (_, ext) ->
-        Some
-          (Auth.Sa_table.verify t.sa ~mobile ~now:(now t)
-             ~payload:canonical ext)
-    in
-    match verdict with
-    | Some Auth.Sa_table.Ok ->
-      t.counters.Counters.auth_ok <- t.counters.Counters.auth_ok + 1;
-      true
-    | Some ((Auth.Sa_table.Stale | Auth.Sa_table.Replayed) as v) ->
-      t.counters.Counters.replay_drop <-
-        t.counters.Counters.replay_drop + 1;
-      tracef t kind "replay of message about %a from %a (%a)" Addr.pp
-        mobile Addr.pp src Auth.Sa_table.pp_verdict v;
-      false
-    | Some v ->
-      t.counters.Counters.auth_fail <- t.counters.Counters.auth_fail + 1;
-      tracef t kind "rejected message about %a from %a (%a)" Addr.pp
-        mobile Addr.pp src Auth.Sa_table.pp_verdict v;
-      false
-    | None ->
-      t.counters.Counters.auth_fail <- t.counters.Counters.auth_fail + 1;
-      tracef t kind "unauthenticated message about %a from %a" Addr.pp
-        mobile Addr.pp src;
-      false
-  end
+  let verdict =
+    match Auth.Extension.split wire with
+    | None -> None
+    | Some (_, ext) ->
+      Some
+        (Auth.Sa_table.verify t.sa ~mobile ~now:(now t)
+           ~payload:canonical ext)
+  in
+  match verdict with
+  | Some Auth.Sa_table.Ok ->
+    t.counters.Counters.auth_ok <- t.counters.Counters.auth_ok + 1;
+    true
+  | Some ((Auth.Sa_table.Stale | Auth.Sa_table.Replayed) as v) ->
+    t.counters.Counters.replay_drop <-
+      t.counters.Counters.replay_drop + 1;
+    tracef t kind "replay of message about %a from %a (%a)" Addr.pp
+      mobile Addr.pp src Auth.Sa_table.pp_verdict v;
+    false
+  | Some v ->
+    t.counters.Counters.auth_fail <- t.counters.Counters.auth_fail + 1;
+    tracef t kind "rejected message about %a from %a (%a)" Addr.pp
+      mobile Addr.pp src Auth.Sa_table.pp_verdict v;
+    false
+  | None ->
+    t.counters.Counters.auth_fail <- t.counters.Counters.auth_fail + 1;
+    tracef t kind "unauthenticated message about %a from %a" Addr.pp
+      mobile Addr.pp src;
+    false
+
+(* A location update's authorization: the ICMP message in [len] bytes at
+   [off] of [buf] is its wire form. *)
+let update_authentic t buf ~off ~len ~src ~mobile ~foreign_agent =
+  (not t.config.Config.authenticate)
+  || authorize t ~mobile ~src ~wire:(Bytes.sub buf off len)
+       ~canonical:
+         (Ipv4.Icmp.encode
+            (Ipv4.Icmp.Location_update { mobile; foreign_agent }))
+       ~kind:"forged-update"
 
 (* --- home-agent database shorthands --- *)
 
@@ -1088,9 +1097,13 @@ let connect_home t mh ha_addr =
        (Net.Route.Via ha_addr));
   (* Reconnecting to the home network: broadcast gratuitous ARP replies so
      neighbours (and the home agent) replace the home agent's link address
-     with ours again (Section 2), retransmitted for reliability. *)
+     with ours again (Section 2), retransmitted for reliability — until
+     the host moves on, which retires interface [i]. *)
+  let moves = mh.Mobile_host.moves in
   let rec burst k =
-    if k < t.config.Config.gratuitous_arp_count then begin
+    if k < t.config.Config.gratuitous_arp_count
+       && mh.Mobile_host.moves = moves
+    then begin
       Node.gratuitous_arp t.node ~iface:i mh.Mobile_host.home;
       ignore
         (Engine.schedule_after (engine t) ~delay:(Time.of_ms 100) (fun () ->
@@ -1470,18 +1483,20 @@ let regional_handle_forward t ~mobile ~new_regional =
         mobile Addr.pp new_regional Time.pp grace
     end
 
-let handle_control t (pkt : Packet.t) =
-  match Ipv4.Udp.decode pkt.Packet.payload with
-  | exception Invalid_argument _ -> ()
-  | udp ->
-    match Control.decode udp.Ipv4.Udp.data with
-    | None -> ()
-    | Some msg
-      when not
-             (authorize t ~mobile:(Control.mobile msg) ~src:pkt.Packet.src
-                ~wire:udp.Ipv4.Udp.data ~canonical:(Control.encode msg)
-                ~kind:"auth-fail") -> ()
-    | Some msg ->
+(* A control message in the [len] bytes at [off] of a received packet's
+   buffer: the UDP data of a datagram to [Control.port]. *)
+let handle_control t v ~off ~len =
+  let buf = Packet.View.buffer v in
+  let src = Packet.View.src v in
+  match Control.decode_at buf ~off ~len with
+  | None -> ()
+  | Some msg
+    when t.config.Config.authenticate
+         && not
+              (authorize t ~mobile:(Control.mobile msg) ~src
+                 ~wire:(Bytes.sub buf off len) ~canonical:(Control.encode msg)
+                 ~kind:"auth-fail") -> ()
+  | Some msg ->
       tracef t "ctrl-rx" "%a" Control.pp msg;
       match msg with
       | Control.Reg_request { mobile; foreign_agent } ->
@@ -1501,9 +1516,8 @@ let handle_control t (pkt : Packet.t) =
            retransmitting *)
         register_mobile t ~mobile ~foreign_agent;
         if t.config.Config.reliable_control then
-          send_control t ~dst:pkt.Packet.src (Control.Ha_sync_ack { mobile })
-      | Control.Ha_sync_ack { mobile } ->
-        t.ha_sync_ack_tap ~peer:pkt.Packet.src ~mobile
+          send_control t ~dst:src (Control.Ha_sync_ack { mobile })
+      | Control.Ha_sync_ack { mobile } -> t.ha_sync_ack_tap ~peer:src ~mobile
       | Control.Fa_connect_ack_r { mobile; regional; backup } ->
         mh_handle_connect_ack_r t ~mobile ~regional ~backup
       | Control.Reg_region { mobile; foreign_agent; lifetime_s } ->
@@ -1513,81 +1527,95 @@ let handle_control t (pkt : Packet.t) =
       | Control.Fa_visitor_miss { mobile; foreign_agent } ->
         regional_handle_visitor_miss t ~mobile ~foreign_agent
       | Control.Region_sync { mobile; foreign_agent; lifetime_s } ->
-        regional_handle_sync t ~src:pkt.Packet.src ~mobile ~foreign_agent
-          ~lifetime_s
+        regional_handle_sync t ~src ~mobile ~foreign_agent ~lifetime_s
       | Control.Region_sync_ack { mobile } ->
-        regional_handle_sync_ack t ~src:pkt.Packet.src ~mobile
+        regional_handle_sync_ack t ~src ~mobile
       | Control.Region_forward { mobile; new_regional } ->
         regional_handle_forward t ~mobile ~new_regional
 
 (* --- ICMP handling --- *)
 
-let handle_icmp t (pkt : Packet.t) =
-  match Ipv4.Icmp.decode_opt pkt.Packet.payload with
-  | None -> () (* unknown type: silently discard (RFC 1122) *)
-  | exception Invalid_argument _ -> ()
-  | Some msg ->
-    match msg with
-    | Ipv4.Icmp.Location_update { mobile; foreign_agent } ->
-      t.counters.Counters.updates_received <-
-        t.counters.Counters.updates_received + 1;
-      if
-        authorize t ~mobile ~src:pkt.Packet.src ~wire:pkt.Packet.payload
-          ~canonical:
-            (Ipv4.Icmp.encode
-               (Ipv4.Icmp.Location_update { mobile; foreign_agent }))
-          ~kind:"forged-update"
-      then begin
-        tracef t "loc-update-rx" "%a at %a" Addr.pp mobile Addr.pp
-          foreign_agent;
-        cache_update t ~mobile ~foreign_agent;
-        fa_recovery_check t ~mobile ~foreign_agent;
-        t.update_tap ~mobile ~foreign_agent
-      end
-    | Ipv4.Icmp.Echo_request { ident; seq; data } ->
-      let reply = Ipv4.Icmp.Echo_reply { ident; seq; data } in
-      send t
-        (Packet.make ~id:pkt.Packet.id ~proto:Ipv4.Proto.icmp
-           ~src:(address t) ~dst:pkt.Packet.src (Ipv4.Icmp.encode reply))
-    | Ipv4.Icmp.Echo_reply _ -> t.app_tap pkt
-    | Ipv4.Icmp.Dest_unreachable { original; _ }
-    | Ipv4.Icmp.Time_exceeded { original; _ }
-    | Ipv4.Icmp.Redirect { original; _ } ->
-      handle_icmp_error t msg original
-    | Ipv4.Icmp.Agent_advertisement { agent; home; foreign } ->
-      mh_handle_advert t ~agent ~home ~foreign
-    | Ipv4.Icmp.Agent_solicitation ->
-      if t.ha <> None || t.fa <> None then broadcast_advert t
+(* Only a mobile host heeds an advertisement ([mh_handle_advert]), so
+   everyone else skips it on its type byte: a solicitation draws
+   advertisements to every station on the LAN.  The rest is decoded
+   from the received bytes, and a record is built only for an echo
+   reply handed to [app_tap]. *)
+let handle_icmp t v =
+  let buf = Packet.View.buffer v in
+  let off = Packet.View.payload_offset v in
+  let len = Packet.View.payload_length v in
+  match t.mh with
+  | None when len > 0
+           && Bytes.get_uint8 buf off = Ipv4.Icmp.agent_advertisement_type ->
+    ()
+  | _ ->
+    match Ipv4.Icmp.decode_at buf ~off ~len with
+    | None -> () (* unknown type: silently discard (RFC 1122) *)
+    | Some msg ->
+      match msg with
+      | Ipv4.Icmp.Location_update { mobile; foreign_agent } ->
+        t.counters.Counters.updates_received <-
+          t.counters.Counters.updates_received + 1;
+        if
+          update_authentic t buf ~off ~len ~src:(Packet.View.src v) ~mobile
+            ~foreign_agent
+        then begin
+          tracef t "loc-update-rx" "%a at %a" Addr.pp mobile Addr.pp
+            foreign_agent;
+          cache_update t ~mobile ~foreign_agent;
+          fa_recovery_check t ~mobile ~foreign_agent;
+          t.update_tap ~mobile ~foreign_agent
+        end
+      | Ipv4.Icmp.Echo_request { ident; seq; data } ->
+        let reply = Ipv4.Icmp.Echo_reply { ident; seq; data } in
+        send t
+          (Packet.make ~id:(Packet.View.id v) ~proto:Ipv4.Proto.icmp
+             ~src:(address t) ~dst:(Packet.View.src v)
+             (Ipv4.Icmp.encode reply))
+      | Ipv4.Icmp.Echo_reply _ -> t.app_tap (Packet.View.decode v)
+      | Ipv4.Icmp.Dest_unreachable { original; _ }
+      | Ipv4.Icmp.Time_exceeded { original; _ }
+      | Ipv4.Icmp.Redirect { original; _ } ->
+        handle_icmp_error t msg original
+      | Ipv4.Icmp.Agent_advertisement { agent; home; foreign } ->
+        mh_handle_advert t ~agent ~home ~foreign
+      | Ipv4.Icmp.Agent_solicitation ->
+        if t.ha <> None || t.fa <> None then broadcast_advert t
 
 (* --- local-delivery dispatch --- *)
 
 (* Packets can be delivered to this node either because they are addressed
    to it or because a hook intercepted them for a mobile host; route the
    latter to home-agent processing whatever their protocol. *)
-let dispatch t proto_handler (pkt : Packet.t) =
-  let dst = pkt.Packet.dst in
+let dispatch t handler v =
+  let dst = Packet.View.dst v in
   if Node.has_address t.node dst || Addr.equal dst Addr.broadcast then
-    proto_handler t pkt
-  else if Encap.is_tunneled pkt then handle_mhrp t pkt
-  else if ha_claims t dst then ha_intercept t pkt
-  else proto_handler t pkt
+    handler t v
+  else if Packet.View.proto v = Ipv4.Proto.mhrp then
+    handle_mhrp t (Packet.View.decode v)
+  else if ha_claims t dst then ha_intercept t (Packet.View.decode v)
+  else handler t v
 
-let handle_udp t (pkt : Packet.t) =
-  match Ipv4.Udp.decode pkt.Packet.payload with
-  | exception Invalid_argument _ -> ()
-  | udp ->
-    if udp.Ipv4.Udp.dst_port = Control.port then handle_control t pkt
-    else t.app_tap pkt
+(* Length and checksum are checked once, in place; only a datagram for
+   the application is decoded. *)
+let handle_udp t v =
+  let buf = Packet.View.buffer v in
+  let off = Packet.View.payload_offset v in
+  let n = Ipv4.Udp.length_at buf ~off ~len:(Packet.View.payload_length v) in
+  if n >= 0 then
+    if Ipv4.Udp.dst_port_at buf ~off = Control.port then
+      handle_control t v ~off:(off + Ipv4.Udp.header_length)
+        ~len:(n - Ipv4.Udp.header_length)
+    else t.app_tap (Packet.View.decode v)
 
 (* --- forwarding hook (router cache agents, Sections 4.3, 6.2) --- *)
 
 (* An ICMP location update in transit, told from its type byte without
    decoding the packet. *)
 let is_location_update v =
-  let hlen = Packet.View.header_length v in
   Packet.View.proto v = Ipv4.Proto.icmp
-  && Packet.View.total_length v > hlen
-  && Bytes.get_uint8 (Packet.View.buffer v) (Packet.View.offset v + hlen)
+  && Packet.View.payload_length v > 0
+  && Bytes.get_uint8 (Packet.View.buffer v) (Packet.View.payload_offset v)
      = Ipv4.Icmp.location_update_type
 
 (* Decided from the header: the view is decoded only to intercept as
@@ -1606,19 +1634,16 @@ let rewrite_forward t v =
        tunnel for destinations we have cached (Section 4.3: routers should
        make this a configuration option — it is ours). *)
     (if is_location_update v then
-       let pkt = Packet.View.decode v in
-       match Ipv4.Icmp.decode_opt pkt.Packet.payload with
+       let buf = Packet.View.buffer v in
+       let off = Packet.View.payload_offset v in
+       let len = Packet.View.payload_length v in
+       match Ipv4.Icmp.decode_at buf ~off ~len with
        | Some (Ipv4.Icmp.Location_update { mobile; foreign_agent }) ->
          if
-           authorize t ~mobile ~src:pkt.Packet.src
-             ~wire:pkt.Packet.payload
-             ~canonical:
-               (Ipv4.Icmp.encode
-                  (Ipv4.Icmp.Location_update { mobile; foreign_agent }))
-             ~kind:"forged-update"
+           update_authentic t buf ~off ~len ~src:(Packet.View.src v) ~mobile
+             ~foreign_agent
          then cache_update t ~mobile ~foreign_agent
-       | Some _ | None -> ()
-       | exception Invalid_argument _ -> ());
+       | Some _ | None -> ());
     if Packet.View.proto v <> Ipv4.Proto.mhrp && t.cache_agent then
       match Location_cache.find t.cache dst with
       | Some fa when not (Node.has_address t.node fa) ->
@@ -1664,14 +1689,15 @@ let create ?(config = Config.default) ?(cache_agent = true)
       icmp_error_tap = (fun _ _ -> ());
       advert_timer = false }
   in
-  Node.set_proto_handler node Ipv4.Proto.mhrp (fun _ pkt ->
-      dispatch t (fun t pkt -> handle_mhrp t pkt) pkt);
-  Node.set_proto_handler node Ipv4.Proto.icmp (fun _ pkt ->
-      dispatch t handle_icmp pkt);
-  Node.set_proto_handler node Ipv4.Proto.udp (fun _ pkt ->
-      dispatch t handle_udp pkt);
-  Node.set_proto_handler node Ipv4.Proto.tcp (fun _ pkt ->
-      dispatch t (fun t pkt -> t.app_tap pkt) pkt);
+  (* every MHRP packet, addressed or intercepted, is a tunnel exit *)
+  Node.set_proto_handler node Ipv4.Proto.mhrp (fun _ v ->
+      handle_mhrp t (Packet.View.decode v));
+  Node.set_proto_handler node Ipv4.Proto.icmp (fun _ v ->
+      dispatch t handle_icmp v);
+  Node.set_proto_handler node Ipv4.Proto.udp (fun _ v ->
+      dispatch t handle_udp v);
+  Node.set_proto_handler node Ipv4.Proto.tcp (fun _ v ->
+      dispatch t (fun t v -> t.app_tap (Packet.View.decode v)) v);
   Node.set_accept_ip node (fun _ dst -> claims t dst);
   Node.set_arp_proxy node (fun addr -> claims t addr);
   Node.set_rewrite_forward node (fun _ v -> rewrite_forward t v);

@@ -41,6 +41,7 @@ let put_mac buf i m =
   done
 
 let get_u8 buf i = Char.code (Bytes.get buf i)
+let get_u16 buf i = (get_u8 buf i lsl 8) lor get_u8 buf (i + 1)
 
 let get_addr buf i =
   Ipv4.Addr.of_int
@@ -141,50 +142,48 @@ let encode = function
     put_addr buf 5 new_regional;
     buf
 
-let decode buf =
-  let n = Bytes.length buf in
-  if n < 5 then None
+let decode_at buf ~off ~len =
+  if off < 0 || len < 5 || off > Bytes.length buf - len then None
   else
-    match get_u8 buf 0 with
-    | 1 when n >= 9 ->
-      Some (Reg_request { mobile = get_addr buf 1;
-                          foreign_agent = get_addr buf 5 })
-    | 2 when n >= 6 ->
-      Some (Reg_reply { mobile = get_addr buf 1;
-                        accepted = get_u8 buf 5 <> 0 })
-    | 3 when n >= 11 ->
-      (match get_mac buf 5 with
-       | mac -> Some (Fa_connect { mobile = get_addr buf 1; mac })
+    let mobile = get_addr buf (off + 1) in
+    match get_u8 buf off with
+    | 1 when len >= 9 ->
+      Some (Reg_request { mobile; foreign_agent = get_addr buf (off + 5) })
+    | 2 when len >= 6 ->
+      Some (Reg_reply { mobile; accepted = get_u8 buf (off + 5) <> 0 })
+    | 3 when len >= 11 ->
+      (match get_mac buf (off + 5) with
+       | mac -> Some (Fa_connect { mobile; mac })
        | exception Invalid_argument _ -> None)
-    | 4 -> Some (Fa_connect_ack { mobile = get_addr buf 1 })
-    | 5 when n >= 9 ->
-      Some (Fa_disconnect { mobile = get_addr buf 1;
-                            new_foreign_agent = get_addr buf 5 })
-    | 6 when n >= 9 ->
-      Some (Ha_sync { mobile = get_addr buf 1;
-                      foreign_agent = get_addr buf 5 })
-    | 7 -> Some (Ha_sync_ack { mobile = get_addr buf 1 })
-    | 8 when n >= 13 ->
-      Some (Fa_connect_ack_r { mobile = get_addr buf 1;
-                               regional = get_addr buf 5;
-                               backup = get_addr buf 9 })
-    | 9 when n >= 11 ->
-      Some (Reg_region { mobile = get_addr buf 1;
-                         foreign_agent = get_addr buf 5;
-                         lifetime_s = (get_u8 buf 9 lsl 8) lor get_u8 buf 10 })
-    | 10 -> Some (Reg_region_ack { mobile = get_addr buf 1 })
-    | 11 when n >= 9 ->
-      Some (Fa_visitor_miss { mobile = get_addr buf 1;
-                              foreign_agent = get_addr buf 5 })
-    | 12 when n >= 11 ->
-      Some (Region_sync { mobile = get_addr buf 1;
-                          foreign_agent = get_addr buf 5;
-                          lifetime_s = (get_u8 buf 9 lsl 8) lor get_u8 buf 10 })
-    | 13 -> Some (Region_sync_ack { mobile = get_addr buf 1 })
-    | 14 when n >= 9 ->
-      Some (Region_forward { mobile = get_addr buf 1;
-                             new_regional = get_addr buf 5 })
+    | 4 -> Some (Fa_connect_ack { mobile })
+    | 5 when len >= 9 ->
+      Some (Fa_disconnect { mobile;
+                            new_foreign_agent = get_addr buf (off + 5) })
+    | 6 when len >= 9 ->
+      Some (Ha_sync { mobile; foreign_agent = get_addr buf (off + 5) })
+    | 7 -> Some (Ha_sync_ack { mobile })
+    | 8 when len >= 13 ->
+      Some (Fa_connect_ack_r { mobile;
+                               regional = get_addr buf (off + 5);
+                               backup = get_addr buf (off + 9) })
+    | 9 when len >= 11 ->
+      Some (Reg_region { mobile;
+                         foreign_agent = get_addr buf (off + 5);
+                         lifetime_s = get_u16 buf (off + 9) })
+    | 10 -> Some (Reg_region_ack { mobile })
+    | 11 when len >= 9 ->
+      Some (Fa_visitor_miss { mobile;
+                              foreign_agent = get_addr buf (off + 5) })
+    | 12 when len >= 11 ->
+      Some (Region_sync { mobile;
+                          foreign_agent = get_addr buf (off + 5);
+                          lifetime_s = get_u16 buf (off + 9) })
+    | 13 -> Some (Region_sync_ack { mobile })
+    | 14 when len >= 9 ->
+      Some (Region_forward { mobile; new_regional = get_addr buf (off + 5) })
     | _ -> None
+
+let decode buf = decode_at buf ~off:0 ~len:(Bytes.length buf)
 
 let mobile = function
   | Reg_request { mobile; _ }

@@ -81,8 +81,14 @@ val mobile : t -> Ipv4.Addr.t
     security association is looked up when authentication is on. *)
 
 val encode : t -> bytes
+
+val decode_at : bytes -> off:int -> len:int -> t option
+(** Decode the message in the [len] bytes at [off]: [None] on malformed
+    input or a range outside the buffer.  Total: never raises, whatever
+    the bytes.  Trailing bytes beyond the message are ignored, so an
+    appended authentication extension decodes cleanly. *)
+
 val decode : bytes -> t option
-(** [None] on malformed input.  Trailing bytes beyond the message are
-    ignored, so an appended authentication extension decodes cleanly. *)
+(** {!decode_at} over the whole buffer. *)
 
 val pp : Format.formatter -> t -> unit

@@ -29,21 +29,26 @@ type t = {
   arp_entry_ttl : Time.t;
   tr : Netsim.Trace.t option;
   mutable ifaces : iface_state array;
+  (* slots are never reused: a retired one stays inactive, so a stale
+     ARP wait or route naming its index cannot reach a later LAN *)
   mutable extra_addrs : Ipv4.Addr.t list;
+  mutable iface_list : (int * Lan.t * Ipv4.Addr.t option) list;
+  mutable addr_list : Ipv4.Addr.t list;
+  (* what [ifaces] and [addresses] return, rebuilt only when an
+     interface or address comes or goes *)
   mutable table : Route.t;
   arp_cache : (Ipv4.Addr.t, Mac.t * Time.t) Hashtbl.t;
   (* binding plus the time it was learned *)
   mutable arp_pending : (Ipv4.Addr.t * int * View.t) list;
   reassembly : Ipv4.Packet.Reassembly.t;
   arp_tries : (Ipv4.Addr.t, int) Hashtbl.t;
-  proto_handlers : (int, t -> Ipv4.Packet.t -> unit) Hashtbl.t;
+  proto_handlers : (int, t -> View.t -> unit) Hashtbl.t;
   (* Header-level hooks (node.mli): they see a destination or a view,
      so a hop need not decode the packet to consult them. *)
   mutable accept_ip : t -> Ipv4.Addr.t -> bool;
   mutable rewrite_forward : t -> View.t -> forward_action;
   mutable arp_proxy : Ipv4.Addr.t -> bool;
   mutable reboot_hooks : (t -> unit) list;
-  mutable deliver_taps : (t -> Ipv4.Packet.t -> unit) list;
   mutable forward_taps : (t -> Ipv4.Packet.t -> unit) list;
   mutable transmit_taps : (t -> Ipv4.Packet.t -> unit) list;
   mutable broadcast_taps : (t -> Ipv4.Packet.t -> unit) list;
@@ -74,7 +79,8 @@ let create ~engine ~mac_alloc ?trace ?(router = false) ?proc_delay
   { engine; mac_alloc; name; router; proc_delay; option_slow_factor;
     icmp_quote;
     arp_timeout; arp_entry_ttl; tr = trace;
-    ifaces = [||]; extra_addrs = []; table = Route.empty;
+    ifaces = [||]; extra_addrs = []; iface_list = []; addr_list = [];
+    table = Route.empty;
     arp_cache = Hashtbl.create 16;
     arp_pending = [];
     reassembly = Ipv4.Packet.Reassembly.create ();
@@ -84,7 +90,6 @@ let create ~engine ~mac_alloc ?trace ?(router = false) ?proc_delay
     rewrite_forward = (fun _ _ -> Forward);
     arp_proxy = (fun _ -> false);
     reboot_hooks = [];
-    deliver_taps = [];
     forward_taps = [];
     transmit_taps = [];
     broadcast_taps = [];
@@ -114,43 +119,55 @@ let tracef t kind fmt =
 
 (* --- addresses --- *)
 
-let iface_addrs t =
-  Array.to_list t.ifaces
-  |> List.filter_map (fun i -> if i.active then i.addr else None)
+(* The cached lists are rebuilt by a walk from the last slot down:
+   top-level and closure-free, it allocates only the cells for active
+   interfaces, and the address list shares [extra_addrs] as its tail. *)
+let rec active_ifaces ifaces i acc =
+  if i < 0 then acc
+  else
+    let s = Array.unsafe_get ifaces i in
+    active_ifaces ifaces (i - 1)
+      (if s.active then (i, s.lan, s.addr) :: acc else acc)
 
-let addresses t = iface_addrs t @ t.extra_addrs
+let rec iface_addrs ifaces i acc =
+  if i < 0 then acc
+  else
+    let s = Array.unsafe_get ifaces i in
+    iface_addrs ifaces (i - 1)
+      (match s.addr with Some a when s.active -> a :: acc | _ -> acc)
+
+let refresh_lists t =
+  let last = Array.length t.ifaces - 1 in
+  t.iface_list <- active_ifaces t.ifaces last [];
+  t.addr_list <- iface_addrs t.ifaces last t.extra_addrs
+
+let addresses t = t.addr_list
 
 (* Checked on every received and routed packet, so it allocates
-   nothing: the scans are top-level functions (a local [let rec] or a
+   nothing: the scan is a top-level function (a local [let rec] or a
    partial application such as [List.exists (Addr.equal a)] would
    heap-allocate a closure per call). *)
-let rec on_iface ifaces a i =
-  i < Array.length ifaces
-  && ((let s = Array.unsafe_get ifaces i in
-       s.active
-       && match s.addr with
-          | Some x -> Ipv4.Addr.equal x a
-          | None -> false)
-      || on_iface ifaces a (i + 1))
-
 let rec among a = function
   | [] -> false
   | x :: rest -> Ipv4.Addr.equal x a || among a rest
 
-let has_address t a = on_iface t.ifaces a 0 || among a t.extra_addrs
+let has_address t a = among a t.addr_list
 
 let add_address t a =
-  if not (List.exists (Ipv4.Addr.equal a) t.extra_addrs) then
+  if not (among a t.extra_addrs) then begin
     (* append: the first-claimed (home) address stays primary even when a
        temporary address is added later *)
-    t.extra_addrs <- t.extra_addrs @ [a]
+    t.extra_addrs <- t.extra_addrs @ [a];
+    refresh_lists t
+  end
 
 let remove_address t a =
   t.extra_addrs <-
-    List.filter (fun x -> not (Ipv4.Addr.equal x a)) t.extra_addrs
+    List.filter (fun x -> not (Ipv4.Addr.equal x a)) t.extra_addrs;
+  refresh_lists t
 
 let primary_addr t =
-  match addresses t with
+  match t.addr_list with
   | [] -> failwith (t.name ^ ": no address")
   | a :: _ -> a
 
@@ -171,7 +188,6 @@ let on_reboot t f = t.reboot_hooks <- f :: t.reboot_hooks
 (* Taps multicast in registration order so a late observer (say, an
    invariant checker) cannot silently displace an earlier one (say, the
    workload metrics). *)
-let on_deliver t f = t.deliver_taps <- t.deliver_taps @ [f]
 let on_forward t f = t.forward_taps <- t.forward_taps @ [f]
 let on_transmit t f = t.transmit_taps <- t.transmit_taps @ [f]
 let on_broadcast t f = t.broadcast_taps <- t.broadcast_taps @ [f]
@@ -185,10 +201,7 @@ let iface t i =
     invalid_arg (Printf.sprintf "%s: no active interface %d" t.name i);
   t.ifaces.(i)
 
-let ifaces t =
-  Array.to_list (Array.mapi (fun i s -> (i, s)) t.ifaces)
-  |> List.filter_map (fun (i, s) ->
-      if s.active then Some (i, s.lan, s.addr) else None)
+let ifaces t = t.iface_list
 
 let iface_lan t i = (iface t i).lan
 let iface_mac t i = (iface t i).mac
@@ -554,6 +567,14 @@ let advance_lsrr t (pkt : Ipv4.Packet.t) =
   in
   go [] pkt.Ipv4.Packet.options
 
+(* A packet no handler claims: ICMP gets the built-in echo responder,
+   anything else is dropped. *)
+let unhandled t (pkt : Ipv4.Packet.t) =
+  if pkt.Ipv4.Packet.proto = Ipv4.Proto.icmp then builtin_icmp t pkt
+  else drop t "no-proto-handler" pkt
+
+(* The record route: reassembly, source routing and the trace need the
+   record; the handler then gets a view of its encoding. *)
 let rec deliver_local t (pkt : Ipv4.Packet.t) =
   if Ipv4.Packet.is_fragment pkt then begin
     (* reassemble at the destination; forwarders never see this path *)
@@ -578,12 +599,14 @@ and deliver_local_whole t (pkt : Ipv4.Packet.t) =
   | None ->
     t.n_delivered <- t.n_delivered + 1;
     tracef t "rx" "%a" Ipv4.Packet.pp pkt;
-    List.iter (fun f -> f t pkt) t.deliver_taps;
-    match Hashtbl.find_opt t.proto_handlers pkt.Ipv4.Packet.proto with
-    | Some h -> h t pkt
-    | None ->
-      if pkt.Ipv4.Packet.proto = Ipv4.Proto.icmp then builtin_icmp t pkt
-      else drop t "no-proto-handler" pkt
+    match Hashtbl.find t.proto_handlers pkt.Ipv4.Packet.proto with
+    | exception Not_found -> unhandled t pkt
+    | h ->
+      match view_of pkt with
+      | v -> h t v
+      (* reassembled fragments may add up past the 65535-byte limit,
+         which no wire packet can carry *)
+      | exception Invalid_argument _ -> drop t "oversize" pkt
 
 let () = deliver_local_ref := deliver_local
 let inject_local t pkt = if t.up then deliver_local t pkt
@@ -650,16 +673,26 @@ let rx_ip_bytes t bytes =
     tracef t "drop" "malformed packet: %s" msg;
     t.n_dropped <- t.n_dropped + 1
 
-(* A router's receive path reads the header through a view, and decodes
-   only what it delivers, hands to a claim, or must answer with ICMP.
-   Mutating the received buffer is sound because a unicast frame's
-   payload has exactly one owner after delivery (DESIGN.md Section 11):
-   LAN monitors have already run synchronously, and anything they keep
-   is decoded (copied), never the raw buffer.  Headers with options
-   (which may be malformed and cost the slow-path delay factor) and
-   buffers with trailing bytes (which the record encoding would trim)
-   take the decoded route. *)
-let rx_view t bytes =
+(* The view route for a packet addressed to (or claimed by) this node:
+   the handler reads the received bytes, with no decode and no trace
+   ([on_frame] takes the record route while a trace is live). *)
+let deliver_view t v =
+  t.n_delivered <- t.n_delivered + 1;
+  match Hashtbl.find t.proto_handlers (View.proto v) with
+  | h -> h t v
+  | exception Not_found -> unhandled t (View.decode v)
+
+(* The receive path reads the header through a view, and decodes only
+   what it reassembles, drops, or must answer with ICMP.  Headers with
+   options (which may be malformed and cost the slow-path delay factor)
+   and buffers with trailing bytes (which the record encoding would
+   trim) take the record route.  [shared] marks a MAC-broadcast frame,
+   whose payload every station on the LAN receives: handlers only read
+   it, and a forward decodes it instead of patching it in place.  A
+   unicast frame's payload has exactly one owner after delivery
+   (DESIGN.md Section 11): LAN monitors have already run synchronously,
+   and anything they keep is decoded (copied), never the raw buffer. *)
+let rx_view t ~shared bytes =
   let v = View.make bytes in
   if not (View.valid v) || View.has_options v
      || View.total_length v <> Bytes.length bytes
@@ -667,9 +700,15 @@ let rx_view t bytes =
   else
     let dst = View.dst v in
     if Ipv4.Addr.equal dst Ipv4.Addr.broadcast || has_address t dst then
-      deliver_local t (View.decode v)
-    else if t.accept_ip t dst then intercept t (View.decode v)
-    else if View.ttl v <= 1 then forward t (View.decode v)
+      if View.is_fragment v then deliver_local t (View.decode v)
+      else deliver_view t v
+    else if t.accept_ip t dst then
+      if View.is_fragment v then intercept t (View.decode v)
+      else deliver_view t v
+    else if not t.router then drop t "not-mine" (View.decode v)
+    else if shared || View.ttl v <= 1
+            || (match t.forward_taps with [] -> false | _ :: _ -> true)
+    then forward t (View.decode v)
     else forward_view t v
 
 let on_frame t i (frame : Frame.t) =
@@ -677,15 +716,8 @@ let on_frame t i (frame : Frame.t) =
     match frame.Frame.content with
     | Frame.Arp a -> handle_arp t i a
     | Frame.Ip bytes ->
-      (* A MAC-broadcast frame's payload is shared by every station on
-         the LAN and must never be mutated in place; forward taps and a
-         live trace consume records. *)
-      if t.router
-         && (match t.forward_taps with [] -> true | _ :: _ -> false)
-         && (not (Netsim.Trace.active t.tr))
-         && not (Mac.is_broadcast frame.Frame.dst)
-      then rx_view t bytes
-      else rx_ip_bytes t bytes
+      if Netsim.Trace.active t.tr then rx_ip_bytes t bytes
+      else rx_view t ~shared:(Mac.is_broadcast frame.Frame.dst) bytes
 
 (* --- attachment --- *)
 
@@ -694,12 +726,14 @@ let attach t ?addr lan =
   let s = { lan; mac; addr; active = true } in
   let i = Array.length t.ifaces in
   t.ifaces <- Array.append t.ifaces [| s |];
+  refresh_lists t;
   Lan.attach lan mac (fun frame -> on_frame t i frame);
   i
 
 let detach t i =
   let s = iface t i in
   s.active <- false;
+  refresh_lists t;
   Lan.detach s.lan s.mac
 
 (* --- failure injection --- *)

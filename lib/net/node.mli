@@ -5,7 +5,8 @@
     are exactly the extension points the paper's agents need:
 
     - {b protocol handlers} — per-IP-protocol local delivery (MHRP
-      decapsulation, ICMP location updates, baseline tunnels);
+      decapsulation, ICMP location updates, baseline tunnels), handed
+      the received packet as a view;
     - {b accept_ip} — claim packets whose destination is not one of this
       node's addresses (a home agent capturing a departed mobile host's
       traffic off its home LAN, Section 2; a foreign agent recognising a
@@ -66,9 +67,15 @@ val attach : t -> ?addr:Ipv4.Addr.t -> Lan.t -> int
     interface address; a visiting mobile host attaches without one. *)
 
 val detach : t -> int -> unit
-(** Leave the LAN; the interface index is retired. *)
+(** Leave the LAN; the interface index is retired for good, so a stale
+    ARP wait or route naming it cannot reach a LAN attached later. *)
 
 val ifaces : t -> (int * Lan.t * Ipv4.Addr.t option) list
+(** The active interfaces, in index order.  Like {!addresses} and
+    {!primary_addr}, it returns a list cached at the last {!attach},
+    {!detach}, {!add_address} or {!remove_address}, so asking costs
+    nothing however often the node has moved. *)
+
 val iface_lan : t -> int -> Lan.t
 val iface_mac : t -> int -> Mac.t
 val iface_addr : t -> int -> Ipv4.Addr.t option
@@ -103,7 +110,30 @@ val update_routes : t -> (Route.t -> Route.t) -> unit
 
 (** {1 Stack hooks} *)
 
-val set_proto_handler : t -> Ipv4.Proto.t -> (t -> Ipv4.Packet.t -> unit) -> unit
+val set_proto_handler :
+  t -> Ipv4.Proto.t -> (t -> Ipv4.Packet.View.t -> unit) -> unit
+(** [set_proto_handler node proto h] hands every packet of protocol
+    [proto] that this node delivers locally (addressed to it,
+    IP-broadcast, or claimed by [accept_ip]) to [h node v].  [v] covers
+    exactly one whole, valid, unfragmented packet, so a handler decodes
+    only what it keeps.  The view is read-only: a MAC-broadcast frame's
+    buffer is shared by every station on the LAN.  It is valid only for
+    the call: a handler that keeps anything must {!Ipv4.Packet.View.decode}
+    it.
+
+    Most packets reach the handler with no decode at all: valid,
+    option-free, unfragmented, exact-length packets, the view then
+    being the received buffer itself.  The rest take the record route
+    and reach the handler as a view of their re-encoding: packets with
+    options (a completed loose source route), fragments (after
+    reassembly) or trailing bytes, every packet at a node with a live
+    trace, packets the node sends to one of its own addresses, and
+    packets passed to {!inject_local}.  A packet whose header is
+    invalid is dropped as malformed.
+    Without a handler, ICMP gets the built-in echo responder and
+    anything else is dropped as ["no-proto-handler"].  Replaces any
+    previous handler for [proto]. *)
+
 val clear_proto_handler : t -> Ipv4.Proto.t -> unit
 
 val set_accept_ip : t -> (t -> Ipv4.Addr.t -> bool) -> unit
@@ -131,15 +161,12 @@ val on_reboot : t -> (t -> unit) -> unit
 (** Called after a reboot so stacks can drop volatile state (a foreign
     agent forgetting its visitor list, Section 5.2). *)
 
-val on_deliver : t -> (t -> Ipv4.Packet.t -> unit) -> unit
-(** Metrics tap: every packet locally consumed.  All taps multicast:
-    each registration adds an observer (called in registration order)
-    rather than replacing the previous one, so workload metrics and
-    invariant checkers can watch the same node. *)
-
 val on_forward : t -> (t -> Ipv4.Packet.t -> unit) -> unit
 (** Metrics tap: every packet this node forwards (including rewritten and
-    source-routed ones). *)
+    source-routed ones).  All taps multicast: each registration adds an
+    observer (called in registration order) rather than replacing the
+    previous one, so workload metrics and invariant checkers can watch
+    the same node. *)
 
 val on_transmit : t -> (t -> Ipv4.Packet.t -> unit) -> unit
 (** Metrics tap: every unicast IP frame this node puts on a LAN —

@@ -70,6 +70,24 @@ let basic_tests =
            r.Workload.Metrics.hops;
          check Alcotest.int "no tunnels anywhere" 0
            ((Agent.counters env.f.TG.r2).Mhrp.Counters.tunnels_built));
+    Alcotest.test_case "leaving home during the gratuitous-ARP burst"
+      `Quick (fun () ->
+          (* Back home, M re-announces its address three times, 100 ms
+             apart; moving on 50 ms later retires the interface the
+             burst was using. *)
+          let env = setup () in
+          let registered = ref [] in
+          Agent.on_registered env.f.TG.m (fun fa ->
+              registered := fa :: !registered);
+          move env 1.0 env.f.TG.net_d;
+          move env 2.0 env.f.TG.net_b;
+          move env 2.05 env.f.TG.net_d;
+          run env;
+          let r4 = Addr.host 4 1 in
+          check (Alcotest.list addr_testable) "away, home, away"
+            [r4; Addr.zero; r4] (List.rev !registered);
+          check Alcotest.bool "registered with R4" true
+            (mobile_phase env = Mhrp.Mobile_host.Registered r4));
     Alcotest.test_case "registration sequence after a move (Section 3)"
       `Quick (fun () ->
           let env = setup () in
@@ -367,7 +385,43 @@ let alloc_tests =
           (Mhrp.Location_cache.hits (Agent.cache f.TG.s));
         check Alcotest.bool
           (Printf.sprintf "%.0f words per send" per_call)
-          true (per_call <= 200.0)) ]
+          true (per_call <= 200.0));
+    Alcotest.test_case "an ignored advertisement: <= 8 words per receiver"
+      `Quick (fun () ->
+        (* Every station on the LAN receives an agent advertisement, and
+           only a mobile host heeds one: the rest must skip it on the
+           received bytes.  Decoding it into records costs ~50 words per
+           receiver.  The slope between two LAN sizes leaves out the
+           sender's fixed cost. *)
+        let advert_words k =
+          let topo = Topology.create () in
+          Netsim.Trace.set_enabled (Topology.trace topo) false;
+          let lan = Topology.add_lan topo ~net:1 "lan" in
+          let agents =
+            List.init k (fun i ->
+                let r =
+                  Topology.add_router topo (Printf.sprintf "R%d" i)
+                    [(lan, i + 1)]
+                in
+                let a = Agent.create ~snoop:true r in
+                Agent.enable_home_agent a;
+                a)
+          in
+          let sender = List.hd agents in
+          let advert_at sec =
+            Agent.broadcast_advert sender;
+            Topology.run ~until:(Time.of_sec sec) topo
+          in
+          (* the first advertisement builds the LAN's station order *)
+          advert_at 1.0;
+          let w0 = Gc.minor_words () in
+          advert_at 2.0;
+          Gc.minor_words () -. w0
+        in
+        let per_receiver = (advert_words 32 -. advert_words 8) /. 24.0 in
+        check Alcotest.bool
+          (Printf.sprintf "%.1f words per receiver" per_receiver)
+          true (per_receiver <= 8.0)) ]
 
 let suite =
   [ ("agent-figure1", basic_tests); ("agent-alloc", alloc_tests) ]

@@ -405,7 +405,8 @@ let ibm_tests =
          Net.Topology.compute_routes p.TG.p_topo;
          let b_addr = Node.primary_addr p.TG.p_m in
          let arrival = ref Time.zero and arrival_plain = ref Time.zero in
-         Node.set_proto_handler p.TG.p_m Ipv4.Proto.udp (fun node pkt ->
+         Node.set_proto_handler p.TG.p_m Ipv4.Proto.udp (fun node v ->
+             let pkt = Packet.View.decode v in
              ignore node;
              if pkt.Packet.options = [] then
                arrival_plain := Netsim.Engine.now (Node.engine p.TG.p_m)

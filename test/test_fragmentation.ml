@@ -177,7 +177,8 @@ let e2e_tests =
          let b = Topology.add_host topo "b" l2 10 in
          Topology.compute_routes topo;
          let got = ref None in
-         Node.set_proto_handler b Ipv4.Proto.udp (fun _ pkt ->
+         Node.set_proto_handler b Ipv4.Proto.udp (fun _ v ->
+             let pkt = Packet.View.decode v in
              got := Some pkt);
          let data = Bytes.init 900 (fun i -> Char.chr (i land 0xFF)) in
          Node.send a
@@ -192,6 +193,27 @@ let e2e_tests =
            check Alcotest.string "payload intact" (Bytes.to_string data)
              (Bytes.to_string udp.Ipv4.Udp.data)
          | None -> Alcotest.fail "not delivered");
+    Alcotest.test_case
+      "fragments that reassemble past 65535 bytes are dropped" `Quick
+      (fun () ->
+         (* each fragment is a legal packet, but the whole has no wire
+            form to hand the handler *)
+         let topo = Topology.create () in
+         let l = Topology.add_lan topo ~net:1 "l" in
+         let b = Topology.add_host topo "b" l 10 in
+         let got = ref 0 in
+         Node.set_proto_handler b Ipv4.Proto.udp (fun _ _ -> incr got);
+         let fragment ~frag_offset ~more_fragments size =
+           Packet.make ~id:3 ~more_fragments ~frag_offset
+             ~proto:Ipv4.Proto.udp ~src:(Addr.host 1 1)
+             ~dst:(Node.primary_addr b) (Bytes.make size 'x')
+         in
+         Node.inject_local b
+           (fragment ~frag_offset:0 ~more_fragments:true 65512);
+         Node.inject_local b
+           (fragment ~frag_offset:65512 ~more_fragments:false 24);
+         check Alcotest.int "not delivered" 0 !got;
+         check Alcotest.int "dropped" 1 (Node.packets_dropped b));
     Alcotest.test_case
       "tunnel overhead alone pushes a full-MTU packet into fragmentation"
       `Quick (fun () ->

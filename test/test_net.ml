@@ -317,7 +317,8 @@ let node_tests =
         let b = Topology.add_host topo "b" l3 10 in
         Topology.compute_routes topo;
         let got_ttl = ref 0 in
-        Node.set_proto_handler b Ipv4.Proto.udp (fun _ pkt ->
+        Node.set_proto_handler b Ipv4.Proto.udp (fun _ v ->
+            let pkt = Packet.View.decode v in
             got_ttl := pkt.Packet.ttl);
         Node.send a
           (udp_to ~src:a ~dst_addr:(Node.primary_addr b)
@@ -334,7 +335,8 @@ let node_tests =
          let b = Topology.add_host topo "b" l2 10 in
          Topology.compute_routes topo;
          let errors = ref [] in
-         Node.set_proto_handler a Ipv4.Proto.icmp (fun _ pkt ->
+         Node.set_proto_handler a Ipv4.Proto.icmp (fun _ v ->
+             let pkt = Packet.View.decode v in
              match Ipv4.Icmp.decode_opt pkt.Packet.payload with
              | Some (Ipv4.Icmp.Time_exceeded _) ->
                errors := pkt.Packet.src :: !errors
@@ -367,7 +369,8 @@ let node_tests =
           let a = Topology.add_host topo "a" l1 10 in
           Topology.compute_routes topo;
           let unreachable = ref 0 in
-          Node.set_proto_handler a Ipv4.Proto.icmp (fun _ pkt ->
+          Node.set_proto_handler a Ipv4.Proto.icmp (fun _ v ->
+              let pkt = Packet.View.decode v in
               match Ipv4.Icmp.decode_opt pkt.Packet.payload with
               | Some (Ipv4.Icmp.Dest_unreachable { code = 1; _ }) ->
                 incr unreachable
@@ -410,7 +413,8 @@ let node_tests =
         let claimed = ref 0 in
         Node.set_accept_ip b (fun _ dst -> Addr.equal dst ghost);
         Node.set_arp_proxy b (fun addr -> Addr.equal addr ghost);
-        Node.set_proto_handler b Ipv4.Proto.udp (fun _ pkt ->
+        Node.set_proto_handler b Ipv4.Proto.udp (fun _ v ->
+            let pkt = Packet.View.decode v in
             if Addr.equal pkt.Packet.dst ghost then incr claimed);
         Node.send a (udp_to ~src:a ~dst_addr:ghost Bytes.empty);
         Topology.run topo;
@@ -442,7 +446,8 @@ let node_tests =
     Alcotest.test_case "builtin echo responder" `Quick (fun () ->
         let topo, _, a, b = two_hosts () in
         let replies = ref 0 in
-        Node.set_proto_handler a Ipv4.Proto.icmp (fun _ pkt ->
+        Node.set_proto_handler a Ipv4.Proto.icmp (fun _ v ->
+            let pkt = Packet.View.decode v in
             match Ipv4.Icmp.decode_opt pkt.Packet.payload with
             | Some (Ipv4.Icmp.Echo_reply _) -> incr replies
             | _ -> ());
@@ -465,7 +470,8 @@ let node_tests =
         let b = Topology.add_host topo "b" l2 10 in
         Topology.compute_routes topo;
         let recorded = ref None in
-        Node.set_proto_handler b Ipv4.Proto.udp (fun _ pkt ->
+        Node.set_proto_handler b Ipv4.Proto.udp (fun _ v ->
+            let pkt = Packet.View.decode v in
             recorded := Some pkt.Packet.options);
         (* source-route a -> r (waypoint) -> b *)
         let pkt =
@@ -751,7 +757,50 @@ let node_alloc_tests =
         check (Alcotest.list Alcotest.bool) "has_address" [true; true; false]
           (List.map (Node.has_address r) (Array.to_list addrs));
         check (Alcotest.list Alcotest.int) "next-hop interface" [3; 0; -1]
-          (List.map (Node.iface_for_next_hop r) (Array.to_list hops))) ]
+          (List.map (Node.iface_for_next_hop r) (Array.to_list hops)));
+    Alcotest.test_case "interface and address lists allocate 0 after 100 moves"
+      `Quick (fun () ->
+        (* A mobile host keeps its home address as an extra address and
+           gains an interface per move; asking for its lists must not
+           walk the retired ones. *)
+        let topo = Topology.create () in
+        let home = Topology.add_lan topo ~net:1 "home" in
+        let away = Topology.add_lan topo ~net:2 "away" in
+        let h = Topology.add_host topo "h" home 10 in
+        let home_addr = Node.primary_addr h in
+        Node.add_address h home_addr;
+        for k = 1 to 100 do
+          Topology.move_host topo h (if k mod 2 = 1 then away else home)
+        done;
+        let words =
+          let w0 = Gc.minor_words () in
+          for _ = 1 to 1000 do
+            ignore (Sys.opaque_identity (Node.ifaces h));
+            ignore (Sys.opaque_identity (Node.addresses h));
+            ignore (Sys.opaque_identity (Node.primary_addr h));
+            ignore (Sys.opaque_identity (Node.has_address h home_addr))
+          done;
+          Gc.minor_words () -. w0
+        in
+        check (Alcotest.float 0.0) "minor words" 0.0 words;
+        (match Node.ifaces h with
+         | [(i, lan, addr)] ->
+           check Alcotest.int "newest interface" 100 i;
+           check Alcotest.string "on the home LAN" "home" (Lan.name lan);
+           check Alcotest.bool "home address on the interface" true
+             (addr = Some home_addr)
+         | l ->
+           Alcotest.failf "%d active interfaces, expected 1" (List.length l));
+        check Alcotest.bool "home address first" true
+          (match Node.addresses h with
+           | a :: _ -> Addr.equal a home_addr
+           | [] -> false);
+        check Alcotest.bool "primary" true
+          (Addr.equal (Node.primary_addr h) home_addr);
+        check Alcotest.bool "has home address" true
+          (Node.has_address h home_addr);
+        check Alcotest.bool "not an away address" false
+          (Node.has_address h (Addr.host 2 10))) ]
 
 let suite =
   [ ("mac", mac_tests); ("arp-frame", arp_tests); ("lan", lan_tests);

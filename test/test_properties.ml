@@ -203,7 +203,8 @@ let random_topology_routes (seed, n, extra_links) =
   let delivered = Hashtbl.create 16 in
   Array.iter
     (fun h ->
-       Node.set_proto_handler h Ipv4.Proto.udp (fun node pkt ->
+       Node.set_proto_handler h Ipv4.Proto.udp (fun node v ->
+           let pkt = Ipv4.Packet.View.decode v in
            Hashtbl.replace delivered
              (Node.primary_addr node, pkt.Ipv4.Packet.id) ()))
     hosts;
@@ -275,12 +276,109 @@ let decoders_total s =
       QCheck.Test.fail_reportf "%s raised %s on %S" name
         (Printexc.to_string e) s
   in
+  let n = Bytes.length buf in
+  let at off len =
+    no_raise "Icmp.decode_at" (fun () -> Ipv4.Icmp.decode_at buf ~off ~len)
+    && no_raise "Control.decode_at" (fun () ->
+        Mhrp.Control.decode_at buf ~off ~len)
+    && no_raise "Udp.length_at" (fun () -> Ipv4.Udp.length_at buf ~off ~len)
+  in
   no_raise "Control.decode" (fun () -> Mhrp.Control.decode buf)
   && no_raise "Extension.decode" (fun () -> Auth.Extension.decode buf)
   && no_raise "Extension.split" (fun () -> Auth.Extension.split buf)
   && no_raise "Extension.decode_at" (fun () ->
       Auth.Extension.decode_at buf 0)
   && no_raise "Icmp.decode_opt" (fun () -> Ipv4.Icmp.decode_opt buf)
+  && no_raise "Udp.decode" (fun () ->
+      match Ipv4.Udp.decode buf with
+      | _ -> ()
+      | exception Invalid_argument _ -> ())
+  && at 0 n && at (n / 3) (n - (n / 3)) && at (n / 2) n && at (-1) 4
+
+(* --- offset decoders agree with their whole-buffer forms --- *)
+
+let of_hex h =
+  Bytes.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+(* The golden wire corpus: real encodings of every message kind. *)
+let golden_corpus =
+  lazy
+    (In_channel.with_open_text "golden/wire_corpus.hex" In_channel.input_all
+     |> String.split_on_char '\n'
+     |> List.filter_map (fun line ->
+         match String.split_on_char ' ' line with
+         | [_; hex] -> Some (of_hex hex)
+         | _ -> None)
+     |> Array.of_list)
+
+(* A corpus message framed by random bytes, sometimes corrupted or cut
+   short, and a window onto it: at the message, at its IP or IP+UDP
+   payload, anywhere, or outside the buffer. *)
+let framed_sample seed =
+  let rng = Netsim.Rng.of_int seed in
+  let int = Netsim.Rng.int rng in
+  let corpus = Lazy.force golden_corpus in
+  let msg = Bytes.copy corpus.(int (Array.length corpus)) in
+  let m = Bytes.length msg in
+  if int 2 = 0 then Bytes.set msg (int m) (Char.chr (int 256));
+  let cut = if int 4 = 0 then int (m + 1) else m in
+  let pre = int 24 and post = int 8 in
+  let buf = Bytes.init (pre + cut + post) (fun _ -> Char.chr (int 256)) in
+  Bytes.blit msg 0 buf pre cut;
+  let n = Bytes.length buf in
+  let off =
+    match int 6 with
+    | 0 -> pre
+    | 1 -> pre + 20
+    | 2 -> pre + 28
+    | 3 -> int (n + 1)
+    | 4 -> -1 - int 4
+    | _ -> n + int 4
+  in
+  let len =
+    match int 3 with
+    | 0 -> n - off
+    | 1 -> int (max 1 (n - off + 1))
+    | _ -> int (n + 8) - 4
+  in
+  (buf, off, len)
+
+(* The offset decoders never raise, reject windows outside the buffer,
+   and on any window inside it answer exactly what the whole-buffer
+   decoders answer on a copy of that window. *)
+let offset_decoders_agree seed =
+  let buf, off, len = framed_sample seed in
+  let no_raise name f =
+    match f () with
+    | v -> v
+    | exception e ->
+      QCheck.Test.fail_reportf "%s raised %s at off=%d len=%d" name
+        (Printexc.to_string e) off len
+  in
+  let icmp =
+    no_raise "Icmp.decode_at" (fun () -> Ipv4.Icmp.decode_at buf ~off ~len)
+  in
+  let ctl =
+    no_raise "Control.decode_at" (fun () ->
+        Mhrp.Control.decode_at buf ~off ~len)
+  in
+  let udp =
+    no_raise "Udp.length_at" (fun () -> Ipv4.Udp.length_at buf ~off ~len)
+  in
+  if off < 0 || len < 0 || off + len > Bytes.length buf then
+    icmp = None && ctl = None && udp < 0
+  else begin
+    let window = Bytes.sub buf off len in
+    icmp = Ipv4.Icmp.decode_opt window
+    && ctl = Mhrp.Control.decode window
+    &&
+    match Ipv4.Udp.decode window with
+    | d ->
+      udp = Ipv4.Udp.header_length + Bytes.length d.Ipv4.Udp.data
+      && Ipv4.Udp.dst_port_at buf ~off = d.Ipv4.Udp.dst_port
+    | exception Invalid_argument _ -> udp < 0
+  end
 
 (* Truncating a genuine authenticated message anywhere must yield a clean
    rejection, never an exception, and never a still-valid extension. *)
@@ -349,6 +447,12 @@ let suite =
              ~name:"decoders never raise on arbitrary bytes" ~count:500
              QCheck.(string_of_size Gen.(int_range 0 64))
              decoders_total);
+        qtest
+          (QCheck.Test.make
+             ~name:"offset decoders agree with whole-buffer decoders"
+             ~count:2000
+             QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+             offset_decoders_agree);
         qtest
           (QCheck.Test.make
              ~name:"truncated authenticated messages are cleanly rejected"
