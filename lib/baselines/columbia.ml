@@ -61,8 +61,6 @@ type t = {
 
 let create topo = { topo; msrs = []; homes = Hashtbl.create 16; ctrl = 0 }
 
-let msr_node m = m.m_node
-
 let send_msg t ~from ~dst m =
   t.ctrl <- t.ctrl + 1;
   let udp =

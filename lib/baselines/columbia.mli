@@ -17,8 +17,6 @@ val create : Net.Topology.t -> t
 val add_msr : t -> Net.Node.t -> cell:Net.Lan.t -> msr
 (** The node becomes an MSR serving the given wireless cell. *)
 
-val msr_node : msr -> Net.Node.t
-
 val make_mobile : t -> Net.Node.t -> home:msr -> unit
 (** Register a mobile host; its home MSR advertises (intercepts) its
     address permanently. *)

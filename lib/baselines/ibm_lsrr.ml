@@ -35,8 +35,6 @@ let create topo =
   { topo; mobiles = Hashtbl.create 16; current_base = Hashtbl.create 16;
     peers = Hashtbl.create 16; ctrl = 0 }
 
-let base_node b = b.b_node
-
 let add_base t node ~lan =
   match Node.iface_to node (Net.Lan.prefix lan) with
   | None -> invalid_arg "Ibm_lsrr.add_base: node not on LAN"

@@ -20,7 +20,6 @@ type base
 val create : Net.Topology.t -> t
 
 val add_base : t -> Net.Node.t -> lan:Net.Lan.t -> base
-val base_node : base -> Net.Node.t
 
 val make_mobile : t -> Net.Node.t -> home_base:base -> unit
 

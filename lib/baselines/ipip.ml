@@ -36,5 +36,3 @@ let decap (pkt : Ipv4.Packet.t) =
         | exception Invalid_argument _ -> None
     end
   end
-
-let inner_dst pkt = Option.map (fun p -> p.Ipv4.Packet.dst) (decap pkt)

@@ -15,6 +15,3 @@ val encap : outer_src:Ipv4.Addr.t -> outer_dst:Ipv4.Addr.t ->
 
 val decap : Ipv4.Packet.t -> Ipv4.Packet.t option
 (** Unwrap; [None] if not a well-formed IPIP packet. *)
-
-val inner_dst : Ipv4.Packet.t -> Ipv4.Addr.t option
-(** Destination of the encapsulated packet, without a full decode. *)

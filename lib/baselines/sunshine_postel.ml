@@ -106,8 +106,6 @@ let create topo ~db_node =
           | Some (Answer _) | None -> ());
   t
 
-let forwarder_node f = f.f_node
-
 let add_forwarder t node ~lan =
   match Node.iface_to node (Net.Lan.prefix lan) with
   | None -> invalid_arg "Sunshine_postel.add_forwarder: not on LAN"

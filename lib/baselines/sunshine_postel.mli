@@ -19,7 +19,6 @@ val create : Net.Topology.t -> db_node:Net.Node.t -> t
 (** [db_node] hosts the global registry. *)
 
 val add_forwarder : t -> Net.Node.t -> lan:Net.Lan.t -> forwarder
-val forwarder_node : forwarder -> Net.Node.t
 
 val make_mobile : t -> Net.Node.t -> unit
 

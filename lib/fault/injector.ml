@@ -172,8 +172,3 @@ let crashes t = t.crashes
 let partitions t = t.partitions
 let loss_windows t = t.loss_windows
 let control_losses t = t.control_losses
-
-let pp_ledger ppf t =
-  Format.pp_print_list ~pp_sep:Format.pp_print_newline
-    (fun ppf (at, msg) -> Format.fprintf ppf "%a %s" Time.pp at msg)
-    ppf (ledger t)

@@ -54,5 +54,3 @@ val is_control : Ipv4.Packet.t -> bool
     Link-state routing traffic ({!Ipv4.Proto.lsrp}) is {e not} control
     in this sense — faults reach it through link flaps, crashes and
     partitions rather than the MHRP control-loss dice. *)
-
-val pp_ledger : Format.formatter -> t -> unit

@@ -38,5 +38,4 @@ type item =
 
 type t = item list
 
-val pp_item : Format.formatter -> item -> unit
 val pp : Format.formatter -> t -> unit

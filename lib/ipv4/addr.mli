@@ -27,8 +27,6 @@ val of_octets : int -> int -> int -> int -> t
 (** [of_octets a b c d] is [a.b.c.d].  Raises [Invalid_argument] if any
     octet is out of [\[0, 255\]]. *)
 
-val to_octets : t -> int * int * int * int
-
 val of_string : string -> t
 (** Parses dotted-quad.  Raises [Invalid_argument] on malformed input. *)
 

@@ -7,13 +7,10 @@ val of_bytes : ?off:int -> ?len:int -> bytes -> int
 val valid : ?off:int -> ?len:int -> bytes -> bool
 (** A buffer whose stored checksum field is correct sums to zero. *)
 
-val of_range : bytes -> off:int -> len:int -> int
-(** {!of_bytes} with mandatory labels: every optional argument boxes a
+val valid_range : bytes -> off:int -> len:int -> bool
+(** {!valid} with mandatory labels: every optional argument boxes a
     [Some], which the per-packet forwarding fast path can't afford.
     Same range validation, same result. *)
-
-val valid_range : bytes -> off:int -> len:int -> bool
-(** {!valid}, via {!of_range}. *)
 
 val set : bytes -> at:int -> off:int -> len:int -> unit
 (** [set buf ~at ~off ~len] zeroes the 16-bit field at [at], computes the

@@ -22,10 +22,6 @@ val lsrr_next : t -> (Addr.t * t) option
 
 val lsrr_exhausted : t -> bool
 
-val encoded_length : t -> int
-(** Exact on-wire length in bytes (before 4-byte padding of the whole
-    options area). *)
-
 val encode_all : t list -> bytes
 (** Encode a list of options, padded with zeros to a 4-byte multiple.
     Result length <= 40 (raises [Invalid_argument] beyond). *)

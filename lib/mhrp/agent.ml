@@ -30,10 +30,8 @@ type t = {
       (* regional role: backup to mirror binding writes to *)
   mutable region_peer_captured : bool;
       (* regional role: we captured an unresponsive peer's address *)
-  rsync_seq : (int, int) Hashtbl.t;
-      (* packed mobile -> newest Region_sync generation sent *)
-  rsync_acked : (int, int) Hashtbl.t;
-      (* packed mobile -> highest generation the backup confirmed *)
+  region_syncs : (int, Exchange.t) Hashtbl.t;
+      (* packed mobile -> Region_sync exchange with the backup *)
   fa_miss_probes : (int, unit) Hashtbl.t;
       (* packed mobile -> visitor-miss ARP probe in flight *)
   mutable regional_sweep_timer : bool;
@@ -56,7 +54,6 @@ let home_agent t = t.ha
 let foreign_agent t = Option.map fst t.fa
 let mobile t = t.mh
 let regional_agent t = t.regional
-let regional_parent t = t.regional_parent
 
 let on_app_receive t f = t.app_tap <- f
 let on_location_update t f = t.update_tap <- f
@@ -83,8 +80,6 @@ let tracef t kind fmt =
   | _ -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
 (* --- authentication (RFC 2002-style extension; experiment E15) --- *)
-
-let sa_table t = t.sa
 
 let install_key t ~mobile ~spi ~key =
   Auth.Sa_table.install t.sa ~mobile ~spi ~key
@@ -232,34 +227,29 @@ let send_control t ~dst msg =
   in
   Node.send t.node pkt
 
-(* Ack + timeout + exponential-backoff retransmission for unicast control
-   exchanges ([Config.reliable_control]): without it a single lost
-   registration or connect notification strands the mobile host (the
-   implicit-disconnection watchdog only re-solicits from a settled phase,
-   never from mid-registration).  [still_pending] decides at each firing
-   whether the exchange is still live — an ack, a superseding exchange or
-   a phase change all cancel the loop without bookkeeping. *)
-let arm_control_retry t ~still_pending ~resend ~give_up =
-  if t.config.Config.reliable_control then begin
-    let rec arm ~delay ~retries_left =
+(* Section 2's capture: gratuitous ARP for [addr] on [iface], "perhaps
+   retransmitted a few times for reliability" — [gratuitous_arp_count]
+   sends 100 ms apart, while [live] holds. *)
+let gratuitous_arp_count = 3
+
+let garp_burst ?(live = fun () -> true) t ~iface addr =
+  let rec burst k =
+    if k < gratuitous_arp_count && live () then begin
+      Node.gratuitous_arp t.node ~iface addr;
       ignore
-        (Engine.schedule_after (engine t) ~delay (fun () ->
-             if Node.is_up t.node && still_pending () then
-               if retries_left <= 0 then begin
-                 t.counters.Counters.retransmit_gave_up <-
-                   t.counters.Counters.retransmit_gave_up + 1;
-                 tracef t "ctrl-give-up" "control exchange abandoned";
-                 give_up ()
-               end
-               else begin
-                 resend ();
-                 arm ~delay:(Time.add delay delay)
-                   ~retries_left:(retries_left - 1)
-               end))
-    in
-    arm ~delay:t.config.Config.control_rto
-      ~retries_left:t.config.Config.control_retries
-  end
+        (Engine.schedule_after (engine t) ~delay:(Time.of_ms 100) (fun () ->
+             burst (k + 1)))
+    end
+  in
+  burst 0
+
+(* The burst on every LAN whose prefix covers [addr]. *)
+let garp_burst_covering t addr =
+  List.iter
+    (fun (i, lan, _) ->
+       if Ipv4.Addr.Prefix.mem addr (Net.Lan.prefix lan) then
+         garp_burst t ~iface:i addr)
+    (Node.ifaces t.node)
 
 (* --- hierarchy soft-state parameters ([Config.regional_lifetime]) --- *)
 
@@ -939,6 +929,7 @@ let notify_old_fa t mh ~new_foreign_agent =
   | _ -> mh.Mobile_host.old_fa <- None
 
 let complete_registration t mh ~foreign_agent =
+  Exchange.ack mh.Mobile_host.connect;
   mh.Mobile_host.registrations_completed <-
     mh.Mobile_host.registrations_completed + 1;
   mh.Mobile_host.last_advert <- now t;
@@ -953,23 +944,23 @@ let complete_registration t mh ~foreign_agent =
   tracef t "registered" "%a" Mobile_host.pp_phase mh.Mobile_host.phase;
   t.registered_tap foreign_agent
 
+(* Every exchange of the mobile host is retransmitted under
+   [Config.reliable_control] ({!Exchange}): without it a single lost
+   registration or connect notification strands the host (the
+   implicit-disconnection watchdog only re-solicits from a settled phase,
+   never from mid-registration). *)
 let register_with_home_agent t mh ~foreign_agent =
   let request () =
     send_control t ~dst:mh.Mobile_host.home_agent
       (Control.Reg_request { mobile = mh.Mobile_host.home; foreign_agent })
   in
   request ();
-  mh.Mobile_host.reg_seq <- mh.Mobile_host.reg_seq + 1;
-  let gen = mh.Mobile_host.reg_seq in
-  arm_control_retry t
-    ~still_pending:(fun () ->
-        (* the home agent's reply acks; a newer registration supersedes *)
-        mh.Mobile_host.reg_seq = gen && mh.Mobile_host.reg_acked < gen)
+  Exchange.start mh.Mobile_host.home_reg t.node t.config t.counters
     ~resend:(fun () ->
         t.counters.Counters.reg_retransmissions <-
           t.counters.Counters.reg_retransmissions + 1;
         request ())
-    ~give_up:(fun () -> ())
+    ~give_up:ignore
 
 (* Bind to the serving foreign agent at the regional agent
    ([Config.hierarchy]) — the only registration an intra-region handoff
@@ -983,11 +974,7 @@ let rec register_with_region t mh ~regional ~foreign_agent =
          { mobile = mh.Mobile_host.home; foreign_agent; lifetime_s })
   in
   request ();
-  mh.Mobile_host.rr_seq <- mh.Mobile_host.rr_seq + 1;
-  let gen = mh.Mobile_host.rr_seq in
-  arm_control_retry t
-    ~still_pending:(fun () ->
-        mh.Mobile_host.rr_seq = gen && mh.Mobile_host.rr_acked < gen)
+  Exchange.start mh.Mobile_host.region_reg t.node t.config t.counters
     ~resend:(fun () ->
         t.counters.Counters.region_retransmissions <-
           t.counters.Counters.region_retransmissions + 1;
@@ -1071,13 +1058,7 @@ let connect_via_foreign_agent t mh fa_addr =
          { mobile = mh.Mobile_host.home; mac = Node.iface_mac t.node i })
   in
   connect ();
-  arm_control_retry t
-    ~still_pending:(fun () ->
-        (* the connect ack moves us to Registered; a further move changes
-           the foreign agent or the phase *)
-        match mh.Mobile_host.phase with
-        | Mobile_host.Registering fa -> Addr.equal fa fa_addr
-        | _ -> false)
+  Exchange.start mh.Mobile_host.connect t.node t.config t.counters
     ~resend:(fun () ->
         t.counters.Counters.connect_retransmissions <-
           t.counters.Counters.connect_retransmissions + 1;
@@ -1100,17 +1081,8 @@ let connect_home t mh ha_addr =
      with ours again (Section 2), retransmitted for reliability — until
      the host moves on, which retires interface [i]. *)
   let moves = mh.Mobile_host.moves in
-  let rec burst k =
-    if k < t.config.Config.gratuitous_arp_count
-       && mh.Mobile_host.moves = moves
-    then begin
-      Node.gratuitous_arp t.node ~iface:i mh.Mobile_host.home;
-      ignore
-        (Engine.schedule_after (engine t) ~delay:(Time.of_ms 100) (fun () ->
-             burst (k + 1)))
-    end
-  in
-  burst 0;
+  garp_burst t ~iface:i mh.Mobile_host.home
+    ~live:(fun () -> mh.Mobile_host.moves = moves);
   withdraw_regional t mh;
   register_with_home_agent t mh ~foreign_agent:Addr.zero;
   complete_registration t mh ~foreign_agent:Addr.zero
@@ -1163,20 +1135,7 @@ let register_mobile t ~mobile ~foreign_agent =
     (match previous with
      | Some prev
        when Addr.is_zero prev && not (Addr.is_zero foreign_agent) ->
-       List.iter
-         (fun (i, lan, _) ->
-            if Ipv4.Addr.Prefix.mem mobile (Net.Lan.prefix lan) then begin
-              let rec burst k =
-                if k < t.config.Config.gratuitous_arp_count then begin
-                  Node.gratuitous_arp t.node ~iface:i mobile;
-                  ignore
-                    (Engine.schedule_after (engine t)
-                       ~delay:(Time.of_ms 100) (fun () -> burst (k + 1)))
-                end
-              in
-              burst 0
-            end)
-         (Node.ifaces t.node)
+       garp_burst_covering t mobile
      | _ -> ())
   | Some _ -> ()
 
@@ -1255,7 +1214,7 @@ let mh_handle_reg_reply t ~mobile ~accepted =
       (if accepted then "confirmed" else "refused");
     (* the reply acknowledges every outstanding registration request,
        stopping its retransmission loop *)
-    mh.Mobile_host.reg_acked <- mh.Mobile_host.reg_seq;
+    Exchange.ack mh.Mobile_host.home_reg;
     ignore accepted
   | _ -> ()
 
@@ -1306,7 +1265,7 @@ let mh_handle_reg_region_ack t ~mobile =
   match t.mh with
   | Some mh when Addr.equal mobile mh.Mobile_host.home ->
     tracef t "registered" "regional agent confirmed";
-    mh.Mobile_host.rr_acked <- mh.Mobile_host.rr_seq
+    Exchange.ack mh.Mobile_host.region_reg
   | _ -> ()
 
 (* The mirror peer exhausted every binding-sync retransmission: it is
@@ -1324,20 +1283,7 @@ let region_peer_takeover t =
       t.counters.Counters.region_takeovers + 1;
     tracef t "regional" "peer %a unresponsive: capturing its address"
       Addr.pp peer;
-    List.iter
-      (fun (i, lan, _) ->
-         if Ipv4.Addr.Prefix.mem peer (Net.Lan.prefix lan) then begin
-           let rec burst k =
-             if k < t.config.Config.gratuitous_arp_count then begin
-               Node.gratuitous_arp t.node ~iface:i peer;
-               ignore
-                 (Engine.schedule_after (engine t) ~delay:(Time.of_ms 100)
-                    (fun () -> burst (k + 1)))
-             end
-           in
-           burst 0
-         end)
-      (Node.ifaces t.node)
+    garp_burst_covering t peer
   | _ -> ()
 
 let region_peer_release t ~peer =
@@ -1353,31 +1299,21 @@ let region_peer_release t ~peer =
 
 (* Mirror a binding write to the configured backup regional agent so it
    can take over the region on a crash, retransmitted under
-   [Config.reliable_control] until the backup confirms (the same
-   generation-counter discipline as the mobile's own exchanges). *)
+   [Config.reliable_control] until the backup confirms. *)
 let sync_region_binding t ~mobile ~foreign_agent ~lifetime_s =
   match t.region_sync_peer with
   | None -> ()
   | Some peer ->
-    let km = Addr.to_key mobile in
-    let gen =
-      (match Hashtbl.find_opt t.rsync_seq km with Some g -> g | None -> 0)
-      + 1
-    in
-    Hashtbl.replace t.rsync_seq km gen;
     let msg = Control.Region_sync { mobile; foreign_agent; lifetime_s } in
     send_control t ~dst:peer msg;
     (* A newer generation superseding this one must NOT cancel the retry
        chain: any ack covers every earlier generation, so only an ack
-       (or a reboot resetting the tables) counts as the peer answering.
-       Otherwise a refresh cadence shorter than the full retry schedule
-       would re-arm forever and the peer's death would never surface. *)
-    arm_control_retry t
-      ~still_pending:(fun () ->
-          Hashtbl.mem t.rsync_seq km
-          && (match Hashtbl.find_opt t.rsync_acked km with
-              | Some a -> a < gen
-              | None -> true))
+       (or a reboot) counts as the peer answering.  Otherwise a refresh
+       cadence shorter than the full retry schedule would re-arm forever
+       and the peer's death would never surface. *)
+    Exchange.start ~supersede:false
+      (Exchange.find t.region_syncs (Addr.to_key mobile))
+      t.node t.config t.counters
       ~resend:(fun () ->
           t.counters.Counters.region_sync_retransmissions <-
             t.counters.Counters.region_sync_retransmissions + 1;
@@ -1446,9 +1382,8 @@ let regional_handle_sync t ~src ~mobile ~foreign_agent ~lifetime_s =
 
 let regional_handle_sync_ack t ~src ~mobile =
   region_peer_release t ~peer:src;
-  let km = Addr.to_key mobile in
-  match Hashtbl.find_opt t.rsync_seq km with
-  | Some gen -> Hashtbl.replace t.rsync_acked km gen
+  match Hashtbl.find_opt t.region_syncs (Addr.to_key mobile) with
+  | Some x -> Exchange.ack x
   | None -> ()
 
 (* The hierarchical invalidation bounce: the serving foreign agent says
@@ -1667,19 +1602,19 @@ let create ?(config = Config.default) ?(cache_agent = true)
     { node; config;
       counters = Counters.create ();
       cache = Location_cache.create ~capacity:config.Config.cache_capacity;
+      (* 64 recent update destinations, LRU (Section 4.3) *)
       limiter =
-        Rate_limiter.create ~capacity:config.Config.update_rate_entries
+        Rate_limiter.create ~capacity:64
           ~min_interval:config.Config.update_min_interval;
-      sa =
-        Auth.Sa_table.create ~window:config.Config.auth_timestamp_window
-          ~capacity:config.Config.auth_nonce_capacity;
+      (* at most 2 s of clock skew; nonce tables start at 64 entries *)
+      sa = Auth.Sa_table.create ~window:(Time.of_sec 2.0) ~capacity:64;
       auth_nonce = 0;
       cache_agent; snoop;
       ha = None; fa = None; mh = None;
       regional = None; regional_parent = None;
       regional_backup_parent = None; region_sync_peer = None;
       region_peer_captured = false;
-      rsync_seq = Hashtbl.create 4; rsync_acked = Hashtbl.create 4;
+      region_syncs = Hashtbl.create 4;
       fa_miss_probes = Hashtbl.create 4; regional_sweep_timer = false;
       app_tap = (fun _ -> ());
       update_tap = (fun ~mobile:_ ~foreign_agent:_ -> ());
@@ -1708,8 +1643,8 @@ let create ?(config = Config.default) ?(cache_agent = true)
       (* regional bindings are soft state, lost like visitor lists *)
       (match t.regional with Some r -> Regional.clear r | None -> ());
       t.region_peer_captured <- false;
-      Hashtbl.reset t.rsync_seq;
-      Hashtbl.reset t.rsync_acked;
+      (* and so is every binding mirror still being retried *)
+      Hashtbl.iter (fun _ x -> Exchange.ack x) t.region_syncs;
       Hashtbl.reset t.fa_miss_probes;
       Location_cache.clear t.cache;
       (* A mirrored regional agent reclaims its own address: the peer
@@ -1720,16 +1655,7 @@ let create ?(config = Config.default) ?(cache_agent = true)
          List.iter
            (fun (i, _, addr) ->
               match addr with
-              | Some a ->
-                let rec burst k =
-                  if k < t.config.Config.gratuitous_arp_count then begin
-                    Node.gratuitous_arp t.node ~iface:i a;
-                    ignore
-                      (Engine.schedule_after (engine t)
-                         ~delay:(Time.of_ms 100) (fun () -> burst (k + 1)))
-                  end
-                in
-                burst 0
+              | Some a -> garp_burst t ~iface:i a
               | None -> ())
            (Node.ifaces t.node)
        | _ -> ()));
@@ -1845,12 +1771,12 @@ let make_mobile t ~home_agent =
                | Some regional, Mobile_host.Registered fa
                  when (not (Addr.is_zero fa))
                    && ((not t.config.Config.reliable_control)
-                       || mh.Mobile_host.rr_acked >= mh.Mobile_host.rr_seq)
+                       || not (Exchange.pending mh.Mobile_host.region_reg))
                  ->
                  register_with_region t mh ~regional ~foreign_agent:fa
                | None, Mobile_host.Registered fa
                  when (not (Addr.is_zero fa))
-                   && mh.Mobile_host.reg_acked < mh.Mobile_host.reg_seq ->
+                   && Exchange.pending mh.Mobile_host.home_reg ->
                  (* Post-failover direct registration that the home agent
                     never confirmed — the whole region may have been
                     unreachable while its transit router was down.  Keep
@@ -1880,6 +1806,7 @@ let move_to ~topo ?own_fa_temp t lan =
   | None -> invalid_arg "Agent.move_to: not a mobile host"
   | Some mh ->
     mh.Mobile_host.moves <- mh.Mobile_host.moves + 1;
+    Exchange.ack mh.Mobile_host.connect;
     (match Mobile_host.current_fa mh with
      | Some fa when not (Addr.is_zero fa) -> mh.Mobile_host.old_fa <- Some fa
      | _ -> ());
@@ -1938,6 +1865,7 @@ let disconnect t =
   | None -> invalid_arg "Agent.disconnect: not a mobile host"
   | Some mh ->
     tracef t "move" "explicit disconnect";
+    Exchange.ack mh.Mobile_host.connect;
     (match Mobile_host.current_fa mh with
      | Some fa when not (Addr.is_zero fa) -> mh.Mobile_host.old_fa <- Some fa
      | _ -> ());

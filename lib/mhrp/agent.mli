@@ -63,7 +63,6 @@ val set_regional_parent : ?backup:Ipv4.Addr.t -> t -> Ipv4.Addr.t -> unit
     outside the protocol, like agent addresses themselves. *)
 
 val regional_agent : t -> Regional.t option
-val regional_parent : t -> Ipv4.Addr.t option
 
 val add_mobile : t -> Ipv4.Addr.t -> unit
 (** Home-agent role: begin serving this (initially at-home) mobile host.
@@ -121,12 +120,6 @@ val on_registration :
 (** Home agent: a mobile host (re)registered.  {!Replication} mirrors the
     database to replica home agents from this tap. *)
 
-val register_mobile :
-  t -> mobile:Ipv4.Addr.t -> foreign_agent:Ipv4.Addr.t -> unit
-(** Apply a registration directly to this home agent's database, with its
-    interception side effects but no reply — the entry point replica home
-    agents use (Section 2's replicated home agents). *)
-
 val on_icmp_error : t -> (Ipv4.Icmp.t -> Ipv4.Packet.t option -> unit) -> unit
 (** An ICMP error reached this node as original sender; the packet is the
     reconstructed offending packet when enough of it was quoted. *)
@@ -143,7 +136,8 @@ val on_ha_sync_ack :
     update this agent originates carries an authentication extension
     (keyed MAC + timestamp + nonce) signed under the mobile host's
     security association, and every received one is verified {e before}
-    any routing state mutates.  Verification outcomes land in
+    any routing state mutates, accepting at most 2 s of clock skew.
+    Verification outcomes land in
     [Counters.auth_ok]/[auth_fail]/[replay_drop] and, on rejection, in
     trace kinds ["auth-fail"] (control) and ["forged-update"] (location
     updates).  Messages about mobile hosts without an installed
@@ -153,8 +147,6 @@ val install_key :
   t -> mobile:Ipv4.Addr.t -> spi:int -> key:Auth.Siphash.key -> unit
 (** Provision the security association for a mobile host (key
     distribution itself is outside the protocol, as in Mobile IP). *)
-
-val sa_table : t -> Auth.Sa_table.t
 
 val control_datagram : t -> Control.t -> bytes
 (** The UDP datagram bytes (header + message + extension when
@@ -168,8 +160,5 @@ val send_location_update :
   t -> dst:Ipv4.Addr.t -> mobile:Ipv4.Addr.t ->
   foreign_agent:Ipv4.Addr.t -> unit
 (** Rate-limited (Section 4.3). *)
-
-val solicit : t -> unit
-(** Broadcast an agent solicitation on the node's interfaces. *)
 
 val broadcast_advert : t -> unit

@@ -6,17 +6,13 @@ type t = {
   max_prev_sources : int;
   cache_capacity : int;
   update_min_interval : Netsim.Time.t;
-  update_rate_entries : int;
   advert_interval : Netsim.Time.t;
   advert_lifetime : Netsim.Time.t;
   forwarding_pointers : bool;
   on_loop : on_loop;
   verify_recovered_visitors : bool;
-  gratuitous_arp_count : int;
   ha_persistent : bool;
   authenticate : bool;
-  auth_timestamp_window : Netsim.Time.t;
-  auth_nonce_capacity : int;
   reliable_control : bool;
   control_rto : Netsim.Time.t;
   control_retries : int;
@@ -30,17 +26,13 @@ let default =
   { max_prev_sources = 8;
     cache_capacity = 64;
     update_min_interval = Netsim.Time.of_sec 1.0;
-    update_rate_entries = 64;
     advert_interval = Netsim.Time.of_sec 10.0;
     advert_lifetime = Netsim.Time.of_sec 30.0;
     forwarding_pointers = true;
     on_loop = Discard_packet;
     verify_recovered_visitors = false;
-    gratuitous_arp_count = 3;
     ha_persistent = true;
     authenticate = false;
-    auth_timestamp_window = Netsim.Time.of_sec 2.0;
-    auth_nonce_capacity = 64;
     reliable_control = false;
     control_rto = Netsim.Time.of_ms 300;
     control_retries = 5;
@@ -50,29 +42,22 @@ let default =
     regional_grace = Netsim.Time.of_sec 2.0 }
 
 let make ?max_prev_sources ?cache_capacity ?update_min_interval
-    ?update_rate_entries ?advert_interval ?advert_lifetime
-    ?forwarding_pointers ?on_loop ?verify_recovered_visitors
-    ?gratuitous_arp_count ?ha_persistent ?authenticate
-    ?auth_timestamp_window ?auth_nonce_capacity ?reliable_control
-    ?control_rto ?control_retries ?hierarchy ?regional_lifetime
-    ?regional_refresh ?regional_grace () =
+    ?advert_interval ?advert_lifetime ?forwarding_pointers ?on_loop
+    ?verify_recovered_visitors ?ha_persistent ?authenticate
+    ?reliable_control ?control_rto ?control_retries ?hierarchy
+    ?regional_lifetime ?regional_refresh ?regional_grace () =
   let v default = Option.value ~default in
   { max_prev_sources = v default.max_prev_sources max_prev_sources;
     cache_capacity = v default.cache_capacity cache_capacity;
     update_min_interval = v default.update_min_interval update_min_interval;
-    update_rate_entries = v default.update_rate_entries update_rate_entries;
     advert_interval = v default.advert_interval advert_interval;
     advert_lifetime = v default.advert_lifetime advert_lifetime;
     forwarding_pointers = v default.forwarding_pointers forwarding_pointers;
     on_loop = v default.on_loop on_loop;
     verify_recovered_visitors =
       v default.verify_recovered_visitors verify_recovered_visitors;
-    gratuitous_arp_count = v default.gratuitous_arp_count gratuitous_arp_count;
     ha_persistent = v default.ha_persistent ha_persistent;
     authenticate = v default.authenticate authenticate;
-    auth_timestamp_window =
-      v default.auth_timestamp_window auth_timestamp_window;
-    auth_nonce_capacity = v default.auth_nonce_capacity auth_nonce_capacity;
     reliable_control = v default.reliable_control reliable_control;
     control_rto = v default.control_rto control_rto;
     control_retries = v default.control_retries control_retries;

@@ -22,8 +22,6 @@ type t = {
   update_min_interval : Netsim.Time.t;
   (** Per-destination floor between location update transmissions
       (Section 4.3's flooding-avoidance requirement). *)
-  update_rate_entries : int;
-  (** Size of the LRU list backing the rate limiter. *)
   advert_interval : Netsim.Time.t;
   (** Period of agent advertisements (Section 3). *)
   advert_lifetime : Netsim.Time.t;
@@ -46,9 +44,6 @@ type t = {
   (** A rebooted foreign agent told by a location update that a mobile host
       is "its" verifies presence with a local query before re-adding it
       (Section 5.2). *)
-  gratuitous_arp_count : int;
-  (** Retransmissions of the home agent's capture ARP (Section 2:
-      "perhaps retransmitted a few times for reliability"). *)
   ha_persistent : bool;
   (** The home agent's location database survives reboots (Section 2:
       "should also be recorded on disk"). *)
@@ -58,17 +53,12 @@ type t = {
       updates before mutating any routing state — the countermeasure to
       the hijacking adversary of experiment E15.  Messages about mobile
       hosts with no installed security association are rejected. *)
-  auth_timestamp_window : Netsim.Time.t;
-  (** Maximum |sender clock - receiver clock| skew accepted on an
-      authenticated message; also bounds how stale a captured message can
-      be when replayed. *)
-  auth_nonce_capacity : int;
-  (** Per-association sliding window of recently accepted nonces. *)
   reliable_control : bool;
   (** Acknowledge and retransmit unicast control messages (registration
-      requests, foreign-agent connects, home-agent syncs).  Without this,
-      a single lost registration strands the mobile host until the next
-      advertisement cycle — or forever, if the loss repeats. *)
+      requests, foreign-agent connects, replica syncs; {!Exchange}).
+      Without this, a single lost registration strands the mobile host
+      until the next advertisement cycle — or forever, if the loss
+      repeats. *)
   control_rto : Netsim.Time.t;
   (** Initial control retransmission timeout; doubles per retry
       (exponential backoff). *)
@@ -112,28 +102,23 @@ type t = {
 }
 
 val default : t
-(** max list 8, cache 64 entries, 1 s update interval, 64 rate entries,
-    10 s advertisements with a 30 s lifetime, forwarding pointers on,
-    discard on loop, no visitor verification, 3 gratuitous ARPs,
-    persistent home agent; authentication off (2 s timestamp window and a
-    64-nonce replay window when enabled); unreliable control plane (300 ms
-    initial RTO and 5 retries when [reliable_control] is enabled). *)
+(** max list 8, cache 64 entries, 1 s update interval, 10 s
+    advertisements with a 30 s lifetime, forwarding pointers on, discard
+    on loop, no visitor verification, persistent home agent;
+    authentication off; unreliable control plane (300 ms initial RTO and
+    5 retries when [reliable_control] is enabled). *)
 
 val make :
   ?max_prev_sources:int ->
   ?cache_capacity:int ->
   ?update_min_interval:Netsim.Time.t ->
-  ?update_rate_entries:int ->
   ?advert_interval:Netsim.Time.t ->
   ?advert_lifetime:Netsim.Time.t ->
   ?forwarding_pointers:bool ->
   ?on_loop:on_loop ->
   ?verify_recovered_visitors:bool ->
-  ?gratuitous_arp_count:int ->
   ?ha_persistent:bool ->
   ?authenticate:bool ->
-  ?auth_timestamp_window:Netsim.Time.t ->
-  ?auth_nonce_capacity:int ->
   ?reliable_control:bool ->
   ?control_rto:Netsim.Time.t ->
   ?control_retries:int ->

@@ -46,8 +46,6 @@ let create () =
     region_failovers = 0; region_sync_retransmissions = 0;
     region_takeovers = 0 }
 
-let total_overhead_messages t = t.control_messages
-
 let pp ppf t =
   Format.fprintf ppf
     "tunnels=%d retunnels=%d detunnels=%d updates=%d/%d loops=%d/%d \

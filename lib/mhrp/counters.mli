@@ -69,7 +69,5 @@ type t = {
 }
 
 val create : unit -> t
-val total_overhead_messages : t -> int
-(** [control_messages]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -14,8 +14,6 @@ let append_source_max ~max t addr =
   if List.length t.prev_sources >= max then `Full
   else `Ok { t with prev_sources = t.prev_sources @ [addr] }
 
-let append_source t addr = append_source_max ~max:max_int t addr
-
 let truncate t addr = { t with prev_sources = [addr] }
 
 let mem_source t addr = List.exists (Ipv4.Addr.equal addr) t.prev_sources

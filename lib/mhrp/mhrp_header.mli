@@ -41,12 +41,10 @@ val make :
   ?prev_sources:Ipv4.Addr.t list -> orig_proto:Ipv4.Proto.t ->
   mobile:Ipv4.Addr.t -> unit -> t
 
-val append_source : t -> Ipv4.Addr.t -> [ `Ok of t | `Full ]
-(** Add a tunnel head to the list, refusing beyond [max] entries — the
-    caller then performs the truncation fan-out of Section 4.4.  [max] is
-    supplied by {!truncate}. *)
-
 val append_source_max : max:int -> t -> Ipv4.Addr.t -> [ `Ok of t | `Full ]
+(** Add a tunnel head to the list, refusing beyond [max] entries — the
+    caller then performs the truncation fan-out of Section 4.4
+    ({!truncate}). *)
 
 val truncate : t -> Ipv4.Addr.t -> t
 (** Section 4.4 overflow step: reset the list to exactly the new single

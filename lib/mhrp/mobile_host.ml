@@ -15,20 +15,20 @@ type t = {
   mutable registrations_completed : int;
   mutable last_advert : Netsim.Time.t;
   mutable implicit_disconnects : int;
-  mutable reg_seq : int;
-  mutable reg_acked : int;
+  connect : Exchange.t;
+  home_reg : Exchange.t;
   mutable regional : Ipv4.Addr.t option;
   mutable regional_backup : Ipv4.Addr.t option;
-  mutable rr_seq : int;
-  mutable rr_acked : int;
+  region_reg : Exchange.t;
 }
 
 let create ~home ~home_agent =
   { home; home_agent; phase = At_home; old_fa = None; own_fa_temp = None;
     moves = 0; registrations_completed = 0;
     last_advert = Netsim.Time.zero; implicit_disconnects = 0;
-    reg_seq = 0; reg_acked = 0; regional = None; regional_backup = None;
-    rr_seq = 0; rr_acked = 0 }
+    connect = Exchange.create (); home_reg = Exchange.create ();
+    regional = None; regional_backup = None;
+    region_reg = Exchange.create () }
 
 let current_fa t =
   match t.phase with

@@ -28,12 +28,12 @@ type t = {
       (** When the current agent (foreign or home) was last heard
           advertising — the Section 3 implicit-disconnection clock. *)
   mutable implicit_disconnects : int;
-  mutable reg_seq : int;
-      (** Generation number of the newest registration request sent
-          ([Config.reliable_control]): a retransmission loop stops once a
-          newer exchange supersedes it. *)
-  mutable reg_acked : int;
-      (** Highest generation confirmed by a registration reply. *)
+  connect : Exchange.t;
+      (** The [Fa_connect] exchange: acknowledged when the registration
+          completes, abandoned by the next move. *)
+  home_reg : Exchange.t;
+      (** Registration requests to the home agent, acknowledged by its
+          reply. *)
   mutable regional : Ipv4.Addr.t option;
       (** The regional agent the host is registered through
           ([Config.hierarchy]).  While the next handoff stays under the
@@ -42,11 +42,9 @@ type t = {
       (** The standby regional agent advertised at connect time
           ([Fa_connect_ack_r]); the failover target when the primary stops
           acknowledging regional registrations. *)
-  mutable rr_seq : int;
-      (** Generation of the newest regional registration sent
-          ([Config.reliable_control]). *)
-  mutable rr_acked : int;
-      (** Highest generation confirmed by a regional ack. *)
+  region_reg : Exchange.t;
+      (** Registrations with the regional agent, acknowledged by
+          [Reg_region_ack]. *)
 }
 
 val create : home:Ipv4.Addr.t -> home_agent:Ipv4.Addr.t -> t

@@ -1,11 +1,9 @@
 type t = {
   agents : Agent.t list;
   mutable syncs : int;
-  (* Reliable control plane: one outstanding sync per (origin, peer,
-     mobile), tagged with a generation so a newer registration for the
-     same mobile host supersedes the retransmission loop of the old one. *)
-  pending : (Ipv4.Addr.t * Ipv4.Addr.t * Ipv4.Addr.t, int) Hashtbl.t;
-  mutable gen : int;
+  (* one exchange per (origin, peer, mobile): a newer registration for the
+     same mobile host supersedes the retransmissions of the old one *)
+  pending : (Ipv4.Addr.t * Ipv4.Addr.t * Ipv4.Addr.t, Exchange.t) Hashtbl.t;
 }
 
 let sync_datagram a ~mobile ~foreign_agent ~peer =
@@ -17,39 +15,19 @@ let mirror t a peer ~mobile ~foreign_agent =
   t.syncs <- t.syncs + 1;
   (* mirror over the wire: replicas may sit anywhere on the
      organisation's network *)
-  Net.Node.send (Agent.node a) (sync_datagram a ~mobile ~foreign_agent ~peer);
-  let config = Agent.config a in
-  if config.Config.reliable_control then begin
-    t.gen <- t.gen + 1;
-    let gen = t.gen in
-    let key = (Agent.address a, Agent.address peer, mobile) in
-    Hashtbl.replace t.pending key gen;
-    let node = Agent.node a in
-    let counters = Agent.counters a in
-    let engine = Net.Node.engine node in
-    let rec arm ~delay ~retries_left =
-      ignore
-        (Netsim.Engine.schedule_after engine ~delay (fun () ->
-             if Net.Node.is_up node
-                && Hashtbl.find_opt t.pending key = Some gen
-             then
-               if retries_left <= 0 then begin
-                 counters.Counters.retransmit_gave_up <-
-                   counters.Counters.retransmit_gave_up + 1;
-                 Hashtbl.remove t.pending key
-               end
-               else begin
-                 counters.Counters.sync_retransmissions <-
-                   counters.Counters.sync_retransmissions + 1;
-                 Net.Node.send node
-                   (sync_datagram a ~mobile ~foreign_agent ~peer);
-                 arm ~delay:(Netsim.Time.add delay delay)
-                   ~retries_left:(retries_left - 1)
-               end))
-    in
-    arm ~delay:config.Config.control_rto
-      ~retries_left:config.Config.control_retries
-  end
+  let send () =
+    Net.Node.send (Agent.node a) (sync_datagram a ~mobile ~foreign_agent ~peer)
+  in
+  send ();
+  let counters = Agent.counters a in
+  Exchange.start
+    (Exchange.find t.pending (Agent.address a, Agent.address peer, mobile))
+    (Agent.node a) (Agent.config a) counters
+    ~resend:(fun () ->
+        counters.Counters.sync_retransmissions <-
+          counters.Counters.sync_retransmissions + 1;
+        send ())
+    ~give_up:ignore
 
 let group agents =
   (match agents with
@@ -60,7 +38,7 @@ let group agents =
        if Agent.home_agent a = None then
          invalid_arg "Replication.group: member is not a home agent")
     agents;
-  let t = { agents; syncs = 0; pending = Hashtbl.create 16; gen = 0 } in
+  let t = { agents; syncs = 0; pending = Hashtbl.create 16 } in
   List.iter
     (fun a ->
        Agent.on_registration a (fun ~mobile ~foreign_agent ->
@@ -69,7 +47,9 @@ let group agents =
                 if peer != a then mirror t a peer ~mobile ~foreign_agent)
              t.agents);
        Agent.on_ha_sync_ack a (fun ~peer ~mobile ->
-           Hashtbl.remove t.pending (Agent.address a, peer, mobile)))
+           match Hashtbl.find_opt t.pending (Agent.address a, peer, mobile) with
+           | Some x -> Exchange.ack x
+           | None -> ()))
     agents;
   t
 

@@ -180,7 +180,6 @@ let update_routes t f = t.table <- f t.table
 (* --- hooks --- *)
 
 let set_proto_handler t proto h = Hashtbl.replace t.proto_handlers proto h
-let clear_proto_handler t proto = Hashtbl.remove t.proto_handlers proto
 let set_accept_ip t f = t.accept_ip <- f
 let set_rewrite_forward t f = t.rewrite_forward <- f
 let set_arp_proxy t f = t.arp_proxy <- f

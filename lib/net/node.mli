@@ -134,8 +134,6 @@ val set_proto_handler :
     anything else is dropped as ["no-proto-handler"].  Replaces any
     previous handler for [proto]. *)
 
-val clear_proto_handler : t -> Ipv4.Proto.t -> unit
-
 val set_accept_ip : t -> (t -> Ipv4.Addr.t -> bool) -> unit
 (** [f node dst] claims a received packet addressed to [dst], which is
     none of this node's addresses: [true] delivers it to the local

@@ -17,9 +17,6 @@ val split : t -> t
 
 val copy : t -> t
 
-val next_int64 : t -> int64
-(** Uniform over all 2^64 values. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  Raises [Invalid_argument]
     if [bound <= 0]. *)

@@ -8,9 +8,6 @@ type summary = {
   max : float;
 }
 
-val summary_to_json : summary -> Obs.Json.t
-(** Structured form of a summary, for the benchmark JSON (Obs). *)
-
 (** Online mean/variance accumulator (Welford). *)
 module Acc : sig
   type t
@@ -32,7 +29,7 @@ module Acc : sig
   val pp : Format.formatter -> t -> unit
 
   val to_json : t -> Obs.Json.t
-  (** [summary_to_json (summary t)]. *)
+  (** Structured form of [summary t], for the benchmark JSON (Obs). *)
 end
 
 (** Reservoir of all samples, for exact percentiles. *)

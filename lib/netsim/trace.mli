@@ -33,5 +33,4 @@ val events : t -> event list
 val count : t -> kind:string -> int
 val find : t -> kind:string -> event list
 val clear : t -> unit
-val pp_event : Format.formatter -> event -> unit
 val dump : Format.formatter -> t -> unit

@@ -37,5 +37,4 @@ val drift : tol:tol -> baseline:value -> current:value -> string option
     human-readable reason naming both values.  Kind mismatches always
     drift. *)
 
-val pp_tol : Format.formatter -> tol -> unit
 val pp : Format.formatter -> t -> unit

@@ -509,8 +509,9 @@ let local_port t = t.local_port
 let remote t = t.remote
 let remote_port t = t.remote_port
 let stack t = t.stack
-let bytes_queued t = data_end t - t.snd_una
-(* unacknowledged stream bytes, FIN excluded *)
+(* unacknowledged stream bytes: neither the SYN nor the FIN counts *)
+let bytes_queued t =
+  data_end t - max (t.iss + 1) (min t.snd_una (data_end t))
 
 module Dgram = struct
   type nonrec t = {

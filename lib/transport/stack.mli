@@ -48,10 +48,6 @@ val register_listener : t -> port:int -> tcp_rx -> unit
 val unregister_listener : t -> port:int -> unit
 val register_udp : t -> port:int -> udp_rx -> unit
 
-val fresh_ip_id : t -> int
-(** 16-bit, wraps skipping 0; fresh per transmission (retransmissions
-    included) so fragment reassembly keys never collide. *)
-
 val fresh_iss : t -> int
 val fresh_ephemeral_port : t -> int
 

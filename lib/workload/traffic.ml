@@ -2,18 +2,11 @@ type t = {
   metrics : Metrics.t;
   engine : Netsim.Engine.t;
   mutable next_id : int;
-  mutable responses : int;
-  stacks : (int, Transport.Stack.t) Hashtbl.t;
   dgrams : (int, Transport.Socket.Dgram.t) Hashtbl.t;
 }
 
 let create ?(first_id = 1) metrics engine =
-  { metrics;
-    engine;
-    next_id = first_id;
-    responses = 0;
-    stacks = Hashtbl.create 8;
-    dgrams = Hashtbl.create 8 }
+  { metrics; engine; next_id = first_id; dgrams = Hashtbl.create 8 }
 
 let fresh_id t =
   let id = t.next_id in
@@ -21,19 +14,10 @@ let fresh_id t =
   t.next_id <- (if id >= 0xFFFF then 1 else id + 1);
   id
 
-(* One transport stack per distinct source agent, created on first use.
-   Datagram sources never claim the agent's receive tap, so
-   [Metrics.watch_receiver] on the same simulation keeps seeing
-   deliveries. *)
-let stack_for t agent =
-  let key = Ipv4.Addr.to_key (Mhrp.Agent.address agent) in
-  match Hashtbl.find_opt t.stacks key with
-  | Some s -> s
-  | None ->
-    let s = Transport.Stack.create agent in
-    Hashtbl.replace t.stacks key s;
-    s
-
+(* One transport stack and datagram endpoint per distinct source agent,
+   created on first use.  Datagram sources never claim the agent's
+   receive tap, so [Metrics.watch_receiver] on the same simulation keeps
+   seeing deliveries. *)
 let dgram_for t agent =
   let key = Ipv4.Addr.to_key (Mhrp.Agent.address agent) in
   match Hashtbl.find_opt t.dgrams key with
@@ -42,7 +26,7 @@ let dgram_for t agent =
     let d =
       Transport.Socket.Dgram.create
         ~tap:(Metrics.note_send t.metrics)
-        (stack_for t agent) ~port:4000
+        (Transport.Stack.create agent) ~port:4000
     in
     Hashtbl.replace t.dgrams key d;
     d
@@ -62,44 +46,6 @@ let cbr t ~src ~dst ?size ~start ~interval ~count () =
     in
     at t time (fun () -> send_udp t ~src ~dst ?size ())
   done
-
-let request_response t ~client ~server ?(size = 32) ~start ~interval
-    ~count () =
-  let server_stack = stack_for t server in
-  (* the server echoes a [size]-byte response per complete request *)
-  ignore
-    (Transport.Socket.listen server_stack ~port:80 (fun sock ->
-         let pending = ref 0 in
-         Transport.Socket.recv_cb sock (fun data ->
-             pending := !pending + Bytes.length data;
-             while !pending >= size do
-               pending := !pending - size;
-               Transport.Socket.send sock (Bytes.create size)
-             done)));
-  at t start (fun () ->
-      let sock =
-        Transport.Socket.connect (stack_for t client) ~src_port:5001
-          ~dst:(Mhrp.Agent.address server) ~dst_port:80 ()
-      in
-      let got = ref 0 in
-      Transport.Socket.recv_cb sock (fun data ->
-          got := !got + Bytes.length data;
-          while !got >= size do
-            got := !got - size;
-            t.responses <- t.responses + 1
-          done);
-      Transport.Socket.send sock (Bytes.create size);
-      for k = 1 to count - 1 do
-        let time =
-          Netsim.Time.add start
-            (Netsim.Time.of_us (k * Netsim.Time.to_us interval))
-        in
-        at t time (fun () ->
-            if not (Transport.Socket.is_closed sock) then
-              Transport.Socket.send sock (Bytes.create size))
-      done)
-
-let responses_received t = t.responses
 
 let ping t ~src ~dst ~at:time =
   at t time (fun () ->

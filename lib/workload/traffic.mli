@@ -1,22 +1,18 @@
-(** Traffic generation over the transport layer, wired into {!Metrics}.
+(** Datagram traffic generation over the transport layer, wired into
+    {!Metrics}.
 
-    Every flow runs through {!Transport.Socket}: datagrams through
-    {!Transport.Socket.Dgram} endpoints (one per source agent, created
-    lazily), request/response exchanges through real connected sockets.
-    Application code here never constructs raw TCP or UDP wire bytes.
+    Datagrams go through {!Transport.Socket.Dgram} endpoints (one per
+    source agent, created lazily); connected request/response traffic is
+    {!Apps.Rpc}'s.  Application code here never constructs raw UDP wire
+    bytes.
 
-    Allocates unique IP ids so each datagram is individually
+    Each datagram and ping gets its own IP id (16-bit, from [first_id],
+    wrapping past 0xFFFF to 1, never 0), so each is individually
     trackable. *)
 
 type t
 
 val create : ?first_id:int -> Metrics.t -> Netsim.Engine.t -> t
-
-val fresh_id : t -> int
-(** Next tracked IP id (16-bit, wraps skipping 0).
-    @deprecated Only metric-tracked datagram helpers below should need
-    ids; new application code should use {!Transport.Socket} directly
-    and leave id allocation to the stack. *)
 
 val send_udp : t -> src:Mhrp.Agent.t -> dst:Ipv4.Addr.t -> ?size:int ->
   unit -> unit
@@ -37,18 +33,3 @@ val ping :
 (** One echo request (the reply is the destination's business).  ICMP
     sits below the transport layer, so this is the one flow not on a
     socket. *)
-
-val request_response :
-  t -> client:Mhrp.Agent.t -> server:Mhrp.Agent.t -> ?size:int ->
-  start:Netsim.Time.t -> interval:Netsim.Time.t -> count:int -> unit ->
-  unit
-(** A connected request/response exchange over {!Transport.Socket}: the
-    client opens one connection to the server's port 80 at [start] and
-    writes a [size]-byte request per [interval]; the server answers each
-    complete request with a [size]-byte response.  Mobile servers
-    exercise tunneling on requests and plain routing on responses.
-    Installs both agents' transport stacks (one such workload per
-    client/server pair). *)
-
-val responses_received : t -> int
-(** Complete responses the request/response clients got back. *)

@@ -93,6 +93,7 @@ let injector_tests =
         in
         Workload.Metrics.watch_receiver metrics f.TG.m;
         let inj = Fault.Injector.create topo in
+        let inv = Fault.Invariant.watch topo in
         Fault.Injector.inject inj
           [ Fault.Schedule.Control_loss
               { rate = 1.0; from_ = Time.zero; until = Time.of_sec 10.0 } ];
@@ -104,7 +105,12 @@ let injector_tests =
         check Alcotest.int "data delivered" 3
           (List.length (Workload.Metrics.delivered metrics));
         check Alcotest.bool "control was being dropped" true
-          (Fault.Injector.control_losses inj > 0));
+          (Fault.Injector.control_losses inj > 0);
+        check Alcotest.int "one loss window" 1
+          (Fault.Injector.loss_windows inj);
+        check Alcotest.int "every loss recorded as a fault drop"
+          (Fault.Injector.control_losses inj)
+          (Fault.Invariant.fault_losses inv));
     Alcotest.test_case "same seed, same campaign" `Quick (fun () ->
         let campaign () =
           let f = TG.figure1 () in

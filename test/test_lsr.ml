@@ -121,7 +121,9 @@ let convergence_tests =
              (fun r -> (Lsr.Router.counters r).Lsr.Counters.spf_runs > 0)
              (Lsr.Domain.routers d));
         check Alcotest.int "databases hold all four routers" 4
-          (Lsr.Router.lsdb_size (Lsr.Domain.router d "R1")));
+          (Lsr.Router.lsdb_size (Lsr.Domain.router d "R1"));
+        check Alcotest.int "R3 meets R1, R2 and R4" 3
+          (Lsr.Router.neighbor_count (Lsr.Domain.router d "R3")));
     Alcotest.test_case "campus internetwork converges" `Quick (fun () ->
         let c =
           TG.campuses_plain ~campuses:4 ~mobiles_per_campus:1

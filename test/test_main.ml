@@ -14,6 +14,7 @@ let () =
          Test_misc_behaviour.suite;
          Test_fragmentation.suite;
          Test_reliable.suite;
+         Test_exchange.suite;
          Test_transport.suite;
          Test_baselines_stale.suite;
          Test_edges.suite;

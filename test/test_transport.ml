@@ -107,6 +107,100 @@ let socket_tests =
            (Bytes.equal data (Buffer.to_bytes received));
          check Alcotest.bool "hand-off cost retransmissions" true
            ((Stack.counters client).Transport.Counters.retransmissions > 0));
+    Alcotest.test_case "bytes stay queued until acknowledged" `Quick
+      (fun () ->
+         let f = setup () in
+         let server = Stack.create f.TG.m in
+         ignore (Socket.listen server ~port:7 (fun _ -> ()));
+         let client = Stack.create f.TG.s in
+         let sock = ref None in
+         let queued_at_send = ref (-1) and queued_at_drain = ref (-1) in
+         at f.TG.topo 1.0 (fun () ->
+             let s =
+               Socket.connect client ~dst:(Agent.address f.TG.m) ~dst_port:7
+                 ()
+             in
+             sock := Some s;
+             Socket.send s (Bytes.make 3000 'q');
+             queued_at_send := Socket.bytes_queued s;
+             Socket.on_drained s (fun () ->
+                 queued_at_drain := Socket.bytes_queued s;
+                 Socket.close s));
+         Topology.run ~until:(Time.of_sec 5.0) f.TG.topo;
+         check Alcotest.int "all queued before the handshake" 3000
+           !queued_at_send;
+         check Alcotest.int "none once drained" 0 !queued_at_drain;
+         check Alcotest.int "none after the FIN is acked" 0
+           (Socket.bytes_queued (Option.get !sock)));
+    Alcotest.test_case "abort resets the peer at once" `Quick (fun () ->
+        let f = setup () in
+        let server = Stack.create f.TG.m in
+        let server_error = ref "" in
+        ignore
+          (Socket.listen server ~port:7 (fun sock ->
+               Socket.on_error sock (fun e -> server_error := e)));
+        let client = Stack.create f.TG.s in
+        let closed = ref false in
+        at f.TG.topo 1.0 (fun () ->
+            let sock =
+              Socket.connect client ~dst:(Agent.address f.TG.m) ~dst_port:7 ()
+            in
+            Socket.on_closed sock (fun () -> closed := true);
+            Socket.on_established sock (fun () ->
+                Socket.abort sock;
+                check Alcotest.bool "closed locally" true
+                  (Socket.is_closed sock)));
+        Topology.run ~until:(Time.of_sec 5.0) f.TG.topo;
+        check Alcotest.bool "closed callback" true !closed;
+        check Alcotest.string "peer reset" "connection reset by peer"
+          !server_error;
+        check Alcotest.int "one reset sent" 1
+          (Stack.counters client).Transport.Counters.resets_sent);
+    Alcotest.test_case "a closed listener refuses new connections" `Quick
+      (fun () ->
+         let f = setup () in
+         let server = Stack.create f.TG.m in
+         let accepted = ref 0 in
+         let l = Socket.listen server ~port:7 (fun _ -> incr accepted) in
+         let client = Stack.create f.TG.s in
+         let errors = ref [] in
+         let connect_at sec =
+           at f.TG.topo sec (fun () ->
+               let sock =
+                 Socket.connect client ~dst:(Agent.address f.TG.m)
+                   ~dst_port:7 ()
+               in
+               Socket.on_error sock (fun e -> errors := e :: !errors))
+         in
+         connect_at 1.0;
+         at f.TG.topo 2.0 (fun () -> Socket.close_listener l);
+         connect_at 3.0;
+         Topology.run ~until:(Time.of_sec 6.0) f.TG.topo;
+         check Alcotest.int "accepted before closing" 1 !accepted;
+         check (Alcotest.list Alcotest.string) "refused after"
+           [ "connection reset by peer" ] !errors);
+    Alcotest.test_case "chat room relays each message to the others"
+      `Quick (fun () ->
+        let f = setup () in
+        let room =
+          Workload.Apps.Chat.room (Stack.create f.TG.s) ~port:9000
+            ~msg_bytes:16
+        in
+        let join agent =
+          Workload.Apps.Chat.join (Stack.create agent)
+            ~server:(Agent.address f.TG.s) ~port:9000 ~msg_bytes:16
+            ~at:(Time.of_sec 1.0) ()
+        in
+        let a = join f.TG.m and b = join f.TG.r1 and c = join f.TG.r3 in
+        Workload.Apps.Chat.say a ~at:(Time.of_sec 2.0);
+        Topology.run ~until:(Time.of_sec 5.0) f.TG.topo;
+        check Alcotest.int "three members" 3
+          (Workload.Apps.Chat.members room);
+        check Alcotest.int "relayed to both others" 2
+          (Workload.Apps.Chat.relayed room);
+        check (Alcotest.list Alcotest.int) "received"
+          [ 0; 1; 1 ]
+          (List.map Workload.Apps.Chat.received [ a; b; c ]));
     Alcotest.test_case "datagram endpoint roundtrip" `Quick (fun () ->
         let f = setup () in
         let sender = Stack.create f.TG.s in

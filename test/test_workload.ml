@@ -77,29 +77,35 @@ let metrics_tests =
            Workload.Traffic.create ~first_id:0xFFFE metrics
              (Topology.engine f.TG.topo)
          in
-         let a = Workload.Traffic.fresh_id traffic in
-         let b = Workload.Traffic.fresh_id traffic in
-         let c = Workload.Traffic.fresh_id traffic in
+         for _ = 1 to 3 do
+           Workload.Traffic.send_udp traffic ~src:f.TG.s
+             ~dst:(Agent.address f.TG.m) ()
+         done;
          check (Alcotest.list Alcotest.int) "wrap" [0xFFFE; 0xFFFF; 1]
-           [a; b; c]) ]
+           (List.map
+              (fun r -> snd r.Workload.Metrics.key)
+              (Workload.Metrics.records metrics))) ]
 
 let reqresp_tests =
   [ Alcotest.test_case
       "tcp request/response to a visiting mobile server" `Quick (fun () ->
           let f = TG.figure1 () in
           let metrics = Workload.Metrics.create f.TG.topo in
-          let traffic =
-            Workload.Traffic.create metrics (Topology.engine f.TG.topo)
-          in
           Workload.Mobility.move_at f.TG.topo f.TG.m ~at:(Time.of_sec 0.5)
             f.TG.net_d;
-          Workload.Traffic.request_response traffic ~client:f.TG.s
-            ~server:f.TG.m ~start:(Time.of_sec 2.0)
-            ~interval:(Time.of_ms 100) ~count:5 ();
+          Workload.Apps.Rpc.serve (Transport.Stack.create f.TG.m) ~port:80
+            ~req_bytes:32 ~resp_bytes:32;
+          let rpc =
+            Workload.Apps.Rpc.start
+              ~client:(Transport.Stack.create f.TG.s)
+              ~server:(Agent.address f.TG.m) ~req_bytes:32 ~resp_bytes:32
+              ~start:(Time.of_sec 2.0) ~interval:(Time.of_ms 100) ~count:5
+              ()
+          in
           Topology.run ~until:(Time.of_sec 5.0) f.TG.topo;
           check Alcotest.int "all responses back" 5
-            (Workload.Traffic.responses_received traffic);
-          (* the exchange rides a real connected socket now: requests to
+            (Workload.Apps.Rpc.responses rpc);
+          (* the exchange rides a real connected socket: requests to
              the visiting server were tunneled, responses travelled as
              plain IP, and no raw segments were tracked as datagrams *)
           check Alcotest.int "no raw packet records" 0
