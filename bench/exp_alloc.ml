@@ -21,9 +21,11 @@
      three modes and the fast-forward engagement counters (Exact: 8 hops
      x every packet in the fast and agent modes, zero in slow mode).
 
-   - the pool-backed wire-level encap/decap against the record-based
-     transformations, including byte-for-byte equivalence flags and the
-     pool's deterministic hit/miss accounting.
+   - the tunnel path on wire bytes: one agent-built tunnel and its exit
+     built from a view against the record-based transformations, with
+     byte-for-byte equivalence flags, and one tunneled datagram through
+     Figure 1 (sender tunnel, hops, foreign-agent exit, last hop) at
+     64 B and 1 KiB payloads.
 
    - the transport layer: TCP segment encode/decode word counts and the
      full socket send path (queue, segment, deliver, ack) per 256-byte
@@ -253,31 +255,39 @@ let part_chain () =
      minor words per hop"
     fast_n hops agent_n agent_hops (slow_ph /. fast_ph)
 
-(* --- part 3: pool-backed encap/decap ------------------------------ *)
+(* --- part 3: tunnels on wire bytes ---------------------------------- *)
 
 let encap_ops = 10_000
 
-let part_encap () =
+(* One tunnel and one exit, record path against the wire builders the
+   agents run: byte-for-byte equivalence flags and words per pair. *)
+let encap_pair () =
   let agent = Addr.host 2 1 and foreign_agent = Addr.host 4 1 in
   let tunneled_rec = Mhrp.Encap.tunnel_by_agent ~agent ~foreign_agent sample in
   let tunneled_wire = Packet.encode tunneled_rec in
-  let pool = Ipv4.Buffer_pool.create () in
   let v = View.make wire_small in
   let tv = View.make tunneled_wire in
-  (* byte-for-byte equivalence of the two implementations *)
-  let enc = Mhrp.Encap.tunnel_by_agent_into ~pool ~agent ~foreign_agent v in
-  let enc_ok = Bytes.equal enc tunneled_wire in
-  let dec_ok =
-    match Mhrp.Encap.detunnel_into ~pool tv, Mhrp.Encap.detunnel tunneled_rec with
-    | Some (buf, h), Some (orig, h') ->
-      Bytes.equal buf (Packet.encode orig) && Mhrp.Mhrp_header.equal h h'
-    | _ -> false
+  let exit tv =
+    match Mhrp.Encap.header_at tv with
+    | Some h -> (Mhrp.Encap.detunnel_into tv h, h)
+    | None -> failwith "header_at: None"
   in
-  Ipv4.Buffer_pool.release pool enc;
+  let enc_ok =
+    Bytes.equal
+      (Mhrp.Encap.tunnel_by_agent_into ~agent ~foreign_agent v)
+      tunneled_wire
+  in
+  let dec_ok =
+    match Mhrp.Encap.detunnel tunneled_rec with
+    | Some (orig, h') ->
+      let buf, h = exit tv in
+      Bytes.equal buf (Packet.encode orig) && Mhrp.Mhrp_header.equal h h'
+    | None -> false
+  in
   Exp_util.rec_flag ~exp "encap_wire_equivalent" enc_ok;
   Exp_util.rec_flag ~exp "detunnel_wire_equivalent" dec_ok;
-  (* steady-state allocation: record path rebuilds and re-encodes, the
-     pool path recycles two exact-size buffers *)
+  (* steady-state allocation: the record path rebuilds and re-encodes,
+     the wire path writes two exact-size buffers *)
   let (), rec_alloc =
     Obs.Alloc.measure (fun () ->
         for _ = 1 to encap_ops do
@@ -287,31 +297,74 @@ let part_encap () =
           ignore (Mhrp.Encap.detunnel tunneled_rec)
         done)
   in
-  let h0 = Ipv4.Buffer_pool.hits pool and m0 = Ipv4.Buffer_pool.misses pool in
-  let (), pool_alloc =
+  let (), wire_alloc =
     Obs.Alloc.measure (fun () ->
         for _ = 1 to encap_ops do
-          let b = Mhrp.Encap.tunnel_by_agent_into ~pool ~agent ~foreign_agent v in
-          Ipv4.Buffer_pool.release pool b;
-          (match Mhrp.Encap.detunnel_into ~pool tv with
-           | Some (b, _) -> Ipv4.Buffer_pool.release pool b
-           | None -> failwith "detunnel_into: None");
+          ignore (Mhrp.Encap.tunnel_by_agent_into ~agent ~foreign_agent v);
+          ignore (exit tv)
         done)
   in
   let rec_w = (Obs.Alloc.per rec_alloc encap_ops).Obs.Alloc.minor_words in
-  let pool_w = (Obs.Alloc.per pool_alloc encap_ops).Obs.Alloc.minor_words in
+  let wire_w = (Obs.Alloc.per wire_alloc encap_ops).Obs.Alloc.minor_words in
   Exp_util.rec_f ~exp ~labels:[("path", "record")] ~tol:(Obs.Metric.Pct 30.0)
     "encap_minor_words_per_op" rec_w;
-  Exp_util.rec_f ~exp ~labels:[("path", "pool")] ~tol:(Obs.Metric.Pct 30.0)
-    "encap_minor_words_per_op" pool_w;
-  Exp_util.rec_i ~exp "pool_hits" (Ipv4.Buffer_pool.hits pool - h0);
-  Exp_util.rec_i ~exp "pool_misses" (Ipv4.Buffer_pool.misses pool - m0);
-  Exp_util.rec_i ~exp "pool_pooled" (Ipv4.Buffer_pool.pooled pool);
-  Exp_util.table
-    ~columns:["encap+decap"; "minor w/op"; "wire-equivalent"]
-    [ [ "record (rebuild+re-encode)"; Exp_util.f1 rec_w; "-" ];
-      [ "pool (single blit)"; Exp_util.f1 pool_w;
-        if enc_ok && dec_ok then "yes" else "NO" ] ]
+  Exp_util.rec_f ~exp ~labels:[("path", "wire")] ~tol:(Obs.Metric.Pct 30.0)
+    "encap_minor_words_per_op" wire_w;
+  [ [ "encap+decap, record (rebuild+re-encode)"; Exp_util.f1 rec_w; "-" ];
+    [ "encap+decap, wire (single blit)"; Exp_util.f1 wire_w;
+      (if enc_ok && dec_ok then "yes" else "NO") ] ]
+
+let tunnel_packets = 200
+
+(* One tunneled datagram through Figure 1, per packet: S's sender-built
+   tunnel on a location-cache hit, the forwarding hops, R4's tunnel
+   exit and the last hop to M, with M's receive.  A first burst warms
+   the ARP caches and the event queue; every measured datagram must
+   arrive. *)
+let tunnel_words size =
+  let f = Workload.Topo_gen.figure1 () in
+  let topo = f.Workload.Topo_gen.topo in
+  Netsim.Trace.set_enabled (Topology.trace topo) false;
+  let s = f.Workload.Topo_gen.s and m = f.Workload.Topo_gen.m in
+  Workload.Mobility.move_at topo m ~at:(Time.of_sec 0.5)
+    f.Workload.Topo_gen.net_d;
+  Topology.run ~until:(Time.of_sec 2.0) topo;
+  let foreign_agent =
+    match Mhrp.Agent.mobile m with
+    | Some { Mhrp.Mobile_host.phase = Mhrp.Mobile_host.Registered fa; _ } ->
+      fa
+    | _ -> failwith "tunnel_words: M is not registered"
+  in
+  let dst = Mhrp.Agent.address m in
+  let received = ref 0 in
+  Mhrp.Agent.on_app_receive m (fun _ -> incr received);
+  let data = Bytes.create size in
+  let burst ~until =
+    Mhrp.Location_cache.update (Mhrp.Agent.cache s) ~mobile:dst ~foreign_agent;
+    for _ = 1 to tunnel_packets do Mhrp.Agent.send_udp s ~dst data done;
+    Topology.run ~until:(Time.of_sec until) topo
+  in
+  burst ~until:3.0;
+  let before = !received in
+  let (), alloc = Obs.Alloc.measure (fun () -> burst ~until:4.0) in
+  if !received - before <> tunnel_packets then
+    failwith "tunnel_words: a measured datagram was lost";
+  (Obs.Alloc.per alloc tunnel_packets).Obs.Alloc.minor_words
+
+let part_encap () =
+  let rows = encap_pair () in
+  let tunnel =
+    List.map
+      (fun size ->
+         let w = tunnel_words size in
+         Exp_util.rec_f ~exp ~labels:[("size", string_of_int size)]
+           ~tol:(Obs.Metric.Pct 30.0) "tunnel_minor_words_per_packet" w;
+         [ Printf.sprintf "Figure 1 tunneled datagram, %dB" size;
+           Exp_util.f1 w; "-" ])
+      [64; 1024]
+  in
+  Exp_util.table ~columns:["tunnel path"; "minor w/op"; "wire-equivalent"]
+    (rows @ tunnel)
 
 (* --- part 4: transport segment codec and socket send path --------- *)
 
@@ -483,7 +536,7 @@ let part_control () =
 
 let run () =
   Exp_util.heading "ALLOC"
-    "zero-copy fast path: allocations, throughput, pool behaviour";
+    "zero-copy fast path: allocations, throughput, tunnel path";
   part_header ();
   part_chain ();
   part_encap ();
@@ -492,4 +545,4 @@ let run () =
 
 let experiment =
   Exp_util.Experiment.make ~id:"alloc"
-    ~title:"zero-copy fast path: allocations, throughput, pool behaviour" run
+    ~title:"zero-copy fast path: allocations, throughput, tunnel path" run

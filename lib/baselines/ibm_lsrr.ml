@@ -68,9 +68,10 @@ let add_base t node ~lan =
           (match Hashtbl.find_opt t.current_base dst with
            | Some cur when not (Addr.equal cur b.b_addr) ->
              Node.Replace
-               { (Packet.View.decode v) with
-                 Packet.dst = cur;
-                 options = [Ipv4.Ip_option.lsrr [dst]] }
+               (Packet.encode
+                  { (Packet.View.decode v) with
+                    Packet.dst = cur;
+                    options = [Ipv4.Ip_option.lsrr [dst]] })
            | _ -> Node.Forward)
         | _ -> Node.Forward);
     (* Same path for packets claimed off the local LAN. *)

@@ -95,13 +95,13 @@ let add_router t node =
                  (Hashtbl.find_opt t.authoritative h.Viph.vip_dst)
              in
              if Addr.equal pkt.Packet.dst phys then Node.Forward
-             else Node.Replace { pkt with Packet.dst = phys }
+             else Node.Replace (Packet.encode { pkt with Packet.dst = phys })
            | _ ->
              (* unresolved packet: rewrite from our own cache if we can *)
              if Addr.equal pkt.Packet.dst h.Viph.vip_dst then
                match Hashtbl.find_opt r.amt h.Viph.vip_dst with
                | Some (phys, _) when not (Addr.equal phys pkt.Packet.dst) ->
-                 Node.Replace { pkt with Packet.dst = phys }
+                 Node.Replace (Packet.encode { pkt with Packet.dst = phys })
                | _ -> Node.Forward
              else Node.Forward))
 

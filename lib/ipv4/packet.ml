@@ -52,7 +52,7 @@ let check_field name v max =
   if v < 0 || v > max then
     invalid_arg (Printf.sprintf "Packet.encode: %s out of range" name)
 
-let encode t =
+let encode_with_gap t ~gap =
   check_field "tos" t.tos 0xFF;
   check_field "id" t.id 0xFFFF;
   check_field "ttl" t.ttl 0xFF;
@@ -61,7 +61,7 @@ let encode t =
   let hlen = 20 + Bytes.length opts in
   let ihl = hlen / 4 in
   if ihl > 15 then invalid_arg "Packet.encode: header too long";
-  let tlen = hlen + Bytes.length t.payload in
+  let tlen = hlen + gap + Bytes.length t.payload in
   if tlen > 0xFFFF then invalid_arg "Packet.encode: packet too long";
   let buf = Bytes.make tlen '\000' in
   put_u8 buf 0 ((4 lsl 4) lor ihl);
@@ -80,9 +80,11 @@ let encode t =
   put_addr buf 12 t.src;
   put_addr buf 16 t.dst;
   Bytes.blit opts 0 buf 20 (Bytes.length opts);
-  Bytes.blit t.payload 0 buf hlen (Bytes.length t.payload);
+  Bytes.blit t.payload 0 buf (hlen + gap) (Bytes.length t.payload);
   Checksum.set buf ~at:10 ~off:0 ~len:hlen;
   buf
+
+let encode t = encode_with_gap t ~gap:0
 
 let decode buf =
   if Bytes.length buf < 20 then invalid_arg "Packet.decode: too short";

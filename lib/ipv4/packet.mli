@@ -71,6 +71,12 @@ val encode : t -> bytes
     Raises [Invalid_argument] if the packet exceeds 65535 bytes or any
     field is out of range. *)
 
+val encode_with_gap : t -> gap:int -> bytes
+(** {!encode} with [gap >= 0] zero bytes between the header and the
+    payload, counted in the total length and checked against the same
+    limits: the caller writes an encapsulation header there (it lies
+    outside the IP header checksum), so the payload is copied once. *)
+
 val decode : bytes -> t
 (** Raises [Invalid_argument] on malformed input or bad checksum. *)
 

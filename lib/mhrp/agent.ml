@@ -1,6 +1,7 @@
 module Time = Netsim.Time
 module Engine = Netsim.Engine
 module Packet = Ipv4.Packet
+module View = Ipv4.Packet.View
 module Addr = Ipv4.Addr
 module Node = Net.Node
 
@@ -282,7 +283,7 @@ let send t (pkt : Packet.t) =
     (* Authoritative: we are this destination's home agent. *)
     t.counters.Counters.tunnels_built <-
       t.counters.Counters.tunnels_built + 1;
-    Node.send t.node (Encap.tunnel_by_sender ~foreign_agent:fa pkt)
+    Node.send_wire t.node (Encap.tunnel_by_sender_into ~foreign_agent:fa pkt)
   | _ ->
     let cached =
       if t.cache_agent then Location_cache.find t.cache dst else None
@@ -292,7 +293,7 @@ let send t (pkt : Packet.t) =
       t.counters.Counters.tunnels_built <-
         t.counters.Counters.tunnels_built + 1;
       tracef t "tunnel" "sender-built for %a via %a" Addr.pp dst Addr.pp fa;
-      Node.send t.node (Encap.tunnel_by_sender ~foreign_agent:fa pkt)
+      Node.send_wire t.node (Encap.tunnel_by_sender_into ~foreign_agent:fa pkt)
     | None -> Node.send t.node pkt
 
 let send_udp t ?(src_port = 4000) ?(dst_port = 4000) ?(id = 0) ~dst data =
@@ -325,7 +326,23 @@ let send_unreachable t (offending : Packet.t) =
     Node.send t.node pkt
   end
 
-(* --- tunneling operations --- *)
+(* --- tunneling operations ---
+
+   Every tunnel is built from the bytes in hand ({!Encap}'s wire
+   builders): the received view at a tunnel exit or re-tunnel, whose
+   MHRP header [handle_mhrp] decoded in place.  The transport payload
+   is copied once per operation, and no packet record is built except
+   on the rare branches that hand one to a record consumer. *)
+
+(* A location update to each of [dsts]; [send_location_update] skips
+   this node's own addresses.  Top-level, so a delivered tunnel builds
+   no closure. *)
+let rec send_updates t dsts ~mobile ~foreign_agent =
+  match dsts with
+  | [] -> ()
+  | dst :: rest ->
+    send_location_update t ~dst ~mobile ~foreign_agent;
+    send_updates t rest ~mobile ~foreign_agent
 
 let regional_binding t mobile =
   match t.regional with
@@ -351,13 +368,13 @@ let regional_forward t mobile =
    the regional binding's foreign agent instead — a tunnel to ourselves
    would come back with us already among the tunnel heads and dissolve
    as a one-hop loop. *)
-let ha_intercept t (pkt : Packet.t) =
-  let mobile = pkt.Packet.dst in
+let ha_intercept t v =
+  let mobile = View.dst v in
   t.counters.Counters.intercepts <- t.counters.Counters.intercepts + 1;
   match ha_location t mobile with
   | Some fa when Addr.equal fa disconnected_marker ->
     tracef t "intercept" "%a is disconnected" Addr.pp mobile;
-    send_unreachable t pkt
+    send_unreachable t (View.decode v)
   | Some fa when not (Addr.is_zero fa) ->
     let target, report =
       if not (Node.has_address t.node fa) then (Some fa, fa)
@@ -375,48 +392,42 @@ let ha_intercept t (pkt : Packet.t) =
          t.counters.Counters.tunnels_built + 1;
        tracef t "tunnel" "intercepted for %a, to fa %a" Addr.pp mobile
          Addr.pp target;
-       Node.forward_now t.node
-         (Encap.tunnel_by_agent ~agent:(address t) ~foreign_agent:target
-            pkt);
-       send_location_update t ~dst:pkt.Packet.src ~mobile
-         ~foreign_agent:report
+       Node.forward_wire t.node
+         (Encap.tunnel_by_agent_into ~agent:(address t) ~foreign_agent:target
+            v);
+       send_location_update t ~dst:(View.src v) ~mobile ~foreign_agent:report
      | None ->
        (* our own regional binding expired with the location entry still
           naming us: the host is gone *)
        tracef t "intercept" "%a: own regional binding expired" Addr.pp
          mobile;
-       send_unreachable t pkt)
-  | Some _ ->
+       send_unreachable t (View.decode v))
+  | Some _ | None ->
     (* At home after all (stale ARP in some neighbour): pass it on to the
        home LAN. *)
-    Node.forward_now t.node pkt
-  | None -> Node.forward_now t.node pkt
+    Node.forward_now t.node (View.decode v)
 
 (* Re-tunnel a packet we cannot deliver (Section 4.4), handling list
    overflow and loop detection (Section 5.3). *)
-let do_retunnel t (pkt : Packet.t) ~mobile ~new_dst ~report_fa =
+let do_retunnel t v header ~mobile ~new_dst ~report_fa =
   match
-    Encap.retunnel ~max_prev_sources:t.config.Config.max_prev_sources
-      ~me:(address t) ~new_dst pkt
+    Encap.retunnel_into ~max_prev_sources:t.config.Config.max_prev_sources
+      ~me:(address t) ~new_dst v header
   with
-  | None -> ()
-  | Some (Encap.Retunneled p) ->
+  | Encap.Retunneled wire ->
     t.counters.Counters.retunnels <- t.counters.Counters.retunnels + 1;
     tracef t "retunnel" "%a -> %a" Addr.pp mobile Addr.pp new_dst;
-    Node.forward_now t.node p
-  | Some (Encap.Retunneled_overflow { packet; notify }) ->
+    Node.forward_wire t.node wire
+  | Encap.Retunneled_overflow { packet; notify } ->
     t.counters.Counters.retunnels <- t.counters.Counters.retunnels + 1;
     t.counters.Counters.list_truncations <-
       t.counters.Counters.list_truncations + 1;
     let reported = Option.value report_fa ~default:Addr.zero in
-    List.iter
-      (fun dst ->
-         send_location_update t ~dst ~mobile ~foreign_agent:reported)
-      notify;
+    send_updates t notify ~mobile ~foreign_agent:reported;
     tracef t "retunnel" "list overflow: notified %d, on to %a"
       (List.length notify) Addr.pp new_dst;
-    Node.forward_now t.node packet
-  | Some (Encap.Loop_detected { members }) ->
+    Node.forward_wire t.node packet
+  | Encap.Loop_detected { members } ->
     t.counters.Counters.loops_detected <-
       t.counters.Counters.loops_detected + 1;
     tracef t "loop" "detected, %d members" (List.length members);
@@ -429,39 +440,33 @@ let do_retunnel t (pkt : Packet.t) ~mobile ~new_dst ~report_fa =
     (match t.regional with
      | Some r -> Regional.withdraw r mobile
      | None -> ());
-    List.iter
-      (fun dst ->
-         send_location_update t ~dst ~mobile ~foreign_agent:Addr.zero)
-      members;
+    send_updates t members ~mobile ~foreign_agent:Addr.zero;
     t.counters.Counters.loops_dissolved <-
       t.counters.Counters.loops_dissolved + 1;
     (match t.config.Config.on_loop with
      | Config.Discard_packet -> ()
      | Config.Tunnel_home ->
-       match Encap.detunnel pkt with
-       | None -> ()
-       | Some (original, _) ->
-         Node.forward_now t.node
-           (Encap.tunnel_by_agent ~agent:(address t) ~foreign_agent:mobile
-              original))
+       Node.forward_wire t.node
+         (Encap.tunnel_by_agent_into ~agent:(address t) ~foreign_agent:mobile
+            (View.make (Encap.detunnel_into v header))))
 
 (* Stale foreign agent (or any cache agent handed a tunneled packet for a
    host it no longer serves): to the cached new location, else toward the
    home network (Section 4.4). *)
-let retunnel_stale t (pkt : Packet.t) (header : Mhrp_header.t) =
+let retunnel_stale t v (header : Mhrp_header.t) =
   let mobile = header.Mhrp_header.mobile in
   let cached =
     if t.cache_agent then Location_cache.find t.cache mobile else None
   in
   match cached with
   | Some fa when not (Node.has_address t.node fa) ->
-    do_retunnel t pkt ~mobile ~new_dst:fa ~report_fa:(Some fa)
+    do_retunnel t v header ~mobile ~new_dst:fa ~report_fa:(Some fa)
   | Some _ | None ->
-    do_retunnel t pkt ~mobile ~new_dst:mobile ~report_fa:None
+    do_retunnel t v header ~mobile ~new_dst:mobile ~report_fa:None
 
 (* Correct foreign agent: strip the header, update every stale cache agent
    recorded in it (Section 5.1), deliver over the last hop. *)
-let deliver_to_visitor t fa_state fa_iface (pkt : Packet.t) =
+let deliver_to_visitor t fa_state fa_iface v (header : Mhrp_header.t) =
   (* Report the address the tunnel actually ended at: the foreign agent's
      own address, or the temporary address of a host serving as its own
      foreign agent.  Under hierarchical registration with an explicit
@@ -479,114 +484,78 @@ let deliver_to_visitor t fa_state fa_iface (pkt : Packet.t) =
     | Some regional
       when t.config.Config.hierarchy
            && Time.to_us t.config.Config.regional_refresh > 0 -> regional
-    | _ -> pkt.Packet.dst
+    | _ -> View.dst v
   in
-  match Encap.detunnel pkt with
-  | None -> ()
-  | Some (original, header) ->
-    let mobile = header.Mhrp_header.mobile in
-    t.counters.Counters.detunnels <- t.counters.Counters.detunnels + 1;
-    List.iter
-      (fun dst ->
-         if not (Node.has_address t.node dst) then
-           send_location_update t ~dst ~mobile ~foreign_agent:endpoint)
-      header.Mhrp_header.prev_sources;
-    tracef t "deliver" "to visitor %a" Addr.pp mobile;
-    if Node.has_address t.node original.Packet.dst then
-      (* We are the mobile host serving as its own foreign agent. *)
-      Node.inject_local t.node original
-    else
-      match Foreign_agent.find fa_state mobile with
-      | None -> ()
-      | Some { Foreign_agent.mac = Some mac; iface; _ } ->
-        Node.send_ip_to_mac t.node ~iface ~dst_mac:mac original
-      | Some { Foreign_agent.mac = None; _ } ->
-        (* Recovered visitor (Section 5.2): deliver through ARP on the
-           serving LAN via a host route. *)
-        Node.update_routes t.node (fun r ->
-            Net.Route.add_host r mobile (Net.Route.Direct fa_iface));
-        Node.forward_now t.node original
+  let mobile = header.Mhrp_header.mobile in
+  t.counters.Counters.detunnels <- t.counters.Counters.detunnels + 1;
+  send_updates t header.Mhrp_header.prev_sources ~mobile
+    ~foreign_agent:endpoint;
+  tracef t "deliver" "to visitor %a" Addr.pp mobile;
+  if Node.has_address t.node mobile then
+    (* We are the mobile host serving as its own foreign agent. *)
+    Node.inject_local t.node (Packet.decode (Encap.detunnel_into v header))
+  else
+    match Foreign_agent.find fa_state mobile with
+    | None -> ()
+    | Some { Foreign_agent.mac = Some mac; iface; _ } ->
+      Node.send_wire_to_mac t.node ~iface ~dst_mac:mac
+        (Encap.detunnel_into v header)
+    | Some { Foreign_agent.mac = None; _ } ->
+      (* Recovered visitor (Section 5.2): deliver through ARP on the
+         serving LAN via a host route, added once — a table rebuilt per
+         packet would recompile its lookup every time. *)
+      (match Net.Route.host_target (Node.routes t.node) mobile with
+       | Some (Net.Route.Direct i) when i = fa_iface -> ()
+       | Some _ | None ->
+         Node.update_routes t.node (fun r ->
+             Net.Route.add_host r mobile (Net.Route.Direct fa_iface)));
+      Node.forward_wire t.node (Encap.detunnel_into v header)
 
 (* Home agent receiving a tunneled packet for one of its mobile hosts —
    the packet bounced off a stale or rebooted foreign agent
    (Sections 5.1, 5.2). *)
-let ha_handle_tunneled t ha (pkt : Packet.t) (header : Mhrp_header.t) =
+let ha_handle_tunneled t ha v (header : Mhrp_header.t) =
   let mobile = header.Mhrp_header.mobile in
   let targets =
-    let list = header.Mhrp_header.prev_sources in
-    let with_src =
-      if List.exists (Addr.equal pkt.Packet.src) list then list
-      else list @ [pkt.Packet.src]
-    in
-    List.filter (fun a -> not (Node.has_address t.node a)) with_src
+    List.filter
+      (fun a -> not (Node.has_address t.node a))
+      (Mhrp_header.tunnel_heads header ~incoming:(View.src v))
   in
   match Home_agent.location ha mobile with
-  | None -> retunnel_stale t pkt header
+  | None -> retunnel_stale t v header
   | Some fa when Addr.is_zero fa ->
     (* The mobile host is at home: reconstruct and deliver on the home
        network; stale caches learn it is home (Section 6.3). *)
-    (match Encap.detunnel pkt with
-     | None -> ()
-     | Some (original, _) ->
-       t.counters.Counters.detunnels <- t.counters.Counters.detunnels + 1;
-       List.iter
-         (fun dst ->
-            send_location_update t ~dst ~mobile ~foreign_agent:Addr.zero)
-         targets;
-       Node.forward_now t.node original)
+    t.counters.Counters.detunnels <- t.counters.Counters.detunnels + 1;
+    send_updates t targets ~mobile ~foreign_agent:Addr.zero;
+    Node.forward_wire t.node (Encap.detunnel_into v header)
   | Some fa when Addr.equal fa disconnected_marker ->
-    List.iter
-      (fun dst ->
-         send_location_update t ~dst ~mobile ~foreign_agent:Addr.zero)
-      targets;
-    (match Encap.detunnel pkt with
-     | Some (original, _) -> send_unreachable t original
-     | None -> ())
+    send_updates t targets ~mobile ~foreign_agent:Addr.zero;
+    send_unreachable t (Packet.decode (Encap.detunnel_into v header))
   | Some fa when List.exists (Addr.equal fa) targets ->
     (* Section 5.2: the agent that bounced this packet home IS the
        registered foreign agent — it must have rebooted.  Tell everyone
        (including it) and discard the packet. *)
     tracef t "fa-recovery" "%a bounced by its own fa %a" Addr.pp mobile
       Addr.pp fa;
-    List.iter
-      (fun dst -> send_location_update t ~dst ~mobile ~foreign_agent:fa)
-      targets
+    send_updates t targets ~mobile ~foreign_agent:fa
   | Some fa ->
     (* Section 5.1: update every stale agent this packet visited, then
        tunnel on to the correct foreign agent. *)
-    List.iter
-      (fun dst -> send_location_update t ~dst ~mobile ~foreign_agent:fa)
-      targets;
-    do_retunnel t pkt ~mobile ~new_dst:fa ~report_fa:(Some fa)
+    send_updates t targets ~mobile ~foreign_agent:fa;
+    do_retunnel t v header ~mobile ~new_dst:fa ~report_fa:(Some fa)
 
-(* Dispatch for packets of protocol MHRP delivered to this node (addressed
-   here, or intercepted for a mobile host). *)
 (* The mobile host itself received a packet tunneled to its home address:
    it is back home (or the tunnel chased it here).  Deliver to ourselves
    and tell everyone who forwarded the packet that we are at home, so they
    delete their cache entries (Section 6.3). *)
-let mh_handle_tunneled_to_self t (pkt : Packet.t) (header : Mhrp_header.t) =
-  match Encap.detunnel pkt with
-  | None -> ()
-  | Some (original, _) ->
-    let mobile = header.Mhrp_header.mobile in
-    t.counters.Counters.detunnels <- t.counters.Counters.detunnels + 1;
-    let targets =
-      let list = header.Mhrp_header.prev_sources in
-      if List.exists (Addr.equal pkt.Packet.src) list then list
-      else list @ [pkt.Packet.src]
-    in
-    List.iter
-      (fun dst ->
-         send_location_update t ~dst ~mobile ~foreign_agent:Addr.zero)
-      targets;
-    Node.inject_local t.node original
+let mh_handle_tunneled_to_self t v (header : Mhrp_header.t) =
+  t.counters.Counters.detunnels <- t.counters.Counters.detunnels + 1;
+  send_updates t
+    (Mhrp_header.tunnel_heads header ~incoming:(View.src v))
+    ~mobile:header.Mhrp_header.mobile ~foreign_agent:Addr.zero;
+  Node.inject_local t.node (Packet.decode (Encap.detunnel_into v header))
 
-(* Regional agent receiving a tunneled packet for a mobile host bound in
-   its region ([Config.hierarchy]): re-tunnel to the serving foreign
-   agent.  Overflow notifications report this agent's own address, not
-   the inner foreign agent — the region stays opaque, so external caches
-   survive intra-region handoffs. *)
 (* Hierarchical counterpart of the Section 5.2 reboot recovery: a foreign
    agent handed a tunneled packet for a mobile host missing from its
    visitor list (a reboot lost the list, or a lost withdrawal left the
@@ -650,15 +619,16 @@ let fa_probe_missing_visitor t ~mobile =
    bound foreign agent, chase an inter-region forwarding pointer, or
    [fallback].  Shared by the pure-regional node and the combined
    home-and-regional node, whose home-agent location entry names one of
-   its own addresses. *)
-let regional_dispatch t (pkt : Packet.t) (header : Mhrp_header.t) ~fallback
-  =
+   its own addresses.  Overflow notifications report this agent's own
+   address, not the inner foreign agent — the region stays opaque, so
+   external caches survive intra-region handoffs. *)
+let regional_dispatch t v (header : Mhrp_header.t) ~fallback =
   let mobile = header.Mhrp_header.mobile in
   match regional_binding t mobile with
   | Some fa when not (Node.has_address t.node fa) ->
     t.counters.Counters.regional_retunnels <-
       t.counters.Counters.regional_retunnels + 1;
-    do_retunnel t pkt ~mobile ~new_dst:fa ~report_fa:(Some (address t))
+    do_retunnel t v header ~mobile ~new_dst:fa ~report_fa:(Some (address t))
   | _ ->
     match regional_forward t mobile with
     | Some target ->
@@ -669,7 +639,7 @@ let regional_dispatch t (pkt : Packet.t) (header : Mhrp_header.t) ~fallback
         t.counters.Counters.regional_forwards + 1;
       tracef t "regional" "forwarding %a to new region %a" Addr.pp mobile
         Addr.pp target;
-      do_retunnel t pkt ~mobile ~new_dst:target ~report_fa:(Some target)
+      do_retunnel t v header ~mobile ~new_dst:target ~report_fa:(Some target)
     | None -> fallback ()
 
 (* A tunnel this node built to one of its own addresses, looped straight
@@ -680,44 +650,45 @@ let regional_dispatch t (pkt : Packet.t) (header : Mhrp_header.t) ~fallback
    through the regional binding; running it through the normal dispatch
    instead would read our own address among the tunnel heads as a
    one-hop loop and dissolve the binding. *)
-let handle_self_tunnel t (pkt : Packet.t) (header : Mhrp_header.t) =
+let handle_self_tunnel t v (header : Mhrp_header.t) =
   let mobile = header.Mhrp_header.mobile in
-  match Encap.detunnel pkt with
-  | None -> tracef t "drop" "malformed self-tunnel"
-  | Some (original, _) ->
-    t.counters.Counters.detunnels <- t.counters.Counters.detunnels + 1;
-    let target =
-      match regional_binding t mobile with
-      | Some fa when not (Node.has_address t.node fa) -> Some fa
-      | _ -> regional_forward t mobile
-    in
-    (match target with
-     | Some fa ->
-       t.counters.Counters.tunnels_built <-
-         t.counters.Counters.tunnels_built + 1;
-       tracef t "tunnel" "self-tunnel for %a on to fa %a" Addr.pp mobile
-         Addr.pp fa;
-       Node.forward_now t.node
-         (Encap.tunnel_by_agent ~agent:(address t) ~foreign_agent:fa
-            original)
-     | None ->
-       tracef t "drop" "self-tunnel for %a: no regional binding" Addr.pp
-         mobile;
-       send_unreachable t original)
+  t.counters.Counters.detunnels <- t.counters.Counters.detunnels + 1;
+  let original = Encap.detunnel_into v header in
+  let target =
+    match regional_binding t mobile with
+    | Some fa when not (Node.has_address t.node fa) -> Some fa
+    | _ -> regional_forward t mobile
+  in
+  match target with
+  | Some fa ->
+    t.counters.Counters.tunnels_built <-
+      t.counters.Counters.tunnels_built + 1;
+    tracef t "tunnel" "self-tunnel for %a on to fa %a" Addr.pp mobile
+      Addr.pp fa;
+    Node.forward_wire t.node
+      (Encap.tunnel_by_agent_into ~agent:(address t) ~foreign_agent:fa
+         (View.make original))
+  | None ->
+    tracef t "drop" "self-tunnel for %a: no regional binding" Addr.pp
+      mobile;
+    send_unreachable t (Packet.decode original)
 
-let handle_mhrp t (pkt : Packet.t) =
-  match Encap.header_of pkt with
+(* Every MHRP packet delivered to this node — addressed here, or claimed
+   for a mobile host — is a tunnel exit or a re-tunnel, dispatched on
+   the received view and its header decoded in place. *)
+let handle_mhrp t v =
+  match Encap.header_at v with
   | None -> tracef t "drop" "malformed mhrp packet"
   | Some header ->
     let mobile = header.Mhrp_header.mobile in
     match t.fa with
     | Some (fa_state, fa_iface) when Foreign_agent.mem fa_state mobile ->
-      deliver_to_visitor t fa_state fa_iface pkt
-    | _ when Node.has_address t.node pkt.Packet.src ->
-      handle_self_tunnel t pkt header
+      deliver_to_visitor t fa_state fa_iface v header
+    | _ when Node.has_address t.node (View.src v) ->
+      handle_self_tunnel t v header
     | _ ->
       if Node.has_address t.node mobile then
-        mh_handle_tunneled_to_self t pkt header
+        mh_handle_tunneled_to_self t v header
       else
         match t.ha with
         | Some ha when Home_agent.serves ha mobile ->
@@ -732,14 +703,14 @@ let handle_mhrp t (pkt : Packet.t) =
                both its home and regional agent: serve the regional
                role — the home-agent path would bounce the packet at
                ourselves as a loop *)
-            regional_dispatch t pkt header
-              ~fallback:(fun () -> ha_handle_tunneled t ha pkt header)
-          else ha_handle_tunneled t ha pkt header
+            regional_dispatch t v header
+              ~fallback:(fun () -> ha_handle_tunneled t ha v header)
+          else ha_handle_tunneled t ha v header
         | _ ->
-          regional_dispatch t pkt header
+          regional_dispatch t v header
             ~fallback:(fun () ->
                 fa_probe_missing_visitor t ~mobile;
-                retunnel_stale t pkt header)
+                retunnel_stale t v header)
 
 (* --- Section 4.5: returned ICMP errors --- *)
 
@@ -1357,8 +1328,7 @@ let regional_handle_registration t ~mobile ~foreign_agent ~lifetime_s =
       in
       t.counters.Counters.tunnels_built <-
         t.counters.Counters.tunnels_built + 1;
-      Node.send t.node
-        (Encap.tunnel_by_sender ~foreign_agent reply)
+      Node.send_wire t.node (Encap.tunnel_by_sender_into ~foreign_agent reply)
     end
 
 (* Backup regional agent: apply a mirrored binding without re-propagating
@@ -1421,8 +1391,8 @@ let regional_handle_forward t ~mobile ~new_regional =
 (* A control message in the [len] bytes at [off] of a received packet's
    buffer: the UDP data of a datagram to [Control.port]. *)
 let handle_control t v ~off ~len =
-  let buf = Packet.View.buffer v in
-  let src = Packet.View.src v in
+  let buf = View.buffer v in
+  let src = View.src v in
   match Control.decode_at buf ~off ~len with
   | None -> ()
   | Some msg
@@ -1476,9 +1446,9 @@ let handle_control t v ~off ~len =
    from the received bytes, and a record is built only for an echo
    reply handed to [app_tap]. *)
 let handle_icmp t v =
-  let buf = Packet.View.buffer v in
-  let off = Packet.View.payload_offset v in
-  let len = Packet.View.payload_length v in
+  let buf = View.buffer v in
+  let off = View.payload_offset v in
+  let len = View.payload_length v in
   match t.mh with
   | None when len > 0
            && Bytes.get_uint8 buf off = Ipv4.Icmp.agent_advertisement_type ->
@@ -1492,7 +1462,7 @@ let handle_icmp t v =
         t.counters.Counters.updates_received <-
           t.counters.Counters.updates_received + 1;
         if
-          update_authentic t buf ~off ~len ~src:(Packet.View.src v) ~mobile
+          update_authentic t buf ~off ~len ~src:(View.src v) ~mobile
             ~foreign_agent
         then begin
           tracef t "loc-update-rx" "%a at %a" Addr.pp mobile Addr.pp
@@ -1504,10 +1474,10 @@ let handle_icmp t v =
       | Ipv4.Icmp.Echo_request { ident; seq; data } ->
         let reply = Ipv4.Icmp.Echo_reply { ident; seq; data } in
         send t
-          (Packet.make ~id:(Packet.View.id v) ~proto:Ipv4.Proto.icmp
-             ~src:(address t) ~dst:(Packet.View.src v)
+          (Packet.make ~id:(View.id v) ~proto:Ipv4.Proto.icmp
+             ~src:(address t) ~dst:(View.src v)
              (Ipv4.Icmp.encode reply))
-      | Ipv4.Icmp.Echo_reply _ -> t.app_tap (Packet.View.decode v)
+      | Ipv4.Icmp.Echo_reply _ -> t.app_tap (View.decode v)
       | Ipv4.Icmp.Dest_unreachable { original; _ }
       | Ipv4.Icmp.Time_exceeded { original; _ }
       | Ipv4.Icmp.Redirect { original; _ } ->
@@ -1523,45 +1493,44 @@ let handle_icmp t v =
    to it or because a hook intercepted them for a mobile host; route the
    latter to home-agent processing whatever their protocol. *)
 let dispatch t handler v =
-  let dst = Packet.View.dst v in
+  let dst = View.dst v in
   if Node.has_address t.node dst || Addr.equal dst Addr.broadcast then
     handler t v
-  else if Packet.View.proto v = Ipv4.Proto.mhrp then
-    handle_mhrp t (Packet.View.decode v)
-  else if ha_claims t dst then ha_intercept t (Packet.View.decode v)
+  else if ha_claims t dst then ha_intercept t v
   else handler t v
 
 (* Length and checksum are checked once, in place; only a datagram for
    the application is decoded. *)
 let handle_udp t v =
-  let buf = Packet.View.buffer v in
-  let off = Packet.View.payload_offset v in
-  let n = Ipv4.Udp.length_at buf ~off ~len:(Packet.View.payload_length v) in
+  let buf = View.buffer v in
+  let off = View.payload_offset v in
+  let n = Ipv4.Udp.length_at buf ~off ~len:(View.payload_length v) in
   if n >= 0 then
     if Ipv4.Udp.dst_port_at buf ~off = Control.port then
       handle_control t v ~off:(off + Ipv4.Udp.header_length)
         ~len:(n - Ipv4.Udp.header_length)
-    else t.app_tap (Packet.View.decode v)
+    else t.app_tap (View.decode v)
 
 (* --- forwarding hook (router cache agents, Sections 4.3, 6.2) --- *)
 
 (* An ICMP location update in transit, told from its type byte without
    decoding the packet. *)
 let is_location_update v =
-  Packet.View.proto v = Ipv4.Proto.icmp
-  && Packet.View.payload_length v > 0
-  && Bytes.get_uint8 (Packet.View.buffer v) (Packet.View.payload_offset v)
+  View.proto v = Ipv4.Proto.icmp
+  && View.payload_length v > 0
+  && Bytes.get_uint8 (View.buffer v) (View.payload_offset v)
      = Ipv4.Icmp.location_update_type
 
-(* Decided from the header: the view is decoded only to intercept as
-   home agent, to snoop a location update, or to tunnel on a cache hit —
-   a miss forwards the received buffer untouched (Section 7: routers
-   between tunnel endpoints forward packets unmodified). *)
+(* Decided from the header, and nothing is decoded: an intercept or a
+   cache hit builds its tunnel from the view, a snooped location update
+   is read in place, and a miss forwards the received buffer untouched
+   (Section 7: routers between tunnel endpoints forward packets
+   unmodified). *)
 let rewrite_forward t v =
-  let dst = Packet.View.dst v in
+  let dst = View.dst v in
   if ha_claims t dst then begin
-    let pkt = Packet.View.decode v in
-    if Encap.is_tunneled pkt then handle_mhrp t pkt else ha_intercept t pkt;
+    if View.proto v = Ipv4.Proto.mhrp then handle_mhrp t v
+    else ha_intercept t v;
     Node.Consume
   end
   else if t.snoop then begin
@@ -1569,17 +1538,17 @@ let rewrite_forward t v =
        tunnel for destinations we have cached (Section 4.3: routers should
        make this a configuration option — it is ours). *)
     (if is_location_update v then
-       let buf = Packet.View.buffer v in
-       let off = Packet.View.payload_offset v in
-       let len = Packet.View.payload_length v in
+       let buf = View.buffer v in
+       let off = View.payload_offset v in
+       let len = View.payload_length v in
        match Ipv4.Icmp.decode_at buf ~off ~len with
        | Some (Ipv4.Icmp.Location_update { mobile; foreign_agent }) ->
          if
-           update_authentic t buf ~off ~len ~src:(Packet.View.src v) ~mobile
+           update_authentic t buf ~off ~len ~src:(View.src v) ~mobile
              ~foreign_agent
          then cache_update t ~mobile ~foreign_agent
        | Some _ | None -> ());
-    if Packet.View.proto v <> Ipv4.Proto.mhrp && t.cache_agent then
+    if View.proto v <> Ipv4.Proto.mhrp && t.cache_agent then
       match Location_cache.find t.cache dst with
       | Some fa when not (Node.has_address t.node fa) ->
         t.counters.Counters.tunnels_built <-
@@ -1587,8 +1556,7 @@ let rewrite_forward t v =
         tracef t "tunnel" "forwarding cache hit for %a via %a" Addr.pp dst
           Addr.pp fa;
         Node.Replace
-          (Encap.tunnel_by_agent ~agent:(address t) ~foreign_agent:fa
-             (Packet.View.decode v))
+          (Encap.tunnel_by_agent_into ~agent:(address t) ~foreign_agent:fa v)
       | Some _ | None -> Node.Forward
     else Node.Forward
   end
@@ -1625,14 +1593,13 @@ let create ?(config = Config.default) ?(cache_agent = true)
       advert_timer = false }
   in
   (* every MHRP packet, addressed or intercepted, is a tunnel exit *)
-  Node.set_proto_handler node Ipv4.Proto.mhrp (fun _ v ->
-      handle_mhrp t (Packet.View.decode v));
+  Node.set_proto_handler node Ipv4.Proto.mhrp (fun _ v -> handle_mhrp t v);
   Node.set_proto_handler node Ipv4.Proto.icmp (fun _ v ->
       dispatch t handle_icmp v);
   Node.set_proto_handler node Ipv4.Proto.udp (fun _ v ->
       dispatch t handle_udp v);
   Node.set_proto_handler node Ipv4.Proto.tcp (fun _ v ->
-      dispatch t (fun t v -> t.app_tap (Packet.View.decode v)) v);
+      dispatch t (fun t v -> t.app_tap (View.decode v)) v);
   Node.set_accept_ip node (fun _ dst -> claims t dst);
   Node.set_arp_proxy node (fun addr -> claims t addr);
   Node.set_rewrite_forward node (fun _ v -> rewrite_forward t v);

@@ -49,13 +49,22 @@ let detunnel (pkt : Ipv4.Packet.t) =
       in
       Some (original, header)
 
-type retunnel_result =
-  | Retunneled of Ipv4.Packet.t
+type 'a retunnel_result =
+  | Retunneled of 'a
   | Retunneled_overflow of {
-      packet : Ipv4.Packet.t;
+      packet : 'a;
       notify : Ipv4.Addr.t list;
     }
   | Loop_detected of { members : Ipv4.Addr.t list }
+
+(* Section 5.3: if our own address already appears among the tunnel
+   heads (or we are about to record ourselves twice), one pass around a
+   cache-agent loop has completed: the loop's members, each owed a
+   cache-delete update. *)
+let loop_members ~me ~incoming (header : Mhrp_header.t) =
+  if Mhrp_header.mem_source header me || Ipv4.Addr.equal incoming me then
+    Some (Mhrp_header.tunnel_heads header ~incoming)
+  else None
 
 let retunnel ~max_prev_sources ~me ~new_dst (pkt : Ipv4.Packet.t) =
   if not (is_tunneled pkt) then None
@@ -64,52 +73,40 @@ let retunnel ~max_prev_sources ~me ~new_dst (pkt : Ipv4.Packet.t) =
     | exception Invalid_argument _ -> None
     | header, transport ->
       let incoming = pkt.Ipv4.Packet.src in
-      (* Section 5.3: if our own address already appears among the tunnel
-         heads (or we are about to record ourselves twice), one pass
-         around a cache-agent loop has completed. *)
-      if Mhrp_header.mem_source header me || Ipv4.Addr.equal incoming me
-      then
-        Some
-          (Loop_detected
-             { members =
-                 header.Mhrp_header.prev_sources
-                 @ (if Mhrp_header.mem_source header incoming then []
-                    else [incoming]) })
-      else begin
-        let rebuild header' =
-          { pkt with
-            Ipv4.Packet.src = me;
-            dst = new_dst;
-            payload = Mhrp_header.encode header' transport }
-        in
-        match
-          Mhrp_header.append_source_max ~max:max_prev_sources header
-            incoming
-        with
-        | `Ok header' -> Some (Retunneled (rebuild header'))
-        | `Full ->
-          let notify = header.Mhrp_header.prev_sources in
-          let header' = Mhrp_header.truncate header incoming in
-          Some (Retunneled_overflow { packet = rebuild header'; notify })
-      end
+      let rebuild header' =
+        { pkt with
+          Ipv4.Packet.src = me;
+          dst = new_dst;
+          payload = Mhrp_header.encode header' transport }
+      in
+      Some
+        (match loop_members ~me ~incoming header with
+         | Some members -> Loop_detected { members }
+         | None ->
+           match
+             Mhrp_header.append_source_max ~max:max_prev_sources header
+               incoming
+           with
+           | `Ok header' -> Retunneled (rebuild header')
+           | `Full ->
+             Retunneled_overflow
+               { packet = rebuild (Mhrp_header.truncate header incoming);
+                 notify = header.Mhrp_header.prev_sources })
 
 let added_bytes ~original ~tunneled =
   Ipv4.Packet.total_length tunneled - Ipv4.Packet.total_length original
 
-(* --- zero-copy wire-level encap/decap ---
+(* --- tunnels built on wire bytes ---
 
-   The record-based functions above decode, rebuild and re-encode a
-   whole packet per tunnel operation.  These build the outgoing wire
-   bytes directly from a {!Ipv4.Packet.View} of the original, into a
-   buffer drawn from a {!Ipv4.Buffer_pool}: prepend the new IP + MHRP
-   headers, blit the transport payload once, checksum in place.  Output
-   is byte-identical to [Packet.encode (tunnel_by_* (View.decode v))]
-   (QCheck-verified), so either path may serve any packet.  Option-free
-   originals only — the record path keeps IP options in the tunnel
-   envelope, a rebuild these single-blit functions cannot do — callers
-   fall back on [has_options].  The returned buffer is owned by the
-   caller (release it, or hand it to a frame whose receiver then owns
-   it — DESIGN.md Section 11). *)
+   The record functions above decode, rebuild and re-encode a whole
+   packet per tunnel operation, copying the transport bytes three or
+   four times.  These write the outgoing packet straight from the bytes
+   in hand: the IP envelope and MHRP header into one exact-size buffer,
+   the transport payload blitted once.  Their output is byte-identical
+   to encoding the record function's result (QCheck-verified).  A
+   fixed 20-byte envelope cannot carry IP options, which the record
+   functions keep, so an original with options takes the record
+   function internally. *)
 
 module View = Ipv4.Packet.View
 
@@ -118,92 +115,133 @@ let blit_addr buf i a =
   Bytes.set_uint16_be buf i (v lsr 16);
   Bytes.set_uint16_be buf (i + 2) (v land 0xFFFF)
 
-let read_addr buf i =
-  Ipv4.Addr.of_int
-    ((Bytes.get_uint16_be buf i lsl 16) lor Bytes.get_uint16_be buf (i + 2))
-
-let tunnel_into ~pool ~src ~dst ~prev_sources v =
-  if View.has_options v then
-    invalid_arg "Encap.tunnel_into: original carries IP options";
+(* A fresh buffer holding a 20-byte IP header — [v]'s TOS,
+   identification, fragment field and TTL under a new protocol, source
+   and destination — for [payload_length] more bytes, which the caller
+   writes before [seal]ing it.  The reserved flag bit is cleared, as a
+   decode and re-encode would. *)
+let envelope v ~proto ~src ~dst ~payload_length =
+  let tlen = 20 + payload_length in
+  if tlen > 0xFFFF then invalid_arg "Encap: packet too long";
   let vbuf = View.buffer v and voff = View.offset v in
-  let ihl = View.header_length v in
-  let transport_len = View.total_length v - ihl in
-  let n_prev = List.length prev_sources in
-  let mh_len = Mhrp_header.fixed_length + (4 * n_prev) in
-  let tlen = 20 + mh_len + transport_len in
-  if n_prev > 255 then invalid_arg "Encap.tunnel_into: list too long";
-  if tlen > 0xFFFF then invalid_arg "Encap.tunnel_into: packet too long";
-  let buf = Ipv4.Buffer_pool.take pool tlen in
-  (* IP envelope: tos, id, flags and TTL travel over from the original *)
+  let buf = Bytes.create tlen in
   Bytes.set buf 0 '\x45';
   Bytes.set buf 1 (Bytes.get vbuf (voff + 1));
   Bytes.set_uint16_be buf 2 tlen;
-  Bytes.blit vbuf (voff + 4) buf 4 4;  (* id + flags/fragment offset *)
+  Bytes.blit vbuf (voff + 4) buf 4 2;
+  Bytes.set_uint16_be buf 6 (Bytes.get_uint16_be vbuf (voff + 6) land 0x7FFF);
   Bytes.set buf 8 (Bytes.get vbuf (voff + 8));
-  Bytes.set buf 9 (Char.chr Ipv4.Proto.mhrp);
+  Bytes.set_uint8 buf 9 proto;
   blit_addr buf 12 src;
   blit_addr buf 16 dst;
-  (* MHRP header, checksummed over its own bytes *)
-  Bytes.set buf 20 (Char.chr n_prev);
-  Bytes.set buf 21 (Char.chr (View.proto v));
-  Bytes.set buf 22 '\000';
-  Bytes.set buf 23 '\000';
-  blit_addr buf 24 (View.dst v);  (* the mobile: the original destination *)
-  List.iteri (fun k a -> blit_addr buf (28 + (4 * k)) a) prev_sources;
-  Ipv4.Checksum.set buf ~at:22 ~off:20 ~len:mh_len;
-  (* the transport payload moves exactly once *)
-  Bytes.blit vbuf (voff + ihl) buf (20 + mh_len) transport_len;
+  buf
+
+(* The checksums: the MHRP header's ([mh_len] bytes at offset 20, none
+   for a detunneled original), then the IP header's. *)
+let seal buf ~mh_len =
+  if mh_len > 0 then Ipv4.Checksum.set buf ~at:22 ~off:20 ~len:mh_len;
   Ipv4.Checksum.set buf ~at:10 ~off:0 ~len:20;
   buf
 
-let tunnel_by_sender_into ~pool ~foreign_agent v =
-  tunnel_into ~pool ~src:(View.src v) ~dst:foreign_agent ~prev_sources:[] v
-
-let tunnel_by_agent_into ~pool ~agent ~foreign_agent v =
-  tunnel_into ~pool ~src:agent ~dst:foreign_agent
-    ~prev_sources:[View.src v] v
-
-let detunnel_into ~pool v =
+let header_at v =
   if View.proto v <> Ipv4.Proto.mhrp then None
-  else if View.has_options v then
-    invalid_arg "Encap.detunnel_into: envelope carries IP options"
+  else
+    Mhrp_header.decode_at (View.buffer v) ~off:(View.payload_offset v)
+      ~len:(View.payload_length v)
+
+let tunnel_by_sender_into ~foreign_agent (pkt : Ipv4.Packet.t) =
+  let buf =
+    Ipv4.Packet.encode_with_gap
+      { pkt with Ipv4.Packet.proto = Ipv4.Proto.mhrp; dst = foreign_agent }
+      ~gap:Mhrp_header.fixed_length
+  in
+  (* the MHRP header goes in the gap: count 0 (already zero), the
+     original protocol and destination *)
+  let h = (Bytes.get_uint8 buf 0 land 0xF) * 4 in
+  Bytes.set_uint8 buf (h + 1) (pkt.Ipv4.Packet.proto land 0xFF);
+  blit_addr buf (h + 4) pkt.Ipv4.Packet.dst;
+  Ipv4.Checksum.set buf ~at:(h + 2) ~off:h ~len:Mhrp_header.fixed_length;
+  buf
+
+let tunnel_by_agent_into ~agent ~foreign_agent v =
+  if View.has_options v then
+    Ipv4.Packet.encode (tunnel_by_agent ~agent ~foreign_agent (View.decode v))
   else begin
-    let vbuf = View.buffer v and voff = View.offset v in
-    let ihl = View.header_length v in
-    let plen = View.total_length v - ihl in
-    let mh_off = voff + ihl in
-    if plen < Mhrp_header.fixed_length then None
-    else begin
-      let count = Char.code (Bytes.get vbuf mh_off) in
-      let mh_len = Mhrp_header.fixed_length + (4 * count) in
-      if plen < mh_len
-         || not (Ipv4.Checksum.valid ~off:mh_off ~len:mh_len vbuf)
-      then None
-      else begin
-        let header =
-          Mhrp_header.make
-            ~prev_sources:
-              (List.init count (fun k -> read_addr vbuf (mh_off + 8 + (4 * k))))
-            ~orig_proto:(Char.code (Bytes.get vbuf (mh_off + 1)))
-            ~mobile:(read_addr vbuf (mh_off + 4)) ()
-        in
-        let transport_len = plen - mh_len in
-        let tlen = 20 + transport_len in
-        let buf = Ipv4.Buffer_pool.take pool tlen in
-        Bytes.set buf 0 '\x45';
-        Bytes.set buf 1 (Bytes.get vbuf (voff + 1));
-        Bytes.set_uint16_be buf 2 tlen;
-        Bytes.blit vbuf (voff + 4) buf 4 4;
-        Bytes.set buf 8 (Bytes.get vbuf (voff + 8));
-        Bytes.set buf 9 (Char.chr header.Mhrp_header.orig_proto);
-        blit_addr buf 12
-          (match Mhrp_header.original_sender header with
-           | Some s -> s
-           | None -> View.src v);
-        blit_addr buf 16 header.Mhrp_header.mobile;
-        Bytes.blit vbuf (mh_off + mh_len) buf 20 transport_len;
-        Ipv4.Checksum.set buf ~at:10 ~off:0 ~len:20;
-        Some (buf, header)
-      end
-    end
+    let mh_len = Mhrp_header.fixed_length + 4 in
+    let transport_len = View.payload_length v in
+    let buf =
+      envelope v ~proto:Ipv4.Proto.mhrp ~src:agent ~dst:foreign_agent
+        ~payload_length:(mh_len + transport_len)
+    in
+    Bytes.set_uint8 buf 20 1;
+    Bytes.set_uint8 buf 21 (View.proto v);
+    blit_addr buf 24 (View.dst v);
+    blit_addr buf 28 (View.src v);
+    Bytes.blit (View.buffer v) (View.payload_offset v) buf (20 + mh_len)
+      transport_len;
+    seal buf ~mh_len
   end
+
+let detunnel_into v (header : Mhrp_header.t) =
+  if View.has_options v then
+    match detunnel (View.decode v) with
+    | Some (original, _) -> Ipv4.Packet.encode original
+    | None -> invalid_arg "Encap.detunnel_into: not an MHRP packet"
+  else begin
+    let mh_len = Mhrp_header.length header in
+    let transport_len = View.payload_length v - mh_len in
+    let src =
+      match header.Mhrp_header.prev_sources with
+      | sender :: _ -> sender
+      | [] -> View.src v (* sender-built header *)
+    in
+    let buf =
+      envelope v ~proto:header.Mhrp_header.orig_proto ~src
+        ~dst:header.Mhrp_header.mobile ~payload_length:transport_len
+    in
+    Bytes.blit (View.buffer v) (View.payload_offset v + mh_len) buf 20
+      transport_len;
+    seal buf ~mh_len:0
+  end
+
+(* The incoming MHRP packet [v] re-tunneled from [me] to [new_dst]: the
+   first [keep] list entries of its header, then its tunnel head. *)
+let relay v ~me ~new_dst ~keep =
+  if keep >= 255 then invalid_arg "Encap.retunnel_into: list too long";
+  let vbuf = View.buffer v and mh_off = View.payload_offset v in
+  let old_len = Mhrp_header.fixed_length + (4 * Bytes.get_uint8 vbuf mh_off) in
+  let mh_len = Mhrp_header.fixed_length + (4 * (keep + 1)) in
+  let transport_len = View.payload_length v - old_len in
+  let buf =
+    envelope v ~proto:Ipv4.Proto.mhrp ~src:me ~dst:new_dst
+      ~payload_length:(mh_len + transport_len)
+  in
+  Bytes.set_uint8 buf 20 (keep + 1);
+  Bytes.blit vbuf (mh_off + 1) buf 21 1;  (* the original protocol *)
+  Bytes.blit vbuf (mh_off + 4) buf 24 (4 + (4 * keep));  (* mobile, list *)
+  blit_addr buf (28 + (4 * keep)) (View.src v);
+  Bytes.blit vbuf (mh_off + old_len) buf (20 + mh_len) transport_len;
+  seal buf ~mh_len
+
+let map_packet f = function
+  | Retunneled p -> Retunneled (f p)
+  | Retunneled_overflow { packet; notify } ->
+    Retunneled_overflow { packet = f packet; notify }
+  | Loop_detected { members } -> Loop_detected { members }
+
+let retunnel_into ~max_prev_sources ~me ~new_dst v (header : Mhrp_header.t)
+  =
+  if View.has_options v then
+    match retunnel ~max_prev_sources ~me ~new_dst (View.decode v) with
+    | Some r -> map_packet Ipv4.Packet.encode r
+    | None -> invalid_arg "Encap.retunnel_into: not an MHRP packet"
+  else
+    match loop_members ~me ~incoming:(View.src v) header with
+    | Some members -> Loop_detected { members }
+    | None ->
+      let n = List.length header.Mhrp_header.prev_sources in
+      if n < max_prev_sources then Retunneled (relay v ~me ~new_dst ~keep:n)
+      else
+        Retunneled_overflow
+          { packet = relay v ~me ~new_dst ~keep:0;
+            notify = header.Mhrp_header.prev_sources }

@@ -3,9 +3,10 @@
     Unlike typical encapsulation protocols, MHRP does not wrap the packet
     in a complete new IP header: it edits the necessary fields of the
     existing header and inserts the small MHRP header between the IP header
-    and the transport header.  These are pure functions on {!Ipv4.Packet}
-    values; the agents drive them and perform the message sends they call
-    for. *)
+    and the transport header.  The functions on {!Ipv4.Packet} records
+    define each transformation; the agents run their wire-byte
+    counterparts (the [_into] builders below), which produce the same
+    bytes, and perform the message sends they call for. *)
 
 val tunnel_by_sender :
   foreign_agent:Ipv4.Addr.t -> Ipv4.Packet.t -> Ipv4.Packet.t
@@ -31,10 +32,10 @@ val detunnel : Ipv4.Packet.t -> (Ipv4.Packet.t * Mhrp_header.t) option
     the header was agent-built).  [None] if the packet is not a
     well-formed MHRP packet. *)
 
-type retunnel_result =
-  | Retunneled of Ipv4.Packet.t
+type 'a retunnel_result =
+  | Retunneled of 'a
   | Retunneled_overflow of {
-      packet : Ipv4.Packet.t;
+      packet : 'a;
       notify : Ipv4.Addr.t list;
       (** The truncated-away list entries: Section 4.4 requires a location
           update to each before the list is reset. *)
@@ -45,7 +46,7 @@ type retunnel_result =
 
 val retunnel :
   max_prev_sources:int -> me:Ipv4.Addr.t -> new_dst:Ipv4.Addr.t ->
-  Ipv4.Packet.t -> retunnel_result option
+  Ipv4.Packet.t -> Ipv4.Packet.t retunnel_result option
 (** Section 4.4 at a stale foreign agent (or the home agent forwarding a
     bounced packet): append the incoming tunnel head to the list (with the
     overflow fan-out when full), make this agent the IP source and
@@ -55,37 +56,46 @@ val retunnel :
 val added_bytes : original:Ipv4.Packet.t -> tunneled:Ipv4.Packet.t -> int
 (** Wire-size difference — the overhead the paper quotes as 8/12 bytes. *)
 
-(** {1 Zero-copy wire-level encap/decap}
+(** {1 Tunnels built on wire bytes}
 
-    Pool-backed equivalents of {!tunnel_by_sender}, {!tunnel_by_agent}
-    and {!detunnel} that never build an {!Ipv4.Packet.t}: they read the
-    original through an {!Ipv4.Packet.View}, draw an exact-size buffer
-    from an {!Ipv4.Buffer_pool}, write the new headers directly and blit
-    the transport payload once.  The produced bytes are byte-identical
-    to encoding the record-path result (QCheck-verified), so the two
-    paths are freely interchangeable on the wire.
-
-    All three require an option-free original ([View.has_options v =
-    false]) and raise [Invalid_argument] otherwise — the record path
-    preserves IP options in the rebuilt envelope, which a fixed-layout
-    single blit cannot; callers fall back to the record path for those.
-    The returned buffer is owned by the caller until handed to a frame
+    The agents' tunnel path.  Each builder writes the outgoing packet
+    from the bytes it is given — a received {!Ipv4.Packet.View}, or a
+    record being sent — into one exact-size buffer: new IP envelope and
+    MHRP header, the transport payload copied once, checksums computed
+    in place.  No intermediate record is built.  The output is
+    byte-identical to {!Ipv4.Packet.encode} of the record function's
+    result (QCheck-verified), and the record functions above remain the
+    reference.  The single-blit layout has a 20-byte envelope, so a
+    view carrying IP options (which the record functions keep in the
+    envelope) is decoded and served by the record function instead.
+    The returned buffer belongs to the caller, who hands it to a frame
     (DESIGN.md Section 11). *)
 
-val tunnel_by_sender_into :
-  pool:Ipv4.Buffer_pool.t -> foreign_agent:Ipv4.Addr.t ->
-  Ipv4.Packet.View.t -> bytes
-(** Wire bytes of [tunnel_by_sender ~foreign_agent (View.decode v)]. *)
+val header_at : Ipv4.Packet.View.t -> Mhrp_header.t option
+(** The MHRP header of a received packet, decoded in place
+    ({!Mhrp_header.decode_at}): {!header_of} without decoding the
+    packet.  [None] if it is not MHRP or its header is truncated or
+    corrupt. *)
+
+val tunnel_by_sender_into : foreign_agent:Ipv4.Addr.t -> Ipv4.Packet.t -> bytes
+(** [Packet.encode (tunnel_by_sender ~foreign_agent pkt)], encoded in
+    one pass ({!Ipv4.Packet.encode_with_gap}) with the same range
+    checks: [Invalid_argument] where that encode would raise. *)
 
 val tunnel_by_agent_into :
-  pool:Ipv4.Buffer_pool.t -> agent:Ipv4.Addr.t ->
-  foreign_agent:Ipv4.Addr.t -> Ipv4.Packet.View.t -> bytes
+  agent:Ipv4.Addr.t -> foreign_agent:Ipv4.Addr.t -> Ipv4.Packet.View.t ->
+  bytes
 (** Wire bytes of [tunnel_by_agent ~agent ~foreign_agent (View.decode v)]. *)
 
-val detunnel_into :
-  pool:Ipv4.Buffer_pool.t -> Ipv4.Packet.View.t ->
-  (bytes * Mhrp_header.t) option
-(** Wire bytes of the reconstructed original, paired with the parsed
-    MHRP header: [detunnel (View.decode v)] with the packet encoded.
-    [None] exactly when the record path returns [None] (not MHRP,
-    truncated or checksum-corrupt MHRP header). *)
+val detunnel_into : Ipv4.Packet.View.t -> Mhrp_header.t -> bytes
+(** Wire bytes of the original inside the MHRP packet [v] whose header
+    {!header_at} decoded as [header]: [detunnel (View.decode v)]'s
+    packet, encoded. *)
+
+val retunnel_into :
+  max_prev_sources:int -> me:Ipv4.Addr.t -> new_dst:Ipv4.Addr.t ->
+  Ipv4.Packet.View.t -> Mhrp_header.t -> bytes retunnel_result
+(** {!retunnel} of the MHRP packet [v] whose header {!header_at} decoded
+    as [header], with the same verdict and each packet as wire bytes:
+    the incoming header's list and mobile are copied from [v] and the
+    tunnel head appended, so no address list is rebuilt. *)

@@ -16,7 +16,16 @@ let append_source_max ~max t addr =
 
 let truncate t addr = { t with prev_sources = [addr] }
 
-let mem_source t addr = List.exists (Ipv4.Addr.equal addr) t.prev_sources
+(* Top-level, so a test on every re-tunnel allocates no closure. *)
+let rec mem_addr a = function
+  | [] -> false
+  | x :: rest -> Ipv4.Addr.equal x a || mem_addr a rest
+
+let mem_source t addr = mem_addr addr t.prev_sources
+
+let tunnel_heads t ~incoming =
+  if mem_source t incoming then t.prev_sources
+  else t.prev_sources @ [incoming]
 
 let original_sender t =
   match t.prev_sources with [] -> None | a :: _ -> Some a
@@ -57,30 +66,34 @@ let encode t transport =
   Bytes.blit transport 0 buf hlen (Bytes.length transport);
   buf
 
-let parse buf =
-  if Bytes.length buf < fixed_length then None
+(* The [k] list entries ending before [i], read back to front so the
+   list is built without reversal or a closure. *)
+let rec get_list buf i k acc =
+  if k = 0 then acc
+  else get_list buf (i - 4) (k - 1) (get_addr buf (i - 4) :: acc)
+
+let decode_at buf ~off ~len =
+  if off < 0 || len < fixed_length || off > Bytes.length buf - len then None
   else begin
-    let count = get_u8 buf 0 in
+    let count = get_u8 buf off in
     let hlen = fixed_length + (4 * count) in
-    if Bytes.length buf < hlen then None
-    else if not (Ipv4.Checksum.valid ~off:0 ~len:hlen buf) then None
-    else begin
-      let prev_sources =
-        List.init count (fun i -> get_addr buf (8 + (4 * i)))
-      in
+    if len < hlen || not (Ipv4.Checksum.valid_range buf ~off ~len:hlen) then
+      None
+    else
       Some
-        ({ orig_proto = get_u8 buf 1; mobile = get_addr buf 4;
-           prev_sources },
-         hlen)
-    end
+        { orig_proto = get_u8 buf (off + 1); mobile = get_addr buf (off + 4);
+          prev_sources = get_list buf (off + hlen) count [] }
   end
 
+let decode_prefix buf =
+  match decode_at buf ~off:0 ~len:(Bytes.length buf) with
+  | None -> None
+  | Some t -> Some (t, length t)
+
 let decode buf =
-  match parse buf with
+  match decode_prefix buf with
   | None -> invalid_arg "Mhrp_header.decode: truncated or corrupt"
   | Some (t, hlen) -> (t, Bytes.sub buf hlen (Bytes.length buf - hlen))
-
-let decode_prefix = parse
 
 let equal a b =
   a.orig_proto = b.orig_proto

@@ -53,6 +53,12 @@ val truncate : t -> Ipv4.Addr.t -> t
 val mem_source : t -> Ipv4.Addr.t -> bool
 (** Loop detection test (Section 5.3). *)
 
+val tunnel_heads : t -> incoming:Ipv4.Addr.t -> Ipv4.Addr.t list
+(** Every tunnel head a packet with this header has passed: the list,
+    then [incoming] — the source of the tunnel it arrived in — unless
+    already listed.  The agents owe each a location update (Sections
+    5.1, 5.3, 6.3). *)
+
 val original_sender : t -> Ipv4.Addr.t option
 (** First list entry, when the header was built by an agent. *)
 
@@ -67,6 +73,12 @@ val encode : t -> bytes -> bytes
 val decode : bytes -> t * bytes
 (** Inverse of [encode].  Raises [Invalid_argument] on truncation or
     checksum mismatch. *)
+
+val decode_at : bytes -> off:int -> len:int -> t option
+(** The header at the start of the [len] bytes at [off] — a tunneled
+    packet's payload, read where it was received; its length is
+    {!length}.  [None] if the range does not fit the buffer, or the
+    header is truncated or fails its checksum.  Total: never raises. *)
 
 val decode_prefix : bytes -> (t * int) option
 (** Parse just the header from a (possibly truncated) payload, returning

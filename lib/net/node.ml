@@ -4,7 +4,7 @@ module View = Ipv4.Packet.View
 
 type forward_action =
   | Forward
-  | Replace of Ipv4.Packet.t
+  | Replace of bytes
   | Consume
   | Drop of string
 
@@ -435,19 +435,30 @@ let delayed t ~slow f =
   in
   ignore (Engine.schedule_after t.engine ~delay:d f)
 
-let forward_now t pkt =
-  let v = view_of pkt in
-  delayed t ~slow:(Ipv4.Packet.has_options pkt) (fun () ->
-      route_and_send t v)
+(* Wire bytes, rendered only when a trace is listening. *)
+let pp_wire ppf wire = Ipv4.Packet.pp ppf (Ipv4.Packet.decode wire)
 
-let send t pkt =
+(* The wire senders take a packet's encoding: the MHRP agents build
+   their tunnels as bytes, and the record senders encode once and call
+   them.  A header with options costs the slow-path delay. *)
+let forward_wire t wire =
+  let v = View.make wire in
+  delayed t ~slow:(View.has_options v) (fun () -> route_and_send t v)
+
+let send_wire t wire =
   t.n_originated <- t.n_originated + 1;
-  tracef t "tx" "%a" Ipv4.Packet.pp pkt;
-  forward_now t pkt
+  tracef t "tx" "%a" pp_wire wire;
+  forward_wire t wire
 
-let send_ip_to_mac t ~iface:i ~dst_mac pkt =
-  let v = view_of pkt in
+let send_wire_to_mac t ~iface:i ~dst_mac wire =
+  let v = View.make wire in
   delayed t ~slow:false (fun () -> if t.up then frame_out t i ~dst_mac v)
+
+let forward_now t pkt = forward_wire t (Ipv4.Packet.encode pkt)
+let send t pkt = send_wire t (Ipv4.Packet.encode pkt)
+
+let send_ip_to_mac t ~iface ~dst_mac pkt =
+  send_wire_to_mac t ~iface ~dst_mac (Ipv4.Packet.encode pkt)
 
 let broadcast_ip t ~iface:i pkt =
   delayed t ~slow:false (fun () ->
@@ -610,11 +621,15 @@ and deliver_local_whole t (pkt : Ipv4.Packet.t) =
 let () = deliver_local_ref := deliver_local
 let inject_local t pkt = if t.up then deliver_local t pkt
 
-let forward_rewritten t pkt =
+let forward_rewritten t wire =
   t.n_forwarded <- t.n_forwarded + 1;
-  tracef t "fwd" "rewritten: %a" Ipv4.Packet.pp pkt;
-  List.iter (fun f -> f t pkt) t.forward_taps;
-  forward_now t pkt
+  tracef t "fwd" "rewritten: %a" pp_wire wire;
+  (match t.forward_taps with
+   | [] -> ()
+   | taps ->
+     let pkt = Ipv4.Packet.decode wire in
+     List.iter (fun f -> f t pkt) taps);
+  forward_wire t wire
 
 (* The record route, for a packet the receive path decoded: the hook
    sees the encoding of the decremented record, and the chain forwards
@@ -631,7 +646,7 @@ let forward t (pkt : Ipv4.Packet.t) =
     match t.rewrite_forward t v with
     | Consume -> ()
     | Drop reason -> drop t reason pkt
-    | Replace pkt' -> forward_rewritten t pkt'
+    | Replace wire -> forward_rewritten t wire
     | Forward ->
       t.n_forwarded <- t.n_forwarded + 1;
       tracef t "fwd" "%a" Ipv4.Packet.pp pkt;
@@ -647,7 +662,7 @@ let forward_view t v =
   match t.rewrite_forward t v with
   | Consume -> ()
   | Drop reason -> drop t reason (View.decode v)
-  | Replace pkt' -> forward_rewritten t pkt'
+  | Replace wire -> forward_rewritten t wire
   | Forward ->
     t.n_forwarded <- t.n_forwarded + 1;
     t.n_fast_forwarded <- t.n_fast_forwarded + 1;

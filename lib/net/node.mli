@@ -30,7 +30,10 @@ type t
 
 type forward_action =
   | Forward  (** Normal IP forwarding. *)
-  | Replace of Ipv4.Packet.t  (** Forward this transformed packet instead. *)
+  | Replace of bytes
+      (** Forward this packet instead: its wire encoding, in a buffer
+          the hook built (never the view's own) — a tunneling hook
+          writes it straight from the view. *)
   | Consume  (** The stack disposed of the packet itself. *)
   | Drop of string
 
@@ -145,11 +148,11 @@ val set_rewrite_forward :
 (** [f node v] decides the fate of a packet this router forwards.  [v]
     covers the packet's bytes after the TTL decrement.  It is valid only
     for the duration of the call: the node keeps forwarding the same
-    buffer afterwards, so a hook that keeps anything must
-    {!Ipv4.Packet.View.decode} (copy) it, and must never mutate it.
-    Read header fields from the view and decode only when the packet
-    itself is needed (to tunnel or consume it).  Replaces any previous
-    hook; the default returns [Forward]. *)
+    buffer afterwards, so a hook that keeps anything must copy it —
+    {!Ipv4.Packet.View.decode} it, or build a new packet from it, as a
+    [Replace] does — and must never mutate it.  Read header fields
+    from the view and decode only when a record is needed.  Replaces
+    any previous hook; the default returns [Forward]. *)
 
 val set_arp_proxy : t -> (Ipv4.Addr.t -> bool) -> unit
 (** Answer ARP requests for these addresses with this node's MAC —
@@ -199,6 +202,21 @@ val send_ip_to_mac : t -> iface:int -> dst_mac:Mac.t -> Ipv4.Packet.t -> unit
 (** Transmit directly to a known MAC, bypassing routing and ARP — a foreign
     agent delivering over the last hop to a visiting mobile host whose
     link address it learned at registration (Section 2). *)
+
+(** {2 Wire senders}
+
+    The same three senders over a packet's encoding, which they take
+    over: the caller must not touch the buffer again.  The record
+    senders above encode once and call these, so the two are
+    interchangeable.  A packet whose header carries options (IHL > 5)
+    costs the [option_slow_factor] delay in {!send_wire} and
+    {!forward_wire}, as in their record forms.  The bytes must be one
+    valid packet: an MHRP agent passes the tunnels it builds on the
+    wire ({!Mhrp.Encap}), never received bytes it has not copied. *)
+
+val send_wire : t -> bytes -> unit
+val forward_wire : t -> bytes -> unit
+val send_wire_to_mac : t -> iface:int -> dst_mac:Mac.t -> bytes -> unit
 
 val broadcast_ip : t -> iface:int -> Ipv4.Packet.t -> unit
 (** Link-level broadcast of an IP packet (agent advertisements). *)

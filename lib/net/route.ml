@@ -164,6 +164,12 @@ let lookup t addr =
   in
   if idx < 0 then None else Some c.targets.(idx)
 
+let host_target t addr =
+  let c = compile t in
+  match Ipv4.Int_table.find c.hosts (Ipv4.Addr.to_key addr) ~default:(-1) with
+  | -1 -> None
+  | idx -> Some c.targets.(idx)
+
 let entries t = t.entries
 let size t = List.length t.entries
 

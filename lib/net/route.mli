@@ -36,6 +36,10 @@ val bulk : (Ipv4.Addr.Prefix.t * target) list -> t
 val lookup : t -> Ipv4.Addr.t -> target option
 (** Longest-prefix match. *)
 
+val host_target : t -> Ipv4.Addr.t -> target option
+(** The target of the table's /32 entry for this address, if it has
+    one — whatever a shorter prefix would say. *)
+
 val entries : t -> entry list
 (** Longest prefix first. *)
 

@@ -346,7 +346,65 @@ let basic_tests =
           run env;
           let r = nth_record env 0 in
           check Alcotest.bool "not delivered" true (not (delivered r));
-          check Alcotest.int "sender told" 1 !errors) ]
+          check Alcotest.int "sender told" 1 !errors);
+    Alcotest.test_case
+      "a recovered visitor's host route is added once (5.2)" `Quick
+      (fun () ->
+         (* R4 reboots, the home agent's update re-adds M without a MAC,
+            and R4 delivers through a host route: rebuilding the table
+            per packet would drop its compiled lookup every time *)
+         let env = setup () in
+         let r4 = Agent.node env.f.TG.r4 in
+         move env 1.0 env.f.TG.net_d;
+         send env 2.0 ~src:env.f.TG.s;
+         at env 3.0 (fun () -> Node.reboot r4);
+         send env 4.0 ~src:env.f.TG.s;  (* bounced: recovery *)
+         send env 5.0 ~src:env.f.TG.s;  (* the host route is added *)
+         let table = ref (Node.routes r4) in
+         at env 5.5 (fun () -> table := Node.routes r4);
+         for i = 1 to 9 do
+           send env (5.5 +. (0.1 *. float_of_int i)) ~src:env.f.TG.s
+         done;
+         run env;
+         check Alcotest.int "recovered" 1
+           (Agent.counters env.f.TG.r4).Mhrp.Counters.recoveries;
+         check Alcotest.int "all ten delivered after recovery" 10
+           (List.length
+              (List.filter delivered (List.filteri (fun i _ -> i >= 2)
+                                        (records env))));
+         check Alcotest.bool "host route present" true
+           (Net.Route.host_target (Node.routes r4) env.m_addr <> None);
+         check Alcotest.bool "table untouched after the first" true
+           (Node.routes r4 == !table));
+    Alcotest.test_case
+      "a tunneled packet with an IP option reaches the visiting mobile"
+      `Quick (fun () ->
+          (* S source-routes a datagram for M through R1; R1 sees the
+             route completed and M's home agent intercepts it.  The
+             tunnel and its exit keep the option, through the record
+             functions *)
+          let env = setup ~snoop_routers:false () in
+          move env 1.0 env.f.TG.net_d;
+          let got = ref [] in
+          Agent.on_app_receive env.f.TG.m (fun pkt -> got := pkt :: !got);
+          let r1 = Addr.host 1 1 in
+          at env 2.0 (fun () ->
+              Node.send (Agent.node env.f.TG.s)
+                (Packet.make ~id:42 ~proto:Ipv4.Proto.udp
+                   ~options:[Ipv4.Ip_option.lsrr [env.m_addr]]
+                   ~src:(Agent.address env.f.TG.s) ~dst:r1
+                   (Ipv4.Udp.encode
+                      (Ipv4.Udp.make ~src_port:1 ~dst_port:2
+                         (Bytes.make 40 'o')))));
+          run env;
+          check Alcotest.int "intercepted" 1
+            (Agent.counters env.f.TG.r2).Mhrp.Counters.intercepts;
+          match !got with
+          | [ pkt ] ->
+            check Alcotest.int "id" 42 pkt.Packet.id;
+            check Alcotest.bool "option kept" true (Packet.has_options pkt);
+            check addr_testable "to M" env.m_addr pkt.Packet.dst
+          | l -> Alcotest.failf "M got %d packets" (List.length l)) ]
 
 (* --- allocation: sending on a location-cache hit --- *)
 
@@ -421,7 +479,63 @@ let alloc_tests =
         let per_receiver = (advert_words 32 -. advert_words 8) /. 24.0 in
         check Alcotest.bool
           (Printf.sprintf "%.1f words per receiver" per_receiver)
-          true (per_receiver <= 8.0)) ]
+          true (per_receiver <= 8.0));
+    Alcotest.test_case
+      "a tunnel exit allocates at most its output buffer plus 64 words"
+      `Quick (fun () ->
+        (* R4's exit of a sender-built tunnel carrying 1 KiB, from the
+           frame's arrival to the scheduled last hop: the header is read
+           in place and the transport copied once, into the output
+           buffer.  Decoding into records copies it four times, about
+           530 words more. *)
+        let f = TG.figure1 () in
+        let topo = f.TG.topo in
+        Netsim.Trace.set_enabled (Topology.trace topo) false;
+        Workload.Mobility.move_at topo f.TG.m ~at:(Time.of_sec 0.5)
+          f.TG.net_d;
+        Topology.run ~until:(Time.of_sec 2.0) topo;
+        let received = ref 0 in
+        Agent.on_app_receive f.TG.m (fun _ -> incr received);
+        let original =
+          Packet.make ~proto:Ipv4.Proto.udp ~src:(Agent.address f.TG.s)
+            ~dst:(Agent.address f.TG.m)
+            (Ipv4.Udp.encode
+               (Ipv4.Udp.make ~src_port:1 ~dst_port:2 (Bytes.make 1024 'x')))
+        in
+        let wire =
+          Packet.encode
+            (Mhrp.Encap.tunnel_by_sender ~foreign_agent:(Addr.host 4 1)
+               original)
+        in
+        let r4 = Agent.node f.TG.r4 in
+        let r4_mac =
+          Node.iface_mac r4
+            (Option.get (Node.iface_to r4 (Net.Lan.prefix f.TG.net_c)))
+        in
+        let arrival = ref Time.zero in
+        Net.Lan.add_monitor f.TG.net_c (fun _ ->
+            arrival := Topology.now topo);
+        let tunnel_in () =
+          let sent = Topology.now topo in
+          Net.Lan.send f.TG.net_c
+            (Net.Frame.ip ~src:(Net.Mac.of_int 999) ~dst:r4_mac
+               (Bytes.copy wire));
+          sent
+        in
+        (* the first exit times the frame's arrival *)
+        let sent = tunnel_in () in
+        Topology.run ~until:(Time.of_sec 2.5) topo;
+        let delay = Time.diff !arrival sent in
+        let sent = tunnel_in () in
+        let w0 = Gc.minor_words () in
+        Topology.run ~until:(Time.add sent delay) topo;
+        let words = Gc.minor_words () -. w0 in
+        Topology.run ~until:(Time.of_sec 3.0) topo;
+        check Alcotest.int "both exits delivered" 2 !received;
+        let output = (Packet.total_length original / 8) + 2 in
+        check Alcotest.bool
+          (Printf.sprintf "%.0f words, output buffer %d" words output)
+          true (words <= float_of_int (output + 64))) ]
 
 let suite =
   [ ("agent-figure1", basic_tests); ("agent-alloc", alloc_tests) ]

@@ -1,6 +1,6 @@
-(* Tests for the compact int-keyed state backing (PR 8): the
-   [Ipv4.Int_table] store, packed [Addr] keys, the re-compiled
-   [Net.Route] lookup structures, and the [Buffer_pool] byte cap. *)
+(* Tests for the compact int-keyed state backing: the
+   [Ipv4.Int_table] store, packed [Addr] keys and the re-compiled
+   [Net.Route] lookup structures. *)
 
 module Addr = Ipv4.Addr
 module Int_table = Ipv4.Int_table
@@ -191,50 +191,6 @@ let route_tests =
           (Route.compiled_footprint_bytes aggregated * 10
            < Route.compiled_footprint_bytes per_host)) ]
 
-(* --- Buffer_pool byte cap --- *)
-
-let pool_tests =
-  [ Alcotest.test_case "byte cap bounds a burst of large buffers" `Quick
-      (fun () ->
-         let pool =
-           Ipv4.Buffer_pool.create ~max_per_class:64
-             ~max_total_bytes:100_000 ()
-         in
-         (* 200 distinct sizes * 4 KiB each: the per-class bound alone
-            would happily pin ~800 KiB forever *)
-         for size = 4_000 to 4_199 do
-           Ipv4.Buffer_pool.release pool (Bytes.create size)
-         done;
-         check Alcotest.bool "pinned bytes capped" true
-           (Ipv4.Buffer_pool.pooled_bytes pool <= 100_000);
-         check Alcotest.bool "excess discarded" true
-           (Ipv4.Buffer_pool.cap_discards pool > 0);
-         check Alcotest.int "class cap untouched" 0
-           (Ipv4.Buffer_pool.discards pool);
-         (* capped pool still serves: take one back out, release again *)
-         let b = Ipv4.Buffer_pool.take pool 4_000 in
-         check Alcotest.int "len" 4_000 (Bytes.length b);
-         Ipv4.Buffer_pool.release pool b;
-         check Alcotest.bool "still capped" true
-           (Ipv4.Buffer_pool.pooled_bytes pool <= 100_000));
-    Alcotest.test_case "take returns pooled bytes to budget" `Quick
-      (fun () ->
-         let pool =
-           Ipv4.Buffer_pool.create ~max_total_bytes:8_192 ()
-         in
-         Ipv4.Buffer_pool.release pool (Bytes.create 8_000);
-         check Alcotest.int "pinned" 8_000
-           (Ipv4.Buffer_pool.pooled_bytes pool);
-         ignore (Ipv4.Buffer_pool.take pool 8_000);
-         check Alcotest.int "unpinned" 0
-           (Ipv4.Buffer_pool.pooled_bytes pool);
-         (* budget freed by take is available again *)
-         Ipv4.Buffer_pool.release pool (Bytes.create 8_000);
-         check Alcotest.int "re-pinned" 8_000
-           (Ipv4.Buffer_pool.pooled_bytes pool);
-         check Alcotest.int "no cap discards" 0
-           (Ipv4.Buffer_pool.cap_discards pool)) ]
-
 (* --- allocation: every forwarded packet runs these lookups --- *)
 
 (* Exact minor-heap words allocated by [f ()]; [Gc.minor_words] returns
@@ -302,5 +258,4 @@ let suite =
   [ ("compact-addr-keys", addr_key_tests);
     ("compact-int-table", int_table_tests);
     ("compact-route", route_tests);
-    ("compact-buffer-pool", pool_tests);
     ("compact-alloc", alloc_tests) ]

@@ -1,8 +1,9 @@
 (* The zero-copy forwarding fast path (DESIGN.md Section 11): the
-   in-place header rewrite and pool-backed encap must be byte-equivalent
-   to the classical decode -> rebuild -> encode paths, the view decoders
-   must be total on hostile bytes, and a transit chain must produce
-   byte-identical traffic whether or not the fast path engages. *)
+   in-place header rewrite and the wire-built tunnels must be
+   byte-equivalent to the classical decode -> rebuild -> encode paths,
+   the view decoders must be total on hostile bytes, and a transit chain
+   must produce byte-identical traffic whether or not the fast path
+   engages. *)
 
 module Time = Netsim.Time
 module Rng = Netsim.Rng
@@ -108,46 +109,105 @@ let view_total s =
   in
   check 0 n && (n < 3 || check (n / 3) (n - (n / 3)))
 
-(* Pool-backed wire-level encap/decap == record-based encap/decap. *)
+(* --- the wire-byte tunnel builders against the record functions --- *)
+
+module Encap = Mhrp.Encap
+module Header = Mhrp.Mhrp_header
+
+let random_addr rng = Addr.host (Rng.int rng 200) (1 + Rng.int rng 250)
+
+(* [p]'s wire bytes, on a coin flip with the reserved flag bit set —
+   received bytes may carry it, and decoding drops it. *)
+let wire_of rng (p : Packet.t) =
+  let wire = Packet.encode p in
+  if Rng.int rng 2 = 0 then begin
+    Bytes.set_uint8 wire 6 (Bytes.get_uint8 wire 6 lor 0x80);
+    Ipv4.Checksum.set wire ~at:10 ~off:0 ~len:(Packet.header_length p)
+  end;
+  wire
+
+(* [p] tunneled with [heads] as its header's list. *)
+let tunneled_with (p : Packet.t) heads =
+  { p with
+    Packet.proto = Ipv4.Proto.mhrp;
+    payload =
+      Header.encode
+        (Header.make ~prev_sources:heads ~orig_proto:p.Packet.proto
+           ~mobile:p.Packet.dst ())
+        p.Packet.payload }
+
+(* The wire re-tunnel's verdict and bytes equal the record re-tunnel's,
+   encoded. *)
+let same_retunnel record (wire : bytes Encap.retunnel_result) =
+  match record, wire with
+  | Some (Encap.Retunneled p), Encap.Retunneled b ->
+    Bytes.equal (Packet.encode p) b
+  | ( Some (Encap.Retunneled_overflow { packet; notify }),
+      Encap.Retunneled_overflow { packet = b; notify = n } ) ->
+    Bytes.equal (Packet.encode packet) b && List.equal Addr.equal notify n
+  | Some (Encap.Loop_detected { members }), Encap.Loop_detected { members = m }
+    ->
+    List.equal Addr.equal members m
+  | _ -> false
+
+(* Exit and re-tunnel of [tp] on the wire == the record functions. *)
+let exit_and_retunnel_agree rng ~max_prev_sources (tp : Packet.t) =
+  let v = View.make (wire_of rng tp) in
+  match Encap.header_at v, Encap.detunnel tp with
+  | Some h, Some (original, h') ->
+    Header.equal h h'
+    && Bytes.equal (Encap.detunnel_into v h) (Packet.encode original)
+    && List.for_all
+         (fun me ->
+            let new_dst = random_addr rng in
+            same_retunnel
+              (Encap.retunnel ~max_prev_sources ~me ~new_dst tp)
+              (Encap.retunnel_into ~max_prev_sources ~me ~new_dst v h))
+         (* an outsider; the incoming source itself; and, when the list
+            is not empty, one of its members — the two loop cases *)
+         (random_addr rng :: tp.Packet.src
+          :: (match h.Header.prev_sources with
+              | [] -> []
+              | heads -> [List.nth heads (Rng.int rng (List.length heads))]))
+  | _ -> false (* a tunnel the record functions built always parses *)
+
+(* Every [_into] builder == encoding the record function's result, for
+   random packets with and without IP options (those with options go
+   through the record fallback), tunnel lists of every length up to the
+   bound, and the loop and full-list verdicts. *)
 let encap_into_equals_record seed =
   let rng = Rng.of_int seed in
-  let p = mk_packet ~options:false rng in
-  let wire = Packet.encode p in
-  let v = View.make wire in
-  let pool = Ipv4.Buffer_pool.create () in
+  let p = mk_packet rng in
+  let v = View.make (wire_of rng p) in
   let agent = Addr.host 3 1 and foreign_agent = Addr.host 4 1 in
-  let by_agent = Mhrp.Encap.tunnel_by_agent ~agent ~foreign_agent p in
+  let max_prev_sources = Mhrp.Config.default.Mhrp.Config.max_prev_sources in
   let ok_agent =
     Bytes.equal
-      (Mhrp.Encap.tunnel_by_agent_into ~pool ~agent ~foreign_agent v)
-      (Packet.encode by_agent)
+      (Encap.tunnel_by_agent_into ~agent ~foreign_agent v)
+      (Packet.encode (Encap.tunnel_by_agent ~agent ~foreign_agent p))
   in
   let ok_sender =
     Bytes.equal
-      (Mhrp.Encap.tunnel_by_sender_into ~pool ~foreign_agent v)
-      (Packet.encode (Mhrp.Encap.tunnel_by_sender ~foreign_agent p))
+      (Encap.tunnel_by_sender_into ~foreign_agent p)
+      (Packet.encode (Encap.tunnel_by_sender ~foreign_agent p))
   in
-  let ok_detunnel =
-    match
-      ( Mhrp.Encap.detunnel_into ~pool (View.make (Packet.encode by_agent)),
-        Mhrp.Encap.detunnel by_agent )
-    with
-    | Some (buf, h), Some (orig, h') ->
-      Bytes.equal buf (Packet.encode orig) && Mhrp.Mhrp_header.equal h h'
-    | None, None -> true
-    | _ -> false
+  let ok_lists =
+    List.for_all
+      (fun k ->
+         exit_and_retunnel_agree rng ~max_prev_sources
+           (tunneled_with p (List.init k (fun _ -> random_addr rng))))
+      (List.init (max_prev_sources + 1) Fun.id)
   in
-  (* a non-tunneled packet must detunnel to None on both paths — unless
-     its payload happens to parse as a well-formed MHRP header, in
-     which case both must agree byte for byte *)
+  (* a packet that is not a tunnel has no header on either path —
+     unless its payload happens to parse as an MHRP header, in which
+     case the two must still agree *)
   let ok_plain =
-    match Mhrp.Encap.detunnel_into ~pool v, Mhrp.Encap.detunnel p with
+    match Encap.header_at v, Encap.header_of p with
     | None, None -> true
-    | Some (buf, h), Some (orig, h') ->
-      Bytes.equal buf (Packet.encode orig) && Mhrp.Mhrp_header.equal h h'
+    | Some h, Some h' -> Header.equal h h'
     | _ -> false
   in
-  ok_agent && ok_sender && ok_detunnel && ok_plain
+  ok_agent && ok_sender && ok_lists && ok_plain
 
 (* --- end-to-end: a transit chain with the fast path on vs off ------ *)
 
@@ -444,7 +504,7 @@ let suite =
              view_total);
         qtest
           (QCheck.Test.make
-             ~name:"pool-backed encap/decap == record encap/decap"
+             ~name:"wire-built tunnels == record tunnels, encoded"
              ~count:200 arb_seed encap_into_equals_record);
         Alcotest.test_case "fast and slow chains are byte-equivalent"
           `Quick chains_equivalent;

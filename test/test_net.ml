@@ -432,8 +432,9 @@ let node_tests =
          Node.set_rewrite_forward r (fun _ v ->
              if Addr.equal (Packet.View.dst v) (Node.primary_addr b) then
                Node.Replace
-                 { (Packet.View.decode v) with
-                   Packet.dst = Node.primary_addr c }
+                 (Packet.encode
+                    { (Packet.View.decode v) with
+                      Packet.dst = Node.primary_addr c })
              else Node.Forward);
          let got_b = ref 0 and got_c = ref 0 in
          Node.set_proto_handler b Ipv4.Proto.udp (fun _ _ -> incr got_b);
@@ -443,6 +444,35 @@ let node_tests =
          Topology.run topo;
          check Alcotest.int "b" 0 !got_b;
          check Alcotest.int "c" 1 !got_c);
+    Alcotest.test_case "a sent header with options costs the slow path"
+      `Quick (fun () ->
+        (* the senders read the options from the encoded header: a
+           host's 20 us processing delay becomes 8 x 20 us, and the
+           4-byte option word adds 3-4 us of transmission *)
+        let topo, _, a, b = two_hosts () in
+        let arrivals = ref [] in
+        Node.set_proto_handler b Ipv4.Proto.udp (fun _ _ ->
+            arrivals := Topology.now topo :: !arrivals);
+        let send_at sec options =
+          ignore
+            (Netsim.Engine.schedule (Topology.engine topo)
+               ~at:(Time.of_sec sec) (fun () ->
+                   Node.send a
+                     { (udp_to ~src:a ~dst_addr:(Node.primary_addr b)
+                          Bytes.empty)
+                       with Packet.options }))
+        in
+        send_at 1.0 [];  (* warms the ARP cache *)
+        send_at 2.0 [];
+        send_at 3.0 [Ipv4.Ip_option.Nop];
+        Topology.run topo;
+        match List.rev_map Time.to_us !arrivals with
+        | [_; plain; optioned] ->
+          let extra = (optioned - 3_000_000) - (plain - 2_000_000) in
+          check Alcotest.bool
+            (Printf.sprintf "%d us slower" extra)
+            true (extra >= 140 && extra <= 145)
+        | l -> Alcotest.failf "%d arrivals" (List.length l));
     Alcotest.test_case "builtin echo responder" `Quick (fun () ->
         let topo, _, a, b = two_hosts () in
         let replies = ref 0 in

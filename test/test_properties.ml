@@ -282,6 +282,8 @@ let decoders_total s =
     && no_raise "Control.decode_at" (fun () ->
         Mhrp.Control.decode_at buf ~off ~len)
     && no_raise "Udp.length_at" (fun () -> Ipv4.Udp.length_at buf ~off ~len)
+    && no_raise "Mhrp_header.decode_at" (fun () ->
+        Mhrp.Mhrp_header.decode_at buf ~off ~len)
   in
   no_raise "Control.decode" (fun () -> Mhrp.Control.decode buf)
   && no_raise "Extension.decode" (fun () -> Auth.Extension.decode buf)
@@ -366,12 +368,20 @@ let offset_decoders_agree seed =
   let udp =
     no_raise "Udp.length_at" (fun () -> Ipv4.Udp.length_at buf ~off ~len)
   in
+  let mh =
+    no_raise "Mhrp_header.decode_at" (fun () ->
+        Mhrp.Mhrp_header.decode_at buf ~off ~len)
+  in
   if off < 0 || len < 0 || off + len > Bytes.length buf then
-    icmp = None && ctl = None && udp < 0
+    icmp = None && ctl = None && udp < 0 && mh = None
   else begin
     let window = Bytes.sub buf off len in
     icmp = Ipv4.Icmp.decode_opt window
     && ctl = Mhrp.Control.decode window
+    && (match mh, Mhrp.Mhrp_header.decode window with
+        | Some h, (h', _) -> Mhrp.Mhrp_header.equal h h'
+        | None, _ -> false
+        | exception Invalid_argument _ -> mh = None)
     &&
     match Ipv4.Udp.decode window with
     | d ->
