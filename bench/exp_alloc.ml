@@ -379,9 +379,9 @@ let tcp_segment =
 let tcp_wire = Ipv4.Tcp_lite.encode tcp_segment
 
 let part_transport () =
-  (* the segment codec in isolation: every socket byte crosses encode
-     once and decode once, so both word counts gate the send path's
-     fixed per-segment cost *)
+  (* the reference segment codec in isolation: the tests, the wire
+     corpus and the record-level tools use it; sockets write and read
+     segments in place *)
   let (), enc_alloc =
     Obs.Alloc.measure (fun () ->
         for _ = 1 to tcp_ops do
@@ -404,8 +404,9 @@ let part_transport () =
     "tcp_minor_words_per_op" dec_w;
   (* the full socket send path on a quiet Figure 1 topology: one
      established connection, each op queues 256 stream bytes and runs the
-     engine until the ack returns — segmentation, IP encode, two ARP-warm
-     hops, receive reassembly, ack processing and timer churn included.
+     engine until the ack returns — the segment written from the send
+     stream into its packet, two ARP-warm hops, the in-place receive and
+     its delivery copy, ack processing and timer churn included.
      Retransmissions must be exactly zero: an idle-path RTO misfire would
      silently double the cost. *)
   let f =

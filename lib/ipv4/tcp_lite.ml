@@ -44,11 +44,11 @@ let get_u8 buf i = Char.code (Bytes.get buf i)
 let get_u16 buf i = (get_u8 buf i lsl 8) lor get_u8 buf (i + 1)
 let get_u32 buf i = (get_u16 buf i lsl 16) lor get_u16 buf (i + 2)
 
+let check name v max =
+  if v < 0 || v > max then
+    invalid_arg (Printf.sprintf "Tcp_lite.encode: %s out of range" name)
+
 let encode t =
-  let check name v max =
-    if v < 0 || v > max then
-      invalid_arg (Printf.sprintf "Tcp_lite.encode: %s out of range" name)
-  in
   check "src_port" t.src_port 0xFFFF;
   check "dst_port" t.dst_port 0xFFFF;
   check "seq" t.seq 0xFFFF_FFFF;
@@ -101,3 +101,47 @@ let pp ppf t =
     t.dst_port t.seq t.ack
     (String.concat "" (List.map flag_name t.flags))
     (Bytes.length t.data)
+
+(* --- the same format, in place ---
+
+   The transport reads and writes segments inside packet buffers with
+   the functions below; [encode] and [decode] above are the reference
+   they are tested against, so the two stay separate code. *)
+
+(* The header of the [len]-byte segment at [off], checksum last: every
+   field is range-checked before the first byte is written. *)
+let write buf ~off ~src_port ~dst_port ~seq ~ack ~flags ~window ~len =
+  check "src_port" src_port 0xFFFF;
+  check "dst_port" dst_port 0xFFFF;
+  check "seq" seq 0xFFFF_FFFF;
+  check "ack" ack 0xFFFF_FFFF;
+  check "flags" flags 0x3F;
+  check "window" window 0xFFFF;
+  if off < 0 || len < header_length || off > Bytes.length buf - len then
+    invalid_arg "Tcp_lite.write: segment outside the buffer";
+  put_u16 buf off src_port;
+  put_u16 buf (off + 2) dst_port;
+  put_u32 buf (off + 4) seq;
+  put_u32 buf (off + 8) ack;
+  Bytes.set buf (off + 12) (Char.chr ((header_length / 4) lsl 4));
+  Bytes.set buf (off + 13) (Char.chr flags);
+  put_u16 buf (off + 14) window;
+  (* the checksum at 16..17 is computed over zero; urgent pointer zero *)
+  put_u32 buf (off + 16) 0;
+  Checksum.set buf ~at:(off + 16) ~off ~len
+
+let valid_at buf ~off ~len =
+  off >= 0 && len >= header_length
+  && off <= Bytes.length buf - len
+  &&
+  let data_off = (get_u8 buf (off + 12) lsr 4) * 4 in
+  data_off >= header_length && data_off <= len
+  && Checksum.valid_range buf ~off ~len
+
+let src_port_at buf ~off = get_u16 buf off
+let dst_port_at buf ~off = get_u16 buf (off + 2)
+let seq_at buf ~off = get_u32 buf (off + 4)
+let ack_at buf ~off = get_u32 buf (off + 8)
+let data_offset_at buf ~off = (get_u8 buf (off + 12) lsr 4) * 4
+let flags_at buf ~off = get_u8 buf (off + 13)
+let window_at buf ~off = get_u16 buf (off + 14)

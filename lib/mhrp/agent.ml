@@ -36,7 +36,7 @@ type t = {
   fa_miss_probes : (int, unit) Hashtbl.t;
       (* packed mobile -> visitor-miss ARP probe in flight *)
   mutable regional_sweep_timer : bool;
-  mutable app_tap : Packet.t -> unit;
+  mutable app_tap : View.t -> unit;
   mutable update_tap : mobile:Addr.t -> foreign_agent:Addr.t -> unit;
   mutable registered_tap : Addr.t -> unit;
   mutable registration_tap : mobile:Addr.t -> foreign_agent:Addr.t -> unit;
@@ -56,7 +56,8 @@ let foreign_agent t = Option.map fst t.fa
 let mobile t = t.mh
 let regional_agent t = t.regional
 
-let on_app_receive t f = t.app_tap <- f
+let on_app_receive t f = t.app_tap <- (fun v -> f (View.decode v))
+let on_app_receive_view t f = t.app_tap <- f
 let on_location_update t f = t.update_tap <- f
 let on_registered t f = t.registered_tap <- f
 let on_registration t f = t.registration_tap <- f
@@ -276,25 +277,48 @@ let regional_expiry t ~lifetime_s =
 
 (* --- cache-aware application sending (Sections 4.1, 6.2) --- *)
 
-let send t (pkt : Packet.t) =
-  let dst = pkt.Packet.dst in
+(* The one tunnel decision for a packet this node originates: the
+   foreign agent to tunnel it to — authoritatively when we are [dst]'s
+   home agent, else on a location-cache hit — or [None] for plain IP. *)
+let sender_tunnel t dst =
   match ha_location t dst with
-  | Some fa when not (Addr.is_zero fa) && not (Addr.equal fa disconnected_marker) ->
-    (* Authoritative: we are this destination's home agent. *)
-    t.counters.Counters.tunnels_built <-
-      t.counters.Counters.tunnels_built + 1;
-    Node.send_wire t.node (Encap.tunnel_by_sender_into ~foreign_agent:fa pkt)
+  | Some fa as home
+    when not (Addr.is_zero fa) && not (Addr.equal fa disconnected_marker) ->
+    home
   | _ ->
-    let cached =
-      if t.cache_agent then Location_cache.find t.cache dst else None
+    if not t.cache_agent then None
+    else
+      match Location_cache.find t.cache dst with
+      | Some fa as hit ->
+        tracef t "tunnel" "sender-built for %a via %a" Addr.pp dst Addr.pp fa;
+        hit
+      | None -> None
+
+let send_tunnel t wire =
+  t.counters.Counters.tunnels_built <- t.counters.Counters.tunnels_built + 1;
+  Node.send_wire t.node wire
+
+let send t (pkt : Packet.t) =
+  match sender_tunnel t pkt.Packet.dst with
+  | Some fa ->
+    send_tunnel t (Encap.tunnel_by_sender_into ~foreign_agent:fa pkt)
+  | None -> Node.send t.node pkt
+
+(* The buffer is sized for the decision, and [write] fills the payload
+   before anything is counted or sent. *)
+let send_written t ~id ~proto ~dst ~len write =
+  let pkt = Packet.make ~id ~proto ~src:(address t) ~dst Bytes.empty in
+  match sender_tunnel t dst with
+  | Some fa ->
+    let wire =
+      Encap.tunnel_by_sender_into ~reserve:len ~foreign_agent:fa pkt
     in
-    match cached with
-    | Some fa ->
-      t.counters.Counters.tunnels_built <-
-        t.counters.Counters.tunnels_built + 1;
-      tracef t "tunnel" "sender-built for %a via %a" Addr.pp dst Addr.pp fa;
-      Node.send_wire t.node (Encap.tunnel_by_sender_into ~foreign_agent:fa pkt)
-    | None -> Node.send t.node pkt
+    write wire (Bytes.length wire - len);
+    send_tunnel t wire
+  | None ->
+    let wire = Packet.encode_with_gap pkt ~gap:len in
+    write wire (Bytes.length wire - len);
+    Node.send_wire t.node wire
 
 let send_udp t ?(src_port = 4000) ?(dst_port = 4000) ?(id = 0) ~dst data =
   let udp = Ipv4.Udp.make ~src_port ~dst_port data in
@@ -1326,9 +1350,7 @@ let regional_handle_registration t ~mobile ~foreign_agent ~lifetime_s =
         Packet.make ~proto:Ipv4.Proto.udp ~src:(address t) ~dst:mobile
           (control_datagram t (Control.Reg_region_ack { mobile }))
       in
-      t.counters.Counters.tunnels_built <-
-        t.counters.Counters.tunnels_built + 1;
-      Node.send_wire t.node (Encap.tunnel_by_sender_into ~foreign_agent reply)
+      send_tunnel t (Encap.tunnel_by_sender_into ~foreign_agent reply)
     end
 
 (* Backup regional agent: apply a mirrored binding without re-propagating
@@ -1477,7 +1499,7 @@ let handle_icmp t v =
           (Packet.make ~id:(View.id v) ~proto:Ipv4.Proto.icmp
              ~src:(address t) ~dst:(View.src v)
              (Ipv4.Icmp.encode reply))
-      | Ipv4.Icmp.Echo_reply _ -> t.app_tap (View.decode v)
+      | Ipv4.Icmp.Echo_reply _ -> t.app_tap v
       | Ipv4.Icmp.Dest_unreachable { original; _ }
       | Ipv4.Icmp.Time_exceeded { original; _ }
       | Ipv4.Icmp.Redirect { original; _ } ->
@@ -1509,7 +1531,7 @@ let handle_udp t v =
     if Ipv4.Udp.dst_port_at buf ~off = Control.port then
       handle_control t v ~off:(off + Ipv4.Udp.header_length)
         ~len:(n - Ipv4.Udp.header_length)
-    else t.app_tap (View.decode v)
+    else t.app_tap v
 
 (* --- forwarding hook (router cache agents, Sections 4.3, 6.2) --- *)
 
@@ -1599,7 +1621,7 @@ let create ?(config = Config.default) ?(cache_agent = true)
   Node.set_proto_handler node Ipv4.Proto.udp (fun _ v ->
       dispatch t handle_udp v);
   Node.set_proto_handler node Ipv4.Proto.tcp (fun _ v ->
-      dispatch t (fun t v -> t.app_tap (View.decode v)) v);
+      dispatch t (fun t v -> t.app_tap v) v);
   Node.set_accept_ip node (fun _ dst -> claims t dst);
   Node.set_arp_proxy node (fun addr -> claims t addr);
   Node.set_rewrite_forward node (fun _ v -> rewrite_forward t v);

@@ -98,6 +98,22 @@ val send : t -> Ipv4.Packet.t -> unit
     (Section 6.2), or authoritatively from the home-agent database;
     otherwise plain IP. *)
 
+val send_written :
+  t -> id:int -> proto:Ipv4.Proto.t -> dst:Ipv4.Addr.t -> len:int ->
+  (bytes -> int -> unit) -> unit
+(** [send_written t ~id ~proto ~dst ~len write] sends a packet from this
+    node's address whose [len]-byte payload the caller writes straight
+    into the outgoing buffer: [write wire off] must fill
+    [\[off, off + len)] of [wire].  The tunnel decision is {!send}'s, and
+    the buffer is sized for it — plain IP
+    ({!Ipv4.Packet.encode_with_gap}) or a sender-built tunnel
+    ({!Encap.tunnel_by_sender_into} with a [len]-byte reserve) — so the
+    packet on the wire is the one {!send} would send for
+    [Packet.make ~id ~proto ~src ~dst payload].  Nothing is counted or
+    sent until [write] returns: an exception from [write] propagates
+    with [tunnels_built] unchanged and nothing on the wire.  The
+    transport's segment path. *)
+
 val send_udp :
   t -> ?src_port:int -> ?dst_port:int -> ?id:int -> dst:Ipv4.Addr.t ->
   bytes -> unit
@@ -106,7 +122,14 @@ val send_ping : t -> ?id:int -> ?seq:int -> dst:Ipv4.Addr.t -> unit -> unit
 
 val on_app_receive : t -> (Ipv4.Packet.t -> unit) -> unit
 (** Non-control traffic delivered to this node (after any
-    decapsulation). *)
+    decapsulation), decoded. *)
+
+val on_app_receive_view : t -> (Ipv4.Packet.View.t -> unit) -> unit
+(** {!on_app_receive} without the decode: the tap gets the received
+    packet's view, valid only for the call (DESIGN.md Section 11) — a
+    tap that keeps anything copies it out first.  Replaces any tap
+    installed either way.  The transport reads segments through it in
+    place. *)
 
 val on_location_update :
   t -> (mobile:Ipv4.Addr.t -> foreign_agent:Ipv4.Addr.t -> unit) -> unit

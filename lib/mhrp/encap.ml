@@ -149,18 +149,26 @@ let header_at v =
     Mhrp_header.decode_at (View.buffer v) ~off:(View.payload_offset v)
       ~len:(View.payload_length v)
 
-let tunnel_by_sender_into ~foreign_agent (pkt : Ipv4.Packet.t) =
+let tunnel_by_sender_into ?(reserve = 0) ~foreign_agent (pkt : Ipv4.Packet.t)
+  =
+  let payload = pkt.Ipv4.Packet.payload in
+  let plen = Bytes.length payload in
   let buf =
     Ipv4.Packet.encode_with_gap
-      { pkt with Ipv4.Packet.proto = Ipv4.Proto.mhrp; dst = foreign_agent }
-      ~gap:Mhrp_header.fixed_length
+      { pkt with
+        Ipv4.Packet.proto = Ipv4.Proto.mhrp;
+        dst = foreign_agent;
+        payload = Bytes.empty }
+      ~gap:(Mhrp_header.fixed_length + plen + reserve)
   in
-  (* the MHRP header goes in the gap: count 0 (already zero), the
-     original protocol and destination *)
+  (* the gap holds the MHRP header — count 0 (already zero), the
+     original protocol and destination — then the payload, then the
+     reserve, left zero for the caller *)
   let h = (Bytes.get_uint8 buf 0 land 0xF) * 4 in
   Bytes.set_uint8 buf (h + 1) (pkt.Ipv4.Packet.proto land 0xFF);
   blit_addr buf (h + 4) pkt.Ipv4.Packet.dst;
   Ipv4.Checksum.set buf ~at:(h + 2) ~off:h ~len:Mhrp_header.fixed_length;
+  Bytes.blit payload 0 buf (h + Mhrp_header.fixed_length) plen;
   buf
 
 let tunnel_by_agent_into ~agent ~foreign_agent v =

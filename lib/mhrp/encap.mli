@@ -77,10 +77,15 @@ val header_at : Ipv4.Packet.View.t -> Mhrp_header.t option
     packet.  [None] if it is not MHRP or its header is truncated or
     corrupt. *)
 
-val tunnel_by_sender_into : foreign_agent:Ipv4.Addr.t -> Ipv4.Packet.t -> bytes
+val tunnel_by_sender_into :
+  ?reserve:int -> foreign_agent:Ipv4.Addr.t -> Ipv4.Packet.t -> bytes
 (** [Packet.encode (tunnel_by_sender ~foreign_agent pkt)], encoded in
     one pass ({!Ipv4.Packet.encode_with_gap}) with the same range
-    checks: [Invalid_argument] where that encode would raise. *)
+    checks: [Invalid_argument] where that encode would raise.  With
+    [reserve] (default 0), the buffer ends in [reserve] more zero
+    bytes, counted in the IP length as payload: a sender writes its
+    transport bytes there, and the result is then the encoding of the
+    tunnel of [pkt] with those bytes appended to its payload. *)
 
 val tunnel_by_agent_into :
   agent:Ipv4.Addr.t -> foreign_agent:Ipv4.Addr.t -> Ipv4.Packet.View.t ->

@@ -9,6 +9,13 @@ let default_rto = Time.of_ms 300
 let default_rto_max = Time.of_sec 5.0
 let default_max_retries = 12
 
+(* The flags, as bits of the wire's flag byte. *)
+let fin = Tcp.flag_bit Tcp.Fin
+let syn = Tcp.flag_bit Tcp.Syn
+let rst = Tcp.flag_bit Tcp.Rst
+let ack = Tcp.flag_bit Tcp.Ack
+let psh_ack = Tcp.flag_bit Tcp.Psh lor ack
+
 (* How long a fully-torn-down endpoint lingers to re-ack a lost final
    segment before its demux entry is released. *)
 let time_wait_delay = Time.of_ms 1000
@@ -52,8 +59,8 @@ type t = {
   mutable state : state;
   (* Send side.  The stream is a Buffer that is never trimmed: the byte
      with sequence number [s] lives at index [s - (iss + 1)], so
-     retransmission needs no separate queue.  Transfers are bounded well
-     below the per-connection ISS stride, so this stays modest. *)
+     retransmission needs no separate queue, and each segment's data is
+     copied straight from it into the outgoing packet. *)
   iss : int;
   sendbuf : Buffer.t;
   mutable snd_una : int;
@@ -126,14 +133,11 @@ let bump t f =
 
 let data_end t = t.iss + 1 + Buffer.length t.sendbuf
 
-let emit t ?(data = Bytes.empty) ?(retransmit = false) ~flags ~seq () =
-  let ack = if List.mem Tcp.Ack flags then t.rcv_nxt else 0 in
-  let seg =
-    Tcp.make ~seq ~ack ~flags ~window:adv_window ~src_port:t.local_port
-      ~dst_port:t.remote_port data
-  in
+(* One segment of [len] stream bytes starting at [seq] (none for a
+   control segment). *)
+let emit t ~retransmit ~flags ~seq ~len =
+  let ack_no = if flags land ack <> 0 then t.rcv_nxt else 0 in
   bump t (fun c -> c.Counters.segs_sent <- c.Counters.segs_sent + 1);
-  let len = Bytes.length data in
   if len > 0 then begin
     bump t (fun c ->
         c.Counters.data_segs_sent <- c.Counters.data_segs_sent + 1);
@@ -143,9 +147,14 @@ let emit t ?(data = Bytes.empty) ?(retransmit = false) ~flags ~seq () =
   if retransmit then
     bump t (fun c ->
         c.Counters.retransmissions <- c.Counters.retransmissions + 1);
-  Stack.transmit_tcp t.stack ~dst:t.remote seg
+  Stack.send_segment t.stack ~dst:t.remote ~src_port:t.local_port
+    ~dst_port:t.remote_port ~seq ~ack:ack_no ~flags ~window:adv_window
+    t.sendbuf ~pos:(seq - (t.iss + 1)) ~len
 
-let send_ack t = emit t ~flags:[ Tcp.Ack ] ~seq:t.snd_nxt ()
+let control t ?(retransmit = false) ~flags ~seq () =
+  emit t ~retransmit ~flags ~seq ~len:0
+
+let send_ack t = control t ~flags:ack ~seq:t.snd_nxt ()
 
 let cancel_timer t =
   match t.timer with
@@ -196,14 +205,12 @@ let rec try_send t =
     let limit = t.snd_una + wnd in
     let de = data_end t in
     while t.snd_nxt < de && t.snd_nxt < limit do
-      let off = t.snd_nxt - (t.iss + 1) in
       let len = min t.mss (min (de - t.snd_nxt) (limit - t.snd_nxt)) in
-      let chunk = Bytes.of_string (Buffer.sub t.sendbuf off len) in
-      emit t ~data:chunk ~flags:[ Tcp.Psh; Tcp.Ack ] ~seq:t.snd_nxt ();
+      emit t ~retransmit:false ~flags:psh_ack ~seq:t.snd_nxt ~len;
       t.snd_nxt <- t.snd_nxt + len
     done;
     if t.fin_queued && (not t.fin_sent) && t.snd_nxt = de then begin
-      emit t ~flags:[ Tcp.Fin; Tcp.Ack ] ~seq:t.snd_nxt ();
+      control t ~flags:(fin lor ack) ~seq:t.snd_nxt ();
       t.fin_sent <- true;
       t.snd_nxt <- t.snd_nxt + 1;
       t.state <- (match t.state with Close_wait -> Last_ack | _ -> Fin_wait_1)
@@ -231,9 +238,9 @@ and on_timer t =
 
 and resend t =
   match t.state with
-  | Syn_sent -> emit t ~retransmit:true ~flags:[ Tcp.Syn ] ~seq:t.iss ()
+  | Syn_sent -> control t ~retransmit:true ~flags:syn ~seq:t.iss ()
   | Syn_received ->
-    emit t ~retransmit:true ~flags:[ Tcp.Syn; Tcp.Ack ] ~seq:t.iss ()
+    control t ~retransmit:true ~flags:(syn lor ack) ~seq:t.iss ()
   | _ ->
     (* Go-back-N: replay the whole outstanding window from [snd_una].
        After a hand-off blackout this refills the pipe in one RTO
@@ -244,15 +251,12 @@ and resend t =
     let seq = ref t.snd_una in
     while !seq < stop do
       if !seq < de then begin
-        let off = !seq - (t.iss + 1) in
         let len = min t.mss (min (de - !seq) (stop - !seq)) in
-        let chunk = Bytes.of_string (Buffer.sub t.sendbuf off len) in
-        emit t ~retransmit:true ~data:chunk ~flags:[ Tcp.Psh; Tcp.Ack ]
-          ~seq:!seq ();
+        emit t ~retransmit:true ~flags:psh_ack ~seq:!seq ~len;
         seq := !seq + len
       end
       else begin
-        emit t ~retransmit:true ~flags:[ Tcp.Fin; Tcp.Ack ] ~seq:!seq ();
+        control t ~retransmit:true ~flags:(fin lor ack) ~seq:!seq ();
         seq := !seq + 1
       end
     done
@@ -264,15 +268,18 @@ let establish t =
   (match t.established_cb with Some f -> f () | None -> ());
   try_send t
 
-let handle_ack t (seg : Tcp.t) =
-  if Tcp.has_flag seg Tcp.Ack then begin
-    t.peer_wnd <- seg.Tcp.window;
-    if Bytes.length seg.Tcp.data = 0 && not (Tcp.has_flag seg Tcp.Syn) then
+(* The received segment is the [len] bytes at [off] of [buf], valid
+   only for the call: its fields are read in place, and only data the
+   stream delivers or buffers out of order is copied. *)
+let handle_ack t buf ~off ~len ~flags =
+  if flags land ack <> 0 then begin
+    t.peer_wnd <- Tcp.window_at buf ~off;
+    if len = Tcp.data_offset_at buf ~off && flags land syn = 0 then
       bump t (fun c ->
           c.Counters.acks_received <- c.Counters.acks_received + 1);
-    let ack = seg.Tcp.ack in
-    if ack > t.snd_una && ack <= t.snd_nxt then begin
-      t.snd_una <- ack;
+    let ack_no = Tcp.ack_at buf ~off in
+    if ack_no > t.snd_una && ack_no <= t.snd_nxt then begin
+      t.snd_una <- ack_no;
       t.retries <- 0;
       t.rto_cur <- t.rto_init;
       cancel_timer t;
@@ -301,22 +308,26 @@ let deliver t data =
         c.Counters.data_bytes_received + Bytes.length data);
   match t.recv with Some f -> f data | None -> ()
 
-let insert_ooo t seq data =
+let insert_ooo t seq buf ~off ~len =
   if List.mem_assoc seq t.ooo then
     bump t (fun c -> c.Counters.duplicates <- c.Counters.duplicates + 1)
   else begin
     bump t (fun c -> c.Counters.out_of_order <- c.Counters.out_of_order + 1);
     t.ooo <-
-      List.sort (fun (a, _) (b, _) -> compare a b) ((seq, data) :: t.ooo)
+      List.sort
+        (fun (a, _) (b, _) -> compare a b)
+        ((seq, Bytes.sub buf off len) :: t.ooo)
   end
 
+(* Buffered segments are the connection's own copies: one that starts
+   at the cursor is delivered as it is. *)
 let rec drain_ooo t =
   match t.ooo with
   | (s, d) :: rest when s <= t.rcv_nxt ->
     let len = Bytes.length d in
     if s + len > t.rcv_nxt then begin
       let skip = t.rcv_nxt - s in
-      deliver t (Bytes.sub d skip (len - skip));
+      deliver t (if skip = 0 then d else Bytes.sub d skip (len - skip));
       t.rcv_nxt <- s + len
     end;
     t.ooo <- rest;
@@ -333,25 +344,25 @@ let consume_fin t =
   | Fin_wait_2 -> enter_time_wait t
   | _ -> ()
 
-let handle_data t (seg : Tcp.t) =
-  let len = Bytes.length seg.Tcp.data in
-  let has_fin = Tcp.has_flag seg Tcp.Fin in
-  let has_syn = Tcp.has_flag seg Tcp.Syn in
+let handle_data t buf ~off ~len ~flags =
+  let data_off = off + Tcp.data_offset_at buf ~off in
+  let dlen = off + len - data_off in
+  let seq = Tcp.seq_at buf ~off in
+  let has_fin = flags land fin <> 0 in
   (* A pure ack needs no reply (acking acks never converges); anything
      occupying sequence space — data, FIN, a replayed SYN — gets the
      cumulative ack back, duplicates included. *)
-  if len > 0 || has_fin || has_syn then begin
+  if dlen > 0 || has_fin || flags land syn <> 0 then begin
     if has_fin && not t.peer_fin_done then
-      t.peer_fin_seq <- Some (seg.Tcp.seq + len);
-    (if len > 0 then
-       let seg_end = seg.Tcp.seq + len in
+      t.peer_fin_seq <- Some (seq + dlen);
+    (if dlen > 0 then
+       let seg_end = seq + dlen in
        if seg_end <= t.rcv_nxt then
          bump t (fun c -> c.Counters.duplicates <- c.Counters.duplicates + 1)
-       else if seg.Tcp.seq > t.rcv_nxt then
-         insert_ooo t seg.Tcp.seq seg.Tcp.data
+       else if seq > t.rcv_nxt then insert_ooo t seq buf ~off:data_off ~len:dlen
        else begin
-         let skip = t.rcv_nxt - seg.Tcp.seq in
-         deliver t (Bytes.sub seg.Tcp.data skip (len - skip));
+         let skip = t.rcv_nxt - seq in
+         deliver t (Bytes.sub buf (data_off + skip) (dlen - skip));
          t.rcv_nxt <- seg_end;
          drain_ooo t
        end);
@@ -361,11 +372,12 @@ let handle_data t (seg : Tcp.t) =
     if t.state <> Closed then send_ack t
   end
 
-let rx t ~src:_ (seg : Tcp.t) =
+let rx t ~src:_ buf ~off ~len =
   if t.state <> Closed then begin
     bump t (fun c ->
         c.Counters.segs_received <- c.Counters.segs_received + 1);
-    if Tcp.has_flag seg Tcp.Rst then begin
+    let flags = Tcp.flags_at buf ~off in
+    if flags land rst <> 0 then begin
       bump t (fun c ->
           c.Counters.resets_received <- c.Counters.resets_received + 1);
       fail t "connection reset by peer"
@@ -374,29 +386,29 @@ let rx t ~src:_ (seg : Tcp.t) =
       match t.state with
       | Syn_sent ->
         if
-          Tcp.has_flag seg Tcp.Syn
-          && Tcp.has_flag seg Tcp.Ack
-          && seg.Tcp.ack = t.iss + 1
+          flags land syn <> 0 && flags land ack <> 0
+          && Tcp.ack_at buf ~off = t.iss + 1
         then begin
-          t.irs <- seg.Tcp.seq;
-          t.rcv_nxt <- seg.Tcp.seq + 1;
-          t.peer_wnd <- seg.Tcp.window;
-          t.snd_una <- seg.Tcp.ack;
+          let seq = Tcp.seq_at buf ~off in
+          t.irs <- seq;
+          t.rcv_nxt <- seq + 1;
+          t.peer_wnd <- Tcp.window_at buf ~off;
+          t.snd_una <- Tcp.ack_at buf ~off;
           t.retries <- 0;
           t.rto_cur <- t.rto_init;
           cancel_timer t;
           send_ack t;
           establish t
         end
-      | Syn_received when Tcp.has_flag seg Tcp.Syn ->
+      | Syn_received when flags land syn <> 0 ->
         (* our SYN|ACK was lost; the peer replayed its SYN *)
         bump t (fun c ->
             c.Counters.duplicates <- c.Counters.duplicates + 1);
-        emit t ~retransmit:true ~flags:[ Tcp.Syn; Tcp.Ack ] ~seq:t.iss ();
+        control t ~retransmit:true ~flags:(syn lor ack) ~seq:t.iss ();
         arm_timer t
       | _ ->
-        handle_ack t seg;
-        if t.state <> Closed then handle_data t seg
+        handle_ack t buf ~off ~len ~flags;
+        if t.state <> Closed then handle_data t buf ~off ~len ~flags
   end
 
 let connect stack ?src_port ?(mss = default_mss) ?(window = default_window)
@@ -415,7 +427,7 @@ let connect stack ?src_port ?(mss = default_mss) ?(window = default_window)
   Stack.register_conn stack ~local_port ~remote:dst ~remote_port:dst_port
     (rx t);
   bump t (fun c -> c.Counters.conns_opened <- c.Counters.conns_opened + 1);
-  emit t ~flags:[ Tcp.Syn ] ~seq:t.iss ();
+  control t ~flags:syn ~seq:t.iss ();
   t.snd_nxt <- t.iss + 1;
   arm_timer t;
   t
@@ -430,30 +442,33 @@ let listen stack ~port ?(mss = default_mss) ?(window = default_window)
     ?(rto = default_rto) ?(rto_max = default_rto_max)
     ?(max_retries = default_max_retries) accept_cb =
   let l = { l_stack = stack; l_port = port; l_open = true } in
-  Stack.register_listener stack ~port (fun ~src seg ->
-      if Tcp.has_flag seg Tcp.Rst then ()
-      else if Tcp.has_flag seg Tcp.Syn && not (Tcp.has_flag seg Tcp.Ack) then begin
+  Stack.register_listener stack ~port (fun ~src buf ~off ~len ->
+      let flags = Tcp.flags_at buf ~off in
+      if flags land rst <> 0 then ()
+      else if flags land syn <> 0 && flags land ack = 0 then begin
+        let remote_port = Tcp.src_port_at buf ~off in
         let t =
-          make_sock stack ~local_port:port ~remote:src
-            ~remote_port:seg.Tcp.src_port ~iss:(Stack.fresh_iss stack) ~mss
-            ~window ~rto ~rto_max ~max_retries ~state:Syn_received
+          make_sock stack ~local_port:port ~remote:src ~remote_port
+            ~iss:(Stack.fresh_iss stack) ~mss ~window ~rto ~rto_max
+            ~max_retries ~state:Syn_received
         in
-        t.irs <- seg.Tcp.seq;
-        t.rcv_nxt <- seg.Tcp.seq + 1;
-        t.peer_wnd <- seg.Tcp.window;
-        Stack.register_conn stack ~local_port:port ~remote:src
-          ~remote_port:seg.Tcp.src_port (rx t);
+        let seq = Tcp.seq_at buf ~off in
+        t.irs <- seq;
+        t.rcv_nxt <- seq + 1;
+        t.peer_wnd <- Tcp.window_at buf ~off;
+        Stack.register_conn stack ~local_port:port ~remote:src ~remote_port
+          (rx t);
         bump t (fun c ->
             c.Counters.conns_accepted <- c.Counters.conns_accepted + 1);
         bump t (fun c ->
             c.Counters.segs_received <- c.Counters.segs_received + 1);
         (* the application installs its callbacks now, before any data *)
         accept_cb t;
-        emit t ~flags:[ Tcp.Syn; Tcp.Ack ] ~seq:t.iss ();
+        control t ~flags:(syn lor ack) ~seq:t.iss ();
         t.snd_nxt <- t.iss + 1;
         arm_timer t
       end
-      else Stack.send_rst_for stack ~src seg);
+      else Stack.send_rst_for stack ~src buf ~off ~len);
   l
 
 let close_listener l =
@@ -489,7 +504,7 @@ let abort t =
   | Closed -> ()
   | _ ->
     bump t (fun c -> c.Counters.resets_sent <- c.Counters.resets_sent + 1);
-    emit t ~flags:[ Tcp.Rst ] ~seq:t.snd_nxt ();
+    control t ~flags:rst ~seq:t.snd_nxt ();
     cancel_timer t;
     t.state <- Closed;
     unregister t;

@@ -6,8 +6,15 @@
     three-way handshake, sliding-window transfer with cumulative acks,
     go-back-N retransmission on an exponentially-backed-off RTO timer,
     and an orderly FIN teardown — all over {!Ipv4.Tcp_lite} segments
-    carried by {!Mhrp.Agent.send}, so connections survive hand-offs
+    carried by the MHRP agent's mobility-aware send
+    ({!Mhrp.Agent.send_written}), so connections survive hand-offs
     transparently.
+
+    Segments live on wire bytes.  A segment's data is copied once, from
+    the send stream straight into the outgoing packet, with its header
+    written around it; a received segment is read in place, and its
+    data copied once, into the chunk [recv_cb] gets or into the
+    out-of-order buffer.
 
     No application-level code should construct raw TCP segments;
     {!Stack}'s low-level hooks exist only for this module.

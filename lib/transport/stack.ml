@@ -1,8 +1,9 @@
 module Tcp = Ipv4.Tcp_lite
 module Packet = Ipv4.Packet
+module View = Ipv4.Packet.View
 module Addr = Ipv4.Addr
 
-type tcp_rx = src:Addr.t -> Tcp.t -> unit
+type tcp_rx = src:Addr.t -> bytes -> off:int -> len:int -> unit
 type udp_rx = src:Addr.t -> Ipv4.Udp.t -> unit
 
 type t = {
@@ -19,6 +20,9 @@ type t = {
   mutable tap_installed : bool;
 }
 
+let first_iss = 1000
+let iss_stride = 1_000_000
+
 let create agent =
   { agent;
     engine = Net.Node.engine (Mhrp.Agent.node agent);
@@ -27,7 +31,7 @@ let create agent =
     udp_ports = Hashtbl.create 4;
     counters = Counters.create ();
     ip_id = 0;
-    iss = 1000;
+    iss = first_iss;
     ephemeral = 49152;
     tap_installed = false }
 
@@ -45,12 +49,16 @@ let fresh_ip_id t =
   t.ip_id <- (if t.ip_id >= 0xFFFF then 1 else t.ip_id + 1);
   t.ip_id
 
-(* Initial send sequence numbers, one stride per connection: transfers
-   stay far below the stride, so sequence spaces of a node's connections
-   never collide and plain integer comparison is safe. *)
+(* Initial send sequence numbers: one stride apart, and below 2^31,
+   wrapping to the first value, so every stream has 2 GiB of the 32-bit
+   sequence space and sequence numbers compare as plain integers.  The
+   spaces of a stack's connections overlap once a transfer outgrows the
+   stride or the counter wraps; that is harmless, because segments are
+   demultiplexed by 4-tuple, never by sequence number. *)
 let fresh_iss t =
   let v = t.iss in
-  t.iss <- t.iss + 1_000_000;
+  let next = v + iss_stride in
+  t.iss <- (if next >= 1 lsl 31 then first_iss else next);
   v
 
 let fresh_ephemeral_port t =
@@ -58,12 +66,19 @@ let fresh_ephemeral_port t =
   t.ephemeral <- (if p >= 0xFFFF then 49152 else p + 1);
   p
 
-let transmit_tcp t ~dst seg =
-  let pkt =
-    Packet.make ~id:(fresh_ip_id t) ~proto:Ipv4.Proto.tcp ~src:(address t)
-      ~dst (Tcp.encode seg)
-  in
-  Mhrp.Agent.send t.agent pkt
+(* A segment written straight into the outgoing packet: [len] data
+   bytes from [stream] at [pos], then the header around them.  An
+   out-of-range field raises from [Tcp.write], before the agent counts
+   or sends anything. *)
+let send_segment t ~dst ~src_port ~dst_port ~seq ~ack ~flags ~window stream
+    ~pos ~len =
+  let seg_len = Tcp.header_length + len in
+  Mhrp.Agent.send_written t.agent ~id:(fresh_ip_id t) ~proto:Ipv4.Proto.tcp
+    ~dst ~len:seg_len (fun wire off ->
+        if len > 0 then
+          Buffer.blit stream pos wire (off + Tcp.header_length) len;
+        Tcp.write wire ~off ~src_port ~dst_port ~seq ~ack ~flags ~window
+          ~len:seg_len)
 
 let transmit_udp t ?id ?tap ~dst udp =
   let id = match id with Some id -> id | None -> fresh_ip_id t in
@@ -74,51 +89,64 @@ let transmit_udp t ?id ?tap ~dst udp =
   (match tap with Some f -> f pkt | None -> ());
   Mhrp.Agent.send t.agent pkt
 
+let no_data = Buffer.create 0
+let fin = Tcp.flag_bit Tcp.Fin
+let syn = Tcp.flag_bit Tcp.Syn
+let rst = Tcp.flag_bit Tcp.Rst
+let ack = Tcp.flag_bit Tcp.Ack
+
 (* A deliberately RFC-shaped reset for a segment that reached no
    connection and no listener: acknowledge exactly what arrived so the
-   peer can match it, and never reset a reset. *)
-let send_rst_for t ~src (seg : Tcp.t) =
-  if not (Tcp.has_flag seg Tcp.Rst) then begin
-    let reply =
-      if Tcp.has_flag seg Tcp.Ack then
-        Tcp.make ~seq:seg.Tcp.ack ~flags:[Tcp.Rst]
-          ~src_port:seg.Tcp.dst_port ~dst_port:seg.Tcp.src_port Bytes.empty
+   peer can match it, and never reset a reset.  Its window means
+   nothing to the peer. *)
+let send_rst_for t ~src buf ~off ~len =
+  let flags = Tcp.flags_at buf ~off in
+  if flags land rst = 0 then begin
+    let seq, ack_no, reply_flags =
+      if flags land ack <> 0 then (Tcp.ack_at buf ~off, 0, rst)
       else
         let advance =
-          Bytes.length seg.Tcp.data
-          + (if Tcp.has_flag seg Tcp.Syn then 1 else 0)
-          + if Tcp.has_flag seg Tcp.Fin then 1 else 0
+          len - Tcp.data_offset_at buf ~off
+          + (if flags land syn <> 0 then 1 else 0)
+          + if flags land fin <> 0 then 1 else 0
         in
-        Tcp.make ~seq:0 ~ack:(seg.Tcp.seq + advance)
-          ~flags:[Tcp.Rst; Tcp.Ack] ~src_port:seg.Tcp.dst_port
-          ~dst_port:seg.Tcp.src_port Bytes.empty
+        (0, Tcp.seq_at buf ~off + advance, rst lor ack)
     in
     t.counters.Counters.resets_sent <-
       t.counters.Counters.resets_sent + 1;
     t.counters.Counters.segs_sent <- t.counters.Counters.segs_sent + 1;
-    transmit_tcp t ~dst:src reply
+    send_segment t ~dst:src ~src_port:(Tcp.dst_port_at buf ~off)
+      ~dst_port:(Tcp.src_port_at buf ~off) ~seq ~ack:ack_no
+      ~flags:reply_flags ~window:8192 no_data ~pos:0 ~len:0
   end
 
-let dispatch_tcp t ~src (seg : Tcp.t) =
-  let key = (seg.Tcp.dst_port, Addr.to_key src, seg.Tcp.src_port) in
+let dispatch_tcp t ~src buf ~off ~len =
+  let dst_port = Tcp.dst_port_at buf ~off in
+  let key = (dst_port, Addr.to_key src, Tcp.src_port_at buf ~off) in
   match Hashtbl.find_opt t.conns key with
-  | Some rx -> rx ~src seg
+  | Some rx -> rx ~src buf ~off ~len
   | None ->
-    (match Hashtbl.find_opt t.listeners seg.Tcp.dst_port with
-     | Some rx -> rx ~src seg
-     | None -> send_rst_for t ~src seg)
+    (match Hashtbl.find_opt t.listeners dst_port with
+     | Some rx -> rx ~src buf ~off ~len
+     | None -> send_rst_for t ~src buf ~off ~len)
 
 let dispatch_udp t ~src (udp : Ipv4.Udp.t) =
   match Hashtbl.find_opt t.udp_ports udp.Ipv4.Udp.dst_port with
   | Some rx -> rx ~src udp
   | None -> ()
 
-let handle_packet t (pkt : Packet.t) =
-  if pkt.Packet.proto = Ipv4.Proto.tcp then
-    match Tcp.decode pkt.Packet.payload with
-    | Some seg -> dispatch_tcp t ~src:pkt.Packet.src seg
-    | None -> ()
-  else if pkt.Packet.proto = Ipv4.Proto.udp then
+(* A segment is checked and demultiplexed in place; a datagram is
+   decoded. *)
+let handle_view t v =
+  let proto = View.proto v in
+  if proto = Ipv4.Proto.tcp then begin
+    let buf = View.buffer v in
+    let off = View.payload_offset v and len = View.payload_length v in
+    if Tcp.valid_at buf ~off ~len then
+      dispatch_tcp t ~src:(View.src v) buf ~off ~len
+  end
+  else if proto = Ipv4.Proto.udp then
+    let pkt = View.decode v in
     match Ipv4.Udp.decode pkt.Packet.payload with
     | udp -> dispatch_udp t ~src:pkt.Packet.src udp
     | exception Invalid_argument _ -> ()
@@ -130,7 +158,7 @@ let handle_packet t (pkt : Packet.t) =
 let ensure_tap t =
   if not t.tap_installed then begin
     t.tap_installed <- true;
-    Mhrp.Agent.on_app_receive t.agent (handle_packet t)
+    Mhrp.Agent.on_app_receive_view t.agent (handle_view t)
   end
 
 let register_conn t ~local_port ~remote ~remote_port rx =

@@ -33,7 +33,12 @@ val connections : t -> int
 
     Applications should not call these; use {!Socket}. *)
 
-type tcp_rx = src:Ipv4.Addr.t -> Ipv4.Tcp_lite.t -> unit
+type tcp_rx = src:Ipv4.Addr.t -> bytes -> off:int -> len:int -> unit
+(** A received segment: the [len] bytes at [off], already accepted by
+    {!Ipv4.Tcp_lite.valid_at} and read with its [_at] readers.  The
+    bytes are the received packet's, valid only for the call: a
+    receiver copies out what it keeps. *)
+
 type udp_rx = src:Ipv4.Addr.t -> Ipv4.Udp.t -> unit
 
 val register_conn :
@@ -49,11 +54,25 @@ val unregister_listener : t -> port:int -> unit
 val register_udp : t -> port:int -> udp_rx -> unit
 
 val fresh_iss : t -> int
+(** The next initial sequence number: 1000, then one 1,000,000 stride
+    per connection, wrapping back to 1000 before reaching 2^31 — so
+    every stream has at least 2 GiB of the 32-bit sequence space.
+    Connections whose sequence spaces overlap are told apart by their
+    4-tuple. *)
+
 val fresh_ephemeral_port : t -> int
 
-val transmit_tcp : t -> dst:Ipv4.Addr.t -> Ipv4.Tcp_lite.t -> unit
-(** Encode, wrap in a fresh-ID IP packet and hand to
-    {!Mhrp.Agent.send} (mobility-transparent: tunneled when needed). *)
+val send_segment :
+  t -> dst:Ipv4.Addr.t -> src_port:int -> dst_port:int -> seq:int ->
+  ack:int -> flags:int -> window:int -> Buffer.t -> pos:int -> len:int ->
+  unit
+(** One segment carrying the [len] stream bytes at [pos] of the buffer,
+    written straight into a fresh-ID IP packet by
+    {!Mhrp.Agent.send_written} (mobility-transparent: tunneled when
+    needed): the data is copied once, and the header is written around
+    it by {!Ipv4.Tcp_lite.write}.  [flags] is the wire's flag byte.  An
+    out-of-range field raises {!Ipv4.Tcp_lite.encode}'s
+    [Invalid_argument] before anything is counted or sent. *)
 
 val transmit_udp :
   t -> ?id:int -> ?tap:(Ipv4.Packet.t -> unit) -> dst:Ipv4.Addr.t ->
@@ -62,6 +81,6 @@ val transmit_udp :
     their own tracked id sequences); [tap] sees the application-level
     packet just before it is sent. *)
 
-val send_rst_for : t -> src:Ipv4.Addr.t -> Ipv4.Tcp_lite.t -> unit
-(** Reset whatever connection the peer thinks [seg] belongs to (never
-    sent in response to a reset). *)
+val send_rst_for : t -> src:Ipv4.Addr.t -> bytes -> off:int -> len:int -> unit
+(** Reset whatever connection the peer thinks the received segment at
+    [off] belongs to (never sent in response to a reset). *)

@@ -14,7 +14,9 @@ let framer size f =
   fun data ->
     Buffer.add_bytes buf data;
     while Buffer.length buf - !off >= size do
-      f (Bytes.of_string (Buffer.sub buf !off size));
+      let msg = Bytes.create size in
+      Buffer.blit buf !off msg 0 size;
+      f msg;
       off := !off + size
     done;
     if !off = Buffer.length buf then begin

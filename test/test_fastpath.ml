@@ -207,7 +207,20 @@ let encap_into_equals_record seed =
     | Some h, Some h' -> Header.equal h h'
     | _ -> false
   in
-  ok_agent && ok_sender && ok_lists && ok_plain
+  (* a reserve is payload the caller writes after the build *)
+  let ok_reserve =
+    let extra =
+      Bytes.init (Rng.int rng 64) (fun _ -> Char.chr (Rng.int rng 256))
+    in
+    let n = Bytes.length extra in
+    let wire = Encap.tunnel_by_sender_into ~reserve:n ~foreign_agent p in
+    Bytes.blit extra 0 wire (Bytes.length wire - n) n;
+    Bytes.equal wire
+      (Packet.encode
+         (Encap.tunnel_by_sender ~foreign_agent
+            { p with Packet.payload = Bytes.cat p.Packet.payload extra }))
+  in
+  ok_agent && ok_sender && ok_reserve && ok_lists && ok_plain
 
 (* --- end-to-end: a transit chain with the fast path on vs off ------ *)
 

@@ -284,6 +284,8 @@ let decoders_total s =
     && no_raise "Udp.length_at" (fun () -> Ipv4.Udp.length_at buf ~off ~len)
     && no_raise "Mhrp_header.decode_at" (fun () ->
         Mhrp.Mhrp_header.decode_at buf ~off ~len)
+    && no_raise "Tcp_lite.valid_at" (fun () ->
+        Ipv4.Tcp_lite.valid_at buf ~off ~len)
   in
   no_raise "Control.decode" (fun () -> Mhrp.Control.decode buf)
   && no_raise "Extension.decode" (fun () -> Auth.Extension.decode buf)
@@ -372,11 +374,16 @@ let offset_decoders_agree seed =
     no_raise "Mhrp_header.decode_at" (fun () ->
         Mhrp.Mhrp_header.decode_at buf ~off ~len)
   in
+  let tcp =
+    no_raise "Tcp_lite.valid_at" (fun () ->
+        Ipv4.Tcp_lite.valid_at buf ~off ~len)
+  in
   if off < 0 || len < 0 || off + len > Bytes.length buf then
-    icmp = None && ctl = None && udp < 0 && mh = None
+    icmp = None && ctl = None && udp < 0 && mh = None && not tcp
   else begin
     let window = Bytes.sub buf off len in
     icmp = Ipv4.Icmp.decode_opt window
+    && tcp = Option.is_some (Ipv4.Tcp_lite.decode window)
     && ctl = Mhrp.Control.decode window
     && (match mh, Mhrp.Mhrp_header.decode window with
         | Some h, (h', _) -> Mhrp.Mhrp_header.equal h h'

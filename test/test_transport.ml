@@ -216,7 +216,27 @@ let socket_tests =
         Topology.run ~until:(Time.of_sec 3.0) f.TG.topo;
         check
           (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
-          "delivered once" [ (4099, "dgram") ] !got) ]
+          "delivered once" [ (4099, "dgram") ] !got);
+    Alcotest.test_case
+      "5,000 connections on one stack: the ISS wraps below 2^31" `Quick
+      (fun () ->
+        let f = setup () in
+        let isn = Stack.create f.TG.r1 in
+        let isses = List.init 2149 (fun _ -> Stack.fresh_iss isn) in
+        check Alcotest.int "first" 1000 (List.hd isses);
+        check Alcotest.int "last below 2^31" 2_147_001_000
+          (List.nth isses 2147);
+        check Alcotest.int "then the first again" 1000 (List.nth isses 2148);
+        (* each connect sends its SYN at once: a seq past 2^32 raises *)
+        let client = Stack.create f.TG.s in
+        let dst = Agent.address f.TG.m in
+        for _ = 1 to 5000 do
+          Socket.abort (Socket.connect client ~dst ~dst_port:7 ())
+        done;
+        check Alcotest.int "all opened" 5000
+          (Stack.counters client).Transport.Counters.conns_opened;
+        check Alcotest.int "none left registered" 0
+          (Stack.connections client)) ]
 
 (* --- codec properties --- *)
 
@@ -332,7 +352,338 @@ let window_tests =
            in
            run_lossy_transfer ~bytes ~window ~flaps)) ]
 
+
+(* --- segments on wire bytes --- *)
+
+(* A random segment: every field over its whole range, 0-1460 data
+   bytes, a fifth of them pure control segments with none. *)
+let arb_segment =
+  let open QCheck.Gen in
+  let seg =
+    map
+      (fun ((src_port, dst_port), (seq, ack), (flags, window), data) ->
+        Tcp.make ~seq ~ack ~flags ~window ~src_port ~dst_port
+          (Bytes.of_string data))
+      (quad
+         (pair (int_bound 0xFFFF) (int_bound 0xFFFF))
+         (pair (int_bound 0xFFFF_FFFF) (int_bound 0xFFFF_FFFF))
+         (pair
+            (list_size (0 -- 6) (oneofl Tcp.[ Fin; Syn; Rst; Psh; Ack; Urg ]))
+            (int_bound 0xFFFF))
+         (frequency [ (1, return ""); (4, string_size (0 -- 1460)) ]))
+  in
+  QCheck.make ~print:(Format.asprintf "%a" Tcp.pp) seg
+
+let flag_byte flags = List.fold_left (fun b f -> b lor Tcp.flag_bit f) 0 flags
+
+(* [seg] written in place at [off] of a larger buffer: data first, then
+   the header around it, as the socket writes it. *)
+let written ~off (seg : Tcp.t) =
+  let len = Tcp.header_length + Bytes.length seg.Tcp.data in
+  let buf = Bytes.make (off + len + 7) '\xAA' in
+  Bytes.blit seg.Tcp.data 0 buf (off + Tcp.header_length)
+    (Bytes.length seg.Tcp.data);
+  Tcp.write buf ~off ~src_port:seg.Tcp.src_port ~dst_port:seg.Tcp.dst_port
+    ~seq:seg.Tcp.seq ~ack:seg.Tcp.ack ~flags:(flag_byte seg.Tcp.flags)
+    ~window:seg.Tcp.window ~len;
+  (buf, len)
+
+(* [valid_at] answers what [decode] answers on a copy of the window,
+   and [false] on a window outside the buffer. *)
+let valid_at_agrees buf ~off ~len =
+  let v = Tcp.valid_at buf ~off ~len in
+  if off < 0 || len < 0 || off + len > Bytes.length buf then not v
+  else v = Option.is_some (Tcp.decode (Bytes.sub buf off len))
+
+let reseal buf = Ipv4.Checksum.set buf ~at:16 ~off:0 ~len:(Bytes.length buf)
+
+(* A segment that asked for a 24-byte header: 4 option bytes the codec
+   never writes, then [data]. *)
+let with_option ~src_port ~dst_port ~seq ~ack ~flags data =
+  let base =
+    Tcp.encode
+      (Tcp.make ~seq ~ack ~flags ~window:0xFFFF ~src_port ~dst_port
+         (Bytes.cat (Bytes.of_string "\x01\x01\x01\x00") data))
+  in
+  Bytes.set_uint8 base 12 (6 lsl 4);
+  reseal base;
+  base
+
+(* S on net A sends through one fresh stack to M, the foreign agent R4
+   in its location cache or nothing; the frames S puts on net A are
+   captured. *)
+type wire_world = {
+  w : TG.figure1;
+  stack : Stack.t;
+  frames : bytes list ref;
+}
+
+let wire_world () =
+  let f = setup () in
+  let s_node = Agent.node f.TG.s in
+  let s_mac =
+    match Net.Node.ifaces s_node with
+    | (i, _, _) :: _ -> Net.Node.iface_mac s_node i
+    | [] -> Alcotest.fail "S has no interface"
+  in
+  let frames = ref [] in
+  Net.Lan.add_monitor f.TG.net_a (fun fr ->
+      match fr.Net.Frame.content with
+      | Net.Frame.Ip b when Net.Mac.equal fr.Net.Frame.src s_mac ->
+        frames := Bytes.copy b :: !frames
+      | _ -> ());
+  Topology.run ~until:(Time.of_sec 0.5) f.TG.topo;
+  { w = f; stack = Stack.create f.TG.s; frames }
+
+let route_via ww ~tunneled =
+  let cache = Agent.cache ww.w.TG.s in
+  Mhrp.Location_cache.clear cache;
+  if tunneled then
+    Mhrp.Location_cache.update cache ~mobile:(Agent.address ww.w.TG.m)
+      ~foreign_agent:(Agent.address ww.w.TG.r4)
+
+let send_segment ww (seg : Tcp.t) =
+  let data = Buffer.create 16 in
+  Buffer.add_string data "stream prefix/";
+  Buffer.add_bytes data seg.Tcp.data;
+  Stack.send_segment ww.stack ~dst:(Agent.address ww.w.TG.m)
+    ~src_port:seg.Tcp.src_port ~dst_port:seg.Tcp.dst_port ~seq:seg.Tcp.seq
+    ~ack:seg.Tcp.ack ~flags:(flag_byte seg.Tcp.flags) ~window:seg.Tcp.window
+    data ~pos:14 ~len:(Bytes.length seg.Tcp.data)
+
+let tunnels ww = (Agent.counters ww.w.TG.s).Mhrp.Counters.tunnels_built
+
+let drain ww =
+  let topo = ww.w.TG.topo in
+  Topology.run ~until:(Time.add (Topology.now topo) (Time.of_ms 20)) topo
+
+let wire_tests =
+  [ qtest
+      (QCheck.Test.make ~name:"in-place readers and writer agree with the codec"
+         ~count:300
+         (QCheck.pair arb_segment QCheck.(int_bound 40))
+         (fun (seg, off) ->
+           let buf, len = written ~off seg in
+           let wire = Tcp.encode seg in
+           let d = Tcp.decode_exn wire in
+           let doff = Tcp.data_offset_at buf ~off in
+           Bytes.equal (Bytes.sub buf off len) wire
+           && Tcp.valid_at buf ~off ~len
+           && Tcp.src_port_at buf ~off = d.Tcp.src_port
+           && Tcp.dst_port_at buf ~off = d.Tcp.dst_port
+           && Tcp.seq_at buf ~off = d.Tcp.seq
+           && Tcp.ack_at buf ~off = d.Tcp.ack
+           && Tcp.window_at buf ~off = d.Tcp.window
+           && Tcp.flags_at buf ~off = flag_byte d.Tcp.flags
+           && Bytes.equal
+                (Bytes.sub buf (off + doff) (len - doff))
+                d.Tcp.data));
+    qtest
+      (QCheck.Test.make ~name:"valid_at accepts exactly what decode accepts"
+         ~count:1000
+         QCheck.(
+           triple arb_segment
+             (pair (string_of_size Gen.(0 -- 64)) (int_bound 5))
+             (triple (int_bound 2000) (int_bound 15) (int_range (-3) 3)))
+         (fun (seg, (junk, mode), (pos, nibble, slack)) ->
+           let wire = Tcp.encode seg in
+           let n = Bytes.length wire in
+           let junk = Bytes.of_string junk in
+           let in_junk off =
+             valid_at_agrees junk ~off ~len:(Bytes.length junk - off)
+           in
+           match mode with
+           | 0 ->
+             (* hostile bytes, every window *)
+             List.for_all in_junk
+               (List.init (Bytes.length junk + 3) (fun i -> i - 1))
+             && valid_at_agrees junk ~off:0 ~len:(Bytes.length junk + slack)
+           | 1 ->
+             (* one flipped bit *)
+             let i = pos mod n in
+             Bytes.set_uint8 wire i
+               (Bytes.get_uint8 wire i lxor (1 lsl (pos mod 8)));
+             valid_at_agrees wire ~off:0 ~len:n
+             && not (Tcp.valid_at wire ~off:0 ~len:n)
+           | 2 ->
+             (* any data offset, checksum made good again *)
+             Bytes.set_uint8 wire 12 (nibble lsl 4);
+             reseal wire;
+             valid_at_agrees wire ~off:0 ~len:n
+             && Tcp.valid_at wire ~off:0 ~len:n
+                = (nibble * 4 >= Tcp.header_length && nibble * 4 <= n)
+           | 3 ->
+             (* the unused flag bits 0x40 and 0x80 *)
+             Bytes.set_uint8 wire 13
+               (Bytes.get_uint8 wire 13 lor (0x40 lsl (pos mod 2)));
+             reseal wire;
+             valid_at_agrees wire ~off:0 ~len:n
+             && Tcp.valid_at wire ~off:0 ~len:n
+             && Tcp.flags_at wire ~off:0 land 0x3F = flag_byte seg.Tcp.flags
+           | 4 ->
+             (* truncated or over-long windows onto a good segment *)
+             valid_at_agrees wire ~off:0 ~len:(min n (pos mod (n + 1)))
+             && valid_at_agrees wire ~off:(slack mod 2) ~len:(n + slack)
+           | _ ->
+             (* a good segment framed by junk *)
+             let buf = Bytes.cat junk (Bytes.cat wire junk) in
+             let off = Bytes.length junk in
+             Tcp.valid_at buf ~off ~len:n
+             && valid_at_agrees buf ~off ~len:(n + slack)
+             && valid_at_agrees buf ~off:(off + slack) ~len:n));
+    Alcotest.test_case
+      "the wire send writes the codec's packet, plain or tunneled" `Quick
+      (fun () ->
+        let ww = wire_world () in
+        let rng = Netsim.Rng.of_int 19 in
+        let src = Agent.address ww.w.TG.s and dst = Agent.address ww.w.TG.m in
+        let fa = Agent.address ww.w.TG.r4 in
+        for k = 1 to 40 do
+          let seg =
+            QCheck.Gen.generate1 ~rand:(Random.State.make [| k |])
+              (QCheck.gen arb_segment)
+          in
+          (* one frame: a tunneled segment fits net A's 1500-byte MTU *)
+          let d = seg.Tcp.data in
+          let seg =
+            { seg with Tcp.data = Bytes.sub d 0 (min 1400 (Bytes.length d)) }
+          in
+          let tunneled = Netsim.Rng.int rng 2 = 0 in
+          route_via ww ~tunneled;
+          ww.frames := [];
+          let built = tunnels ww in
+          send_segment ww seg;
+          drain ww;
+          let record =
+            Ipv4.Packet.make ~id:k ~proto:Ipv4.Proto.tcp ~src ~dst
+              (Tcp.encode seg)
+          in
+          let expected =
+            if tunneled then
+              Mhrp.Encap.tunnel_by_sender_into ~foreign_agent:fa record
+            else Ipv4.Packet.encode record
+          in
+          check Alcotest.int "tunnels built"
+            (built + if tunneled then 1 else 0) (tunnels ww);
+          match !(ww.frames) with
+          | [ wire ] ->
+            check Alcotest.bool
+              (Printf.sprintf "segment %d (%s) on the wire" k
+                 (if tunneled then "tunneled" else "plain"))
+              true (Bytes.equal wire expected)
+          | l ->
+            Alcotest.failf "segment %d: %d frames from S" k (List.length l)
+        done);
+    Alcotest.test_case "an out-of-range field raises before anything is sent"
+      `Quick (fun () ->
+        let ww = wire_world () in
+        let seg =
+          Tcp.make ~seq:1 ~ack:2 ~flags:[ Tcp.Ack ] ~src_port:80 ~dst_port:81
+            (Bytes.of_string "payload")
+        in
+        List.iter
+          (fun (field, (bad : Tcp.t)) ->
+            List.iter
+              (fun tunneled ->
+                route_via ww ~tunneled;
+                ww.frames := [];
+                let built = tunnels ww in
+                let expected =
+                  match Tcp.encode bad with
+                  | _ -> Alcotest.failf "encode accepted a bad %s" field
+                  | exception Invalid_argument msg -> msg
+                in
+                (match send_segment ww bad with
+                 | () -> Alcotest.failf "bad %s was sent" field
+                 | exception Invalid_argument msg ->
+                   check Alcotest.string field expected msg);
+                drain ww;
+                check Alcotest.int (field ^ ": no tunnel counted") built
+                  (tunnels ww);
+                check Alcotest.int (field ^ ": nothing on the wire") 0
+                  (List.length !(ww.frames)))
+              [ false; true ])
+          [ ("seq", { seg with Tcp.seq = 1 lsl 32 });
+            ("ack", { seg with Tcp.ack = -1 });
+            ("src_port", { seg with Tcp.src_port = 0x10000 });
+            ("dst_port", { seg with Tcp.dst_port = -5 });
+            ("window", { seg with Tcp.window = 0x10000 }) ]);
+    Alcotest.test_case "a 24-byte header is delivered without its options"
+      `Quick (fun () ->
+        let f = setup () in
+        let server = Stack.create f.TG.m in
+        let got = Buffer.create 16 in
+        ignore
+          (Socket.listen server ~port:7 (fun sock ->
+               Socket.recv_cb sock (fun b -> Buffer.add_bytes got b)));
+        let client = Stack.create f.TG.s in
+        let sock = ref None in
+        at f.TG.topo 0.5 (fun () ->
+            sock :=
+              Some
+                (Socket.connect client ~dst:(Agent.address f.TG.m)
+                   ~dst_port:7 ()));
+        Topology.run ~until:(Time.of_sec 1.0) f.TG.topo;
+        let sock = Option.get !sock in
+        check Alcotest.bool "established" true (Socket.is_established sock);
+        (* the client's first data byte is iss + 1 = 1001, and the
+           server's first ISS is 1000 too *)
+        let seg =
+          with_option ~src_port:(Socket.local_port sock) ~dst_port:7 ~seq:1001
+            ~ack:1001 ~flags:[ Tcp.Psh; Tcp.Ack ] (Bytes.of_string "options?")
+        in
+        check Alcotest.string "the codec skips the options" "options?"
+          (Bytes.to_string (Tcp.decode_exn seg).Tcp.data);
+        Agent.send f.TG.s
+          (Ipv4.Packet.make ~proto:Ipv4.Proto.tcp ~src:(Agent.address f.TG.s)
+             ~dst:(Agent.address f.TG.m) seg);
+        Topology.run ~until:(Time.of_sec 2.0) f.TG.topo;
+        check Alcotest.string "delivered" "options?" (Buffer.contents got)) ]
+
+(* --- allocation --- *)
+
+let alloc_tests =
+  [ Alcotest.test_case
+      "a 256-byte send-and-ack round trip allocates at most 450 words" `Quick
+      (fun () ->
+        (* the quiet Figure 1 world of the alloc experiment's transport
+           part: one established connection, each op queues 256 bytes
+           and runs until the ack is back *)
+        let f = setup () in
+        let topo = f.TG.topo in
+        let server = Stack.create f.TG.m in
+        let client = Stack.create f.TG.s in
+        let received = ref 0 in
+        ignore
+          (Socket.listen server ~port:7 (fun sock ->
+               Socket.recv_cb sock (fun b ->
+                   received := !received + Bytes.length b)));
+        let sock =
+          Socket.connect client ~dst:(Agent.address f.TG.m) ~dst_port:7 ()
+        in
+        Topology.run ~until:(Time.of_sec 1.0) topo;
+        let chunk = Bytes.create 256 in
+        let send_op () =
+          Socket.send sock chunk;
+          Topology.run ~until:(Time.add (Topology.now topo) (Time.of_ms 50))
+            topo
+        in
+        send_op ();
+        let ops = 200 in
+        let (), alloc =
+          Obs.Alloc.measure (fun () -> for _ = 1 to ops do send_op () done)
+        in
+        let words = (Obs.Alloc.per alloc ops).Obs.Alloc.minor_words in
+        check Alcotest.int "every byte delivered" ((ops + 1) * 256) !received;
+        check Alcotest.int "no retransmissions" 0
+          (Stack.counters client).Transport.Counters.retransmissions;
+        check Alcotest.bool
+          (Printf.sprintf "%.0f words per round trip" words)
+          true (words <= 450.0)) ]
+
 let suite =
   [ ("transport.socket", socket_tests);
     ("transport.codec", codec_tests);
-    ("transport.window", window_tests) ]
+    ("transport.wire", wire_tests);
+    ("transport.window", window_tests);
+    ("transport.alloc", alloc_tests) ]
