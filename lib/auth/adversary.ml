@@ -26,19 +26,6 @@ let emit t kind detail =
       ~at:(Netsim.Engine.now (Net.Node.engine t.node))
       ~node:(Net.Node.name t.node) ~kind detail
 
-let get_u8 buf i = Char.code (Bytes.get buf i)
-
-let get_addr buf i =
-  Ipv4.Addr.of_int
-    ((get_u8 buf i lsl 24) lor (get_u8 buf (i + 1) lsl 16)
-     lor (get_u8 buf (i + 2) lsl 8) lor get_u8 buf (i + 3))
-
-let put_addr buf i a =
-  let v = Ipv4.Addr.to_int a in
-  for k = 0 to 3 do
-    Bytes.set buf (i + k) (Char.chr ((v lsr (8 * (3 - k))) land 0xFF))
-  done
-
 let create ?trace ~victim node =
   let t =
     { node; victim; trace; captured = []; forged = 0; replayed = 0;
@@ -49,7 +36,7 @@ let create ?trace ~victim node =
   Net.Node.set_proto_handler node Ipv4.Proto.mhrp (fun _ v ->
       let pkt = Ipv4.Packet.View.decode v in
       let p = pkt.Ipv4.Packet.payload in
-      if Bytes.length p >= 8 && Ipv4.Addr.equal (get_addr p 4) t.victim
+      if Bytes.length p >= 8 && Ipv4.Addr.equal (Ipv4.Addr.get p 4) t.victim
       then begin
         t.hijacked <- t.hijacked + 1;
         emit t "hijack"
@@ -75,9 +62,9 @@ let send_udp t ~src ~dst data =
 
 let forge_registration t ~home_agent ~foreign_agent =
   let buf = Bytes.make 9 '\000' in
-  Bytes.set buf 0 (Char.chr reg_request_type);
-  put_addr buf 1 t.victim;
-  put_addr buf 5 foreign_agent;
+  Bytes.set_uint8 buf 0 reg_request_type;
+  Ipv4.Addr.set buf 1 t.victim;
+  Ipv4.Addr.set buf 5 foreign_agent;
   t.forged <- t.forged + 1;
   emit t "forged-update"
     (Printf.sprintf "forged registration: %s at fa=%s -> ha=%s"
@@ -128,8 +115,8 @@ let registration_of_frame t frame =
              else
                let data = udp.Ipv4.Udp.data in
                if Bytes.length data >= 9
-                  && get_u8 data 0 = reg_request_type
-                  && Ipv4.Addr.equal (get_addr data 1) t.victim
+                  && Bytes.get_uint8 data 0 = reg_request_type
+                  && Ipv4.Addr.equal (Ipv4.Addr.get data 1) t.victim
                then Some pkt
                else None)
 

@@ -9,50 +9,22 @@ let ext_type = 32
 let ext_body_len = 28 (* spi(4) + timestamp(8) + nonce(8) + mac(8) *)
 let length = 2 + ext_body_len
 
-let get_u8 buf i = Char.code (Bytes.get buf i)
-
-let put_u32 buf i v =
-  for k = 0 to 3 do
-    Bytes.set buf (i + k) (Char.chr ((v lsr (8 * (3 - k))) land 0xFF))
-  done
-
-let get_u32 buf i =
-  let v = ref 0 in
-  for k = 0 to 3 do
-    v := (!v lsl 8) lor get_u8 buf (i + k)
-  done;
-  !v
-
-let put_u64 buf i v =
-  for k = 0 to 7 do
-    Bytes.set buf (i + k)
-      (Char.chr
-         (Int64.to_int (Int64.shift_right_logical v (8 * (7 - k))) land 0xFF))
-  done
-
-let get_u64 buf i =
-  let v = ref 0L in
-  for k = 0 to 7 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get_u8 buf (i + k)))
-  done;
-  !v
-
 let encode { spi; timestamp; nonce; mac } =
   let buf = Bytes.make length '\000' in
-  Bytes.set buf 0 (Char.chr ext_type);
-  Bytes.set buf 1 (Char.chr ext_body_len);
-  put_u32 buf 2 spi;
-  put_u64 buf 6 (Int64.of_int (Netsim.Time.to_us timestamp));
-  put_u64 buf 14 nonce;
-  put_u64 buf 22 mac;
+  Bytes.set_uint8 buf 0 ext_type;
+  Bytes.set_uint8 buf 1 ext_body_len;
+  Bytes.set_int32_be buf 2 (Int32.of_int spi);
+  Bytes.set_int64_be buf 6 (Int64.of_int (Netsim.Time.to_us timestamp));
+  Bytes.set_int64_be buf 14 nonce;
+  Bytes.set_int64_be buf 22 mac;
   buf
 
 let decode_at buf off =
   if off < 0 || off + length > Bytes.length buf then None
-  else if get_u8 buf off <> ext_type then None
-  else if get_u8 buf (off + 1) <> ext_body_len then None
+  else if Bytes.get_uint8 buf off <> ext_type then None
+  else if Bytes.get_uint8 buf (off + 1) <> ext_body_len then None
   else begin
-    let ts = get_u64 buf (off + 6) in
+    let ts = Bytes.get_int64_be buf (off + 6) in
     (* A 64-bit wire timestamp only names a simulation time if it fits in
        a non-negative OCaml int; anything else is a malformed extension,
        not an exception. *)
@@ -61,10 +33,11 @@ let decode_at buf off =
     else
       Some
         {
-          spi = get_u32 buf (off + 2);
+          spi =
+            Int32.to_int (Bytes.get_int32_be buf (off + 2)) land 0xFFFF_FFFF;
           timestamp = Netsim.Time.of_us (Int64.to_int ts);
-          nonce = get_u64 buf (off + 14);
-          mac = get_u64 buf (off + 22);
+          nonce = Bytes.get_int64_be buf (off + 14);
+          mac = Bytes.get_int64_be buf (off + 22);
         }
   end
 

@@ -10,38 +10,23 @@ type msg =
 
 let encode_msg m =
   let buf = Bytes.make 9 '\000' in
-  let put i a =
-    let v = Addr.to_int a in
-    Bytes.set buf i (Char.chr ((v lsr 24) land 0xFF));
-    Bytes.set buf (i + 1) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set buf (i + 2) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set buf (i + 3) (Char.chr (v land 0xFF))
-  in
   (match m with
    | Who_has { mobile } ->
      Bytes.set buf 0 '\001';
-     put 1 mobile
+     Addr.set buf 1 mobile
    | Serving { mobile; msr } ->
      Bytes.set buf 0 '\002';
-     put 1 mobile;
-     put 5 msr);
+     Addr.set buf 1 mobile;
+     Addr.set buf 5 msr);
   buf
 
 let decode_msg buf =
   if Bytes.length buf < 9 then None
-  else begin
-    let get i =
-      Addr.of_int
-        ((Char.code (Bytes.get buf i) lsl 24)
-         lor (Char.code (Bytes.get buf (i + 1)) lsl 16)
-         lor (Char.code (Bytes.get buf (i + 2)) lsl 8)
-         lor Char.code (Bytes.get buf (i + 3)))
-    in
+  else
     match Bytes.get buf 0 with
-    | '\001' -> Some (Who_has { mobile = get 1 })
-    | '\002' -> Some (Serving { mobile = get 1; msr = get 5 })
+    | '\001' -> Some (Who_has { mobile = Addr.get buf 1 })
+    | '\002' -> Some (Serving { mobile = Addr.get buf 1; msr = Addr.get buf 5 })
     | _ -> None
-  end
 
 type msr = {
   m_node : Node.t;

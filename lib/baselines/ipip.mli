@@ -15,3 +15,14 @@ val encap : outer_src:Ipv4.Addr.t -> outer_dst:Ipv4.Addr.t ->
 
 val decap : Ipv4.Packet.t -> Ipv4.Packet.t option
 (** Unwrap; [None] if not a well-formed IPIP packet. *)
+
+val shim_tunnel :
+  proto:Ipv4.Proto.t -> magic:int -> shim_length:int ->
+  (outer_src:Ipv4.Addr.t -> outer_dst:Ipv4.Addr.t ->
+   Ipv4.Packet.t -> Ipv4.Packet.t)
+  * (Ipv4.Packet.t -> Ipv4.Packet.t option)
+(** The [(encap, decap)] pair of a whole-packet tunnel under protocol
+    [proto] whose [shim_length]-byte shim (at least 4) opens with the
+    16-bit [magic] and the inner packet's 16-bit length, the rest zero.
+    [encap] and [decap] above are its 4-byte instance; {!Iptp} is the
+    20-byte one. *)

@@ -1,38 +1,8 @@
+(* IPIP's shim padded to the 20-byte IPTP header: its sequence, auth and
+   mode fields, unused by the simulation, stay zero. *)
+
 let overhead = 40
-let shim_length = 20 (* IPTP header; outer IP header supplies the rest *)
-let magic = 0x4954 (* "IT" *)
 
-let encap ~outer_src ~outer_dst (pkt : Ipv4.Packet.t) =
-  let inner = Ipv4.Packet.encode pkt in
-  let shim = Bytes.make shim_length '\000' in
-  Bytes.set shim 0 (Char.chr (magic lsr 8));
-  Bytes.set shim 1 (Char.chr (magic land 0xFF));
-  Bytes.set shim 2 (Char.chr ((Bytes.length inner lsr 8) land 0xFF));
-  Bytes.set shim 3 (Char.chr (Bytes.length inner land 0xFF));
-  (* remaining 16 bytes: sequence, auth and mode fields of IPTP, unused
-     by the simulation *)
-  Ipv4.Packet.make ~id:pkt.Ipv4.Packet.id ~proto:Ipv4.Proto.iptp
-    ~src:outer_src ~dst:outer_dst
-    (Bytes.cat shim inner)
-
-let decap (pkt : Ipv4.Packet.t) =
-  if pkt.Ipv4.Packet.proto <> Ipv4.Proto.iptp then None
-  else begin
-    let payload = pkt.Ipv4.Packet.payload in
-    if Bytes.length payload < shim_length then None
-    else begin
-      let tag =
-        (Char.code (Bytes.get payload 0) lsl 8)
-        lor Char.code (Bytes.get payload 1)
-      in
-      let len =
-        (Char.code (Bytes.get payload 2) lsl 8)
-        lor Char.code (Bytes.get payload 3)
-      in
-      if tag <> magic || Bytes.length payload < shim_length + len then None
-      else
-        match Ipv4.Packet.decode (Bytes.sub payload shim_length len) with
-        | inner -> Some inner
-        | exception Invalid_argument _ -> None
-    end
-  end
+let encap, decap =
+  Ipip.shim_tunnel ~proto:Ipv4.Proto.iptp ~magic:0x4954 (* "IT" *)
+    ~shim_length:20

@@ -37,29 +37,13 @@ let mode t = t.md
    mode so the sender can tunnel directly. *)
 let encode_notice ~mobile ~temp =
   let buf = Bytes.make 8 '\000' in
-  let put i a =
-    let v = Addr.to_int a in
-    Bytes.set buf i (Char.chr ((v lsr 24) land 0xFF));
-    Bytes.set buf (i + 1) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set buf (i + 2) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set buf (i + 3) (Char.chr (v land 0xFF))
-  in
-  put 0 mobile;
-  put 4 temp;
+  Addr.set buf 0 mobile;
+  Addr.set buf 4 temp;
   buf
 
 let decode_notice buf =
   if Bytes.length buf < 8 then None
-  else begin
-    let get i =
-      Addr.of_int
-        ((Char.code (Bytes.get buf i) lsl 24)
-         lor (Char.code (Bytes.get buf (i + 1)) lsl 16)
-         lor (Char.code (Bytes.get buf (i + 2)) lsl 8)
-         lor Char.code (Bytes.get buf (i + 3)))
-    in
-    Some (get 0, get 4)
-  end
+  else Some (Addr.get buf 0, Addr.get buf 4)
 
 let pfs_tunnel t pfs_node (pkt : Packet.t) =
   match Hashtbl.find_opt t.mobiles pkt.Packet.dst with

@@ -10,43 +10,30 @@ type msg =
   | Query of { mobile : Addr.t }
   | Answer of { mobile : Addr.t; fwd : Addr.t }
 
-let put_addr buf i a =
-  let v = Addr.to_int a in
-  Bytes.set buf i (Char.chr ((v lsr 24) land 0xFF));
-  Bytes.set buf (i + 1) (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set buf (i + 2) (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set buf (i + 3) (Char.chr (v land 0xFF))
-
-let get_addr buf i =
-  Addr.of_int
-    ((Char.code (Bytes.get buf i) lsl 24)
-     lor (Char.code (Bytes.get buf (i + 1)) lsl 16)
-     lor (Char.code (Bytes.get buf (i + 2)) lsl 8)
-     lor Char.code (Bytes.get buf (i + 3)))
-
 let encode_msg m =
   let buf = Bytes.make 9 '\000' in
   (match m with
    | Register { mobile; fwd } ->
      Bytes.set buf 0 '\001';
-     put_addr buf 1 mobile;
-     put_addr buf 5 fwd
+     Addr.set buf 1 mobile;
+     Addr.set buf 5 fwd
    | Query { mobile } ->
      Bytes.set buf 0 '\002';
-     put_addr buf 1 mobile
+     Addr.set buf 1 mobile
    | Answer { mobile; fwd } ->
      Bytes.set buf 0 '\003';
-     put_addr buf 1 mobile;
-     put_addr buf 5 fwd);
+     Addr.set buf 1 mobile;
+     Addr.set buf 5 fwd);
   buf
 
 let decode_msg buf =
   if Bytes.length buf < 9 then None
   else
     match Bytes.get buf 0 with
-    | '\001' -> Some (Register { mobile = get_addr buf 1; fwd = get_addr buf 5 })
-    | '\002' -> Some (Query { mobile = get_addr buf 1 })
-    | '\003' -> Some (Answer { mobile = get_addr buf 1; fwd = get_addr buf 5 })
+    | '\001' ->
+      Some (Register { mobile = Addr.get buf 1; fwd = Addr.get buf 5 })
+    | '\002' -> Some (Query { mobile = Addr.get buf 1 })
+    | '\003' -> Some (Answer { mobile = Addr.get buf 1; fwd = Addr.get buf 5 })
     | _ -> None
 
 type forwarder = {

@@ -7,27 +7,15 @@ type t = {
   timestamp : int;
 }
 
-let put_u32 buf i v =
-  Bytes.set buf i (Char.chr ((v lsr 24) land 0xFF));
-  Bytes.set buf (i + 1) (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set buf (i + 2) (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set buf (i + 3) (Char.chr (v land 0xFF))
-
-let get_u32 buf i =
-  (Char.code (Bytes.get buf i) lsl 24)
-  lor (Char.code (Bytes.get buf (i + 1)) lsl 16)
-  lor (Char.code (Bytes.get buf (i + 2)) lsl 8)
-  lor Char.code (Bytes.get buf (i + 3))
-
 (* Layout (28 bytes): orig_proto(1) pad(3) vip_src(4) vip_dst(4)
    hop_count(4) timestamp(4) reserved(8). *)
 let add t (pkt : Ipv4.Packet.t) =
   let buf = Bytes.make (overhead + Bytes.length pkt.Ipv4.Packet.payload) '\000' in
   Bytes.set buf 0 (Char.chr pkt.Ipv4.Packet.proto);
-  put_u32 buf 4 (Ipv4.Addr.to_int t.vip_src);
-  put_u32 buf 8 (Ipv4.Addr.to_int t.vip_dst);
-  put_u32 buf 12 t.hop_count;
-  put_u32 buf 16 t.timestamp;
+  Ipv4.Addr.set buf 4 t.vip_src;
+  Ipv4.Addr.set buf 8 t.vip_dst;
+  Bytes.set_int32_be buf 12 (Int32.of_int t.hop_count);
+  Bytes.set_int32_be buf 16 (Int32.of_int t.timestamp);
   Bytes.blit pkt.Ipv4.Packet.payload 0 buf overhead
     (Bytes.length pkt.Ipv4.Packet.payload);
   { pkt with Ipv4.Packet.proto = Ipv4.Proto.vip; payload = buf }
@@ -39,10 +27,10 @@ let peek (pkt : Ipv4.Packet.t) =
   else begin
     let buf = pkt.Ipv4.Packet.payload in
     Some
-      { vip_src = Ipv4.Addr.of_int (get_u32 buf 4);
-        vip_dst = Ipv4.Addr.of_int (get_u32 buf 8);
-        hop_count = get_u32 buf 12;
-        timestamp = get_u32 buf 16 }
+      { vip_src = Ipv4.Addr.get buf 4;
+        vip_dst = Ipv4.Addr.get buf 8;
+        hop_count = Int32.to_int (Bytes.get_int32_be buf 12) land 0xFFFF_FFFF;
+        timestamp = Int32.to_int (Bytes.get_int32_be buf 16) land 0xFFFF_FFFF }
   end
 
 let strip (pkt : Ipv4.Packet.t) =
@@ -50,7 +38,7 @@ let strip (pkt : Ipv4.Packet.t) =
   | None -> None
   | Some t ->
     let buf = pkt.Ipv4.Packet.payload in
-    let proto = Char.code (Bytes.get buf 0) in
+    let proto = Bytes.get_uint8 buf 0 in
     let transport =
       Bytes.sub buf overhead (Bytes.length buf - overhead)
     in

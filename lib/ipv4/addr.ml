@@ -23,6 +23,15 @@ let to_octets t =
   ((t lsr 24) land 0xFF, (t lsr 16) land 0xFF, (t lsr 8) land 0xFF,
    t land 0xFF)
 
+(* The one wire codec for an address: two 16-bit big-endian halves, so
+   neither direction boxes an int32. *)
+let get buf i =
+  (Bytes.get_uint16_be buf i lsl 16) lor Bytes.get_uint16_be buf (i + 2)
+
+let set buf i t =
+  Bytes.set_uint16_be buf i (t lsr 16);
+  Bytes.set_uint16_be buf (i + 2) (t land 0xFFFF)
+
 let of_string_opt s =
   match String.split_on_char '.' s with
   | [a; b; c; d] ->

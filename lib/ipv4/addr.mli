@@ -27,6 +27,15 @@ val of_octets : int -> int -> int -> int -> t
 (** [of_octets a b c d] is [a.b.c.d].  Raises [Invalid_argument] if any
     octet is out of [\[0, 255\]]. *)
 
+val get : bytes -> int -> t
+(** [get buf i] reads the address stored in network byte order at
+    [buf.[i..i+3]].  Raises [Invalid_argument] if that range is not
+    inside [buf]. *)
+
+val set : bytes -> int -> t -> unit
+(** [set buf i a] writes [a] in network byte order at [buf.[i..i+3]].
+    Raises [Invalid_argument] if that range is not inside [buf]. *)
+
 val of_string : string -> t
 (** Parses dotted-quad.  Raises [Invalid_argument] on malformed input. *)
 

@@ -61,11 +61,8 @@ let valid_range buf ~off ~len = of_range buf ~off ~len = 0
 let valid ?(off = 0) ?len buf = of_bytes ~off ?len buf = 0
 
 let set buf ~at ~off ~len =
-  Bytes.set buf at '\000';
-  Bytes.set buf (at + 1) '\000';
-  let c = of_bytes ~off ~len buf in
-  Bytes.set buf at (Char.chr ((c lsr 8) land 0xFF));
-  Bytes.set buf (at + 1) (Char.chr (c land 0xFF))
+  Bytes.set_uint16_be buf at 0;
+  Bytes.set_uint16_be buf at (of_bytes ~off ~len buf)
 
 (* Incremental update (RFC 1624 idea, done in plain arithmetic): the
    stored checksum is ~S where S is the folded one's-complement sum of

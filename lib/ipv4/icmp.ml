@@ -23,21 +23,6 @@ let type_code = function
 
 let host_unreachable ~original = Dest_unreachable { code = 1; original }
 
-let put_u16 buf i v =
-  Bytes.set buf i (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set buf (i + 1) (Char.chr (v land 0xFF))
-
-let put_addr buf i a =
-  let v = Addr.to_int a in
-  put_u16 buf i (v lsr 16);
-  put_u16 buf (i + 2) (v land 0xFFFF)
-
-let get_u8 buf i = Char.code (Bytes.get buf i)
-let get_u16 buf i = (get_u8 buf i lsl 8) lor get_u8 buf (i + 1)
-
-let get_addr buf i =
-  Addr.of_int ((get_u16 buf i lsl 16) lor get_u16 buf (i + 2))
-
 let body = function
   | Echo_request { data; _ } | Echo_reply { data; _ } -> data
   | Dest_unreachable { original; _ }
@@ -61,17 +46,17 @@ let encode ?ext t =
   (* checksum at 2..3 *)
   (match t with
    | Echo_request { ident; seq; _ } | Echo_reply { ident; seq; _ } ->
-     put_u16 buf 4 ident;
-     put_u16 buf 6 seq
+     Bytes.set_uint16_be buf 4 ident;
+     Bytes.set_uint16_be buf 6 seq
    | Dest_unreachable _ | Time_exceeded _ -> () (* 4 unused bytes *)
-   | Redirect { gateway; _ } -> put_addr buf 4 gateway
+   | Redirect { gateway; _ } -> Addr.set buf 4 gateway
    | Location_update { mobile; foreign_agent } ->
-     put_addr buf 8 mobile;
-     put_addr buf 12 foreign_agent
+     Addr.set buf 8 mobile;
+     Addr.set buf 12 foreign_agent
    | Agent_advertisement { agent; home; foreign } ->
-     put_addr buf 8 agent;
-     Bytes.set buf 12
-       (Char.chr ((if home then 1 else 0) lor (if foreign then 2 else 0)))
+     Addr.set buf 8 agent;
+     Bytes.set_uint8 buf 12
+       ((if home then 1 else 0) lor (if foreign then 2 else 0))
    | Agent_solicitation -> ());
   (match t with
    | Location_update _ | Agent_advertisement _ | Agent_solicitation -> ()
@@ -91,27 +76,27 @@ let decode_at buf ~off ~len =
      || not (Checksum.valid_range buf ~off ~len)
   then None
   else
-    let code = get_u8 buf (off + 1) in
-    match get_u8 buf off with
+    let code = Bytes.get_uint8 buf (off + 1) in
+    match Bytes.get_uint8 buf off with
     | 0 ->
-      Some (Echo_reply { ident = get_u16 buf (off + 4);
-                         seq = get_u16 buf (off + 6);
+      Some (Echo_reply { ident = Bytes.get_uint16_be buf (off + 4);
+                         seq = Bytes.get_uint16_be buf (off + 6);
                          data = body_at buf off len })
     | 8 ->
-      Some (Echo_request { ident = get_u16 buf (off + 4);
-                           seq = get_u16 buf (off + 6);
+      Some (Echo_request { ident = Bytes.get_uint16_be buf (off + 4);
+                           seq = Bytes.get_uint16_be buf (off + 6);
                            data = body_at buf off len })
     | 3 -> Some (Dest_unreachable { code; original = body_at buf off len })
     | 11 -> Some (Time_exceeded { code; original = body_at buf off len })
     | 5 ->
-      Some (Redirect { gateway = get_addr buf (off + 4);
+      Some (Redirect { gateway = Addr.get buf (off + 4);
                        original = body_at buf off len })
     | 41 when len >= 16 ->
-      Some (Location_update { mobile = get_addr buf (off + 8);
-                              foreign_agent = get_addr buf (off + 12) })
+      Some (Location_update { mobile = Addr.get buf (off + 8);
+                              foreign_agent = Addr.get buf (off + 12) })
     | 9 when len >= 16 ->
-      let flags = get_u8 buf (off + 12) in
-      Some (Agent_advertisement { agent = get_addr buf (off + 8);
+      let flags = Bytes.get_uint8 buf (off + 12) in
+      Some (Agent_advertisement { agent = Addr.get buf (off + 8);
                                   home = flags land 1 <> 0;
                                   foreign = flags land 2 <> 0 })
     | 10 -> Some Agent_solicitation

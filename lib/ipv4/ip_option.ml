@@ -31,32 +31,16 @@ let encoded_length = function
   | Lsrr { route; _ } | Record_route { route; _ } ->
     3 + (4 * Array.length route)
 
-let put_u8 buf i v = Bytes.set buf i (Char.chr (v land 0xFF))
-
-let put_addr buf i a =
-  let v = Addr.to_int a in
-  put_u8 buf i (v lsr 24);
-  put_u8 buf (i + 1) (v lsr 16);
-  put_u8 buf (i + 2) (v lsr 8);
-  put_u8 buf (i + 3) v
-
-let get_u8 buf i = Char.code (Bytes.get buf i)
-
-let get_addr buf i =
-  Addr.of_int
-    ((get_u8 buf i lsl 24) lor (get_u8 buf (i + 1) lsl 16)
-     lor (get_u8 buf (i + 2) lsl 8) lor get_u8 buf (i + 3))
-
 let encode_one buf off = function
-  | End_of_options -> put_u8 buf off 0; off + 1
-  | Nop -> put_u8 buf off 1; off + 1
+  | End_of_options -> Bytes.set_uint8 buf off 0; off + 1
+  | Nop -> Bytes.set_uint8 buf off 1; off + 1
   | Lsrr { pointer; route } | Record_route { pointer; route } as o ->
     let ty = match o with Lsrr _ -> 131 | _ -> 7 in
     let len = 3 + (4 * Array.length route) in
-    put_u8 buf off ty;
-    put_u8 buf (off + 1) len;
-    put_u8 buf (off + 2) pointer;
-    Array.iteri (fun i a -> put_addr buf (off + 3 + (4 * i)) a) route;
+    Bytes.set_uint8 buf off ty;
+    Bytes.set_uint8 buf (off + 1) len;
+    Bytes.set_uint8 buf (off + 2) pointer;
+    Array.iteri (fun i a -> Addr.set buf (off + 3 + (4 * i)) a) route;
     off + len
 
 let encode_all opts =
@@ -73,18 +57,18 @@ let decode_all buf =
   let rec go off acc =
     if off >= n then List.rev acc
     else
-      match get_u8 buf off with
+      match Bytes.get_uint8 buf off with
       | 0 -> List.rev acc (* EOL: rest is padding *)
       | 1 -> go (off + 1) (Nop :: acc)
       | (131 | 7) as ty ->
         if off + 2 >= n then invalid_arg "Ip_option.decode_all: truncated";
-        let len = get_u8 buf (off + 1) in
-        let pointer = get_u8 buf (off + 2) in
+        let len = Bytes.get_uint8 buf (off + 1) in
+        let pointer = Bytes.get_uint8 buf (off + 2) in
         if len < 3 || off + len > n || (len - 3) mod 4 <> 0 then
           invalid_arg "Ip_option.decode_all: bad source-route length";
         let count = (len - 3) / 4 in
         let route =
-          Array.init count (fun i -> get_addr buf (off + 3 + (4 * i)))
+          Array.init count (fun i -> Addr.get buf (off + 3 + (4 * i)))
         in
         let o =
           if ty = 131 then Lsrr { pointer; route }

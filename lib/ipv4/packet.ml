@@ -31,23 +31,6 @@ let header_length t = 20 + Bytes.length (options_bytes t)
 let total_length t = header_length t + Bytes.length t.payload
 let has_options t = t.options <> []
 
-let put_u8 buf i v = Bytes.set buf i (Char.chr (v land 0xFF))
-
-let put_u16 buf i v =
-  put_u8 buf i (v lsr 8);
-  put_u8 buf (i + 1) v
-
-let put_addr buf i a =
-  let v = Addr.to_int a in
-  put_u16 buf i (v lsr 16);
-  put_u16 buf (i + 2) (v land 0xFFFF)
-
-let get_u8 buf i = Char.code (Bytes.get buf i)
-let get_u16 buf i = (get_u8 buf i lsl 8) lor get_u8 buf (i + 1)
-
-let get_addr buf i =
-  Addr.of_int ((get_u16 buf i lsl 16) lor get_u16 buf (i + 2))
-
 let check_field name v max =
   if v < 0 || v > max then
     invalid_arg (Printf.sprintf "Packet.encode: %s out of range" name)
@@ -64,21 +47,21 @@ let encode_with_gap t ~gap =
   let tlen = hlen + gap + Bytes.length t.payload in
   if tlen > 0xFFFF then invalid_arg "Packet.encode: packet too long";
   let buf = Bytes.make tlen '\000' in
-  put_u8 buf 0 ((4 lsl 4) lor ihl);
-  put_u8 buf 1 t.tos;
-  put_u16 buf 2 tlen;
-  put_u16 buf 4 t.id;
+  Bytes.set_uint8 buf 0 ((4 lsl 4) lor ihl);
+  Bytes.set_uint8 buf 1 t.tos;
+  Bytes.set_uint16_be buf 2 tlen;
+  Bytes.set_uint16_be buf 4 t.id;
   let flags =
     (if t.dont_fragment then 0x4000 else 0)
     lor (if t.more_fragments then 0x2000 else 0)
     lor (t.frag_offset / 8)
   in
-  put_u16 buf 6 flags;
-  put_u8 buf 8 t.ttl;
-  put_u8 buf 9 t.proto;
+  Bytes.set_uint16_be buf 6 flags;
+  Bytes.set_uint8 buf 8 t.ttl;
+  Bytes.set_uint8 buf 9 t.proto;
   (* checksum at 10..11, set below *)
-  put_addr buf 12 t.src;
-  put_addr buf 16 t.dst;
+  Addr.set buf 12 t.src;
+  Addr.set buf 16 t.dst;
   Bytes.blit opts 0 buf 20 (Bytes.length opts);
   Bytes.blit t.payload 0 buf (hlen + gap) (Bytes.length t.payload);
   Checksum.set buf ~at:10 ~off:0 ~len:hlen;
@@ -88,43 +71,43 @@ let encode t = encode_with_gap t ~gap:0
 
 let decode buf =
   if Bytes.length buf < 20 then invalid_arg "Packet.decode: too short";
-  let vi = get_u8 buf 0 in
+  let vi = Bytes.get_uint8 buf 0 in
   if vi lsr 4 <> 4 then invalid_arg "Packet.decode: not IPv4";
   let hlen = (vi land 0xF) * 4 in
   if hlen < 20 || hlen > Bytes.length buf then
     invalid_arg "Packet.decode: bad header length";
   if not (Checksum.valid ~off:0 ~len:hlen buf) then
     invalid_arg "Packet.decode: bad header checksum";
-  let tlen = get_u16 buf 2 in
+  let tlen = Bytes.get_uint16_be buf 2 in
   if tlen < hlen || tlen > Bytes.length buf then
     invalid_arg "Packet.decode: bad total length";
   let options =
     if hlen = 20 then []
     else Ip_option.decode_all (Bytes.sub buf 20 (hlen - 20))
   in
-  let flags = get_u16 buf 6 in
-  { tos = get_u8 buf 1;
-    id = get_u16 buf 4;
+  let flags = Bytes.get_uint16_be buf 6 in
+  { tos = Bytes.get_uint8 buf 1;
+    id = Bytes.get_uint16_be buf 4;
     dont_fragment = flags land 0x4000 <> 0;
     more_fragments = flags land 0x2000 <> 0;
     frag_offset = (flags land 0x1FFF) * 8;
-    ttl = get_u8 buf 8;
-    proto = get_u8 buf 9;
-    src = get_addr buf 12;
-    dst = get_addr buf 16;
+    ttl = Bytes.get_uint8 buf 8;
+    proto = Bytes.get_uint8 buf 9;
+    src = Addr.get buf 12;
+    dst = Addr.get buf 16;
     options;
     payload = Bytes.sub buf hlen (tlen - hlen) }
 
 let decode_prefix buf =
   if Bytes.length buf < 20 then None
   else begin
-    let vi = get_u8 buf 0 in
+    let vi = Bytes.get_uint8 buf 0 in
     let hlen = (vi land 0xF) * 4 in
     if vi lsr 4 <> 4 || hlen < 20 || hlen > Bytes.length buf
        || not (Checksum.valid ~off:0 ~len:hlen buf)
     then None
     else begin
-      let tlen = get_u16 buf 2 in
+      let tlen = Bytes.get_uint16_be buf 2 in
       if tlen < hlen then None
       else begin
         let avail = min (Bytes.length buf) tlen - hlen in
@@ -135,17 +118,17 @@ let decode_prefix buf =
             | opts -> opts
             | exception Invalid_argument _ -> []
         in
-        let flags = get_u16 buf 6 in
+        let flags = Bytes.get_uint16_be buf 6 in
         Some
-          ({ tos = get_u8 buf 1;
-             id = get_u16 buf 4;
+          ({ tos = Bytes.get_uint8 buf 1;
+             id = Bytes.get_uint16_be buf 4;
              dont_fragment = flags land 0x4000 <> 0;
              more_fragments = flags land 0x2000 <> 0;
              frag_offset = (flags land 0x1FFF) * 8;
-             ttl = get_u8 buf 8;
-             proto = get_u8 buf 9;
-             src = get_addr buf 12;
-             dst = get_addr buf 16;
+             ttl = Bytes.get_uint8 buf 8;
+             proto = Bytes.get_uint8 buf 9;
+             src = Addr.get buf 12;
+             dst = Addr.get buf 16;
              options;
              payload = Bytes.sub buf hlen avail },
            tlen - hlen)
@@ -176,7 +159,7 @@ module View = struct
   let offset v = v.off
   let length v = v.len
 
-  let u8 v i = Char.code (Bytes.get v.buf (v.off + i))
+  let u8 v i = Bytes.get_uint8 v.buf (v.off + i)
   let u16 v i = Bytes.get_uint16_be v.buf (v.off + i)
 
   (* Accepts exactly what [decode] accepts structurally: a complete
@@ -201,8 +184,8 @@ module View = struct
   let id v = u16 v 4
   let ttl v = u8 v 8
   let proto v = u8 v 9
-  let src v = Addr.of_int ((u16 v 12 lsl 16) lor u16 v 14)
-  let dst v = Addr.of_int ((u16 v 16 lsl 16) lor u16 v 18)
+  let src v = Addr.get v.buf (v.off + 12)
+  let dst v = Addr.get v.buf (v.off + 16)
   let has_options v = header_length v > 20
   let payload_offset v = v.off + header_length v
   let payload_length v = total_length v - header_length v
@@ -219,7 +202,7 @@ module View = struct
     let old_word = u16 v 8 in
     let new_word = (new_ttl lsl 8) lor (old_word land 0xFF) in
     if new_word <> old_word then begin
-      Bytes.set v.buf (v.off + 8) (Char.chr new_ttl);
+      Bytes.set_uint8 v.buf (v.off + 8) new_ttl;
       Checksum.update v.buf ~at:(v.off + 10) ~old_word ~new_word
     end
 
@@ -229,7 +212,7 @@ module View = struct
     let old_word = u16 v 8 in
     let t = old_word lsr 8 in
     if t < 1 then invalid_arg "Packet.View.decr_ttl: ttl is zero";
-    Bytes.set v.buf (v.off + 8) (Char.chr (t - 1));
+    Bytes.set_uint8 v.buf (v.off + 8) (t - 1);
     Checksum.update v.buf ~at:(v.off + 10) ~old_word
       ~new_word:(((t - 1) lsl 8) lor (old_word land 0xFF))
 

@@ -32,18 +32,6 @@ let flags_of_int v =
     (fun f -> v land flag_bit f <> 0)
     [Fin; Syn; Rst; Psh; Ack; Urg]
 
-let put_u16 buf i v =
-  Bytes.set buf i (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set buf (i + 1) (Char.chr (v land 0xFF))
-
-let put_u32 buf i v =
-  put_u16 buf i ((v lsr 16) land 0xFFFF);
-  put_u16 buf (i + 2) (v land 0xFFFF)
-
-let get_u8 buf i = Char.code (Bytes.get buf i)
-let get_u16 buf i = (get_u8 buf i lsl 8) lor get_u8 buf (i + 1)
-let get_u32 buf i = (get_u16 buf i lsl 16) lor get_u16 buf (i + 2)
-
 let check name v max =
   if v < 0 || v > max then
     invalid_arg (Printf.sprintf "Tcp_lite.encode: %s out of range" name)
@@ -56,13 +44,13 @@ let encode t =
   check "window" t.window 0xFFFF;
   let len = header_length + Bytes.length t.data in
   let buf = Bytes.make len '\000' in
-  put_u16 buf 0 t.src_port;
-  put_u16 buf 2 t.dst_port;
-  put_u32 buf 4 t.seq;
-  put_u32 buf 8 t.ack;
-  Bytes.set buf 12 (Char.chr ((header_length / 4) lsl 4));
-  Bytes.set buf 13 (Char.chr (flags_to_int t.flags));
-  put_u16 buf 14 t.window;
+  Bytes.set_uint16_be buf 0 t.src_port;
+  Bytes.set_uint16_be buf 2 t.dst_port;
+  Bytes.set_int32_be buf 4 (Int32.of_int t.seq);
+  Bytes.set_int32_be buf 8 (Int32.of_int t.ack);
+  Bytes.set_uint8 buf 12 ((header_length / 4) lsl 4);
+  Bytes.set_uint8 buf 13 (flags_to_int t.flags);
+  Bytes.set_uint16_be buf 14 t.window;
   (* checksum at 16..17; urgent pointer zero *)
   Bytes.blit t.data 0 buf header_length (Bytes.length t.data);
   Checksum.set buf ~at:16 ~off:0 ~len;
@@ -71,18 +59,18 @@ let encode t =
 let decode buf =
   if Bytes.length buf < header_length then None
   else
-    let data_off = (get_u8 buf 12 lsr 4) * 4 in
+    let data_off = (Bytes.get_uint8 buf 12 lsr 4) * 4 in
     if data_off < header_length || data_off > Bytes.length buf then None
     else if not (Checksum.valid ~off:0 ~len:(Bytes.length buf) buf) then
       None
     else
       Some
-        { src_port = get_u16 buf 0;
-          dst_port = get_u16 buf 2;
-          seq = get_u32 buf 4;
-          ack = get_u32 buf 8;
-          flags = flags_of_int (get_u8 buf 13);
-          window = get_u16 buf 14;
+        { src_port = Bytes.get_uint16_be buf 0;
+          dst_port = Bytes.get_uint16_be buf 2;
+          seq = Int32.to_int (Bytes.get_int32_be buf 4) land 0xFFFF_FFFF;
+          ack = Int32.to_int (Bytes.get_int32_be buf 8) land 0xFFFF_FFFF;
+          flags = flags_of_int (Bytes.get_uint8 buf 13);
+          window = Bytes.get_uint16_be buf 14;
           data = Bytes.sub buf data_off (Bytes.length buf - data_off) }
 
 let decode_exn buf =
@@ -119,29 +107,34 @@ let write buf ~off ~src_port ~dst_port ~seq ~ack ~flags ~window ~len =
   check "window" window 0xFFFF;
   if off < 0 || len < header_length || off > Bytes.length buf - len then
     invalid_arg "Tcp_lite.write: segment outside the buffer";
-  put_u16 buf off src_port;
-  put_u16 buf (off + 2) dst_port;
-  put_u32 buf (off + 4) seq;
-  put_u32 buf (off + 8) ack;
-  Bytes.set buf (off + 12) (Char.chr ((header_length / 4) lsl 4));
-  Bytes.set buf (off + 13) (Char.chr flags);
-  put_u16 buf (off + 14) window;
+  Bytes.set_uint16_be buf off src_port;
+  Bytes.set_uint16_be buf (off + 2) dst_port;
+  Bytes.set_int32_be buf (off + 4) (Int32.of_int seq);
+  Bytes.set_int32_be buf (off + 8) (Int32.of_int ack);
+  Bytes.set_uint8 buf (off + 12) ((header_length / 4) lsl 4);
+  Bytes.set_uint8 buf (off + 13) flags;
+  Bytes.set_uint16_be buf (off + 14) window;
   (* the checksum at 16..17 is computed over zero; urgent pointer zero *)
-  put_u32 buf (off + 16) 0;
+  Bytes.set_int32_be buf (off + 16) 0l;
   Checksum.set buf ~at:(off + 16) ~off ~len
 
 let valid_at buf ~off ~len =
   off >= 0 && len >= header_length
   && off <= Bytes.length buf - len
   &&
-  let data_off = (get_u8 buf (off + 12) lsr 4) * 4 in
+  let data_off = (Bytes.get_uint8 buf (off + 12) lsr 4) * 4 in
   data_off >= header_length && data_off <= len
   && Checksum.valid_range buf ~off ~len
 
-let src_port_at buf ~off = get_u16 buf off
-let dst_port_at buf ~off = get_u16 buf (off + 2)
-let seq_at buf ~off = get_u32 buf (off + 4)
-let ack_at buf ~off = get_u32 buf (off + 8)
-let data_offset_at buf ~off = (get_u8 buf (off + 12) lsr 4) * 4
-let flags_at buf ~off = get_u8 buf (off + 13)
-let window_at buf ~off = get_u16 buf (off + 14)
+let src_port_at buf ~off = Bytes.get_uint16_be buf off
+let dst_port_at buf ~off = Bytes.get_uint16_be buf (off + 2)
+
+let seq_at buf ~off =
+  Int32.to_int (Bytes.get_int32_be buf (off + 4)) land 0xFFFF_FFFF
+
+let ack_at buf ~off =
+  Int32.to_int (Bytes.get_int32_be buf (off + 8)) land 0xFFFF_FFFF
+
+let data_offset_at buf ~off = (Bytes.get_uint8 buf (off + 12) lsr 4) * 4
+let flags_at buf ~off = Bytes.get_uint8 buf (off + 13)
+let window_at buf ~off = Bytes.get_uint16_be buf (off + 14)

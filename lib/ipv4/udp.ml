@@ -8,13 +8,6 @@ let header_length = 8
 
 let make ~src_port ~dst_port data = { src_port; dst_port; data }
 
-let put_u16 buf i v =
-  Bytes.set buf i (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set buf (i + 1) (Char.chr (v land 0xFF))
-
-let get_u8 buf i = Char.code (Bytes.get buf i)
-let get_u16 buf i = (get_u8 buf i lsl 8) lor get_u8 buf (i + 1)
-
 let encode t =
   if t.src_port < 0 || t.src_port > 0xFFFF || t.dst_port < 0
      || t.dst_port > 0xFFFF
@@ -22,9 +15,9 @@ let encode t =
   let len = header_length + Bytes.length t.data in
   if len > 0xFFFF then invalid_arg "Udp.encode: datagram too long";
   let buf = Bytes.make len '\000' in
-  put_u16 buf 0 t.src_port;
-  put_u16 buf 2 t.dst_port;
-  put_u16 buf 4 len;
+  Bytes.set_uint16_be buf 0 t.src_port;
+  Bytes.set_uint16_be buf 2 t.dst_port;
+  Bytes.set_uint16_be buf 4 len;
   Bytes.blit t.data 0 buf 8 (Bytes.length t.data);
   Checksum.set buf ~at:6 ~off:0 ~len;
   buf
@@ -32,12 +25,12 @@ let encode t =
 let length_at buf ~off ~len =
   if off < 0 || len < header_length || off > Bytes.length buf - len then -1
   else
-    let n = get_u16 buf (off + 4) in
+    let n = Bytes.get_uint16_be buf (off + 4) in
     if n < header_length || n > len then -2
     else if not (Checksum.valid_range buf ~off ~len:n) then -3
     else n
 
-let dst_port_at buf ~off = get_u16 buf (off + 2)
+let dst_port_at buf ~off = Bytes.get_uint16_be buf (off + 2)
 
 let decode buf =
   match length_at buf ~off:0 ~len:(Bytes.length buf) with
@@ -45,8 +38,8 @@ let decode buf =
   | -2 -> invalid_arg "Udp.decode: bad length"
   | -3 -> invalid_arg "Udp.decode: bad checksum"
   | len ->
-    { src_port = get_u16 buf 0;
-      dst_port = get_u16 buf 2;
+    { src_port = Bytes.get_uint16_be buf 0;
+      dst_port = Bytes.get_uint16_be buf 2;
       data = Bytes.sub buf 8 (len - 8) }
 
 let pp ppf t =

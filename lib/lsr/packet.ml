@@ -21,36 +21,31 @@ let size = function
   | Lsa { links; _ } ->
     6 + 4 + 2 + List.fold_left (fun acc l -> acc + link_size l) 0 links
 
-let put_addr b off a = Bytes.set_int32_be b off (Int32.of_int (Addr.to_int a))
-
-let get_addr b off =
-  Addr.of_int (Int32.to_int (Bytes.get_int32_be b off) land 0xFFFF_FFFF)
-
 let encode t =
   let b = Bytes.create (size t) in
   Bytes.set_uint8 b 0 version;
   (match t with
    | Hello { origin } ->
      Bytes.set_uint8 b 1 tag_hello;
-     put_addr b 2 origin
+     Addr.set b 2 origin
    | Lsa { origin; seq; links } ->
      if seq < 0 || seq > 0x3FFF_FFFF then
        invalid_arg "Lsr.Packet.encode: sequence number out of range";
      Bytes.set_uint8 b 1 tag_lsa;
-     put_addr b 2 origin;
+     Addr.set b 2 origin;
      Bytes.set_int32_be b 6 (Int32.of_int seq);
      Bytes.set_uint16_be b 10 (List.length links);
      let off = ref 12 in
      List.iter
        (fun l ->
-          put_addr b !off (l.prefix.Addr.Prefix.base : Addr.t);
+          Addr.set b !off (l.prefix.Addr.Prefix.base : Addr.t);
           Bytes.set_uint8 b (!off + 4) l.prefix.Addr.Prefix.len;
-          put_addr b (!off + 5) l.addr;
+          Addr.set b (!off + 5) l.addr;
           Bytes.set_uint16_be b (!off + 9) (List.length l.neighbors);
           off := !off + 11;
           List.iter
             (fun n ->
-               put_addr b !off n;
+               Addr.set b !off n;
                off := !off + 4)
             l.neighbors)
        links);
@@ -61,7 +56,7 @@ let decode b =
   let len = Bytes.length b in
   if len < 6 then fail "truncated header";
   if Bytes.get_uint8 b 0 <> version then fail "bad version";
-  let origin = get_addr b 2 in
+  let origin = Addr.get b 2 in
   match Bytes.get_uint8 b 1 with
   | tag when tag = tag_hello ->
     if len <> 6 then fail "hello with trailing bytes";
@@ -75,19 +70,19 @@ let decode b =
     let links =
       List.init nlinks (fun _ ->
           if !off + 11 > len then fail "truncated link";
-          let base = get_addr b !off in
+          let base = Addr.get b !off in
           let plen = Bytes.get_uint8 b (!off + 4) in
           if plen > 32 then fail "bad prefix length";
           let prefix = Addr.Prefix.make base plen in
           if not (Addr.equal (prefix.Addr.Prefix.base :> Addr.t) base) then
             fail "prefix with host bits set";
-          let addr = get_addr b (!off + 5) in
+          let addr = Addr.get b (!off + 5) in
           let nneigh = Bytes.get_uint16_be b (!off + 9) in
           off := !off + 11;
           if !off + (4 * nneigh) > len then fail "truncated neighbor list";
           let neighbors =
             List.init nneigh (fun _ ->
-                let a = get_addr b !off in
+                let a = Addr.get b !off in
                 off := !off + 4;
                 a)
           in

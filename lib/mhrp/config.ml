@@ -47,6 +47,10 @@ let make ?max_prev_sources ?cache_capacity ?update_min_interval
     ?reliable_control ?control_rto ?control_retries ?hierarchy
     ?regional_lifetime ?regional_refresh ?regional_grace () =
   let v default = Option.value ~default in
+  let regional_lifetime = v default.regional_lifetime regional_lifetime in
+  (* [Reg_region] carries the lifetime as u16 whole seconds, rounded up *)
+  if Netsim.Time.to_us regional_lifetime > 0xFFFF * 1_000_000 then
+    invalid_arg "Config.make: regional_lifetime over 65,535 s";
   { max_prev_sources = v default.max_prev_sources max_prev_sources;
     cache_capacity = v default.cache_capacity cache_capacity;
     update_min_interval = v default.update_min_interval update_min_interval;
@@ -62,6 +66,6 @@ let make ?max_prev_sources ?cache_capacity ?update_min_interval
     control_rto = v default.control_rto control_rto;
     control_retries = v default.control_retries control_retries;
     hierarchy = v default.hierarchy hierarchy;
-    regional_lifetime = v default.regional_lifetime regional_lifetime;
+    regional_lifetime;
     regional_refresh = v default.regional_refresh regional_refresh;
     regional_grace = v default.regional_grace regional_grace }

@@ -75,13 +75,13 @@ type t = {
       Off by default: flat mode is byte-identical to the pre-hierarchy
       protocol. *)
   regional_lifetime : Netsim.Time.t;
-  (** Soft-state lifetime of a regional binding.  [Reg_region] carries it
-      on the wire (u16 seconds); the regional agent evicts bindings not
-      refreshed within it, so lost withdrawals and crashed foreign agents
-      self-heal instead of blackholing.  [Netsim.Time.zero] disables
-      expiry (bindings are hard state, the pre-failover behaviour).
-      Default 300 s — far beyond existing experiment horizons so enabling
-      the knob does not perturb gated counters. *)
+  (** Soft-state lifetime of a regional binding, at most 65,535 s
+      ({!make} raises [Invalid_argument] beyond): [Reg_region] carries it
+      as u16 seconds.  The regional agent evicts bindings not refreshed
+      within it, so lost withdrawals and crashed foreign agents self-heal
+      instead of blackholing.  [Netsim.Time.zero] disables expiry (hard
+      state, the pre-failover behaviour).  Default 300 s — far beyond
+      experiment horizons, so enabling it perturbs no gated counter. *)
   regional_refresh : Netsim.Time.t;
   (** How often a registered mobile re-sends [Reg_region] to keep its
       binding alive.  [Netsim.Time.zero] (the default) derives a third of

@@ -25,162 +25,108 @@ type t =
   | Region_sync_ack of { mobile : Ipv4.Addr.t }
   | Region_forward of { mobile : Ipv4.Addr.t; new_regional : Ipv4.Addr.t }
 
-let put_u8 buf i v = Bytes.set buf i (Char.chr (v land 0xFF))
+(* A [len]-byte message: its type code, then the mobile's address; the
+   cases below write any further fields from offset 5. *)
+let message code len mobile =
+  let buf = Bytes.make len '\000' in
+  Bytes.set_uint8 buf 0 code;
+  Ipv4.Addr.set buf 1 mobile;
+  buf
 
-let put_addr buf i a =
-  let v = Ipv4.Addr.to_int a in
-  put_u8 buf i (v lsr 24);
-  put_u8 buf (i + 1) (v lsr 16);
-  put_u8 buf (i + 2) (v lsr 8);
-  put_u8 buf (i + 3) v
+let with_addr code mobile a =
+  let buf = message code 9 mobile in
+  Ipv4.Addr.set buf 5 a;
+  buf
 
-let put_mac buf i m =
-  let v = Net.Mac.to_int m in
-  for k = 0 to 5 do
-    put_u8 buf (i + k) (v lsr ((5 - k) * 8))
-  done
-
-let get_u8 buf i = Char.code (Bytes.get buf i)
-let get_u16 buf i = (get_u8 buf i lsl 8) lor get_u8 buf (i + 1)
-
-let get_addr buf i =
-  Ipv4.Addr.of_int
-    ((get_u8 buf i lsl 24) lor (get_u8 buf (i + 1) lsl 16)
-     lor (get_u8 buf (i + 2) lsl 8) lor get_u8 buf (i + 3))
-
-let get_mac buf i =
-  let v = ref 0 in
-  for k = 0 to 5 do
-    v := (!v lsl 8) lor get_u8 buf (i + k)
-  done;
-  Net.Mac.of_int !v
+(* The lifetime is u16 seconds on the wire: one that does not fit is
+   refused, not wrapped into a shorter (or, at 65,536 s, endless) one. *)
+let with_lifetime code mobile foreign_agent lifetime_s =
+  if lifetime_s < 0 || lifetime_s > 0xFFFF then
+    invalid_arg "Control.encode: lifetime_s out of range";
+  let buf = message code 11 mobile in
+  Ipv4.Addr.set buf 5 foreign_agent;
+  Bytes.set_uint16_be buf 9 lifetime_s;
+  buf
 
 let encode = function
-  | Reg_request { mobile; foreign_agent } ->
-    let buf = Bytes.make 9 '\000' in
-    put_u8 buf 0 1;
-    put_addr buf 1 mobile;
-    put_addr buf 5 foreign_agent;
-    buf
+  | Reg_request { mobile; foreign_agent } -> with_addr 1 mobile foreign_agent
   | Reg_reply { mobile; accepted } ->
-    let buf = Bytes.make 6 '\000' in
-    put_u8 buf 0 2;
-    put_addr buf 1 mobile;
-    put_u8 buf 5 (if accepted then 1 else 0);
+    let buf = message 2 6 mobile in
+    Bytes.set_uint8 buf 5 (if accepted then 1 else 0);
     buf
   | Fa_connect { mobile; mac } ->
-    let buf = Bytes.make 11 '\000' in
-    put_u8 buf 0 3;
-    put_addr buf 1 mobile;
-    put_mac buf 5 mac;
+    (* the 48-bit MAC: its top 16 bits, then its low 32 *)
+    let buf = message 3 11 mobile in
+    let v = Net.Mac.to_int mac in
+    Bytes.set_uint16_be buf 5 (v lsr 32);
+    Bytes.set_int32_be buf 7 (Int32.of_int v);
     buf
-  | Fa_connect_ack { mobile } ->
-    let buf = Bytes.make 5 '\000' in
-    put_u8 buf 0 4;
-    put_addr buf 1 mobile;
-    buf
+  | Fa_connect_ack { mobile } -> message 4 5 mobile
   | Fa_disconnect { mobile; new_foreign_agent } ->
-    let buf = Bytes.make 9 '\000' in
-    put_u8 buf 0 5;
-    put_addr buf 1 mobile;
-    put_addr buf 5 new_foreign_agent;
-    buf
-  | Ha_sync { mobile; foreign_agent } ->
-    let buf = Bytes.make 9 '\000' in
-    put_u8 buf 0 6;
-    put_addr buf 1 mobile;
-    put_addr buf 5 foreign_agent;
-    buf
-  | Ha_sync_ack { mobile } ->
-    let buf = Bytes.make 5 '\000' in
-    put_u8 buf 0 7;
-    put_addr buf 1 mobile;
-    buf
+    with_addr 5 mobile new_foreign_agent
+  | Ha_sync { mobile; foreign_agent } -> with_addr 6 mobile foreign_agent
+  | Ha_sync_ack { mobile } -> message 7 5 mobile
   | Fa_connect_ack_r { mobile; regional; backup } ->
-    let buf = Bytes.make 13 '\000' in
-    put_u8 buf 0 8;
-    put_addr buf 1 mobile;
-    put_addr buf 5 regional;
-    put_addr buf 9 backup;
+    let buf = message 8 13 mobile in
+    Ipv4.Addr.set buf 5 regional;
+    Ipv4.Addr.set buf 9 backup;
     buf
   | Reg_region { mobile; foreign_agent; lifetime_s } ->
-    let buf = Bytes.make 11 '\000' in
-    put_u8 buf 0 9;
-    put_addr buf 1 mobile;
-    put_addr buf 5 foreign_agent;
-    put_u8 buf 9 (lifetime_s lsr 8);
-    put_u8 buf 10 lifetime_s;
-    buf
-  | Reg_region_ack { mobile } ->
-    let buf = Bytes.make 5 '\000' in
-    put_u8 buf 0 10;
-    put_addr buf 1 mobile;
-    buf
+    with_lifetime 9 mobile foreign_agent lifetime_s
+  | Reg_region_ack { mobile } -> message 10 5 mobile
   | Fa_visitor_miss { mobile; foreign_agent } ->
-    let buf = Bytes.make 9 '\000' in
-    put_u8 buf 0 11;
-    put_addr buf 1 mobile;
-    put_addr buf 5 foreign_agent;
-    buf
+    with_addr 11 mobile foreign_agent
   | Region_sync { mobile; foreign_agent; lifetime_s } ->
-    let buf = Bytes.make 11 '\000' in
-    put_u8 buf 0 12;
-    put_addr buf 1 mobile;
-    put_addr buf 5 foreign_agent;
-    put_u8 buf 9 (lifetime_s lsr 8);
-    put_u8 buf 10 lifetime_s;
-    buf
-  | Region_sync_ack { mobile } ->
-    let buf = Bytes.make 5 '\000' in
-    put_u8 buf 0 13;
-    put_addr buf 1 mobile;
-    buf
-  | Region_forward { mobile; new_regional } ->
-    let buf = Bytes.make 9 '\000' in
-    put_u8 buf 0 14;
-    put_addr buf 1 mobile;
-    put_addr buf 5 new_regional;
-    buf
+    with_lifetime 12 mobile foreign_agent lifetime_s
+  | Region_sync_ack { mobile } -> message 13 5 mobile
+  | Region_forward { mobile; new_regional } -> with_addr 14 mobile new_regional
 
 let decode_at buf ~off ~len =
   if off < 0 || len < 5 || off > Bytes.length buf - len then None
   else
-    let mobile = get_addr buf (off + 1) in
-    match get_u8 buf off with
+    let mobile = Ipv4.Addr.get buf (off + 1) in
+    match Bytes.get_uint8 buf off with
     | 1 when len >= 9 ->
-      Some (Reg_request { mobile; foreign_agent = get_addr buf (off + 5) })
+      Some (Reg_request
+              { mobile; foreign_agent = Ipv4.Addr.get buf (off + 5) })
     | 2 when len >= 6 ->
-      Some (Reg_reply { mobile; accepted = get_u8 buf (off + 5) <> 0 })
+      Some (Reg_reply
+              { mobile; accepted = Bytes.get_uint8 buf (off + 5) <> 0 })
     | 3 when len >= 11 ->
-      (match get_mac buf (off + 5) with
+      let v =
+        (Bytes.get_uint16_be buf (off + 5) lsl 32)
+        lor (Int32.to_int (Bytes.get_int32_be buf (off + 7)) land 0xFFFF_FFFF)
+      in
+      (match Net.Mac.of_int v with
        | mac -> Some (Fa_connect { mobile; mac })
        | exception Invalid_argument _ -> None)
     | 4 -> Some (Fa_connect_ack { mobile })
     | 5 when len >= 9 ->
-      Some (Fa_disconnect { mobile;
-                            new_foreign_agent = get_addr buf (off + 5) })
+      Some (Fa_disconnect
+              { mobile; new_foreign_agent = Ipv4.Addr.get buf (off + 5) })
     | 6 when len >= 9 ->
-      Some (Ha_sync { mobile; foreign_agent = get_addr buf (off + 5) })
+      Some (Ha_sync { mobile; foreign_agent = Ipv4.Addr.get buf (off + 5) })
     | 7 -> Some (Ha_sync_ack { mobile })
     | 8 when len >= 13 ->
       Some (Fa_connect_ack_r { mobile;
-                               regional = get_addr buf (off + 5);
-                               backup = get_addr buf (off + 9) })
+                               regional = Ipv4.Addr.get buf (off + 5);
+                               backup = Ipv4.Addr.get buf (off + 9) })
     | 9 when len >= 11 ->
       Some (Reg_region { mobile;
-                         foreign_agent = get_addr buf (off + 5);
-                         lifetime_s = get_u16 buf (off + 9) })
+                         foreign_agent = Ipv4.Addr.get buf (off + 5);
+                         lifetime_s = Bytes.get_uint16_be buf (off + 9) })
     | 10 -> Some (Reg_region_ack { mobile })
     | 11 when len >= 9 ->
-      Some (Fa_visitor_miss { mobile;
-                              foreign_agent = get_addr buf (off + 5) })
+      Some (Fa_visitor_miss
+              { mobile; foreign_agent = Ipv4.Addr.get buf (off + 5) })
     | 12 when len >= 11 ->
       Some (Region_sync { mobile;
-                          foreign_agent = get_addr buf (off + 5);
-                          lifetime_s = get_u16 buf (off + 9) })
+                          foreign_agent = Ipv4.Addr.get buf (off + 5);
+                          lifetime_s = Bytes.get_uint16_be buf (off + 9) })
     | 13 -> Some (Region_sync_ack { mobile })
     | 14 when len >= 9 ->
-      Some (Region_forward { mobile; new_regional = get_addr buf (off + 5) })
+      Some (Region_forward
+              { mobile; new_regional = Ipv4.Addr.get buf (off + 5) })
     | _ -> None
 
 let decode buf = decode_at buf ~off:0 ~len:(Bytes.length buf)

@@ -49,9 +49,9 @@ type t =
           withdraws the binding (departure or return home).  This is the
           only registration an intra-region handoff sends — the home
           agent keeps pointing at the regional agent throughout.
-          [lifetime_s] is the soft-state lifetime in seconds (u16 on the
-          wire; 0 means the binding never expires) after which the
-          regional agent evicts the binding unless refreshed. *)
+          [lifetime_s]: the binding's soft-state lifetime, u16 seconds on
+          the wire ({!encode} raises [Invalid_argument] outside it); 0
+          means it never expires. *)
   | Reg_region_ack of { mobile : Ipv4.Addr.t }
       (** Regional agent -> mobile host. *)
   | Fa_visitor_miss of { mobile : Ipv4.Addr.t; foreign_agent : Ipv4.Addr.t }

@@ -110,11 +110,6 @@ let added_bytes ~original ~tunneled =
 
 module View = Ipv4.Packet.View
 
-let blit_addr buf i a =
-  let v = Ipv4.Addr.to_int a in
-  Bytes.set_uint16_be buf i (v lsr 16);
-  Bytes.set_uint16_be buf (i + 2) (v land 0xFFFF)
-
 (* A fresh buffer holding a 20-byte IP header — [v]'s TOS,
    identification, fragment field and TTL under a new protocol, source
    and destination — for [payload_length] more bytes, which the caller
@@ -132,8 +127,8 @@ let envelope v ~proto ~src ~dst ~payload_length =
   Bytes.set_uint16_be buf 6 (Bytes.get_uint16_be vbuf (voff + 6) land 0x7FFF);
   Bytes.set buf 8 (Bytes.get vbuf (voff + 8));
   Bytes.set_uint8 buf 9 proto;
-  blit_addr buf 12 src;
-  blit_addr buf 16 dst;
+  Ipv4.Addr.set buf 12 src;
+  Ipv4.Addr.set buf 16 dst;
   buf
 
 (* The checksums: the MHRP header's ([mh_len] bytes at offset 20, none
@@ -165,8 +160,8 @@ let tunnel_by_sender_into ?(reserve = 0) ~foreign_agent (pkt : Ipv4.Packet.t)
      original protocol and destination — then the payload, then the
      reserve, left zero for the caller *)
   let h = (Bytes.get_uint8 buf 0 land 0xF) * 4 in
-  Bytes.set_uint8 buf (h + 1) (pkt.Ipv4.Packet.proto land 0xFF);
-  blit_addr buf (h + 4) pkt.Ipv4.Packet.dst;
+  Bytes.set_uint8 buf (h + 1) pkt.Ipv4.Packet.proto;
+  Ipv4.Addr.set buf (h + 4) pkt.Ipv4.Packet.dst;
   Ipv4.Checksum.set buf ~at:(h + 2) ~off:h ~len:Mhrp_header.fixed_length;
   Bytes.blit payload 0 buf (h + Mhrp_header.fixed_length) plen;
   buf
@@ -183,8 +178,8 @@ let tunnel_by_agent_into ~agent ~foreign_agent v =
     in
     Bytes.set_uint8 buf 20 1;
     Bytes.set_uint8 buf 21 (View.proto v);
-    blit_addr buf 24 (View.dst v);
-    blit_addr buf 28 (View.src v);
+    Ipv4.Addr.set buf 24 (View.dst v);
+    Ipv4.Addr.set buf 28 (View.src v);
     Bytes.blit (View.buffer v) (View.payload_offset v) buf (20 + mh_len)
       transport_len;
     seal buf ~mh_len
@@ -227,7 +222,7 @@ let relay v ~me ~new_dst ~keep =
   Bytes.set_uint8 buf 20 (keep + 1);
   Bytes.blit vbuf (mh_off + 1) buf 21 1;  (* the original protocol *)
   Bytes.blit vbuf (mh_off + 4) buf 24 (4 + (4 * keep));  (* mobile, list *)
-  blit_addr buf (28 + (4 * keep)) (View.src v);
+  Ipv4.Addr.set buf (28 + (4 * keep)) (View.src v);
   Bytes.blit vbuf (mh_off + old_len) buf (20 + mh_len) transport_len;
   seal buf ~mh_len
 

@@ -36,32 +36,16 @@ let drop_last_source t =
   | last :: rest ->
     Some ({ t with prev_sources = List.rev rest }, last)
 
-let put_u8 buf i v = Bytes.set buf i (Char.chr (v land 0xFF))
-
-let put_addr buf i a =
-  let v = Ipv4.Addr.to_int a in
-  put_u8 buf i (v lsr 24);
-  put_u8 buf (i + 1) (v lsr 16);
-  put_u8 buf (i + 2) (v lsr 8);
-  put_u8 buf (i + 3) v
-
-let get_u8 buf i = Char.code (Bytes.get buf i)
-
-let get_addr buf i =
-  Ipv4.Addr.of_int
-    ((get_u8 buf i lsl 24) lor (get_u8 buf (i + 1) lsl 16)
-     lor (get_u8 buf (i + 2) lsl 8) lor get_u8 buf (i + 3))
-
 let encode t transport =
   let count = List.length t.prev_sources in
   if count > 255 then invalid_arg "Mhrp_header.encode: list too long";
   let hlen = length t in
   let buf = Bytes.make (hlen + Bytes.length transport) '\000' in
-  put_u8 buf 0 count;
-  put_u8 buf 1 t.orig_proto;
+  Bytes.set_uint8 buf 0 count;
+  Bytes.set_uint8 buf 1 t.orig_proto;
   (* checksum at 2..3 *)
-  put_addr buf 4 t.mobile;
-  List.iteri (fun i a -> put_addr buf (8 + (4 * i)) a) t.prev_sources;
+  Ipv4.Addr.set buf 4 t.mobile;
+  List.iteri (fun i a -> Ipv4.Addr.set buf (8 + (4 * i)) a) t.prev_sources;
   Ipv4.Checksum.set buf ~at:2 ~off:0 ~len:hlen;
   Bytes.blit transport 0 buf hlen (Bytes.length transport);
   buf
@@ -70,18 +54,19 @@ let encode t transport =
    list is built without reversal or a closure. *)
 let rec get_list buf i k acc =
   if k = 0 then acc
-  else get_list buf (i - 4) (k - 1) (get_addr buf (i - 4) :: acc)
+  else get_list buf (i - 4) (k - 1) (Ipv4.Addr.get buf (i - 4) :: acc)
 
 let decode_at buf ~off ~len =
   if off < 0 || len < fixed_length || off > Bytes.length buf - len then None
   else begin
-    let count = get_u8 buf off in
+    let count = Bytes.get_uint8 buf off in
     let hlen = fixed_length + (4 * count) in
     if len < hlen || not (Ipv4.Checksum.valid_range buf ~off ~len:hlen) then
       None
     else
       Some
-        { orig_proto = get_u8 buf (off + 1); mobile = get_addr buf (off + 4);
+        { orig_proto = Bytes.get_uint8 buf (off + 1);
+          mobile = Ipv4.Addr.get buf (off + 4);
           prev_sources = get_list buf (off + hlen) count [] }
   end
 

@@ -343,6 +343,9 @@ let unit_m = Addr.host 7 10
 let unit_fa = Addr.host 8 1
 let unit_fa2 = Addr.host 9 1
 
+let raises f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
 let regional_unit_tests =
   [ Alcotest.test_case "pure refresh counted apart from registrations"
       `Quick (fun () ->
@@ -396,6 +399,39 @@ let regional_unit_tests =
             (Mhrp.Regional.forward r ~now:(Time.of_us 100) unit_m);
           check Alcotest.int "removed on lookup" 0
             (Mhrp.Regional.forwards_size r));
+    Alcotest.test_case "Control refuses a lifetime beyond u16 seconds"
+      `Quick (fun () ->
+          let reg lifetime_s =
+            Mhrp.Control.Reg_region
+              { mobile = unit_m; foreign_agent = unit_fa; lifetime_s }
+          and sync lifetime_s =
+            Mhrp.Control.Region_sync
+              { mobile = unit_m; foreign_agent = unit_fa; lifetime_s }
+          in
+          List.iter
+            (fun (name, msg) ->
+               check Alcotest.bool (name ^ ": 65,535 s round-trips") true
+                 (Mhrp.Control.decode (Mhrp.Control.encode (msg 65_535))
+                  = Some (msg 65_535));
+               (* wrapped to 16 bits, 65,536 would read back as 0: a
+                  binding that never expires *)
+               check Alcotest.bool (name ^ ": 65,536 s raises") true
+                 (raises (fun () -> Mhrp.Control.encode (msg 65_536)));
+               check Alcotest.bool (name ^ ": -1 s raises") true
+                 (raises (fun () -> Mhrp.Control.encode (msg (-1)))))
+            [ ("Reg_region", reg); ("Region_sync", sync) ]);
+    Alcotest.test_case "Config.make refuses a regional lifetime over 65,535 s"
+      `Quick (fun () ->
+          let make s =
+            Mhrp.Config.make ~regional_lifetime:(Time.of_sec s) ()
+          in
+          check Alcotest.bool "65,535 s accepted" false
+            (raises (fun () -> make 65_535.0));
+          check Alcotest.bool "65,536 s refused" true
+            (raises (fun () -> make 65_536.0));
+          (* the wire value is whole seconds rounded up *)
+          check Alcotest.bool "65,535.5 s refused" true
+            (raises (fun () -> make 65_535.5)));
     qtest
       (QCheck.Test.make
          ~name:"expiry never evicts a live refreshing binding"

@@ -59,6 +59,43 @@ let addr_tests =
           (Addr.net_of (Addr.host 600 9));
         check (Alcotest.option Alcotest.int) "foreign" None
           (Addr.net_of (Addr.of_string "11.0.0.1")));
+    Alcotest.test_case "wire codec is network byte order" `Quick (fun () ->
+        let buf = Bytes.make 4 '\000' in
+        Addr.set buf 0 (Addr.of_string "10.1.2.3");
+        check Alcotest.string "set" "\x0a\x01\x02\x03" (Bytes.to_string buf);
+        check addr_testable "get" (Addr.of_string "10.1.2.3") (Addr.get buf 0);
+        check addr_testable "top bit set" (Addr.of_string "255.254.128.1")
+          (Addr.get (Bytes.of_string "\xff\xfe\x80\x01") 0));
+    Alcotest.test_case "wire codec raises outside the buffer" `Quick
+      (fun () ->
+         let buf = Bytes.make 8 '\000' in
+         let raises f =
+           match f () with
+           | () -> false
+           | exception Invalid_argument _ -> true
+         in
+         List.iter
+           (fun i ->
+              check Alcotest.bool (Printf.sprintf "get at %d" i) true
+                (raises (fun () -> ignore (Addr.get buf i)));
+              check Alcotest.bool (Printf.sprintf "set at %d" i) true
+                (raises (fun () -> Addr.set buf i Addr.broadcast)))
+           [-4; -1; 5; 7; 8]);
+    qtest
+      (QCheck.Test.make ~name:"wire codec round-trips at every offset"
+         ~count:300
+         QCheck.(map (fun n -> Addr.of_int (n land 0xFFFF_FFFF)) int)
+         (fun a ->
+            let n = 11 in
+            List.for_all
+              (fun off ->
+                 let buf = Bytes.make n 'z' in
+                 Addr.set buf off a;
+                 Addr.equal (Addr.get buf off) a
+                 && Bytes.sub_string buf 0 off = String.make off 'z'
+                 && Bytes.sub_string buf (off + 4) (n - off - 4)
+                    = String.make (n - off - 4) 'z')
+              (List.init (n - 3) Fun.id)));
     qtest
       (QCheck.Test.make ~name:"addr string roundtrip" ~count:300 arb_addr
          (fun a -> Addr.equal a (Addr.of_string (Addr.to_string a))));

@@ -287,16 +287,39 @@ let decoders_total s =
     && no_raise "Tcp_lite.valid_at" (fun () ->
         Ipv4.Tcp_lite.valid_at buf ~off ~len)
   in
+  (* decoders that may reject with [Invalid_argument], and nothing else *)
+  let rejects name f =
+    no_raise name (fun () ->
+        match f () with _ -> () | exception Invalid_argument _ -> ())
+  in
+  (* the baselines' decoders, fed the bytes as a packet payload *)
+  let carried proto =
+    Ipv4.Packet.make ~proto ~src:(Addr.host 1 1) ~dst:(Addr.host 2 1) buf
+  in
   no_raise "Control.decode" (fun () -> Mhrp.Control.decode buf)
   && no_raise "Extension.decode" (fun () -> Auth.Extension.decode buf)
   && no_raise "Extension.split" (fun () -> Auth.Extension.split buf)
   && no_raise "Extension.decode_at" (fun () ->
       Auth.Extension.decode_at buf 0)
   && no_raise "Icmp.decode_opt" (fun () -> Ipv4.Icmp.decode_opt buf)
-  && no_raise "Udp.decode" (fun () ->
-      match Ipv4.Udp.decode buf with
-      | _ -> ()
-      | exception Invalid_argument _ -> ())
+  && rejects "Udp.decode" (fun () -> Ipv4.Udp.decode buf)
+  && no_raise "Lsr.Packet.decode_opt" (fun () -> Lsr.Packet.decode_opt buf)
+  && no_raise "Packet.decode_prefix" (fun () ->
+      Ipv4.Packet.decode_prefix buf)
+  && no_raise "Mhrp_header.decode_prefix" (fun () ->
+      Mhrp.Mhrp_header.decode_prefix buf)
+  && rejects "Packet.decode" (fun () -> Ipv4.Packet.decode buf)
+  && rejects "Ip_option.decode_all" (fun () -> Ipv4.Ip_option.decode_all buf)
+  && rejects "Lsr.Packet.decode" (fun () -> Lsr.Packet.decode buf)
+  && rejects "Tcp_lite.decode" (fun () -> Ipv4.Tcp_lite.decode buf)
+  && no_raise "Ipip.decap" (fun () ->
+      Baselines.Ipip.decap (carried Ipv4.Proto.ipip))
+  && no_raise "Iptp.decap" (fun () ->
+      Baselines.Iptp.decap (carried Ipv4.Proto.iptp))
+  && no_raise "Viph.peek" (fun () ->
+      Baselines.Viph.peek (carried Ipv4.Proto.vip))
+  && no_raise "Viph.strip" (fun () ->
+      Baselines.Viph.strip (carried Ipv4.Proto.vip))
   && at 0 n && at (n / 3) (n - (n / 3)) && at (n / 2) n && at (-1) 4
 
 (* --- offset decoders agree with their whole-buffer forms --- *)
