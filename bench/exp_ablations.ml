@@ -15,7 +15,6 @@ let cache_capacity_run ~capacity =
       ~correspondents:1 ()
   in
   let topo = c.TGm.c_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let s = c.TGm.c_senders.(0) in
   (* all 16 mobiles move to the next campus *)
   Array.iteri

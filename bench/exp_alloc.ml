@@ -177,7 +177,6 @@ type chain_mode = Fast | Slow | Agent
    every transmission decode its packet for them. *)
 let chain_run mode =
   let topo = Topology.create ~seed:11 () in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let lans =
     List.init (chain_routers + 1) (fun k ->
         Topology.add_lan topo ~net:(k + 1) (Printf.sprintf "net%d" k))
@@ -324,7 +323,6 @@ let tunnel_packets = 200
 let tunnel_words size =
   let f = Workload.Topo_gen.figure1 () in
   let topo = f.Workload.Topo_gen.topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let s = f.Workload.Topo_gen.s and m = f.Workload.Topo_gen.m in
   Workload.Mobility.move_at topo m ~at:(Time.of_sec 0.5)
     f.Workload.Topo_gen.net_d;
@@ -412,7 +410,6 @@ let part_transport () =
   let f =
     Workload.Topo_gen.figure1 ()
   in
-  Netsim.Trace.set_enabled (Topology.trace f.Workload.Topo_gen.topo) false;
   let topo = f.Workload.Topo_gen.topo in
   let server = Transport.Stack.create f.Workload.Topo_gen.m in
   let client = Transport.Stack.create f.Workload.Topo_gen.s in
@@ -462,7 +459,6 @@ let part_transport () =
    the LAN's station order and is not measured. *)
 let advert_words k =
   let topo = Topology.create ~seed:11 () in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let lan = Topology.add_lan topo ~net:1 "lan" in
   let agents =
     List.init k (fun i ->
@@ -494,7 +490,6 @@ let handoff_loop () =
       ~config:(Mhrp.Config.make ~reliable_control:true ()) ()
   in
   let topo = f.Workload.Topo_gen.topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let m = f.Workload.Topo_gen.m in
   let completed = ref 0 in
   Mhrp.Agent.on_registered m (fun _ -> incr completed);

@@ -68,7 +68,6 @@ let run_proto ~hierarchy =
           ~mobiles_per_region ~correspondents:n_regions ())
   in
   let topo = rg.TGm.rg_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let received = ref 0 in
   Array.iter
     (fun m -> Agent.on_app_receive m (fun _ -> incr received))

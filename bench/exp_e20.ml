@@ -96,7 +96,6 @@ let run_crash ~backups =
       ~mobiles_per_region:1 ~correspondents:1 ()
   in
   let topo = rg.TG.rg_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let ttl_drops = watch_ttl_drops topo in
   let m = rg.TG.rg_mobiles.(0) in
   let delivered = ref 0 in
@@ -183,7 +182,6 @@ let run_handoff ~grace_s =
       ~regions:3 ~cells:1 ~mobiles_per_region:1 ~correspondents:1 ()
   in
   let topo = rg.TG.rg_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let ttl_drops = watch_ttl_drops topo in
   let m = rg.TG.rg_mobiles.(0) in
   let delivered = ref 0 in

@@ -71,7 +71,6 @@ let run_point ~hier ~faults =
       ~mobiles_per_region ~correspondents:n_senders ()
   in
   let topo = g.TGm.rg_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let inv = Fault.Invariant.watch topo in
   if faults then begin
     let inj = Fault.Injector.create ~seed:4242 topo in

@@ -115,7 +115,6 @@ let run_campus ~loss ~rtx =
       ~mobiles_per_campus:1 ~correspondents:4 ()
   in
   let topo = c.TGm.c_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let metrics = Workload.Metrics.create topo in
   let traffic = Workload.Traffic.create metrics (Topology.engine topo) in
   Array.iter (Workload.Metrics.watch_receiver metrics) c.TGm.c_mobiles;

@@ -14,7 +14,6 @@ let run_case ~quote_full =
       ~icmp_quote:(if quote_full then Node.Quote_full else Node.Quote_min)
       ()
   in
-  Netsim.Trace.set_enabled (Topology.trace f.TGm.topo) false;
   let metrics = Workload.Metrics.create f.TGm.topo in
   let traffic = Workload.Traffic.create metrics (Topology.engine f.TGm.topo) in
   Workload.Metrics.watch_receiver metrics f.TGm.m;

@@ -27,7 +27,6 @@ let run_loop ~loop_size ~max_list =
      1..L *)
   let ch = TGm.chain ~config ~n:(loop_size + 1) () in
   let topo = ch.TGm.ch_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let routers = ch.TGm.ch_routers in
   (* the mobile host lives (at home) on the first stub; C0 is its home
      agent *)

@@ -60,7 +60,6 @@ let run_cold ~campuses ~hello_ms =
          ())
         .TGm.cp_topo
   in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let d = Lsr.Domain.create ~config:(lsr_config ~hello_ms) topo in
   Lsr.Domain.start d;
   let w = watch topo d ~every:(Time.of_ms 25) in
@@ -99,7 +98,6 @@ let run_mhrp ~fault =
       ~seed:11 ()
   in
   let topo = f.TGm.topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let metrics = Workload.Metrics.create topo in
   let traffic = Workload.Traffic.create metrics (Topology.engine topo) in
   Workload.Metrics.watch_receiver metrics f.TGm.m;

@@ -11,7 +11,6 @@ module Time = Netsim.Time
 let measure ~n ~variant =
   let ch = TGm.chain ~n () in
   let topo = ch.TGm.ch_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let last = Agent.node ch.TGm.ch_routers.(n - 1) in
   (* endpoints on the first and last stubs *)
   let a = Topology.add_host topo "A" ch.TGm.ch_stubs.(0) 10 in

@@ -12,7 +12,6 @@ module Time = Netsim.Time
 let run_case ~replicated =
   let f = TGm.figure1 () in
   let topo = f.TGm.topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let metrics = Workload.Metrics.create topo in
   let traffic = Workload.Traffic.create metrics (Topology.engine topo) in
   Workload.Metrics.watch_receiver metrics f.TGm.m;

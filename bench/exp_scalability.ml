@@ -31,7 +31,6 @@ let seconds s = Time.of_sec s
 let run_mhrp n =
   let c = TGm.campuses ~campuses:n ~mobiles_per_campus:1 ~correspondents:3 () in
   let topo = c.TGm.c_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let received = ref 0 in
   Array.iter
     (fun m -> Agent.on_app_receive m (fun _ -> incr received))
@@ -93,7 +92,6 @@ let run_sunshine n =
   let c = TGm.campuses_plain ~campuses:n ~mobiles_per_campus:1
       ~correspondents:3 () in
   let topo = c.TGm.cp_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let db = Topology.add_host topo "DB" c.TGm.cp_backbone 200 in
   Topology.compute_routes topo;
   let sp = Baselines.Sunshine_postel.create topo ~db_node:db in
@@ -147,7 +145,6 @@ let run_columbia n =
   let c = TGm.campuses_plain ~campuses:n ~mobiles_per_campus:1
       ~correspondents:3 () in
   let topo = c.TGm.cp_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let co = Baselines.Columbia.create topo in
   let msrs =
     Array.mapi
@@ -197,7 +194,6 @@ let run_sony n =
   let c = TGm.campuses_plain ~campuses:n ~mobiles_per_campus:1
       ~correspondents:3 () in
   let topo = c.TGm.cp_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let sv = Baselines.Sony_vip.create topo in
   Array.iter (Baselines.Sony_vip.add_router sv) c.TGm.cp_routers;
   Array.iteri
@@ -253,7 +249,6 @@ let run_matsushita n =
   let c = TGm.campuses_plain ~campuses:n ~mobiles_per_campus:1
       ~correspondents:3 () in
   let topo = c.TGm.cp_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let ma = Baselines.Matsushita.create topo Baselines.Matsushita.Autonomous in
   Array.iter (Baselines.Matsushita.add_pfs ma) c.TGm.cp_routers;
   Array.iteri
@@ -303,7 +298,6 @@ let run_ibm n =
   let c = TGm.campuses_plain ~campuses:n ~mobiles_per_campus:1
       ~correspondents:3 () in
   let topo = c.TGm.cp_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let ib = Baselines.Ibm_lsrr.create topo in
   let bases =
     Array.mapi

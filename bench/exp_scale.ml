@@ -57,7 +57,6 @@ let run_mhrp n =
           ~mobiles_per_campus:1 ~correspondents:3 ())
   in
   let topo = c.TGm.c_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let received = ref 0 in
   Array.iter
     (fun m -> Agent.on_app_receive m (fun _ -> incr received))
@@ -124,7 +123,6 @@ let run_sunshine n =
           ~campuses:n ~mobiles_per_campus:1 ~correspondents:3 ())
   in
   let topo = c.TGm.cp_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let db = Topology.add_host topo "DB" c.TGm.cp_backbone db_host_id in
   let (), route_s = timed (fun () -> Topology.compute_routes topo) in
   let sp = Baselines.Sunshine_postel.create topo ~db_node:db in
@@ -183,7 +181,6 @@ let run_sony n =
           ~mobiles_per_campus:1 ~correspondents:3 ())
   in
   let topo = c.TGm.cp_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let sv = Baselines.Sony_vip.create topo in
   Array.iter (Baselines.Sony_vip.add_router sv) c.TGm.cp_routers;
   Array.iteri

@@ -111,7 +111,6 @@ type fig_env = {
 
 let fig_setup ?config ?snoop_routers ?seed () =
   let f = TG.figure1 ?config ?snoop_routers ?seed () in
-  Netsim.Trace.set_enabled (Topology.trace f.TG.topo) false;
   let metrics = Workload.Metrics.create f.TG.topo in
   let traffic = Workload.Traffic.create metrics (Topology.engine f.TG.topo) in
   Workload.Metrics.watch_receiver metrics f.TG.m;

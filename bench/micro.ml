@@ -122,7 +122,6 @@ let lsr_domain campuses =
          ~mobiles_per_campus:1 ~correspondents:1 ~compute_routes:false ()
      in
      let topo = c.Workload.Topo_gen.cp_topo in
-     Netsim.Trace.set_enabled (Net.Topology.trace topo) false;
      let d =
        Lsr.Domain.create
          ~config:

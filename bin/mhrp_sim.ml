@@ -33,6 +33,7 @@ let jobs_arg =
 let run_figure1 seed trace_out =
   let f = TG.figure1 ~seed () in
   let topo = f.TG.topo in
+  if trace_out then Netsim.Trace.set_enabled (Topology.trace topo) true;
   let metrics = Workload.Metrics.create topo in
   let traffic = Workload.Traffic.create metrics (Topology.engine topo) in
   let m_addr = Agent.address f.TG.m in
@@ -73,7 +74,6 @@ let run_roam seed campuses mobiles seconds use_lsr json_out =
       ~correspondents:4 ()
   in
   let topo = c.TG.c_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   (* --lsr swaps the instantaneous oracle tables for the distributed
      control plane: router tables start cold and are rebuilt from hello
      and LSA exchange.  100 ms hellos converge the backbone well before
@@ -173,7 +173,6 @@ let roam_cmd =
 let run_handoff seed period_ms ha_outage =
   let f = TG.figure1 ~seed () in
   let topo = f.TG.topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let net_e = Topology.add_lan topo ~net:5 "netE" in
   let r5n = Topology.add_router topo "R5" [(f.TG.net_c, 3); (net_e, 1)] in
   Topology.compute_routes topo;
@@ -222,6 +221,7 @@ let run_loop seed size max_list =
   in
   let ch = TG.chain ~config ~n:(size + 1) () in
   let topo = ch.TG.ch_topo in
+  Netsim.Trace.set_enabled (Topology.trace topo) true;
   let routers = ch.TG.ch_routers in
   let mn = Topology.add_host topo "Mh" ch.TG.ch_stubs.(0) 99 in
   Topology.compute_routes topo;
@@ -277,7 +277,6 @@ let sweep_trial ctx (campuses, trial_no) =
     TG.campuses ~seed ~campuses ~mobiles_per_campus:2 ~correspondents:4 ()
   in
   let topo = c.TG.c_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let metrics = Workload.Metrics.create topo in
   let traffic = Workload.Traffic.create metrics (Topology.engine topo) in
   Array.iter

@@ -21,6 +21,7 @@ let () =
   in
   let f = TG.figure1 ~config () in
   let topo = f.TG.topo in
+  Netsim.Trace.set_enabled (Topology.trace topo) true;
   let key = Auth.Siphash.of_string "campus registration key" in
   let m_addr = Agent.address f.TG.m in
   List.iter
@@ -41,8 +42,7 @@ let () =
   (* the attacker, on transit network C *)
   let xn = Topology.add_host topo "X" f.TG.net_c 66 in
   Topology.compute_routes topo;
-  let adv = Auth.Adversary.create ~trace:(Topology.trace topo)
-      ~victim:m_addr xn in
+  let adv = Auth.Adversary.create ~victim:m_addr xn in
   Workload.Traffic.cbr traffic ~src:f.TG.s ~dst:m_addr
     ~start:(Time.of_sec 0.5) ~interval:(Time.of_ms 500) ~count:19 ();
   Workload.Mobility.move_at topo f.TG.m ~at:(Time.of_sec 2.0) f.TG.net_d;

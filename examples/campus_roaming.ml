@@ -26,7 +26,6 @@ let () =
     TG.campuses ~campuses ~mobiles_per_campus:mobiles ~correspondents:4 ()
   in
   let topo = c.TG.c_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let metrics = Workload.Metrics.create topo in
   let traffic = Workload.Traffic.create metrics (Topology.engine topo) in
   Format.printf

@@ -21,7 +21,6 @@ let section fmt = Format.printf ("@.== " ^^ fmt ^^ " ==@.")
 let () =
   let f = TG.figure1 () in
   let topo = f.TG.topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let metrics = Workload.Metrics.create topo in
   let traffic = Workload.Traffic.create metrics (Topology.engine topo) in
   let m_addr = Agent.address f.TG.m in

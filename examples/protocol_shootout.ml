@@ -53,7 +53,6 @@ let finish name topo metrics ~sent ~ctrl =
 let run_mhrp () =
   let f = TG.figure1 () in
   let topo = f.TG.topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let metrics = Workload.Metrics.create topo in
   Workload.Metrics.watch_receiver metrics f.TG.m;
   let m_addr = Mhrp.Agent.address f.TG.m in
@@ -72,7 +71,6 @@ let run_mhrp () =
 let run_sunshine () =
   let p = TG.figure1_plain () in
   let topo = p.TG.p_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let m_addr = Node.primary_addr p.TG.p_m in
   let db = Topology.add_host topo "DB" p.TG.p_backbone 20 in
   Topology.compute_routes topo;
@@ -98,7 +96,6 @@ let run_sunshine () =
 let run_columbia () =
   let p = TG.figure1_plain () in
   let topo = p.TG.p_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let m_addr = Node.primary_addr p.TG.p_m in
   let metrics = Workload.Metrics.create topo in
   let co = Baselines.Columbia.create topo in
@@ -121,7 +118,6 @@ let run_columbia () =
 let run_sony () =
   let p = TG.figure1_plain () in
   let topo = p.TG.p_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let m_addr = Node.primary_addr p.TG.p_m in
   let metrics = Workload.Metrics.create topo in
   let sv = Baselines.Sony_vip.create topo in
@@ -147,7 +143,6 @@ let run_sony () =
 let run_matsushita mode name =
   let p = TG.figure1_plain () in
   let topo = p.TG.p_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let m_addr = Node.primary_addr p.TG.p_m in
   let metrics = Workload.Metrics.create topo in
   let ma = Baselines.Matsushita.create topo mode in
@@ -171,7 +166,6 @@ let run_matsushita mode name =
 let run_ibm () =
   let p = TG.figure1_plain () in
   let topo = p.TG.p_topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let m_addr = Node.primary_addr p.TG.p_m in
   let metrics = Workload.Metrics.create topo in
   let ib = Baselines.Ibm_lsrr.create topo in

@@ -16,7 +16,6 @@ module TG = Workload.Topo_gen
 let () =
   let f = TG.figure1 () in
   let topo = f.TG.topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   (* second cell E behind a new router R5 *)
   let net_e = Topology.add_lan topo ~net:5 "netE" in
   let r5n = Topology.add_router topo "R5" [(f.TG.net_c, 3); (net_e, 1)] in

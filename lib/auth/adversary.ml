@@ -11,25 +11,15 @@ let reg_request_type = 1
 type t = {
   node : Net.Node.t;
   victim : Ipv4.Addr.t;
-  trace : Netsim.Trace.t option;
   mutable captured : Ipv4.Packet.t list;
   mutable forged : int;
   mutable replayed : int;
   mutable hijacked : int;
 }
 
-let emit t kind detail =
-  match t.trace with
-  | None -> ()
-  | Some tr ->
-    Netsim.Trace.emit tr
-      ~at:(Netsim.Engine.now (Net.Node.engine t.node))
-      ~node:(Net.Node.name t.node) ~kind detail
-
-let create ?trace ~victim node =
+let create ~victim node =
   let t =
-    { node; victim; trace; captured = []; forged = 0; replayed = 0;
-      hijacked = 0 }
+    { node; victim; captured = []; forged = 0; replayed = 0; hijacked = 0 }
   in
   (* Anything tunneled to us with the victim's address in the MHRP
      header (offset 4) is traffic we stole. *)
@@ -39,10 +29,8 @@ let create ?trace ~victim node =
       if Bytes.length p >= 8 && Ipv4.Addr.equal (Ipv4.Addr.get p 4) t.victim
       then begin
         t.hijacked <- t.hijacked + 1;
-        emit t "hijack"
-          (Printf.sprintf "stole packet for %s from %s"
-             (Ipv4.Addr.to_string t.victim)
-             (Ipv4.Addr.to_string pkt.Ipv4.Packet.src))
+        Net.Node.tracef t.node "hijack" "stole packet for %a from %a"
+          Ipv4.Addr.pp t.victim Ipv4.Addr.pp pkt.Ipv4.Packet.src
       end);
   t
 
@@ -66,11 +54,9 @@ let forge_registration t ~home_agent ~foreign_agent =
   Ipv4.Addr.set buf 1 t.victim;
   Ipv4.Addr.set buf 5 foreign_agent;
   t.forged <- t.forged + 1;
-  emit t "forged-update"
-    (Printf.sprintf "forged registration: %s at fa=%s -> ha=%s"
-       (Ipv4.Addr.to_string t.victim)
-       (Ipv4.Addr.to_string foreign_agent)
-       (Ipv4.Addr.to_string home_agent));
+  Net.Node.tracef t.node "forged-update"
+    "forged registration: %a at fa=%a -> ha=%a" Ipv4.Addr.pp t.victim
+    Ipv4.Addr.pp foreign_agent Ipv4.Addr.pp home_agent;
   (* Spoof the victim as the IP source, as the genuine registration
      would carry. *)
   send_udp t ~src:t.victim ~dst:home_agent buf
@@ -81,12 +67,10 @@ let forge_location_update t ~src ~dst ~foreign_agent =
       (Ipv4.Icmp.Location_update { mobile = t.victim; foreign_agent })
   in
   t.forged <- t.forged + 1;
-  emit t "forged-update"
-    (Printf.sprintf "forged location update to %s: %s at fa=%s (src spoofed as %s)"
-       (Ipv4.Addr.to_string dst)
-       (Ipv4.Addr.to_string t.victim)
-       (Ipv4.Addr.to_string foreign_agent)
-       (Ipv4.Addr.to_string src));
+  Net.Node.tracef t.node "forged-update"
+    "forged location update to %a: %a at fa=%a (src spoofed as %a)"
+    Ipv4.Addr.pp dst Ipv4.Addr.pp t.victim Ipv4.Addr.pp foreign_agent
+    Ipv4.Addr.pp src;
   Net.Node.send t.node
     (Ipv4.Packet.make ~proto:Ipv4.Proto.icmp ~src ~dst icmp)
 
@@ -126,19 +110,17 @@ let tap t lan =
       | None -> ()
       | Some pkt ->
         t.captured <- t.captured @ [ pkt ];
-        emit t "capture"
-          (Printf.sprintf "captured registration for %s (%d bytes)"
-             (Ipv4.Addr.to_string t.victim)
-             (Bytes.length pkt.Ipv4.Packet.payload)))
+        Net.Node.tracef t.node "capture"
+          "captured registration for %a (%d bytes)" Ipv4.Addr.pp t.victim
+          (Bytes.length pkt.Ipv4.Packet.payload))
 
 let replay_captured t =
   List.iter
     (fun pkt ->
        t.replayed <- t.replayed + 1;
-       emit t "replay"
-         (Printf.sprintf "replaying captured registration for %s to %s"
-            (Ipv4.Addr.to_string t.victim)
-            (Ipv4.Addr.to_string pkt.Ipv4.Packet.dst));
+       Net.Node.tracef t.node "replay"
+         "replaying captured registration for %a to %a" Ipv4.Addr.pp
+         t.victim Ipv4.Addr.pp pkt.Ipv4.Packet.dst;
        (* Byte-identical payload, fresh IP envelope. *)
        Net.Node.send t.node
          (Ipv4.Packet.make ~proto:pkt.Ipv4.Packet.proto

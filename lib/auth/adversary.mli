@@ -17,10 +17,10 @@
 
 type t
 
-val create : ?trace:Netsim.Trace.t -> victim:Ipv4.Addr.t -> Net.Node.t -> t
+val create : victim:Ipv4.Addr.t -> Net.Node.t -> t
 (** Arm a node: installs an MHRP protocol handler that counts tunneled
-    packets stolen from [victim].  Events go to [trace] under kinds
-    ["forged-update"], ["capture"], ["replay"] and ["hijack"]. *)
+    packets stolen from [victim].  Events go to the node's trace under
+    kinds ["forged-update"], ["capture"], ["replay"] and ["hijack"]. *)
 
 val node : t -> Net.Node.t
 

@@ -67,19 +67,9 @@ let on_ha_sync_ack t f = t.ha_sync_ack_tap <- f
 let engine t = Node.engine t.node
 let now t = Engine.now (engine t)
 
-(* Format only when someone is listening, exactly as [Node]'s tracing
-   does: with the trace absent or disabled the arguments are consumed
-   without rendering ([ikfprintf]), so per-packet tunnel, retunnel and
-   delivery events cost nothing on untraced runs. *)
-let tracef t kind fmt =
-  match Node.trace t.node with
-  | Some tr when Netsim.Trace.enabled tr ->
-    Format.kasprintf
-      (fun detail ->
-         Netsim.Trace.emit tr ~at:(now t) ~node:(Node.name t.node) ~kind
-           detail)
-      fmt
-  | _ -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+(* All three arguments, never [let tracef t = Node.tracef t.node]: the
+   partial application would allocate a closure on every call. *)
+let tracef t kind fmt = Node.tracef t.node kind fmt
 
 (* --- authentication (RFC 2002-style extension; experiment E15) --- *)
 

@@ -36,13 +36,7 @@ let rec arm c ~delay ~retries_left =
            if retries_left <= 0 then begin
              c.counters.Counters.retransmit_gave_up <-
                c.counters.Counters.retransmit_gave_up + 1;
-             (match Node.trace c.node with
-              | Some tr when Netsim.Trace.enabled tr ->
-                Netsim.Trace.emit tr
-                  ~at:(Netsim.Engine.now (Node.engine c.node))
-                  ~node:(Node.name c.node) ~kind:"ctrl-give-up"
-                  "control exchange abandoned"
-              | _ -> ());
+             Node.tracef c.node "ctrl-give-up" "control exchange abandoned";
              c.give_up ()
            end
            else begin

@@ -102,14 +102,13 @@ let create ~engine ~mac_alloc ?trace ?(router = false) ?proc_delay
 let name t = t.name
 let engine t = t.engine
 let is_router t = t.router
-let trace t = t.tr
 
-(* Format only when someone is listening: with tracing absent or
-   disabled the arguments are consumed without rendering ([ikfprintf]),
-   so per-packet trace calls cost nothing on benchmark runs. *)
+(* The one place an event is rendered.  Format only when someone is
+   listening: with tracing absent or disabled the arguments are consumed
+   without rendering ([ikfprintf]). *)
 let tracef t kind fmt =
   match t.tr with
-  | Some tr when Netsim.Trace.enabled tr ->
+  | Some tr when Netsim.Trace.active t.tr ->
     Format.kasprintf
       (fun detail ->
          Netsim.Trace.emit tr ~at:(Engine.now t.engine) ~node:t.name ~kind
@@ -583,8 +582,8 @@ let unhandled t (pkt : Ipv4.Packet.t) =
   if pkt.Ipv4.Packet.proto = Ipv4.Proto.icmp then builtin_icmp t pkt
   else drop t "no-proto-handler" pkt
 
-(* The record route: reassembly, source routing and the trace need the
-   record; the handler then gets a view of its encoding. *)
+(* The record route: reassembly and source routing need the record;
+   the handler then gets a view of its encoding. *)
 let rec deliver_local t (pkt : Ipv4.Packet.t) =
   if Ipv4.Packet.is_fragment pkt then begin
     (* reassemble at the destination; forwarders never see this path *)
@@ -666,6 +665,8 @@ let forward_view t v =
   | Forward ->
     t.n_forwarded <- t.n_forwarded + 1;
     t.n_fast_forwarded <- t.n_fast_forwarded + 1;
+    if Netsim.Trace.active t.tr then
+      tracef t "fwd" "%a" Ipv4.Packet.pp (View.decode v);
     delayed t ~slow:false (fun () -> route_and_send t v)
 
 let intercept t pkt =
@@ -688,10 +689,14 @@ let rx_ip_bytes t bytes =
     t.n_dropped <- t.n_dropped + 1
 
 (* The view route for a packet addressed to (or claimed by) this node:
-   the handler reads the received bytes, with no decode and no trace
-   ([on_frame] takes the record route while a trace is live). *)
+   the handler reads the received bytes, decoded only for a live trace
+   or an unhandled protocol.  The guarded emits here and in
+   [forward_view] and [rx_view] are the record route's, at the same
+   points, so a traced run takes the route an untraced one does. *)
 let deliver_view t v =
   t.n_delivered <- t.n_delivered + 1;
+  if Netsim.Trace.active t.tr then
+    tracef t "rx" "%a" Ipv4.Packet.pp (View.decode v);
   match Hashtbl.find t.proto_handlers (View.proto v) with
   | h -> h t v
   | exception Not_found -> unhandled t (View.decode v)
@@ -718,7 +723,11 @@ let rx_view t ~shared bytes =
       else deliver_view t v
     else if t.accept_ip t dst then
       if View.is_fragment v then intercept t (View.decode v)
-      else deliver_view t v
+      else begin
+        if Netsim.Trace.active t.tr then
+          tracef t "intercept" "%a" Ipv4.Packet.pp (View.decode v);
+        deliver_view t v
+      end
     else if not t.router then drop t "not-mine" (View.decode v)
     else if shared || View.ttl v <= 1
             || (match t.forward_taps with [] -> false | _ :: _ -> true)
@@ -730,8 +739,7 @@ let on_frame t i (frame : Frame.t) =
     match frame.Frame.content with
     | Frame.Arp a -> handle_arp t i a
     | Frame.Ip bytes ->
-      if Netsim.Trace.active t.tr then rx_ip_bytes t bytes
-      else rx_view t ~shared:(Mac.is_broadcast frame.Frame.dst) bytes
+      rx_view t ~shared:(Mac.is_broadcast frame.Frame.dst) bytes
 
 (* --- attachment --- *)
 

@@ -61,7 +61,13 @@ val create :
 val name : t -> string
 val engine : t -> Netsim.Engine.t
 val is_router : t -> bool
-val trace : t -> Netsim.Trace.t option
+
+val tracef :
+  t -> string -> ('a, Format.formatter, unit, unit) format4 -> 'a
+(** [tracef node kind fmt ...] records one [kind] event in the node's
+    trace, rendered from [fmt] only while the trace is enabled; tracing
+    never changes the route a packet takes.  Apply all three arguments
+    in one call: a partial application allocates a closure per call. *)
 
 (** {1 Interfaces and addresses} *)
 
@@ -129,10 +135,10 @@ val set_proto_handler :
     being the received buffer itself.  The rest take the record route
     and reach the handler as a view of their re-encoding: packets with
     options (a completed loose source route), fragments (after
-    reassembly) or trailing bytes, every packet at a node with a live
-    trace, packets the node sends to one of its own addresses, and
-    packets passed to {!inject_local}.  A packet whose header is
-    invalid is dropped as malformed.
+    reassembly) or trailing bytes, packets the node sends to one of its
+    own addresses, and packets passed to {!inject_local}.  A live trace
+    changes neither route: it only decodes a copy to render the event.
+    A packet whose header is invalid is dropped as malformed.
     Without a handler, ICMP gets the built-in echo responder and
     anything else is dropped as ["no-proto-handler"].  Replaces any
     previous handler for [proto]. *)
@@ -263,7 +269,8 @@ val packets_fast_forwarded : t -> int
     and — unless egress needs fragmentation — the received buffer
     reused for the outgoing frame.  Every router takes this path for
     option-free unicast packets, MHRP agents and baseline routers
-    included, unless a forward tap or a live trace needs the record.
+    included, unless a forward tap needs the record; a live trace does
+    not change the count.
     Hops the hook rewrites ([Replace]), claims ([Consume]) or drops do
     not count; neither does anything that falls back to the decoded
     path, whose wire semantics are identical.  Counted at receive time,

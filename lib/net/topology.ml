@@ -18,11 +18,10 @@ type t = {
   mutable reg_ops : int;
 }
 
-let create ?(seed = 42) ?(trace_capacity = 65536)
-    ?(icmp_quote = Node.Quote_full) () =
+let create ?(seed = 42) ?(icmp_quote = Node.Quote_full) () =
   let engine = Netsim.Engine.create ~seed () in
   { engine;
-    tr = Netsim.Trace.create ~capacity:trace_capacity ();
+    tr = Netsim.Trace.create ();
     mac_alloc = Mac.Alloc.create ();
     rng = Netsim.Rng.split (Netsim.Engine.rng engine);
     icmp_quote;

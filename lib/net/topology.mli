@@ -8,9 +8,7 @@
 
 type t
 
-val create :
-  ?seed:int -> ?trace_capacity:int -> ?icmp_quote:Node.icmp_quote ->
-  unit -> t
+val create : ?seed:int -> ?icmp_quote:Node.icmp_quote -> unit -> t
 (** [icmp_quote] (default [Quote_full]) is applied to every node created
     through this topology: how much of an offending packet its ICMP errors
     quote.  [Quote_full] is what Section 4.5's error reversal needs;

@@ -14,9 +14,8 @@ type t = {
 
 let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity <= 0";
-  { events = []; n = 0; capacity; on = true }
+  { events = []; n = 0; capacity; on = false }
 
-let enabled t = t.on
 let set_enabled t v = t.on <- v
 
 let active = function None -> false | Some t -> t.on
@@ -26,8 +25,9 @@ let emit t ~at ~node ~kind detail =
     t.events <- { at; node; kind; detail } :: t.events;
     t.n <- t.n + 1;
     if t.n > t.capacity then begin
-      (* Drop the oldest half.  Amortised O(1) per emit. *)
-      let keep = t.capacity / 2 in
+      (* Drop the oldest half, but never the newest event (a capacity of
+         1 keeps nothing by halving).  Amortised O(1) per emit. *)
+      let keep = max 1 (t.capacity / 2) in
       let rec take k = function
         | [] -> []
         | _ when k = 0 -> []
@@ -41,10 +41,6 @@ let emit t ~at ~node ~kind detail =
 let events t = List.rev t.events
 let find t ~kind = List.filter (fun e -> String.equal e.kind kind) (events t)
 let count t ~kind = List.length (find t ~kind)
-
-let clear t =
-  t.events <- [];
-  t.n <- 0
 
 let pp_event ppf e =
   Format.fprintf ppf "[%a] %-12s %-14s %s" Time.pp e.at e.node e.kind e.detail

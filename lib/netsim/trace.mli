@@ -15,16 +15,16 @@ type event = {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] bounds memory (default 65536 events); older events are
-    dropped once full, keeping the most recent. *)
+(** A disabled trace: it records nothing until {!set_enabled} turns it
+    on.  [capacity] bounds memory (default 65536 events); older events
+    are dropped once full, keeping the most recent. *)
 
-val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
 val active : t option -> bool
 (** [active tr] — a trace is present and enabled.  Per-packet emitters
-    (and the forwarding fast path, which skips work when nobody
-    listens) guard on this before rendering any detail string. *)
+    guard on this before decoding a packet or rendering a detail
+    string; it never changes the route a packet takes. *)
 
 val emit : t -> at:Time.t -> node:string -> kind:string -> string -> unit
 val events : t -> event list
@@ -32,5 +32,4 @@ val events : t -> event list
 
 val count : t -> kind:string -> int
 val find : t -> kind:string -> event list
-val clear : t -> unit
 val dump : Format.formatter -> t -> unit

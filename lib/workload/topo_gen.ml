@@ -23,37 +23,6 @@ let fa_iface_for agent lan =
   | Some i -> i
   | None -> failwith "fa_iface_for: agent not attached to LAN"
 
-let figure1 ?(config = Mhrp.Config.default) ?(seed = 42)
-    ?(snoop_routers = true) ?icmp_quote () =
-  let topo = Topology.create ~seed ?icmp_quote () in
-  let backbone = Topology.add_lan topo ~net:0 "backbone" in
-  let net_a = Topology.add_lan topo ~net:1 "netA" in
-  let net_b = Topology.add_lan topo ~net:2 "netB" in
-  let net_c = Topology.add_lan topo ~net:3 "netC" in
-  let net_d =
-    Topology.add_lan topo ~net:4 ~latency:(Netsim.Time.of_ms 2)
-      ~bandwidth_bps:2_000_000 "netD"
-  in
-  let r1n = Topology.add_router topo "R1" [(backbone, 11); (net_a, 1)] in
-  let r2n = Topology.add_router topo "R2" [(backbone, 12); (net_b, 1)] in
-  let r3n = Topology.add_router topo "R3" [(backbone, 13); (net_c, 1)] in
-  let r4n = Topology.add_router topo "R4" [(net_c, 2); (net_d, 1)] in
-  let sn = Topology.add_host topo "S" net_a 10 in
-  let mn = Topology.add_host topo "M" net_b 10 in
-  Topology.compute_routes topo;
-  let r1 = Agent.create ~config ~snoop:snoop_routers r1n in
-  let r2 = Agent.create ~config ~snoop:snoop_routers r2n in
-  let r3 = Agent.create ~config ~snoop:snoop_routers r3n in
-  let r4 = Agent.create ~config ~snoop:snoop_routers r4n in
-  let s = Agent.create ~config sn in
-  let m = Agent.create ~config mn in
-  Agent.enable_home_agent r2;
-  Agent.add_mobile r2 (Node.primary_addr mn);
-  Agent.enable_foreign_agent r4 ~iface:(fa_iface_for r4 net_d);
-  Agent.make_mobile m
-    ~home_agent:(Ipv4.Addr.Prefix.host (Lan.prefix net_b) 1);
-  { topo; net_a; net_b; net_c; net_d; backbone; s; m; r1; r2; r3; r4 }
-
 type plain = {
   p_topo : Topology.t;
   p_net_a : Lan.t;
@@ -69,8 +38,10 @@ type plain = {
   p_r4 : Node.t;
 }
 
-let figure1_plain ?(seed = 42) () =
-  let topo = Topology.create ~seed () in
+(* The one Figure 1 plan: [figure1] installs its agents on this world,
+   so both builders give the same MACs, RNG splits and node order. *)
+let figure1_world ?icmp_quote ~seed () =
+  let topo = Topology.create ~seed ?icmp_quote () in
   let backbone = Topology.add_lan topo ~net:0 "backbone" in
   let net_a = Topology.add_lan topo ~net:1 "netA" in
   let net_b = Topology.add_lan topo ~net:2 "netB" in
@@ -90,6 +61,26 @@ let figure1_plain ?(seed = 42) () =
     p_net_d = net_d; p_backbone = backbone; p_s; p_m; p_r1; p_r2; p_r3;
     p_r4 }
 
+let figure1_plain ?(seed = 42) () = figure1_world ~seed ()
+
+let figure1 ?(config = Mhrp.Config.default) ?(seed = 42)
+    ?(snoop_routers = true) ?icmp_quote () =
+  let p = figure1_world ?icmp_quote ~seed () in
+  let r1 = Agent.create ~config ~snoop:snoop_routers p.p_r1 in
+  let r2 = Agent.create ~config ~snoop:snoop_routers p.p_r2 in
+  let r3 = Agent.create ~config ~snoop:snoop_routers p.p_r3 in
+  let r4 = Agent.create ~config ~snoop:snoop_routers p.p_r4 in
+  let s = Agent.create ~config p.p_s in
+  let m = Agent.create ~config p.p_m in
+  Agent.enable_home_agent r2;
+  Agent.add_mobile r2 (Node.primary_addr p.p_m);
+  Agent.enable_foreign_agent r4 ~iface:(fa_iface_for r4 p.p_net_d);
+  Agent.make_mobile m
+    ~home_agent:(Ipv4.Addr.Prefix.host (Lan.prefix p.p_net_b) 1);
+  { topo = p.p_topo; net_a = p.p_net_a; net_b = p.p_net_b;
+    net_c = p.p_net_c; net_d = p.p_net_d; backbone = p.p_backbone; s; m;
+    r1; r2; r3; r4 }
+
 type campus = {
   c_topo : Topology.t;
   c_backbone : Lan.t;
@@ -108,77 +99,6 @@ type campus = {
 let add_backbone topo ~prefix_len =
   if prefix_len = 24 then Topology.add_lan topo ~net:0 "backbone"
   else Topology.add_lan topo ~net:0xFF00 ~prefix_len "backbone"
-
-let campuses ?(config = Mhrp.Config.default) ?(seed = 42)
-    ?(backbone_prefix_len = 24) ~campuses ~mobiles_per_campus
-    ~correspondents () =
-  if campuses <= 0 || mobiles_per_campus < 0 || correspondents < 0 then
-    invalid_arg "Topo_gen.campuses";
-  let topo = Topology.create ~seed () in
-  let backbone = add_backbone topo ~prefix_len:backbone_prefix_len in
-  let homes =
-    Array.init campuses (fun i ->
-        Topology.add_lan topo ~net:(1 + (2 * i))
-          (Printf.sprintf "home%d" i))
-  in
-  let cells =
-    Array.init campuses (fun i ->
-        Topology.add_lan topo ~net:(2 + (2 * i))
-          ~latency:(Netsim.Time.of_ms 2)
-          (Printf.sprintf "cell%d" i))
-  in
-  let router_nodes =
-    Array.init campuses (fun i ->
-        Topology.add_router topo
-          (Printf.sprintf "R%d" i)
-          [(backbone, 10 + i); (homes.(i), 1); (cells.(i), 1)])
-  in
-  let mobile_nodes =
-    Array.init (campuses * mobiles_per_campus) (fun k ->
-        let c = k / mobiles_per_campus and j = k mod mobiles_per_campus in
-        Topology.add_host topo
-          (Printf.sprintf "M%d_%d" c j)
-          homes.(c) (10 + j))
-  in
-  let sender_nodes =
-    Array.init correspondents (fun k ->
-        let c = k mod campuses in
-        Topology.add_host topo (Printf.sprintf "S%d" k) homes.(c)
-          (100 + (k / campuses)))
-  in
-  Topology.compute_routes topo;
-  let routers =
-    Array.mapi
-      (fun i n ->
-         let a = Agent.create ~config ~snoop:true n in
-         Agent.enable_home_agent a;
-         Agent.enable_foreign_agent a ~iface:(fa_iface_for a cells.(i));
-         a)
-      router_nodes
-  in
-  Array.iteri
-    (fun k mn ->
-       let c = k / mobiles_per_campus in
-       ignore c;
-       Agent.add_mobile routers.(k / mobiles_per_campus)
-         (Node.primary_addr mn))
-    mobile_nodes;
-  let mobiles =
-    Array.mapi
-      (fun k mn ->
-         let c = k / mobiles_per_campus in
-         let a = Agent.create ~config mn in
-         Agent.make_mobile a
-           ~home_agent:(Ipv4.Addr.Prefix.host (Lan.prefix homes.(c)) 1);
-         a)
-      mobile_nodes
-  in
-  let senders =
-    Array.map (fun n -> Agent.create ~config n) sender_nodes
-  in
-  { c_topo = topo; c_backbone = backbone; c_routers = routers;
-    c_cells = cells; c_homes = homes; c_mobiles = mobiles;
-    c_senders = senders }
 
 type campus_plain = {
   cp_topo : Topology.t;
@@ -231,6 +151,45 @@ let campuses_plain ?(seed = 42) ?(backbone_prefix_len = 24)
   { cp_topo = topo; cp_backbone = backbone; cp_routers = routers;
     cp_cells = cells; cp_homes = homes; cp_mobiles = mobiles;
     cp_senders = senders }
+
+(* [campuses_plain]'s world with agents installed, as [figure1] is
+   [figure1_world]'s. *)
+let campuses ?(config = Mhrp.Config.default) ?seed ?backbone_prefix_len
+    ~campuses ~mobiles_per_campus ~correspondents () =
+  if campuses <= 0 || mobiles_per_campus < 0 || correspondents < 0 then
+    invalid_arg "Topo_gen.campuses";
+  let p =
+    campuses_plain ?seed ?backbone_prefix_len ~campuses ~mobiles_per_campus
+      ~correspondents ()
+  in
+  let routers =
+    Array.mapi
+      (fun i n ->
+         let a = Agent.create ~config ~snoop:true n in
+         Agent.enable_home_agent a;
+         Agent.enable_foreign_agent a ~iface:(fa_iface_for a p.cp_cells.(i));
+         a)
+      p.cp_routers
+  in
+  Array.iteri
+    (fun k mn ->
+       Agent.add_mobile routers.(k / mobiles_per_campus)
+         (Node.primary_addr mn))
+    p.cp_mobiles;
+  let mobiles =
+    Array.mapi
+      (fun k mn ->
+         let c = k / mobiles_per_campus in
+         let a = Agent.create ~config mn in
+         Agent.make_mobile a
+           ~home_agent:(Ipv4.Addr.Prefix.host (Lan.prefix p.cp_homes.(c)) 1);
+         a)
+      p.cp_mobiles
+  in
+  let senders = Array.map (fun n -> Agent.create ~config n) p.cp_senders in
+  { c_topo = p.cp_topo; c_backbone = p.cp_backbone; c_routers = routers;
+    c_cells = p.cp_cells; c_homes = p.cp_homes; c_mobiles = mobiles;
+    c_senders = senders }
 
 type region = {
   rg_topo : Topology.t;

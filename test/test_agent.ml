@@ -416,7 +416,6 @@ let alloc_tests =
            eagerly costs ~500 words per call on its own. *)
         let f = TG.figure1 () in
         let topo = f.TG.topo in
-        Netsim.Trace.set_enabled (Topology.trace topo) false;
         let dst = Agent.address f.TG.m in
         let prime () =
           Mhrp.Location_cache.update (Agent.cache f.TG.s) ~mobile:dst
@@ -453,7 +452,6 @@ let alloc_tests =
            sender's fixed cost. *)
         let advert_words k =
           let topo = Topology.create () in
-          Netsim.Trace.set_enabled (Topology.trace topo) false;
           let lan = Topology.add_lan topo ~net:1 "lan" in
           let agents =
             List.init k (fun i ->
@@ -490,7 +488,6 @@ let alloc_tests =
            530 words more. *)
         let f = TG.figure1 () in
         let topo = f.TG.topo in
-        Netsim.Trace.set_enabled (Topology.trace topo) false;
         Workload.Mobility.move_at topo f.TG.m ~at:(Time.of_sec 0.5)
           f.TG.net_d;
         Topology.run ~until:(Time.of_sec 2.0) topo;

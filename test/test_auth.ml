@@ -277,7 +277,6 @@ let sum_counters f field =
 let integration_tests =
   [ Alcotest.test_case "authenticated handoff still works" `Quick (fun () ->
         let f = TG.figure1 ~config:auth_config () in
-        Netsim.Trace.set_enabled (Topology.trace f.TG.topo) false;
         install_keys f;
         let metrics = Workload.Metrics.create f.TG.topo in
         let traffic =
@@ -299,7 +298,6 @@ let integration_tests =
            + sum_counters f (fun c -> c.Mhrp.Counters.replay_drop)));
     Alcotest.test_case "forged registration is rejected" `Quick (fun () ->
         let f = TG.figure1 ~config:auth_config () in
-        Netsim.Trace.set_enabled (Topology.trace f.TG.topo) false;
         install_keys f;
         let xn = Topology.add_host f.TG.topo "X" f.TG.net_c 66 in
         Topology.compute_routes f.TG.topo;

@@ -1,9 +1,9 @@
 (* The zero-copy forwarding fast path (DESIGN.md Section 11): the
    in-place header rewrite and the wire-built tunnels must be
    byte-equivalent to the classical decode -> rebuild -> encode paths,
-   the view decoders must be total on hostile bytes, and a transit chain
+   the view decoders must be total on hostile bytes, a transit chain
    must produce byte-identical traffic whether or not the fast path
-   engages. *)
+   engages, and tracing a world must not change the path it takes. *)
 
 module Time = Netsim.Time
 module Rng = Netsim.Rng
@@ -237,7 +237,6 @@ type chain_result = {
    [sends] runs at 1s against the sender and receiver addresses. *)
 let chain_run ?(mid_mtu = 1500) ~slow sends =
   let topo = Topology.create ~seed:5 () in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let a = Topology.add_lan topo ~net:1 "netA" in
   let b = Topology.add_lan topo ~mtu:mid_mtu ~net:2 "netB" in
   let c = Topology.add_lan topo ~net:3 "netC" in
@@ -320,7 +319,6 @@ type agent_chain_result = {
 let agent_chain_run ~tapped =
   let f = TG.figure1 () in
   let topo = f.TG.topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let routers = [f.TG.r1; f.TG.r2; f.TG.r3; f.TG.r4] in
   if tapped then
     List.iter (fun r -> Node.on_forward (Agent.node r) (fun _ _ -> ())) routers;
@@ -399,35 +397,34 @@ let agent_chains_equivalent () =
     (List.map (fun _ -> 0) record.node_fast)
     record.node_fast
 
-(* --- local delivery: the view route vs the record route ---------- *)
+(* --- tracing keeps every hop's route ------------------------------ *)
+
+(* A world with its traffic scheduled: the agents whose deliveries and
+   counters the traced and untraced runs must agree on, and a horizon. *)
+type receive_world = {
+  w_topo : Topology.t;
+  w_receivers : Agent.t list;
+  w_agents : Agent.t list;
+  w_until : Time.t;
+}
 
 type receive_result = {
-  rx_mobile : (Addr.t * Addr.t * int * int * string) list;
-  rx_sender : (Addr.t * Addr.t * int * int * string) list;
+  rx_payloads : (Addr.t * Addr.t * int * int * string) list list;
   rx_counters : Mhrp.Counters.t list;
   rx_delivered : int list;
   rx_forwarded : int list;
   rx_dropped : int list;
-  rx_fast : int;
+  rx_fast : int list;
+  rx_traced : string -> int;  (* trace events of a kind *)
 }
 
+let sum = List.fold_left ( + ) 0
+
 (* Figure 1: M hands off to R4's cell and back home while S streams
-   datagrams and pings at it.  Untraced, every node hands its handlers
-   the received bytes; with a live trace every node takes the record
-   route (decode, trace, re-encode for the handler). *)
-let receive_run ~traced =
+   datagrams and pings at it. *)
+let figure1_world () =
   let f = TG.figure1 () in
   let topo = f.TG.topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) traced;
-  let capture into (pkt : Packet.t) =
-    into :=
-      ( pkt.Packet.src, pkt.Packet.dst, pkt.Packet.id, pkt.Packet.ttl,
-        Bytes.to_string pkt.Packet.payload )
-      :: !into
-  in
-  let rx_mobile = ref [] and rx_sender = ref [] in
-  Agent.on_app_receive f.TG.m (capture rx_mobile);
-  Agent.on_app_receive f.TG.s (capture rx_sender);
   Workload.Mobility.move_at topo f.TG.m ~at:(Time.of_sec 1.0) f.TG.net_d;
   Workload.Mobility.move_at topo f.TG.m ~at:(Time.of_sec 3.0) f.TG.net_b;
   let m = Agent.address f.TG.m in
@@ -447,40 +444,126 @@ let receive_run ~traced =
                       (Ipv4.Icmp.Echo_request
                          { ident = i; seq = i; data = Bytes.make 8 'e' })))))
   done;
-  Topology.run ~until:(Time.of_sec 7.0) topo;
-  let nodes = Topology.nodes topo in
-  { rx_mobile = List.rev !rx_mobile;
-    rx_sender = List.rev !rx_sender;
-    rx_counters =
-      List.map Agent.counters
-        [f.TG.s; f.TG.m; f.TG.r1; f.TG.r2; f.TG.r3; f.TG.r4];
+  { w_topo = topo; w_receivers = [f.TG.m; f.TG.s];
+    w_agents = [f.TG.s; f.TG.m; f.TG.r1; f.TG.r2; f.TG.r3; f.TG.r4];
+    w_until = Time.of_sec 7.0 }
+
+(* Four snooping campuses: every mobile visits the next campus's cell,
+   then half go on to a third cell and half return home, while each
+   correspondent sends plain datagrams, as a host without MHRP would, to
+   the two mobiles of the next campus in turn.  Home agents claim
+   packets in transit ([Consume]) and the correspondents' routers tunnel
+   on snooped cache hits ([Replace]). *)
+let campus_world () =
+  let c =
+    TG.campuses ~campuses:4 ~mobiles_per_campus:2 ~correspondents:4 ()
+  in
+  let topo = c.TG.c_topo in
+  Array.iteri
+    (fun k m ->
+       let home = k / 2 in
+       Workload.Mobility.move_at topo m ~at:(Time.of_ms (1000 + (100 * k)))
+         c.TG.c_cells.((home + 1) mod 4);
+       Workload.Mobility.move_at topo m ~at:(Time.of_ms (3000 + (100 * k)))
+         (if k mod 2 = 0 then c.TG.c_cells.((home + 2) mod 4)
+          else c.TG.c_homes.(home)))
+    c.TG.c_mobiles;
+  Array.iteri
+    (fun k s ->
+       let s = Agent.node s in
+       for i = 1 to 40 do
+         let m = c.TG.c_mobiles.((2 * ((k + 1) mod 4)) + (i mod 2)) in
+         let pkt =
+           Packet.make ~id:i ~proto:Ipv4.Proto.udp ~src:(Node.primary_addr s)
+             ~dst:(Agent.address m)
+             (Ipv4.Udp.encode
+                (Ipv4.Udp.make ~src_port:1 ~dst_port:2
+                   (Bytes.make (2 * i) 'c')))
+         in
+         ignore
+           (Netsim.Engine.schedule (Topology.engine topo)
+              ~at:(Time.of_ms (500 + (100 * i) + (7 * k)))
+              (fun () -> Node.send s pkt))
+       done)
+    c.TG.c_senders;
+  { w_topo = topo; w_receivers = Array.to_list c.TG.c_mobiles;
+    w_agents =
+      Array.to_list c.TG.c_routers @ Array.to_list c.TG.c_mobiles
+      @ Array.to_list c.TG.c_senders;
+    w_until = Time.of_sec 6.0 }
+
+let receive_run world ~traced =
+  let w = world () in
+  let trace = Topology.trace w.w_topo in
+  Netsim.Trace.set_enabled trace traced;
+  let capture into (pkt : Packet.t) =
+    into :=
+      ( pkt.Packet.src, pkt.Packet.dst, pkt.Packet.id, pkt.Packet.ttl,
+        Bytes.to_string pkt.Packet.payload )
+      :: !into
+  in
+  let captured =
+    List.map
+      (fun a ->
+         let into = ref [] in
+         Agent.on_app_receive a (capture into);
+         into)
+      w.w_receivers
+  in
+  Topology.run ~until:w.w_until w.w_topo;
+  let nodes = Topology.nodes w.w_topo in
+  { rx_payloads = List.map (fun into -> List.rev !into) captured;
+    rx_counters = List.map Agent.counters w.w_agents;
     rx_delivered = List.map Node.packets_delivered nodes;
     rx_forwarded = List.map Node.packets_forwarded nodes;
     rx_dropped = List.map Node.packets_dropped nodes;
-    rx_fast =
-      List.fold_left (fun a n -> a + Node.packets_fast_forwarded n) 0 nodes }
+    rx_fast = List.map Node.packets_fast_forwarded nodes;
+    rx_traced = (fun kind -> Netsim.Trace.count trace ~kind) }
 
-let receive_routes_equivalent () =
-  let view = receive_run ~traced:false in
-  let record = receive_run ~traced:true in
-  Alcotest.(check bool) "M got datagrams on both sides of each handoff"
-    true (List.length view.rx_mobile >= 40);
-  Alcotest.(check bool) "S got echo replies" true (view.rx_sender <> []);
-  Alcotest.(check bool) "payloads delivered to M identical" true
-    (view.rx_mobile = record.rx_mobile);
-  Alcotest.(check bool) "replies delivered to S identical" true
-    (view.rx_sender = record.rx_sender);
+(* A live trace only records: the traced run takes every route the
+   untraced one does, and the view route emits the record route's
+   events, so every delivery and every forward is in the trace. *)
+let tracing_keeps_routes world =
+  let untraced = receive_run world ~traced:false in
+  let traced = receive_run world ~traced:true in
+  Alcotest.(check bool) "every receiver got traffic" true
+    (List.for_all (fun rx -> rx <> []) untraced.rx_payloads);
+  Alcotest.(check bool) "payloads delivered identical" true
+    (untraced.rx_payloads = traced.rx_payloads);
   Alcotest.(check bool) "Mhrp.Counters" true
-    (view.rx_counters = record.rx_counters);
-  Alcotest.(check (list int)) "delivered" record.rx_delivered
-    view.rx_delivered;
-  Alcotest.(check (list int)) "forwarded" record.rx_forwarded
-    view.rx_forwarded;
-  Alcotest.(check (list int)) "dropped" record.rx_dropped view.rx_dropped;
-  (* the live trace really did keep every node on the record route *)
-  Alcotest.(check bool) "view route forwarded" true (view.rx_fast > 0);
-  Alcotest.(check int) "record route forwarded nothing undecoded" 0
-    record.rx_fast
+    (untraced.rx_counters = traced.rx_counters);
+  Alcotest.(check (list int)) "delivered" untraced.rx_delivered
+    traced.rx_delivered;
+  Alcotest.(check (list int)) "forwarded" untraced.rx_forwarded
+    traced.rx_forwarded;
+  Alcotest.(check (list int)) "dropped" untraced.rx_dropped
+    traced.rx_dropped;
+  Alcotest.(check (list int)) "forwarded on views" untraced.rx_fast
+    traced.rx_fast;
+  Alcotest.(check bool) "forwarded on views at all" true
+    (sum traced.rx_fast > 0);
+  Alcotest.(check int) "untraced run recorded nothing" 0
+    (untraced.rx_traced "rx");
+  Alcotest.(check int) "every delivery traced" (sum traced.rx_delivered)
+    (traced.rx_traced "rx");
+  Alcotest.(check int) "every forward traced" (sum traced.rx_forwarded)
+    (traced.rx_traced "fwd");
+  untraced
+
+let figure1_tracing_keeps_routes () =
+  let r = tracing_keeps_routes figure1_world in
+  Alcotest.(check bool) "M got datagrams on both sides of each handoff"
+    true (List.length (List.hd r.rx_payloads) >= 40)
+
+let campus_tracing_keeps_routes () =
+  let r = tracing_keeps_routes campus_world in
+  (* [rewrite_forward]'s other arms ran traced too: home agents claimed
+     packets in transit ([Consume]), and cache hits rewrote forwards
+     into tunnels ([Replace]), the only forwards off the view route *)
+  Alcotest.(check bool) "a home agent claimed a packet" true
+    (List.exists (fun c -> c.Mhrp.Counters.intercepts > 0) r.rx_counters);
+  Alcotest.(check bool) "a cache hit rewrote a forward" true
+    (sum r.rx_forwarded > sum r.rx_fast)
 
 let send_big s src dst =
   Node.send s
@@ -523,7 +606,9 @@ let suite =
           `Quick chains_equivalent;
         Alcotest.test_case "agent-router chains are byte-equivalent"
           `Quick agent_chains_equivalent;
-        Alcotest.test_case "view and record receive routes are equivalent"
-          `Quick receive_routes_equivalent;
+        Alcotest.test_case "figure1 traced or not: same routes" `Quick
+          figure1_tracing_keeps_routes;
+        Alcotest.test_case "campuses traced or not: same routes" `Quick
+          campus_tracing_keeps_routes;
         Alcotest.test_case "egress fragmentation falls back cleanly"
           `Quick fragmentation_falls_back ] ) ]

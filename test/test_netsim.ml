@@ -546,29 +546,52 @@ let stats_tests =
 let trace_tests =
   [ Alcotest.test_case "emit and filter" `Quick (fun () ->
         let tr = Netsim.Trace.create () in
+        Netsim.Trace.set_enabled tr true;
         Netsim.Trace.emit tr ~at:Time.zero ~node:"a" ~kind:"x" "one";
         Netsim.Trace.emit tr ~at:(Time.of_us 2) ~node:"b" ~kind:"y" "two";
         Netsim.Trace.emit tr ~at:(Time.of_us 3) ~node:"a" ~kind:"x" "three";
         check Alcotest.int "count x" 2 (Netsim.Trace.count tr ~kind:"x");
         check Alcotest.int "all" 3 (List.length (Netsim.Trace.events tr)));
     Alcotest.test_case "disabled trace records nothing" `Quick (fun () ->
+        (* a new trace is disabled; it records only while enabled *)
         let tr = Netsim.Trace.create () in
-        Netsim.Trace.set_enabled tr false;
-        Netsim.Trace.emit tr ~at:Time.zero ~node:"a" ~kind:"x" "one";
-        check Alcotest.int "empty" 0 (List.length (Netsim.Trace.events tr)));
+        let emit detail =
+          Netsim.Trace.emit tr ~at:Time.zero ~node:"a" ~kind:"x" detail
+        in
+        emit "new";
+        List.iter
+          (fun on ->
+             Netsim.Trace.set_enabled tr on;
+             emit (string_of_bool on))
+          [true; false];
+        check
+          Alcotest.(list string)
+          "only while enabled" ["true"]
+          (List.map (fun e -> e.Netsim.Trace.detail) (Netsim.Trace.events tr)));
     Alcotest.test_case "capacity keeps newest" `Quick (fun () ->
-        let tr = Netsim.Trace.create ~capacity:10 () in
-        for i = 1 to 25 do
-          Netsim.Trace.emit tr ~at:(Time.of_us i) ~node:"n" ~kind:"k"
-            (string_of_int i)
-        done;
-        let evs = Netsim.Trace.events tr in
-        check Alcotest.bool "bounded" true (List.length evs <= 10);
-        let newest = List.nth evs (List.length evs - 1) in
-        check Alcotest.string "newest kept" "25" newest.Netsim.Trace.detail);
+        (* halving a capacity of 1 would keep nothing *)
+        List.iter
+          (fun capacity ->
+             let tr = Netsim.Trace.create ~capacity () in
+             Netsim.Trace.set_enabled tr true;
+             for i = 1 to 25 do
+               Netsim.Trace.emit tr ~at:(Time.of_us i) ~node:"n" ~kind:"k"
+                 (string_of_int i);
+               let evs = Netsim.Trace.events tr in
+               let where = Printf.sprintf "capacity %d, emit %d" capacity i in
+               check Alcotest.bool (where ^ ": bounded") true
+                 (List.length evs <= capacity);
+               match List.rev evs with
+               | newest :: _ ->
+                 check Alcotest.string (where ^ ": newest kept")
+                   (string_of_int i) newest.Netsim.Trace.detail
+               | [] -> Alcotest.fail (where ^ ": nothing kept")
+             done)
+          [1; 2; 3; 10]);
     Alcotest.test_case "wraparound keeps a contiguous newest suffix" `Quick
       (fun () ->
         let tr = Netsim.Trace.create ~capacity:8 () in
+        Netsim.Trace.set_enabled tr true;
         for i = 1 to 100 do
           Netsim.Trace.emit tr ~at:(Time.of_us i) ~node:"n"
             ~kind:(if i mod 2 = 0 then "even" else "odd")

@@ -22,7 +22,6 @@ let qtest = QCheck_alcotest.to_alcotest
 let roaming_converges (seed, stops) =
   let f = TG.figure1 ~seed () in
   let topo = f.TG.topo in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let net_e = Topology.add_lan topo ~net:5 "netE" in
   let r5n = Topology.add_router topo "R5" [(f.TG.net_c, 3); (net_e, 1)] in
   Topology.compute_routes topo;
@@ -163,7 +162,6 @@ let retunnel_list_bounded (max_list, hops) =
    loop-freedom: a loop would eat the TTL and drop). *)
 let random_topology_routes (seed, n, extra_links) =
   let topo = Topology.create ~seed () in
-  Netsim.Trace.set_enabled (Topology.trace topo) false;
   let rng = Netsim.Rng.of_int (seed + 1) in
   let stubs =
     Array.init n (fun i ->

@@ -11,10 +11,7 @@ module TG = Workload.Topo_gen
 
 let check = Alcotest.check
 
-let setup () =
-  let f = TG.figure1 () in
-  Netsim.Trace.set_enabled (Topology.trace f.TG.topo) false;
-  f
+let setup () = TG.figure1 ()
 
 let reliable_tests =
   [ Alcotest.test_case "transfer to a stationary mobile host" `Quick
@@ -131,7 +128,6 @@ let reliable_tests =
            TG.campuses ~campuses:2 ~mobiles_per_campus:1 ~correspondents:0
              ()
          in
-         Netsim.Trace.set_enabled (Topology.trace c.TG.c_topo) false;
          let m0 = c.TG.c_mobiles.(0) and m1 = c.TG.c_mobiles.(1) in
          Workload.Mobility.move_at c.TG.c_topo m0 ~at:(Time.of_sec 0.5)
            c.TG.c_cells.(1);

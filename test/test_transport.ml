@@ -16,10 +16,7 @@ module Tcp = Ipv4.Tcp_lite
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
-let setup () =
-  let f = TG.figure1 () in
-  Netsim.Trace.set_enabled (Topology.trace f.TG.topo) false;
-  f
+let setup () = TG.figure1 ()
 
 let at topo sec f =
   ignore (Engine.schedule (Topology.engine topo) ~at:(Time.of_sec sec) f)
