@@ -29,8 +29,9 @@ let create ~victim node =
       if Bytes.length p >= 8 && Ipv4.Addr.equal (Ipv4.Addr.get p 4) t.victim
       then begin
         t.hijacked <- t.hijacked + 1;
-        Net.Node.tracef t.node "hijack" "stole packet for %a from %a"
-          Ipv4.Addr.pp t.victim Ipv4.Addr.pp pkt.Ipv4.Packet.src
+        if Net.Node.tracing t.node then
+          Net.Node.tracef t.node "hijack" "stole packet for %a from %a"
+            Ipv4.Addr.pp t.victim Ipv4.Addr.pp pkt.Ipv4.Packet.src
       end);
   t
 
@@ -54,9 +55,10 @@ let forge_registration t ~home_agent ~foreign_agent =
   Ipv4.Addr.set buf 1 t.victim;
   Ipv4.Addr.set buf 5 foreign_agent;
   t.forged <- t.forged + 1;
-  Net.Node.tracef t.node "forged-update"
-    "forged registration: %a at fa=%a -> ha=%a" Ipv4.Addr.pp t.victim
-    Ipv4.Addr.pp foreign_agent Ipv4.Addr.pp home_agent;
+  if Net.Node.tracing t.node then
+    Net.Node.tracef t.node "forged-update"
+      "forged registration: %a at fa=%a -> ha=%a" Ipv4.Addr.pp t.victim
+      Ipv4.Addr.pp foreign_agent Ipv4.Addr.pp home_agent;
   (* Spoof the victim as the IP source, as the genuine registration
      would carry. *)
   send_udp t ~src:t.victim ~dst:home_agent buf
@@ -67,10 +69,11 @@ let forge_location_update t ~src ~dst ~foreign_agent =
       (Ipv4.Icmp.Location_update { mobile = t.victim; foreign_agent })
   in
   t.forged <- t.forged + 1;
-  Net.Node.tracef t.node "forged-update"
-    "forged location update to %a: %a at fa=%a (src spoofed as %a)"
-    Ipv4.Addr.pp dst Ipv4.Addr.pp t.victim Ipv4.Addr.pp foreign_agent
-    Ipv4.Addr.pp src;
+  if Net.Node.tracing t.node then
+    Net.Node.tracef t.node "forged-update"
+      "forged location update to %a: %a at fa=%a (src spoofed as %a)"
+      Ipv4.Addr.pp dst Ipv4.Addr.pp t.victim Ipv4.Addr.pp foreign_agent
+      Ipv4.Addr.pp src;
   Net.Node.send t.node
     (Ipv4.Packet.make ~proto:Ipv4.Proto.icmp ~src ~dst icmp)
 
@@ -110,17 +113,19 @@ let tap t lan =
       | None -> ()
       | Some pkt ->
         t.captured <- t.captured @ [ pkt ];
-        Net.Node.tracef t.node "capture"
-          "captured registration for %a (%d bytes)" Ipv4.Addr.pp t.victim
-          (Bytes.length pkt.Ipv4.Packet.payload))
+        if Net.Node.tracing t.node then
+          Net.Node.tracef t.node "capture"
+            "captured registration for %a (%d bytes)" Ipv4.Addr.pp t.victim
+            (Bytes.length pkt.Ipv4.Packet.payload))
 
 let replay_captured t =
   List.iter
     (fun pkt ->
        t.replayed <- t.replayed + 1;
-       Net.Node.tracef t.node "replay"
-         "replaying captured registration for %a to %a" Ipv4.Addr.pp
-         t.victim Ipv4.Addr.pp pkt.Ipv4.Packet.dst;
+       if Net.Node.tracing t.node then
+         Net.Node.tracef t.node "replay"
+           "replaying captured registration for %a to %a" Ipv4.Addr.pp
+           t.victim Ipv4.Addr.pp pkt.Ipv4.Packet.dst;
        (* Byte-identical payload, fresh IP envelope. *)
        Net.Node.send t.node
          (Ipv4.Packet.make ~proto:pkt.Ipv4.Packet.proto

@@ -68,7 +68,9 @@ let engine t = Node.engine t.node
 let now t = Engine.now (engine t)
 
 (* All three arguments, never [let tracef t = Node.tracef t.node]: the
-   partial application would allocate a closure on every call. *)
+   partial application would allocate a closure on every call.  Every
+   call is guarded by [tracing] (node.mli). *)
+let tracing t = Node.tracing t.node
 let tracef t kind fmt = Node.tracef t.node kind fmt
 
 (* --- authentication (RFC 2002-style extension; experiment E15) --- *)
@@ -123,18 +125,21 @@ let authorize t ~mobile ~src ~wire ~canonical ~kind =
   | Some ((Auth.Sa_table.Stale | Auth.Sa_table.Replayed) as v) ->
     t.counters.Counters.replay_drop <-
       t.counters.Counters.replay_drop + 1;
-    tracef t kind "replay of message about %a from %a (%a)" Addr.pp
-      mobile Addr.pp src Auth.Sa_table.pp_verdict v;
+    if tracing t then
+      tracef t kind "replay of message about %a from %a (%a)" Addr.pp
+        mobile Addr.pp src Auth.Sa_table.pp_verdict v;
     false
   | Some v ->
     t.counters.Counters.auth_fail <- t.counters.Counters.auth_fail + 1;
-    tracef t kind "rejected message about %a from %a (%a)" Addr.pp
-      mobile Addr.pp src Auth.Sa_table.pp_verdict v;
+    if tracing t then
+      tracef t kind "rejected message about %a from %a (%a)" Addr.pp
+        mobile Addr.pp src Auth.Sa_table.pp_verdict v;
     false
   | None ->
     t.counters.Counters.auth_fail <- t.counters.Counters.auth_fail + 1;
-    tracef t kind "unauthenticated message about %a from %a" Addr.pp
-      mobile Addr.pp src;
+    if tracing t then
+      tracef t kind "unauthenticated message about %a from %a" Addr.pp
+        mobile Addr.pp src;
     false
 
 (* A location update's authorization: the ICMP message in [len] bytes at
@@ -181,8 +186,9 @@ let send_location_update t ~dst ~mobile ~foreign_agent =
         t.counters.Counters.updates_sent + 1;
       t.counters.Counters.control_messages <-
         t.counters.Counters.control_messages + 1;
-      tracef t "loc-update-tx" "to %a: %a at %a" Addr.pp dst Addr.pp mobile
-        Addr.pp foreign_agent;
+      if tracing t then
+        tracef t "loc-update-tx" "to %a: %a at %a" Addr.pp dst Addr.pp mobile
+          Addr.pp foreign_agent;
       let msg = Ipv4.Icmp.Location_update { mobile; foreign_agent } in
       (* The MAC covers the extension-free encoding; the wire carries
          message + extension under one checksum. *)
@@ -199,7 +205,8 @@ let cache_update t ~mobile ~foreign_agent =
     (* Never cache an alias of this very node as the foreign agent for
        itself; everything else is fair game. *)
     Location_cache.update t.cache ~mobile ~foreign_agent;
-    tracef t "cache" "%a -> %a" Addr.pp mobile Addr.pp foreign_agent
+    if tracing t then
+      tracef t "cache" "%a -> %a" Addr.pp mobile Addr.pp foreign_agent
   end
 
 (* --- control-message plumbing --- *)
@@ -212,7 +219,7 @@ let control_datagram t msg =
 let send_control t ~dst msg =
   t.counters.Counters.control_messages <-
     t.counters.Counters.control_messages + 1;
-  tracef t "ctrl-tx" "to %a: %a" Addr.pp dst Control.pp msg;
+  if tracing t then tracef t "ctrl-tx" "to %a: %a" Addr.pp dst Control.pp msg;
   let pkt =
     Packet.make ~proto:Ipv4.Proto.udp ~src:(address t) ~dst
       (control_datagram t msg)
@@ -280,7 +287,8 @@ let sender_tunnel t dst =
     else
       match Location_cache.find t.cache dst with
       | Some fa as hit ->
-        tracef t "tunnel" "sender-built for %a via %a" Addr.pp dst Addr.pp fa;
+        if tracing t then
+          tracef t "tunnel" "sender-built for %a via %a" Addr.pp dst Addr.pp fa;
         hit
       | None -> None
 
@@ -387,7 +395,7 @@ let ha_intercept t v =
   t.counters.Counters.intercepts <- t.counters.Counters.intercepts + 1;
   match ha_location t mobile with
   | Some fa when Addr.equal fa disconnected_marker ->
-    tracef t "intercept" "%a is disconnected" Addr.pp mobile;
+    if tracing t then tracef t "intercept" "%a is disconnected" Addr.pp mobile;
     send_unreachable t (View.decode v)
   | Some fa when not (Addr.is_zero fa) ->
     let target, report =
@@ -404,8 +412,9 @@ let ha_intercept t v =
      | Some target ->
        t.counters.Counters.tunnels_built <-
          t.counters.Counters.tunnels_built + 1;
-       tracef t "tunnel" "intercepted for %a, to fa %a" Addr.pp mobile
-         Addr.pp target;
+       if tracing t then
+         tracef t "tunnel" "intercepted for %a, to fa %a" Addr.pp mobile
+           Addr.pp target;
        Node.forward_wire t.node
          (Encap.tunnel_by_agent_into ~agent:(address t) ~foreign_agent:target
             v);
@@ -413,8 +422,9 @@ let ha_intercept t v =
      | None ->
        (* our own regional binding expired with the location entry still
           naming us: the host is gone *)
-       tracef t "intercept" "%a: own regional binding expired" Addr.pp
-         mobile;
+       if tracing t then
+         tracef t "intercept" "%a: own regional binding expired" Addr.pp
+           mobile;
        send_unreachable t (View.decode v))
   | Some _ | None ->
     (* At home after all (stale ARP in some neighbour): pass it on to the
@@ -430,7 +440,8 @@ let do_retunnel t v header ~mobile ~new_dst ~report_fa =
   with
   | Encap.Retunneled wire ->
     t.counters.Counters.retunnels <- t.counters.Counters.retunnels + 1;
-    tracef t "retunnel" "%a -> %a" Addr.pp mobile Addr.pp new_dst;
+    if tracing t then
+      tracef t "retunnel" "%a -> %a" Addr.pp mobile Addr.pp new_dst;
     Node.forward_wire t.node wire
   | Encap.Retunneled_overflow { packet; notify } ->
     t.counters.Counters.retunnels <- t.counters.Counters.retunnels + 1;
@@ -438,13 +449,15 @@ let do_retunnel t v header ~mobile ~new_dst ~report_fa =
       t.counters.Counters.list_truncations + 1;
     let reported = Option.value report_fa ~default:Addr.zero in
     send_updates t notify ~mobile ~foreign_agent:reported;
-    tracef t "retunnel" "list overflow: notified %d, on to %a"
-      (List.length notify) Addr.pp new_dst;
+    if tracing t then
+      tracef t "retunnel" "list overflow: notified %d, on to %a"
+        (List.length notify) Addr.pp new_dst;
     Node.forward_wire t.node packet
   | Encap.Loop_detected { members } ->
     t.counters.Counters.loops_detected <-
       t.counters.Counters.loops_detected + 1;
-    tracef t "loop" "detected, %d members" (List.length members);
+    if tracing t then
+      tracef t "loop" "detected, %d members" (List.length members);
     (* We are a member of the loop ourselves: drop our own stale entry
        along with everyone else's — including a regional binding; a loop
        through the regional agent means its binding is as stale as any
@@ -504,7 +517,7 @@ let deliver_to_visitor t fa_state fa_iface v (header : Mhrp_header.t) =
   t.counters.Counters.detunnels <- t.counters.Counters.detunnels + 1;
   send_updates t header.Mhrp_header.prev_sources ~mobile
     ~foreign_agent:endpoint;
-  tracef t "deliver" "to visitor %a" Addr.pp mobile;
+  if tracing t then tracef t "deliver" "to visitor %a" Addr.pp mobile;
   if Node.has_address t.node mobile then
     (* We are the mobile host serving as its own foreign agent. *)
     Node.inject_local t.node (Packet.decode (Encap.detunnel_into v header))
@@ -550,8 +563,9 @@ let ha_handle_tunneled t ha v (header : Mhrp_header.t) =
     (* Section 5.2: the agent that bounced this packet home IS the
        registered foreign agent — it must have rebooted.  Tell everyone
        (including it) and discard the packet. *)
-    tracef t "fa-recovery" "%a bounced by its own fa %a" Addr.pp mobile
-      Addr.pp fa;
+    if tracing t then
+      tracef t "fa-recovery" "%a bounced by its own fa %a" Addr.pp mobile
+        Addr.pp fa;
     send_updates t targets ~mobile ~foreign_agent:fa
   | Some fa ->
     (* Section 5.1: update every stale agent this packet visited, then
@@ -604,8 +618,9 @@ let fa_probe_missing_visitor t ~mobile =
                        iface = fa_iface };
                    t.counters.Counters.recoveries <-
                      t.counters.Counters.recoveries + 1;
-                   tracef t "fa-recovery" "re-added visitor %a after probe"
-                     Addr.pp mobile
+                   if tracing t then
+                     tracef t "fa-recovery" "re-added visitor %a after probe"
+                       Addr.pp mobile
                  end
                | None ->
                  (* report the address the mobiles register — the one
@@ -620,9 +635,10 @@ let fa_probe_missing_visitor t ~mobile =
                    | Some (_, _, Some a) -> a
                    | _ -> address t
                  in
-                 tracef t "fa-recovery"
-                   "%a did not answer probe: reporting miss to %a" Addr.pp
-                   mobile Addr.pp regional;
+                 if tracing t then
+                   tracef t "fa-recovery"
+                     "%a did not answer probe: reporting miss to %a" Addr.pp
+                     mobile Addr.pp regional;
                  send_control t ~dst:regional
                    (Control.Fa_visitor_miss
                       { mobile; foreign_agent = fa_self })))
@@ -651,8 +667,9 @@ let regional_dispatch t v (header : Mhrp_header.t) ~fallback =
          the new region *)
       t.counters.Counters.regional_forwards <-
         t.counters.Counters.regional_forwards + 1;
-      tracef t "regional" "forwarding %a to new region %a" Addr.pp mobile
-        Addr.pp target;
+      if tracing t then
+        tracef t "regional" "forwarding %a to new region %a" Addr.pp mobile
+          Addr.pp target;
       do_retunnel t v header ~mobile ~new_dst:target ~report_fa:(Some target)
     | None -> fallback ()
 
@@ -677,14 +694,16 @@ let handle_self_tunnel t v (header : Mhrp_header.t) =
   | Some fa ->
     t.counters.Counters.tunnels_built <-
       t.counters.Counters.tunnels_built + 1;
-    tracef t "tunnel" "self-tunnel for %a on to fa %a" Addr.pp mobile
-      Addr.pp fa;
+    if tracing t then
+      tracef t "tunnel" "self-tunnel for %a on to fa %a" Addr.pp mobile
+        Addr.pp fa;
     Node.forward_wire t.node
       (Encap.tunnel_by_agent_into ~agent:(address t) ~foreign_agent:fa
          (View.make original))
   | None ->
-    tracef t "drop" "self-tunnel for %a: no regional binding" Addr.pp
-      mobile;
+    if tracing t then
+      tracef t "drop" "self-tunnel for %a: no regional binding" Addr.pp
+        mobile;
     send_unreachable t (Packet.decode original)
 
 (* Every MHRP packet delivered to this node — addressed here, or claimed
@@ -692,7 +711,7 @@ let handle_self_tunnel t v (header : Mhrp_header.t) =
    the received view and its header decoded in place. *)
 let handle_mhrp t v =
   match Encap.header_at v with
-  | None -> tracef t "drop" "malformed mhrp packet"
+  | None -> if tracing t then tracef t "drop" "malformed mhrp packet"
   | Some header ->
     let mobile = header.Mhrp_header.mobile in
     match t.fa with
@@ -751,7 +770,7 @@ let resend_error t msg ~dst ~quoted =
       Ipv4.Icmp.Redirect { gateway; original }
     | other -> other
   in
-  tracef t "icmp-reverse" "to %a" Addr.pp dst;
+  if tracing t then tracef t "icmp-reverse" "to %a" Addr.pp dst;
   let pkt =
     Packet.make ~proto:Ipv4.Proto.icmp ~src:(address t) ~dst
       (Ipv4.Icmp.encode msg')
@@ -773,7 +792,8 @@ let handle_icmp_error t (msg : Ipv4.Icmp.t) quoted_bytes =
           (* The path to our cached location failed — not necessarily the
              mobile host itself (Section 4.5): drop the entry. *)
           Location_cache.delete t.cache mobile;
-          tracef t "cache" "dropped %a after unreachable" Addr.pp mobile
+          if tracing t then
+            tracef t "cache" "dropped %a after unreachable" Addr.pp mobile
         end;
         let payload = qpkt.Packet.payload in
         if Bytes.length payload < hlen + 8 then
@@ -878,7 +898,8 @@ let fa_recovery_check t ~mobile ~foreign_agent =
       Foreign_agent.add fa_state
         { Foreign_agent.mobile; mac; iface = fa_iface };
       t.counters.Counters.recoveries <- t.counters.Counters.recoveries + 1;
-      tracef t "fa-recovery" "re-added visitor %a" Addr.pp mobile
+      if tracing t then
+        tracef t "fa-recovery" "re-added visitor %a" Addr.pp mobile
     in
     if t.config.Config.verify_recovered_visitors then begin
       (* Verify presence with a local query (the paper suggests an ARP
@@ -889,8 +910,9 @@ let fa_recovery_check t ~mobile ~foreign_agent =
              match Node.arp_cache_lookup t.node mobile with
              | Some mac -> add (Some mac)
              | None ->
-               tracef t "fa-recovery" "%a did not answer query" Addr.pp
-                 mobile))
+               if tracing t then
+                 tracef t "fa-recovery" "%a did not answer query" Addr.pp
+                   mobile))
     end
     else add None
   | _ -> ()
@@ -926,7 +948,8 @@ let complete_registration t mh ~foreign_agent =
     mh.Mobile_host.phase <- Mobile_host.Registered foreign_agent;
     notify_old_fa t mh ~new_foreign_agent:foreign_agent
   end;
-  tracef t "registered" "%a" Mobile_host.pp_phase mh.Mobile_host.phase;
+  if tracing t then
+    tracef t "registered" "%a" Mobile_host.pp_phase mh.Mobile_host.phase;
   t.registered_tap foreign_agent
 
 (* Every exchange of the mobile host is retransmitted under
@@ -986,15 +1009,17 @@ and region_failover t mh ~failed =
       when not (Addr.is_zero fa) -> begin
         match mh.Mobile_host.regional_backup with
         | Some backup when not (Addr.equal backup failed) ->
-          tracef t "region-failover" "%a unresponsive: backup %a takes over"
-            Addr.pp failed Addr.pp backup;
+          if tracing t then
+            tracef t "region-failover" "%a unresponsive: backup %a takes over"
+              Addr.pp failed Addr.pp backup;
           mh.Mobile_host.regional <- Some backup;
           register_with_home_agent t mh ~foreign_agent:backup;
           register_with_region t mh ~regional:backup ~foreign_agent:fa
         | _ ->
-          tracef t "region-failover"
-            "%a unresponsive: registering directly with home agent" Addr.pp
-            failed;
+          if tracing t then
+            tracef t "region-failover"
+              "%a unresponsive: registering directly with home agent" Addr.pp
+              failed;
           mh.Mobile_host.regional <- None;
           register_with_home_agent t mh ~foreign_agent:fa
       end
@@ -1089,11 +1114,13 @@ let mh_handle_advert t ~agent ~home ~foreign =
     match mh.Mobile_host.phase with
     | Mobile_host.Searching ->
       if home && Addr.equal agent mh.Mobile_host.home_agent then begin
-        tracef t "discovery" "home agent heard: %a" Addr.pp agent;
+        if tracing t then
+          tracef t "discovery" "home agent heard: %a" Addr.pp agent;
         connect_home t mh agent
       end
       else if foreign then begin
-        tracef t "discovery" "foreign agent heard: %a" Addr.pp agent;
+        if tracing t then
+          tracef t "discovery" "foreign agent heard: %a" Addr.pp agent;
         connect_via_foreign_agent t mh agent
       end
     | Mobile_host.At_home | Mobile_host.Registering _
@@ -1113,7 +1140,8 @@ let register_mobile t ~mobile ~foreign_agent =
     Home_agent.register ha ~mobile ~foreign_agent;
     t.counters.Counters.registrations <-
       t.counters.Counters.registrations + 1;
-    tracef t "register" "%a now at %a" Addr.pp mobile Addr.pp foreign_agent;
+    if tracing t then
+      tracef t "register" "%a now at %a" Addr.pp mobile Addr.pp foreign_agent;
     (* Departure from home: capture the host's traffic on the home LAN by
        poisoning neighbour ARP caches, retransmitted for reliability
        (Section 2).  Proxy ARP is in force via the arp_proxy hook. *)
@@ -1152,7 +1180,8 @@ let fa_handle_connect t ~mobile ~mac =
     Foreign_agent.add fa_state
       { Foreign_agent.mobile; mac = Some mac; iface };
     t.counters.Counters.fa_connects <- t.counters.Counters.fa_connects + 1;
-    tracef t "visitor" "%a connected (mac %a)" Addr.pp mobile Net.Mac.pp mac;
+    if tracing t then
+      tracef t "visitor" "%a connected (mac %a)" Addr.pp mobile Net.Mac.pp mac;
     t.counters.Counters.control_messages <-
       t.counters.Counters.control_messages + 1;
     (* Under hierarchy, a foreign agent with a provisioned regional
@@ -1180,8 +1209,9 @@ let fa_handle_disconnect t ~mobile ~new_foreign_agent =
     Foreign_agent.remove fa_state mobile;
     t.counters.Counters.fa_disconnects <-
       t.counters.Counters.fa_disconnects + 1;
-    tracef t "visitor" "%a disconnected (now %a)" Addr.pp mobile Addr.pp
-      new_foreign_agent;
+    if tracing t then
+      tracef t "visitor" "%a disconnected (now %a)" Addr.pp mobile Addr.pp
+        new_foreign_agent;
     (* Forwarding pointer (Section 2): the old foreign agent may cache the
        new location, kept as an ordinary cache entry. *)
     if t.config.Config.forwarding_pointers
@@ -1195,8 +1225,9 @@ let mh_handle_reg_reply t ~mobile ~accepted =
      not stall the move (the forwarding-pointer scenario of Section 2). *)
   match t.mh with
   | Some mh when Addr.equal mobile mh.Mobile_host.home ->
-    tracef t "registered" "home agent %s"
-      (if accepted then "confirmed" else "refused");
+    if tracing t then
+      tracef t "registered" "home agent %s"
+        (if accepted then "confirmed" else "refused");
     (* the reply acknowledges every outstanding registration request,
        stopping its retransmission loop *)
     Exchange.ack mh.Mobile_host.home_reg;
@@ -1249,7 +1280,7 @@ let mh_handle_connect_ack_r t ~mobile ~regional ~backup =
 let mh_handle_reg_region_ack t ~mobile =
   match t.mh with
   | Some mh when Addr.equal mobile mh.Mobile_host.home ->
-    tracef t "registered" "regional agent confirmed";
+    if tracing t then tracef t "registered" "regional agent confirmed";
     Exchange.ack mh.Mobile_host.region_reg
   | _ -> ()
 
@@ -1266,8 +1297,9 @@ let region_peer_takeover t =
     t.region_peer_captured <- true;
     t.counters.Counters.region_takeovers <-
       t.counters.Counters.region_takeovers + 1;
-    tracef t "regional" "peer %a unresponsive: capturing its address"
-      Addr.pp peer;
+    if tracing t then
+      tracef t "regional" "peer %a unresponsive: capturing its address"
+        Addr.pp peer;
     garp_burst_covering t peer
   | _ -> ()
 
@@ -1278,8 +1310,9 @@ let region_peer_release t ~peer =
          | None -> false)
   then begin
     t.region_peer_captured <- false;
-    tracef t "regional" "peer %a is back: releasing its address" Addr.pp
-      peer
+    if tracing t then
+      tracef t "regional" "peer %a is back: releasing its address" Addr.pp
+        peer
   end
 
 (* Mirror a binding write to the configured backup regional agent so it
@@ -1311,7 +1344,7 @@ let regional_handle_registration t ~mobile ~foreign_agent ~lifetime_s =
   | Some r ->
     if Addr.is_zero foreign_agent then begin
       Regional.withdraw r mobile;
-      tracef t "regional" "%a withdrawn" Addr.pp mobile;
+      if tracing t then tracef t "regional" "%a withdrawn" Addr.pp mobile;
       (* no ack: see [withdraw_regional] *)
       sync_region_binding t ~mobile ~foreign_agent:Addr.zero ~lifetime_s:0
     end
@@ -1323,14 +1356,16 @@ let regional_handle_registration t ~mobile ~foreign_agent ~lifetime_s =
        | `Fresh ->
          t.counters.Counters.regional_registrations <-
            t.counters.Counters.regional_registrations + 1;
-         tracef t "regional" "%a now at %a" Addr.pp mobile Addr.pp
-           foreign_agent
+         if tracing t then
+           tracef t "regional" "%a now at %a" Addr.pp mobile Addr.pp
+             foreign_agent
        | `Refresh ->
          (* pure keep-alive: the binding is unchanged, only its lifetime
             re-arms — not a registration, or refreshes would inflate the
             E19 aggregation counters *)
-         tracef t "regional" "%a refreshed at %a" Addr.pp mobile Addr.pp
-           foreign_agent);
+         if tracing t then
+           tracef t "regional" "%a refreshed at %a" Addr.pp mobile Addr.pp
+             foreign_agent);
       sync_region_binding t ~mobile ~foreign_agent ~lifetime_s;
       (* the ack reaches the visiting host through the binding we just
          wrote, exactly as the home agent's reply rides its tunnel *)
@@ -1356,8 +1391,9 @@ let regional_handle_sync t ~src ~mobile ~foreign_agent ~lifetime_s =
       ignore
         (Regional.register r ?expires_at:(regional_expiry t ~lifetime_s)
            ~mobile ~foreign_agent ());
-      tracef t "regional" "synced %a -> %a" Addr.pp mobile Addr.pp
-        foreign_agent
+      if tracing t then
+        tracef t "regional" "synced %a -> %a" Addr.pp mobile Addr.pp
+          foreign_agent
     end;
     if t.config.Config.reliable_control then
       send_control t ~dst:src (Control.Region_sync_ack { mobile })
@@ -1379,8 +1415,9 @@ let regional_handle_visitor_miss t ~mobile ~foreign_agent =
     if Regional.invalidate r ~mobile ~foreign_agent then begin
       t.counters.Counters.regional_invalidations <-
         t.counters.Counters.regional_invalidations + 1;
-      tracef t "regional" "%a invalidated: %a reports no such visitor"
-        Addr.pp mobile Addr.pp foreign_agent
+      if tracing t then
+        tracef t "regional" "%a invalidated: %a reports no such visitor"
+          Addr.pp mobile Addr.pp foreign_agent
     end
 
 (* Inter-region handoff: replace the departing mobile's binding with a
@@ -1396,8 +1433,9 @@ let regional_handle_forward t ~mobile ~new_regional =
     then begin
       Regional.set_forward r ~mobile ~new_regional
         ~expires_at:(Time.add (now t) grace);
-      tracef t "regional" "%a left region: forwarding to %a for %a" Addr.pp
-        mobile Addr.pp new_regional Time.pp grace
+      if tracing t then
+        tracef t "regional" "%a left region: forwarding to %a for %a" Addr.pp
+          mobile Addr.pp new_regional Time.pp grace
     end
 
 (* A control message in the [len] bytes at [off] of a received packet's
@@ -1414,7 +1452,7 @@ let handle_control t v ~off ~len =
                  ~wire:(Bytes.sub buf off len) ~canonical:(Control.encode msg)
                  ~kind:"auth-fail") -> ()
   | Some msg ->
-      tracef t "ctrl-rx" "%a" Control.pp msg;
+      if tracing t then tracef t "ctrl-rx" "%a" Control.pp msg;
       match msg with
       | Control.Reg_request { mobile; foreign_agent } ->
         (match t.ha with
@@ -1477,8 +1515,9 @@ let handle_icmp t v =
           update_authentic t buf ~off ~len ~src:(View.src v) ~mobile
             ~foreign_agent
         then begin
-          tracef t "loc-update-rx" "%a at %a" Addr.pp mobile Addr.pp
-            foreign_agent;
+          if tracing t then
+            tracef t "loc-update-rx" "%a at %a" Addr.pp mobile Addr.pp
+              foreign_agent;
           cache_update t ~mobile ~foreign_agent;
           fa_recovery_check t ~mobile ~foreign_agent;
           t.update_tap ~mobile ~foreign_agent
@@ -1565,8 +1604,9 @@ let rewrite_forward t v =
       | Some fa when not (Node.has_address t.node fa) ->
         t.counters.Counters.tunnels_built <-
           t.counters.Counters.tunnels_built + 1;
-        tracef t "tunnel" "forwarding cache hit for %a via %a" Addr.pp dst
-          Addr.pp fa;
+        if tracing t then
+          tracef t "tunnel" "forwarding cache hit for %a via %a" Addr.pp dst
+            Addr.pp fa;
         Node.Replace
           (Encap.tunnel_by_agent_into ~agent:(address t) ~foreign_agent:fa v)
       | Some _ | None -> Node.Forward
@@ -1678,8 +1718,9 @@ let enable_regional_agent ?backup t =
               (fun (mobile, fa) ->
                  t.counters.Counters.regional_expirations <-
                    t.counters.Counters.regional_expirations + 1;
-                 tracef t "regional" "%a expired (was at %a)" Addr.pp
-                   mobile Addr.pp fa)
+                 if tracing t then
+                   tracef t "regional" "%a expired (was at %a)" Addr.pp
+                     mobile Addr.pp fa)
               (Regional.expire r ~now:(now t))
           | None -> ())
   end
@@ -1723,8 +1764,9 @@ let make_mobile t ~home_agent =
                 | Some fa -> mh.Mobile_host.old_fa <- Some fa
                 | None -> ());
                mh.Mobile_host.phase <- Mobile_host.Searching;
-               tracef t "discovery"
-                 "agent advertisements expired: searching";
+               if tracing t then
+                 tracef t "discovery"
+                   "agent advertisements expired: searching";
                solicit t
              end
            | Mobile_host.Searching | Mobile_host.Registering _
@@ -1795,7 +1837,7 @@ let move_to ~topo ?own_fa_temp t lan =
     match own_fa_temp with
     | None ->
       mh.Mobile_host.phase <- Mobile_host.Searching;
-      tracef t "move" "to %s, soliciting" (Net.Lan.name lan);
+      if tracing t then tracef t "move" "to %s, soliciting" (Net.Lan.name lan);
       solicit t
     | Some temp ->
       (* Serve as own foreign agent at a temporary address (Section 2).
@@ -1834,7 +1876,8 @@ let move_to ~topo ?own_fa_temp t lan =
                  (Net.Route.Direct i))
               (Net.Route.Via gw)));
       mh.Mobile_host.phase <- Mobile_host.Registering temp;
-      tracef t "move" "to %s as own fa %a" (Net.Lan.name lan) Addr.pp temp;
+      if tracing t then
+        tracef t "move" "to %s as own fa %a" (Net.Lan.name lan) Addr.pp temp;
       withdraw_regional t mh;
       register_with_home_agent t mh ~foreign_agent:temp;
       complete_registration t mh ~foreign_agent:temp
@@ -1843,7 +1886,7 @@ let disconnect t =
   match t.mh with
   | None -> invalid_arg "Agent.disconnect: not a mobile host"
   | Some mh ->
-    tracef t "move" "explicit disconnect";
+    if tracing t then tracef t "move" "explicit disconnect";
     Exchange.ack mh.Mobile_host.connect;
     (match Mobile_host.current_fa mh with
      | Some fa when not (Addr.is_zero fa) -> mh.Mobile_host.old_fa <- Some fa

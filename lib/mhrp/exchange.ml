@@ -36,7 +36,8 @@ let rec arm c ~delay ~retries_left =
            if retries_left <= 0 then begin
              c.counters.Counters.retransmit_gave_up <-
                c.counters.Counters.retransmit_gave_up + 1;
-             Node.tracef c.node "ctrl-give-up" "control exchange abandoned";
+             if Node.tracing c.node then
+               Node.tracef c.node "ctrl-give-up" "control exchange abandoned";
              c.give_up ()
            end
            else begin

@@ -6,7 +6,6 @@ type forward_action =
   | Forward
   | Replace of bytes
   | Consume
-  | Drop of string
 
 type icmp_quote = Quote_min | Quote_full
 
@@ -103,12 +102,15 @@ let name t = t.name
 let engine t = t.engine
 let is_router t = t.router
 
-(* The one place an event is rendered.  Format only when someone is
-   listening: with tracing absent or disabled the arguments are consumed
-   without rendering ([ikfprintf]). *)
+let tracing t = Netsim.Trace.active t.tr
+
+(* The one place an event is rendered, and only while someone is
+   listening.  With tracing absent or disabled the arguments are consumed
+   without rendering, but [ikfprintf] still builds a closure per
+   conversion, so every caller guards its call with [tracing]. *)
 let tracef t kind fmt =
   match t.tr with
-  | Some tr when Netsim.Trace.active t.tr ->
+  | Some tr when tracing t ->
     Format.kasprintf
       (fun detail ->
          Netsim.Trace.emit tr ~at:(Engine.now t.engine) ~node:t.name ~kind
@@ -228,7 +230,7 @@ let iface_for_next_hop t next_hop = iface_covering t.ifaces next_hop 0
 
 let drop t reason pkt =
   t.n_dropped <- t.n_dropped + 1;
-  tracef t "drop" "%s: %a" reason Ipv4.Packet.pp pkt;
+  if tracing t then tracef t "drop" "%s: %a" reason Ipv4.Packet.pp pkt;
   List.iter (fun f -> f t reason pkt) t.drop_taps
 
 (* --- ARP cache with entry aging --- *)
@@ -255,7 +257,7 @@ let send_arp_request t i target_ip =
   let s = iface t i in
   let sender_ip = Option.value ~default:Ipv4.Addr.zero s.addr in
   let a = Arp.request ~sender_mac:s.mac ~sender_ip ~target_ip in
-  tracef t "arp-tx" "%a" Arp.pp a;
+  if tracing t then tracef t "arp-tx" "%a" Arp.pp a;
   Lan.send s.lan (Frame.arp ~src:s.mac ~dst:Mac.broadcast a)
 
 (* Weak-host loopback: a packet addressed to one of our own addresses is
@@ -288,8 +290,9 @@ let rec frame_out t i ~dst_mac v =
     let pkt = View.decode v in
     if pkt.Ipv4.Packet.dont_fragment then begin
       t.n_dropped <- t.n_dropped + 1;
-      tracef t "drop" "needs fragmentation but DF set: %a" Ipv4.Packet.pp
-        pkt;
+      if tracing t then
+        tracef t "drop" "needs fragmentation but DF set: %a" Ipv4.Packet.pp
+          pkt;
       List.iter (fun f -> f t "df-mtu" pkt) t.drop_taps;
       (* ICMP destination unreachable, "fragmentation needed and DF set"
          (type 3 code 4) *)
@@ -348,8 +351,9 @@ and icmp_error t make_msg (offending : Ipv4.Packet.t) =
       Ipv4.Packet.make ~proto:Ipv4.Proto.icmp ~src:(primary_addr t)
         ~dst:offending.Ipv4.Packet.src (Ipv4.Icmp.encode msg)
     in
-    tracef t "icmp-tx" "%a to %a" Ipv4.Icmp.pp msg Ipv4.Addr.pp
-      offending.Ipv4.Packet.src;
+    if tracing t then
+      tracef t "icmp-tx" "%a to %a" Ipv4.Icmp.pp msg Ipv4.Addr.pp
+        offending.Ipv4.Packet.src;
     route_and_send t (view_of reply)
   end
 
@@ -398,7 +402,7 @@ and route_and_send t v =
     let dst = View.dst v in
     if has_address t dst then begin
       let pkt = View.decode v in
-      tracef t "loopback" "%a" Ipv4.Packet.pp pkt;
+      if tracing t then tracef t "loopback" "%a" Ipv4.Packet.pp pkt;
       !deliver_local_ref t pkt
     end
     else
@@ -446,7 +450,7 @@ let forward_wire t wire =
 
 let send_wire t wire =
   t.n_originated <- t.n_originated + 1;
-  tracef t "tx" "%a" pp_wire wire;
+  if tracing t then tracef t "tx" "%a" pp_wire wire;
   forward_wire t wire
 
 let send_wire_to_mac t ~iface:i ~dst_mac wire =
@@ -478,7 +482,7 @@ let broadcast_ip t ~iface:i pkt =
 let gratuitous_arp t ~iface:i ip =
   let s = iface t i in
   let a = Arp.gratuitous ~mac:s.mac ~ip in
-  tracef t "arp-tx" "gratuitous %a" Arp.pp a;
+  if tracing t then tracef t "arp-tx" "gratuitous %a" Arp.pp a;
   Lan.send s.lan (Frame.arp ~src:s.mac ~dst:Mac.broadcast a)
 
 (* Drop any cached entry first: a probe asks whether the target is on
@@ -535,8 +539,9 @@ let handle_arp t i (a : Arp.t) =
         Arp.reply ~sender_mac:s.mac ~sender_ip:target
           ~target_mac:a.Arp.sender_mac ~target_ip:a.Arp.sender_ip
       in
-      tracef t "arp-tx" "%a%s" Arp.pp reply
-        (if mine then "" else " (proxy)");
+      if tracing t then
+        tracef t "arp-tx" "%a%s" Arp.pp reply
+          (if mine then "" else " (proxy)");
       Lan.send s.lan (Frame.arp ~src:s.mac ~dst:a.Arp.sender_mac reply)
     end
 
@@ -600,14 +605,15 @@ let rec deliver_local t (pkt : Ipv4.Packet.t) =
 and deliver_local_whole t (pkt : Ipv4.Packet.t) =
   match advance_lsrr t pkt with
   | Some pkt' ->
-    tracef t "lsrr" "source-routing on to %a" Ipv4.Addr.pp
-      pkt'.Ipv4.Packet.dst;
+    if tracing t then
+      tracef t "lsrr" "source-routing on to %a" Ipv4.Addr.pp
+        pkt'.Ipv4.Packet.dst;
     t.n_forwarded <- t.n_forwarded + 1;
     List.iter (fun f -> f t pkt') t.forward_taps;
     forward_now t pkt'
   | None ->
     t.n_delivered <- t.n_delivered + 1;
-    tracef t "rx" "%a" Ipv4.Packet.pp pkt;
+    if tracing t then tracef t "rx" "%a" Ipv4.Packet.pp pkt;
     match Hashtbl.find t.proto_handlers pkt.Ipv4.Packet.proto with
     | exception Not_found -> unhandled t pkt
     | h ->
@@ -622,7 +628,7 @@ let inject_local t pkt = if t.up then deliver_local t pkt
 
 let forward_rewritten t wire =
   t.n_forwarded <- t.n_forwarded + 1;
-  tracef t "fwd" "rewritten: %a" pp_wire wire;
+  if tracing t then tracef t "fwd" "rewritten: %a" pp_wire wire;
   (match t.forward_taps with
    | [] -> ()
    | taps ->
@@ -644,11 +650,10 @@ let forward t (pkt : Ipv4.Packet.t) =
     let v = view_of pkt in
     match t.rewrite_forward t v with
     | Consume -> ()
-    | Drop reason -> drop t reason pkt
     | Replace wire -> forward_rewritten t wire
     | Forward ->
       t.n_forwarded <- t.n_forwarded + 1;
-      tracef t "fwd" "%a" Ipv4.Packet.pp pkt;
+      if tracing t then tracef t "fwd" "%a" Ipv4.Packet.pp pkt;
       List.iter (fun f -> f t pkt) t.forward_taps;
       delayed t ~slow:(Ipv4.Packet.has_options pkt) (fun () ->
           route_and_send t v)
@@ -660,17 +665,15 @@ let forward_view t v =
   View.decr_ttl v;
   match t.rewrite_forward t v with
   | Consume -> ()
-  | Drop reason -> drop t reason (View.decode v)
   | Replace wire -> forward_rewritten t wire
   | Forward ->
     t.n_forwarded <- t.n_forwarded + 1;
     t.n_fast_forwarded <- t.n_fast_forwarded + 1;
-    if Netsim.Trace.active t.tr then
-      tracef t "fwd" "%a" Ipv4.Packet.pp (View.decode v);
+    if tracing t then tracef t "fwd" "%a" Ipv4.Packet.pp (View.decode v);
     delayed t ~slow:false (fun () -> route_and_send t v)
 
 let intercept t pkt =
-  tracef t "intercept" "%a" Ipv4.Packet.pp pkt;
+  if tracing t then tracef t "intercept" "%a" Ipv4.Packet.pp pkt;
   deliver_local t pkt
 
 let rx_ip t (pkt : Ipv4.Packet.t) =
@@ -685,7 +688,7 @@ let rx_ip_bytes t bytes =
   match Ipv4.Packet.decode bytes with
   | pkt -> rx_ip t pkt
   | exception Invalid_argument msg ->
-    tracef t "drop" "malformed packet: %s" msg;
+    if tracing t then tracef t "drop" "malformed packet: %s" msg;
     t.n_dropped <- t.n_dropped + 1
 
 (* The view route for a packet addressed to (or claimed by) this node:
@@ -695,8 +698,7 @@ let rx_ip_bytes t bytes =
    points, so a traced run takes the route an untraced one does. *)
 let deliver_view t v =
   t.n_delivered <- t.n_delivered + 1;
-  if Netsim.Trace.active t.tr then
-    tracef t "rx" "%a" Ipv4.Packet.pp (View.decode v);
+  if tracing t then tracef t "rx" "%a" Ipv4.Packet.pp (View.decode v);
   match Hashtbl.find t.proto_handlers (View.proto v) with
   | h -> h t v
   | exception Not_found -> unhandled t (View.decode v)
@@ -724,7 +726,7 @@ let rx_view t ~shared bytes =
     else if t.accept_ip t dst then
       if View.is_fragment v then intercept t (View.decode v)
       else begin
-        if Netsim.Trace.active t.tr then
+        if tracing t then
           tracef t "intercept" "%a" Ipv4.Packet.pp (View.decode v);
         deliver_view t v
       end
@@ -767,12 +769,12 @@ let reboot t =
   Hashtbl.reset t.arp_cache;
   Hashtbl.reset t.arp_tries;
   t.arp_pending <- [];
-  tracef t "reboot" "state cleared";
+  if tracing t then tracef t "reboot" "state cleared";
   List.iter (fun f -> f t) t.reboot_hooks
 
 let crash_for t d =
   set_up t false;
-  tracef t "crash" "down for %a" Time.pp d;
+  if tracing t then tracef t "crash" "down for %a" Time.pp d;
   ignore
     (Engine.schedule_after t.engine ~delay:d (fun () ->
          set_up t true;

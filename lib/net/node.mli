@@ -35,7 +35,6 @@ type forward_action =
           the hook built (never the view's own) — a tunneling hook
           writes it straight from the view. *)
   | Consume  (** The stack disposed of the packet itself. *)
-  | Drop of string
 
 (** How much of an offending packet ICMP errors quote — Section 4.5 hinges
     on the difference. *)
@@ -62,12 +61,22 @@ val name : t -> string
 val engine : t -> Netsim.Engine.t
 val is_router : t -> bool
 
+val tracing : t -> bool
+(** [tracing node] — the node has a trace and it is enabled
+    ({!Netsim.Trace.active}).  Allocation-free: every {!tracef} call
+    is guarded by it. *)
+
 val tracef :
   t -> string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 (** [tracef node kind fmt ...] records one [kind] event in the node's
     trace, rendered from [fmt] only while the trace is enabled; tracing
-    never changes the route a packet takes.  Apply all three arguments
-    in one call: a partial application allocates a closure per call. *)
+    never changes the route a packet takes.  An untraced call still
+    costs: the format consumes its arguments by building a closure for
+    each conversion, at least 5 words per [%s] or [%d] and 10 per [%a].
+    So call it as [if tracing node then tracef node kind fmt ...], and
+    keep side effects out of the arguments, which an untraced run never
+    evaluates.  Apply all three arguments in one call: a partial
+    application allocates a closure per call. *)
 
 (** {1 Interfaces and addresses} *)
 
@@ -271,8 +280,8 @@ val packets_fast_forwarded : t -> int
     option-free unicast packets, MHRP agents and baseline routers
     included, unless a forward tap needs the record; a live trace does
     not change the count.
-    Hops the hook rewrites ([Replace]), claims ([Consume]) or drops do
-    not count; neither does anything that falls back to the decoded
+    Hops the hook rewrites ([Replace]) or claims ([Consume]) do not
+    count; neither does anything that falls back to the decoded
     path, whose wire semantics are identical.  Counted at receive time,
     so a hop whose egress falls back (fragmentation) still counts.  The
     allocation CI lane gates this counter to catch accidental

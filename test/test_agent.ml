@@ -409,11 +409,13 @@ let basic_tests =
 (* --- allocation: sending on a location-cache hit --- *)
 
 let alloc_tests =
-  [ Alcotest.test_case "untraced send_udp on a cache hit: <= 200 words"
+  [ Alcotest.test_case "untraced send_udp on a cache hit: <= 80 words"
       `Quick (fun () ->
-        (* The sender-built tunnel traces its decision; with the trace
-           off that must not render anything.  Rendering the detail
-           eagerly costs ~500 words per call on its own. *)
+        (* The sender-built tunnel traces its decision, and the node
+           its transmission; with the trace off neither may cost
+           anything.  An unguarded [tracef] still builds a closure per
+           conversion of its format: 30 words per send for these two
+           events, where rendering the detail would cost ~500. *)
         let f = TG.figure1 () in
         let topo = f.TG.topo in
         let dst = Agent.address f.TG.m in
@@ -442,7 +444,7 @@ let alloc_tests =
           (Mhrp.Location_cache.hits (Agent.cache f.TG.s));
         check Alcotest.bool
           (Printf.sprintf "%.0f words per send" per_call)
-          true (per_call <= 200.0));
+          true (per_call <= 80.0));
     Alcotest.test_case "an ignored advertisement: <= 8 words per receiver"
       `Quick (fun () ->
         (* Every station on the LAN receives an agent advertisement, and
@@ -478,6 +480,41 @@ let alloc_tests =
         check Alcotest.bool
           (Printf.sprintf "%.1f words per receiver" per_receiver)
           true (per_receiver <= 8.0));
+    Alcotest.test_case "an untraced Figure-1 handoff: <= 1175 words"
+      `Quick (fun () ->
+        (* The alloc experiment's handoff loop, shorter: M ping-pongs
+           between R4's cell and home under a reliable control plane,
+           each move a full solicitation, advertisement, connect and
+           registration.  Every trace event on the way is guarded by
+           [Node.tracing]; unguarded, their formats cost ~200 words more
+           per handoff. *)
+        let f =
+          TG.figure1 ~config:(Mhrp.Config.make ~reliable_control:true ()) ()
+        in
+        let topo = f.TG.topo in
+        let completed = ref 0 in
+        Agent.on_registered f.TG.m (fun _ -> incr completed);
+        let moves ~from_ms n =
+          for k = 0 to n - 1 do
+            Workload.Mobility.move_at topo f.TG.m
+              ~at:(Time.of_ms (from_ms + (k * 200)))
+              (if k mod 2 = 0 then f.TG.net_d else f.TG.net_b)
+          done
+        in
+        (* two untimed moves warm the ARP caches and the event queue *)
+        moves ~from_ms:1000 2;
+        Topology.run ~until:(Time.of_sec 2.0) topo;
+        let warm = !completed in
+        let n = 40 in
+        moves ~from_ms:2000 n;
+        let w0 = Gc.minor_words () in
+        Topology.run ~until:(Time.of_ms (3000 + (n * 200))) topo;
+        let words = Gc.minor_words () -. w0 in
+        check Alcotest.int "every move completed" n (!completed - warm);
+        let per_handoff = words /. float_of_int n in
+        check Alcotest.bool
+          (Printf.sprintf "%.1f words per handoff" per_handoff)
+          true (per_handoff <= 1175.0));
     Alcotest.test_case
       "a tunnel exit allocates at most its output buffer plus 64 words"
       `Quick (fun () ->

@@ -337,17 +337,31 @@ let golden_corpus =
          | _ -> None)
      |> Array.of_list)
 
+(* A random corpus message with [overwrites] random bytes overwritten
+   and, one time in four, cut short. *)
+let corrupted_message int ~overwrites =
+  let corpus = Lazy.force golden_corpus in
+  let msg = Bytes.copy corpus.(int (Array.length corpus)) in
+  let m = Bytes.length msg in
+  for _ = 1 to overwrites do
+    Bytes.set msg (int m) (Char.chr (int 256))
+  done;
+  Bytes.sub msg 0 (if int 4 = 0 then int (m + 1) else m)
+
+(* One to four bytes overwritten: hostile bytes that get past the first
+   field checks, which random strings rarely do. *)
+let mutated_sample seed =
+  let int = Netsim.Rng.int (Netsim.Rng.of_int seed) in
+  Bytes.to_string (corrupted_message int ~overwrites:(1 + int 4))
+
 (* A corpus message framed by random bytes, sometimes corrupted or cut
    short, and a window onto it: at the message, at its IP or IP+UDP
    payload, anywhere, or outside the buffer. *)
 let framed_sample seed =
   let rng = Netsim.Rng.of_int seed in
   let int = Netsim.Rng.int rng in
-  let corpus = Lazy.force golden_corpus in
-  let msg = Bytes.copy corpus.(int (Array.length corpus)) in
-  let m = Bytes.length msg in
-  if int 2 = 0 then Bytes.set msg (int m) (Char.chr (int 256));
-  let cut = if int 4 = 0 then int (m + 1) else m in
+  let msg = corrupted_message int ~overwrites:(int 2) in
+  let cut = Bytes.length msg in
   let pre = int 24 and post = int 8 in
   let buf = Bytes.init (pre + cut + post) (fun _ -> Char.chr (int 256)) in
   Bytes.blit msg 0 buf pre cut;
@@ -485,6 +499,12 @@ let suite =
              ~name:"decoders never raise on arbitrary bytes" ~count:500
              QCheck.(string_of_size Gen.(int_range 0 64))
              decoders_total);
+        qtest
+          (QCheck.Test.make
+             ~name:"decoders never raise on mutated corpus messages"
+             ~count:10_000
+             QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+             (fun seed -> decoders_total (mutated_sample seed)));
         qtest
           (QCheck.Test.make
              ~name:"offset decoders agree with whole-buffer decoders"
