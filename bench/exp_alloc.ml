@@ -115,7 +115,15 @@ let header_size ~size wire =
         for _ = 1 to header_ops / 60 do view_batch view_buf done)
   in
   let rec_w = (Obs.Alloc.per rec_alloc header_ops).Obs.Alloc.minor_words in
-  let view_w = (Obs.Alloc.per view_alloc view_ops).Obs.Alloc.minor_words in
+  (* The view path allocates nothing per hop; the harness's own words,
+     spread over the ops, are a few ten-thousandths.  Rounded to one
+     decimal, the gauge reads 0.0, which a Pct tolerance holds exactly,
+     so any per-hop allocation coming back fails the check. *)
+  let view_w =
+    Float.round
+      ((Obs.Alloc.per view_alloc view_ops).Obs.Alloc.minor_words *. 10.0)
+    /. 10.0
+  in
   let rec_s =
     best (fun () -> time_record timing_ops wire) /. float_of_int timing_ops
   in
@@ -161,9 +169,9 @@ let part_header () =
             Printf.sprintf "%.1fx" (rec_s /. view_s) ])
        sizes);
   Exp_util.note
-    "full-MTU: %.1fx speedup (gate >= 5x), %.0fx fewer minor words (gate \
-     >= 10x), %.2f Mpkt/s on the view path"
-    speedup (b_rec_w /. b_view_w) (1.0 /. b_view_s /. 1e6)
+    "full-MTU: %.1fx speedup (gate >= 5x), %.1f minor words per hop \
+     against %.0f (gate: >= 10x fewer), %.2f Mpkt/s on the view path"
+    speedup b_view_w b_rec_w (1.0 /. b_view_s /. 1e6)
 
 (* --- part 2: the chain simulation --------------------------------- *)
 

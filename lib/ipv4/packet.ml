@@ -138,45 +138,36 @@ let decode_prefix buf =
 
 let decr_ttl t = if t.ttl <= 1 then None else Some { t with ttl = t.ttl - 1 }
 
-(* Zero-copy slice views over encoded packets: the forwarding fast path
-   reads fields and rewrites TTL/checksum in place without ever building
-   a [t].  A view only points into its buffer; see DESIGN.md Section 11
-   for the ownership rules that make in-place mutation sound. *)
+(* Zero-copy views of encoded packets: the forwarding fast path reads
+   fields and rewrites TTL/checksum in place without ever building a
+   [t].  A view is its buffer, so making one allocates nothing; see
+   DESIGN.md Section 11 for the ownership rules that make in-place
+   mutation sound. *)
 module View = struct
-  type t = {
-    buf : bytes;
-    off : int;
-    len : int;
-  }
+  type t = bytes
 
-  let make ?(off = 0) ?len buf =
-    let len = match len with Some l -> l | None -> Bytes.length buf - off in
-    if off < 0 || len < 0 || off + len > Bytes.length buf then
-      invalid_arg "Packet.View.make: range";
-    { buf; off; len }
+  let make buf = buf
+  let buffer v = v
 
-  let buffer v = v.buf
-  let offset v = v.off
-  let length v = v.len
-
-  let u8 v i = Bytes.get_uint8 v.buf (v.off + i)
-  let u16 v i = Bytes.get_uint16_be v.buf (v.off + i)
+  let u8 v i = Bytes.get_uint8 v i
+  let u16 v i = Bytes.get_uint16_be v i
 
   (* Accepts exactly what [decode] accepts structurally: a complete
      IPv4 header with a valid checksum and a total length that fits the
-     slice.  Never raises, whatever the bytes — checked by a QCheck
+     buffer.  Never raises, whatever the bytes — checked by a QCheck
      totality property.  (Option *contents* are not parsed here; the
      fast path only handles option-free headers and falls back to
      [decode] — which does parse and may reject them — otherwise.) *)
   let valid v =
-    v.len >= 20
+    let len = Bytes.length v in
+    len >= 20
     && (let b0 = u8 v 0 in
         b0 lsr 4 = 4
         && (let hlen = (b0 land 0xF) * 4 in
-            hlen >= 20 && hlen <= v.len
-            && Checksum.valid_range v.buf ~off:v.off ~len:hlen
+            hlen >= 20 && hlen <= len
+            && Checksum.valid_range v ~off:0 ~len:hlen
             && (let tlen = u16 v 2 in
-                tlen >= hlen && tlen <= v.len)))
+                tlen >= hlen && tlen <= len)))
 
   let header_length v = (u8 v 0 land 0xF) * 4
   let total_length v = u16 v 2
@@ -184,10 +175,10 @@ module View = struct
   let id v = u16 v 4
   let ttl v = u8 v 8
   let proto v = u8 v 9
-  let src v = Addr.get v.buf (v.off + 12)
-  let dst v = Addr.get v.buf (v.off + 16)
+  let src v = Addr.get v 12
+  let dst v = Addr.get v 16
   let has_options v = header_length v > 20
-  let payload_offset v = v.off + header_length v
+  let payload_offset = header_length
   let payload_length v = total_length v - header_length v
   let dont_fragment v = u16 v 6 land 0x4000 <> 0
 
@@ -202,8 +193,8 @@ module View = struct
     let old_word = u16 v 8 in
     let new_word = (new_ttl lsl 8) lor (old_word land 0xFF) in
     if new_word <> old_word then begin
-      Bytes.set_uint8 v.buf (v.off + 8) new_ttl;
-      Checksum.update v.buf ~at:(v.off + 10) ~old_word ~new_word
+      Bytes.set_uint8 v 8 new_ttl;
+      Checksum.update v ~at:10 ~old_word ~new_word
     end
 
   (* [set_ttl (ttl - 1)] with the TTL/protocol word read once: the TTL
@@ -212,16 +203,13 @@ module View = struct
     let old_word = u16 v 8 in
     let t = old_word lsr 8 in
     if t < 1 then invalid_arg "Packet.View.decr_ttl: ttl is zero";
-    Bytes.set_uint8 v.buf (v.off + 8) (t - 1);
-    Checksum.update v.buf ~at:(v.off + 10) ~old_word
+    Bytes.set_uint8 v 8 (t - 1);
+    Checksum.update v ~at:10 ~old_word
       ~new_word:(((t - 1) lsl 8) lor (old_word land 0xFF))
 
-  let to_wire v =
-    if v.off = 0 && v.len = Bytes.length v.buf then v.buf
-    else Bytes.sub v.buf v.off v.len
-
-  let decode v = decode (to_wire v)
-  let decode_prefix v = decode_prefix (to_wire v)
+  let to_wire v = v
+  let decode = decode
+  let decode_prefix = decode_prefix
 end
 
 let pp ppf t =

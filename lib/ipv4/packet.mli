@@ -90,32 +90,31 @@ val decr_ttl : t -> t option
 (** [None] when the TTL hits zero — caller should emit ICMP time
     exceeded. *)
 
-(** Zero-copy slice views over encoded packets.
+(** Zero-copy views of encoded packets.
 
-    A view is a window [\[off, off+len)] onto a buffer holding a wire
-    packet.  The forwarding fast path validates, reads fields and
-    rewrites TTL (patching the header checksum incrementally) straight
-    through a view, never materialising a {!t}; decoding happens only at
-    protocol endpoints.  Views alias their buffer — mutation is visible
-    to every other holder.  DESIGN.md Section 11 spells out the
-    ownership rules (who may mutate a buffer, and when) that keep this
-    sound. *)
+    A view is a buffer holding one wire packet: the type is abstract,
+    but its representation is the buffer itself, so {!make} and
+    {!to_wire} are the identity and a view costs nothing to build.  The
+    forwarding fast path validates, reads fields and rewrites TTL
+    (patching the header checksum incrementally) straight through a
+    view, never materialising a {!t}; decoding happens only at protocol
+    endpoints.  A view aliases its buffer — mutation is visible to every
+    other holder.  DESIGN.md Section 11 spells out the ownership rules
+    (who may mutate a buffer, and when) that keep this sound. *)
 module View : sig
   type packet := t
   type t
 
-  val make : ?off:int -> ?len:int -> bytes -> t
-  (** View of [\[off, off+len)] (default: the whole buffer).  Raises
-      [Invalid_argument] if the range does not fit the buffer; the
-      *contents* are not inspected — call {!valid} for that. *)
+  val make : bytes -> t
+  (** The view of the whole buffer.  The *contents* are not inspected —
+      call {!valid} for that. *)
 
   val buffer : t -> bytes
-  val offset : t -> int
-  val length : t -> int
+  (** The viewed buffer: offsets such as {!payload_offset} index it. *)
 
   val valid : t -> bool
   (** Structural acceptance, mirroring {!decode}: complete IPv4 header,
-      valid header checksum, total length within the slice.  Total —
+      valid header checksum, total length within the buffer.  Total —
       never raises, whatever the bytes.  Does not parse option contents
       (the fast path handles only option-free headers). *)
 
@@ -132,7 +131,7 @@ module View : sig
   val has_options : t -> bool
 
   val payload_offset : t -> int
-  (** Where the payload starts in {!buffer}: [offset + header_length]. *)
+  (** Where the payload starts in {!buffer}: its {!header_length}. *)
 
   val payload_length : t -> int
   (** [total_length - header_length]. *)
@@ -151,12 +150,12 @@ module View : sig
       path checks TTL before committing to forward. *)
 
   val to_wire : t -> bytes
-  (** The viewed bytes.  Returns the underlying buffer itself (no copy)
-      when the view covers it exactly, so the fast path can hand a
-      received buffer straight back to the wire. *)
+  (** The viewed buffer itself, no copy: the fast path hands a received
+      buffer straight back to the wire. *)
 
   val decode : t -> packet
-  (** Full decode of the slice, for endpoints and slow-path fallbacks. *)
+  (** Full decode of the buffer, for endpoints and slow-path
+      fallbacks. *)
 
   val decode_prefix : t -> (packet * int) option
 end

@@ -118,14 +118,14 @@ module View = Ipv4.Packet.View
 let envelope v ~proto ~src ~dst ~payload_length =
   let tlen = 20 + payload_length in
   if tlen > 0xFFFF then invalid_arg "Encap: packet too long";
-  let vbuf = View.buffer v and voff = View.offset v in
+  let vbuf = View.buffer v in
   let buf = Bytes.create tlen in
   Bytes.set buf 0 '\x45';
-  Bytes.set buf 1 (Bytes.get vbuf (voff + 1));
+  Bytes.set buf 1 (Bytes.get vbuf 1);
   Bytes.set_uint16_be buf 2 tlen;
-  Bytes.blit vbuf (voff + 4) buf 4 2;
-  Bytes.set_uint16_be buf 6 (Bytes.get_uint16_be vbuf (voff + 6) land 0x7FFF);
-  Bytes.set buf 8 (Bytes.get vbuf (voff + 8));
+  Bytes.blit vbuf 4 buf 4 2;
+  Bytes.set_uint16_be buf 6 (Bytes.get_uint16_be vbuf 6 land 0x7FFF);
+  Bytes.set buf 8 (Bytes.get vbuf 8);
   Bytes.set_uint8 buf 9 proto;
   Ipv4.Addr.set buf 12 src;
   Ipv4.Addr.set buf 16 dst;

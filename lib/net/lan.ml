@@ -95,9 +95,10 @@ let lost t =
       | Some rng -> Netsim.Rng.float rng 1.0 < t.loss
       | None -> false)
 
-(* Per-frame helpers are top-level and closure-free, and the station
-   lookup uses [Hashtbl.find] rather than [find_opt]: a unicast delivery
-   then allocates nothing beyond the frame and its delivery event. *)
+(* Per-frame helpers are top-level and closure-free, the station lookup
+   uses [Hashtbl.find] rather than [find_opt], and the delivery event is
+   the call [deliver t frame]: a delivery allocates nothing beyond the
+   frame. *)
 let rec show_monitors frame = function
   | [] -> ()
   | monitor :: rest ->
@@ -109,26 +110,27 @@ let deliver_to t mac frame =
   | station -> station frame
   | exception Not_found -> ()
 
+(* Broadcast fan-out in deterministic (MAC-sorted) order, skipping the
+   sender, matching how tests expect it. *)
+let rec fan_out t frame = function
+  | [] -> ()
+  | mac :: rest ->
+    if not (Mac.equal mac frame.Frame.src) then deliver_to t mac frame;
+    fan_out t frame rest
+
+let deliver t frame =
+  if t.up then begin
+    show_monitors frame (monitors t);
+    if Mac.is_broadcast frame.Frame.dst then fan_out t frame (stations t)
+    else deliver_to t frame.Frame.dst frame
+  end
+
 let send t frame =
   if t.up && not (lost t) then begin
     t.frames <- t.frames + 1;
     t.bytes <- t.bytes + Frame.wire_length frame;
     let delay = Netsim.Time.add t.latency (tx_delay t frame) in
-    let deliver () =
-      if t.up then begin
-        show_monitors frame (monitors t);
-        if Mac.is_broadcast frame.Frame.dst then
-          (* Deliver in deterministic (MAC-sorted) order, skipping the
-             sender, matching how tests expect broadcast fan-out. *)
-          List.iter
-            (fun mac ->
-               if not (Mac.equal mac frame.Frame.src) then
-                 deliver_to t mac frame)
-            (stations t)
-        else deliver_to t frame.Frame.dst frame
-      end
-    in
-    ignore (Netsim.Engine.schedule_after t.engine ~delay deliver)
+    ignore (Netsim.Engine.call_after t.engine ~delay deliver t frame)
   end
 
 let set_up t v = t.up <- v

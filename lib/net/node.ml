@@ -406,8 +406,8 @@ and route_and_send t v =
       !deliver_local_ref t pkt
     end
     else
-      match Route.lookup t.table dst with
-      | None ->
+      match Route.find t.table dst with
+      | exception Not_found ->
         let pkt = View.decode v in
         drop t "no-route" pkt;
         if not (has_address t pkt.Ipv4.Packet.src) then
@@ -415,11 +415,11 @@ and route_and_send t v =
             (fun original ->
                Ipv4.Icmp.Dest_unreachable { code = 0; original })
             pkt
-      | Some (Route.Direct i) ->
+      | Route.Direct i ->
         (match iface t i with
          | exception Invalid_argument _ -> drop t "iface-down" (View.decode v)
          | _ -> resolve_and_emit t i ~next_hop:dst v)
-      | Some (Route.Via gw) ->
+      | Route.Via gw ->
         match iface_for_next_hop t gw with
         | -1 -> drop t "gateway-unreachable" (View.decode v)
         | i -> resolve_and_emit t i ~next_hop:gw v
@@ -427,16 +427,19 @@ and route_and_send t v =
 
 (* --- public senders --- *)
 
-(* Schedule [f] after the processing delay.  [f] itself skips its work
-   if the node went down meanwhile ([route_and_send] checks), so no
-   wrapper closure is allocated per packet. *)
+let processing_delay t ~slow =
+  if slow then Time.of_us (Time.to_us t.proc_delay * t.option_slow_factor)
+  else t.proc_delay
+
 let delayed t ~slow f =
-  let d =
-    if slow then
-      Time.of_us (Time.to_us t.proc_delay * t.option_slow_factor)
-    else t.proc_delay
-  in
-  ignore (Engine.schedule_after t.engine ~delay:d f)
+  ignore (Engine.schedule_after t.engine ~delay:(processing_delay t ~slow) f)
+
+(* Route [v] after the processing delay.  The event is the call
+   [route_and_send t v] of a top-level function, which skips its work if
+   the node went down meanwhile: scheduling it allocates nothing. *)
+let route_after t ~slow v =
+  let delay = processing_delay t ~slow in
+  ignore (Engine.call_after t.engine ~delay route_and_send t v)
 
 (* Wire bytes, rendered only when a trace is listening. *)
 let pp_wire ppf wire = Ipv4.Packet.pp ppf (Ipv4.Packet.decode wire)
@@ -446,7 +449,7 @@ let pp_wire ppf wire = Ipv4.Packet.pp ppf (Ipv4.Packet.decode wire)
    them.  A header with options costs the slow-path delay. *)
 let forward_wire t wire =
   let v = View.make wire in
-  delayed t ~slow:(View.has_options v) (fun () -> route_and_send t v)
+  route_after t ~slow:(View.has_options v) v
 
 let send_wire t wire =
   t.n_originated <- t.n_originated + 1;
@@ -655,8 +658,7 @@ let forward t (pkt : Ipv4.Packet.t) =
       t.n_forwarded <- t.n_forwarded + 1;
       if tracing t then tracef t "fwd" "%a" Ipv4.Packet.pp pkt;
       List.iter (fun f -> f t pkt) t.forward_taps;
-      delayed t ~slow:(Ipv4.Packet.has_options pkt) (fun () ->
-          route_and_send t v)
+      route_after t ~slow:(Ipv4.Packet.has_options pkt) v
 
 (* The view route: TTL and checksum patched in the received buffer, the
    hook consulted on the header, and — unless it rewrites or claims the
@@ -670,7 +672,7 @@ let forward_view t v =
     t.n_forwarded <- t.n_forwarded + 1;
     t.n_fast_forwarded <- t.n_fast_forwarded + 1;
     if tracing t then tracef t "fwd" "%a" Ipv4.Packet.pp (View.decode v);
-    delayed t ~slow:false (fun () -> route_and_send t v)
+    route_after t ~slow:false v
 
 let intercept t pkt =
   if tracing t then tracef t "intercept" "%a" Ipv4.Packet.pp pkt;

@@ -154,7 +154,10 @@ let rec shorter_match c key i =
     | -1 -> shorter_match c key (i + 1)
     | idx -> idx
 
-let lookup t addr =
+(* Raising rather than returning an option keeps a hit allocation-free:
+   every routed packet runs it.  [lookup] wraps it for callers that want
+   the option. *)
+let find t addr =
   let c = compile t in
   let key = Ipv4.Addr.to_key addr in
   let idx =
@@ -162,7 +165,10 @@ let lookup t addr =
     | -1 -> shorter_match c key 0
     | idx -> idx
   in
-  if idx < 0 then None else Some c.targets.(idx)
+  if idx < 0 then raise Not_found else c.targets.(idx)
+
+let lookup t addr =
+  match find t addr with tg -> Some tg | exception Not_found -> None
 
 let host_target t addr =
   let c = compile t in

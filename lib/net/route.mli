@@ -33,8 +33,12 @@ val bulk : (Ipv4.Addr.Prefix.t * target) list -> t
     built in O(n log n) instead of O(n²) — the route computation's bulk
     path. *)
 
+val find : t -> Ipv4.Addr.t -> target
+(** Longest-prefix match.  Raises [Not_found] when no entry covers the
+    address.  Allocates nothing: every routed packet runs it. *)
+
 val lookup : t -> Ipv4.Addr.t -> target option
-(** Longest-prefix match. *)
+(** {!find} as an option. *)
 
 val host_target : t -> Ipv4.Addr.t -> target option
 (** The target of the table's /32 entry for this address, if it has

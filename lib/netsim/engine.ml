@@ -1,6 +1,6 @@
 type t = {
   mutable clock : Time.t;
-  queue : (unit -> unit) Event_queue.t;
+  queue : Event_queue.calls Event_queue.t;
   root_rng : Rng.t;
   mutable fired : int;
 }
@@ -14,10 +14,19 @@ let create ?(seed = 42) () =
 let now t = t.clock
 let rng t = t.root_rng
 
+let call t ~at f a b =
+  if Time.(at < t.clock) then invalid_arg "Engine.call: time in the past";
+  Event_queue.push_call t.queue at f a b
+
+let call_after t ~delay f a b = call t ~at:(Time.add t.clock delay) f a b
+
+(* A thunk is the call [run_thunk f ()]: one event representation. *)
+let run_thunk f () = f ()
+
 let schedule t ~at f =
   if Time.(at < t.clock) then
     invalid_arg "Engine.schedule: time in the past";
-  Event_queue.push t.queue at f
+  Event_queue.push_call t.queue at run_thunk f ()
 
 let schedule_after t ~delay f = schedule t ~at:(Time.add t.clock delay) f
 
@@ -37,16 +46,15 @@ let every t ~interval ?until f =
   in
   arm ()
 
-(* Fire events up to [stop] through the option-free [min_time]/[take]
+(* Fire events up to [stop] through the option-free [min_time]/[fire]
    pair: dispatching an event allocates nothing. *)
 let rec drain t stop =
   if not (Event_queue.is_empty t.queue) then begin
     let at = Event_queue.min_time t.queue in
     if Time.(at <= stop) then begin
-      let f = Event_queue.take t.queue in
       t.clock <- at;
       t.fired <- t.fired + 1;
-      f ();
+      Event_queue.fire t.queue;
       drain t stop
     end
   end

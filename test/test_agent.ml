@@ -409,7 +409,7 @@ let basic_tests =
 (* --- allocation: sending on a location-cache hit --- *)
 
 let alloc_tests =
-  [ Alcotest.test_case "untraced send_udp on a cache hit: <= 80 words"
+  [ Alcotest.test_case "untraced send_udp on a cache hit: <= 68 words"
       `Quick (fun () ->
         (* The sender-built tunnel traces its decision, and the node
            its transmission; with the trace off neither may cost
@@ -444,7 +444,7 @@ let alloc_tests =
           (Mhrp.Location_cache.hits (Agent.cache f.TG.s));
         check Alcotest.bool
           (Printf.sprintf "%.0f words per send" per_call)
-          true (per_call <= 80.0));
+          true (per_call <= 68.0));
     Alcotest.test_case "an ignored advertisement: <= 8 words per receiver"
       `Quick (fun () ->
         (* Every station on the LAN receives an agent advertisement, and
@@ -480,7 +480,7 @@ let alloc_tests =
         check Alcotest.bool
           (Printf.sprintf "%.1f words per receiver" per_receiver)
           true (per_receiver <= 8.0));
-    Alcotest.test_case "an untraced Figure-1 handoff: <= 1175 words"
+    Alcotest.test_case "an untraced Figure-1 handoff: <= 1000 words"
       `Quick (fun () ->
         (* The alloc experiment's handoff loop, shorter: M ping-pongs
            between R4's cell and home under a reliable control plane,
@@ -514,9 +514,9 @@ let alloc_tests =
         let per_handoff = words /. float_of_int n in
         check Alcotest.bool
           (Printf.sprintf "%.1f words per handoff" per_handoff)
-          true (per_handoff <= 1175.0));
+          true (per_handoff <= 1000.0));
     Alcotest.test_case
-      "a tunnel exit allocates at most its output buffer plus 64 words"
+      "a tunnel exit allocates at most its output buffer plus 24 words"
       `Quick (fun () ->
         (* R4's exit of a sender-built tunnel carrying 1 KiB, from the
            frame's arrival to the scheduled last hop: the header is read
@@ -569,7 +569,7 @@ let alloc_tests =
         let output = (Packet.total_length original / 8) + 2 in
         check Alcotest.bool
           (Printf.sprintf "%.0f words, output buffer %d" words output)
-          true (words <= float_of_int (output + 64))) ]
+          true (words <= float_of_int (output + 24))) ]
 
 let suite =
   [ ("agent-figure1", basic_tests); ("agent-alloc", alloc_tests) ]

@@ -252,7 +252,32 @@ let alloc_tests =
          check Alcotest.bool
            (Printf.sprintf "%.0f words for %d lookups" words n)
            true
-           (words <= 2.0 *. float_of_int n)) ]
+           (words <= 2.0 *. float_of_int n));
+    Alcotest.test_case "route find allocates 0 words" `Quick (fun () ->
+        (* [find] is the lookup every routed packet runs: a hit returns
+           the target itself, a miss raises [Not_found]. *)
+        let table =
+          Route.bulk
+            [ (Addr.Prefix.make (Addr.host 3 7) 32, Route.Direct 0);
+              (Addr.net 4, Route.Via (Addr.host 4 1));
+              (Addr.net_len 5 16, Route.Direct 2) ]
+        in
+        let probes = [| Addr.host 3 7; Addr.host 4 9; Addr.host 5 9 |] in
+        Array.iter
+          (fun a ->
+             check Alcotest.bool "find = lookup" true
+               (Some (Route.find table a) = Route.lookup table a))
+          probes;
+        Alcotest.check_raises "no covering entry" Not_found (fun () ->
+            ignore (Route.find table (Addr.of_octets 192 168 1 1)));
+        let words =
+          minor_words_during (fun () ->
+              for i = 0 to 2999 do
+                ignore
+                  (Sys.opaque_identity (Route.find table probes.(i mod 3)))
+              done)
+        in
+        check (Alcotest.float 0.0) "minor words" 0.0 words) ]
 
 let suite =
   [ ("compact-addr-keys", addr_key_tests);

@@ -830,7 +830,54 @@ let node_alloc_tests =
         check Alcotest.bool "has home address" true
           (Node.has_address h home_addr);
         check Alcotest.bool "not an away address" false
-          (Node.has_address h (Addr.host 2 10))) ]
+          (Node.has_address h (Addr.host 2 10)));
+    Alcotest.test_case "an extra forwarded hop allocates only its frame"
+      `Quick (fun () ->
+        (* S sends a burst of datagrams to D across [k] plain routers.
+           Between chains of 8 and 16 routers, each datagram makes 8
+           more hops and everything else is the same, so the difference
+           in words is the cost of those hops: the 6-word frame a hop
+           puts on its LAN, and nothing for its delivery and
+           processing-delay events, its view or its route lookup. *)
+        let packets = 2000 in
+        let chain_words k =
+          let topo = Topology.create ~seed:11 () in
+          let lans =
+            Array.init (k + 1) (fun j ->
+                Topology.add_lan topo ~net:(j + 1) (Printf.sprintf "n%d" j))
+          in
+          for j = 0 to k - 1 do
+            ignore
+              (Topology.add_router topo (Printf.sprintf "r%d" j)
+                 [(lans.(j), 2); (lans.(j + 1), 1)])
+          done;
+          let s = Topology.add_host topo "s" lans.(0) 10 in
+          let d = Topology.add_host topo "d" lans.(k) 10 in
+          Topology.compute_routes topo;
+          let received = ref 0 in
+          Node.set_proto_handler d Ipv4.Proto.udp (fun _ _ -> incr received);
+          let pkt =
+            Packet.make ~proto:Ipv4.Proto.udp ~src:(Node.primary_addr s)
+              ~dst:(Node.primary_addr d) (Bytes.make 44 'x')
+          in
+          (* one datagram warms every ARP cache on the path *)
+          Node.send s pkt;
+          Topology.run ~until:(Time.of_sec 0.5) topo;
+          let w0 = Gc.minor_words () in
+          for _ = 1 to packets do Node.send s pkt done;
+          Topology.run ~until:(Time.of_sec 5.0) topo;
+          let words = Gc.minor_words () -. w0 in
+          check Alcotest.int
+            (Printf.sprintf "delivered across %d routers" k)
+            (packets + 1) !received;
+          words
+        in
+        let per_hop =
+          (chain_words 16 -. chain_words 8) /. float_of_int (8 * packets)
+        in
+        check Alcotest.bool
+          (Printf.sprintf "%.2f words per extra hop" per_hop)
+          true (per_hop <= 6.0)) ]
 
 let suite =
   [ ("mac", mac_tests); ("arp-frame", arp_tests); ("lan", lan_tests);

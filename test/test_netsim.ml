@@ -372,8 +372,42 @@ let[@inline never] drain q =
     ignore (Eq.take q)
   done
 
+(* [churn] for calls: call [i]'s function, a fresh closure, is held by
+   [wf] at [i], and its two arguments by [wargs] at [2i] and [2i+1].  A
+   call marks its index when it fires. *)
+let[@inline never] churn_calls q wf wargs n ~fired =
+  let gone = Array.make n false in
+  let handles =
+    Array.init n (fun i ->
+        let f (_ : int ref) (_ : int ref) = gone.(i) <- true in
+        let a = ref i and b = ref (-i) in
+        Weak.set wf i (Some f);
+        Weak.set wargs (2 * i) (Some a);
+        Weak.set wargs ((2 * i) + 1) (Some b);
+        Eq.push_call q (Time.of_us (i mod 5)) f a b)
+  in
+  for _ = 1 to fired do
+    Eq.fire q
+  done;
+  Array.iteri
+    (fun i h -> if i mod 3 = 0 && Eq.cancel q h then gone.(i) <- true)
+    handles;
+  gone
+
+let[@inline never] fire_all q =
+  while not (Eq.is_empty q) do
+    Eq.fire q
+  done
+
+(* Whether call [i]'s function and arguments are still reachable. *)
+let call_entries_held wf wargs i =
+  [ ("function", Weak.check wf i);
+    ("first argument", Weak.check wargs (2 * i));
+    ("second argument", Weak.check wargs ((2 * i) + 1)) ]
+
 let retention_tests =
-  [ Alcotest.test_case "fired and cancelled payloads are not retained"
+  [ Alcotest.test_case
+      "fired and cancelled payloads and call arguments are not retained"
       `Quick (fun () ->
         let n = 300 in
         let q = Eq.create () and w = Weak.create n in
@@ -393,7 +427,32 @@ let retention_tests =
             false (Weak.check w i)
         done;
         check Alcotest.int "queue still usable" 0
-          (Eq.length (Sys.opaque_identity q))) ]
+          (Eq.length (Sys.opaque_identity q));
+        let calls = Eq.create () in
+        let wf = Weak.create n and wargs = Weak.create (2 * n) in
+        let gone = churn_calls calls wf wargs n ~fired:100 in
+        Gc.full_major ();
+        Array.iteri
+          (fun i gone ->
+             List.iter
+               (fun (entry, held) ->
+                  check Alcotest.bool
+                    (Printf.sprintf "call %d's %s reachable iff live" i entry)
+                    (not gone) held)
+               (call_entries_held wf wargs i))
+          gone;
+        fire_all (Sys.opaque_identity calls);
+        Gc.full_major ();
+        for i = 0 to n - 1 do
+          List.iter
+            (fun (entry, held) ->
+               check Alcotest.bool
+                 (Printf.sprintf "call %d's %s released after firing" i entry)
+                 false held)
+            (call_entries_held wf wargs i)
+        done;
+        check Alcotest.int "call queue still usable" 0
+          (Eq.length (Sys.opaque_identity calls))) ]
 
 (* Exact minor-heap words allocated by [f ()].  [Gc.minor_words] returns
    an unboxed float, so the reading itself allocates nothing. *)
@@ -401,6 +460,8 @@ let minor_words_during f =
   let w0 = Gc.minor_words () in
   f ();
   Gc.minor_words () -. w0
+
+let add_to r k = r := !r + k
 
 let alloc_tests =
   [ Alcotest.test_case "dispatch allocates nothing; schedule <= 3 words"
@@ -428,6 +489,33 @@ let alloc_tests =
           true
           (scheduled <= 3.0 *. float_of_int n);
         check (Alcotest.float 0.0) "run: words for all events" 0.0 ran);
+    Alcotest.test_case "call_after of a top-level function allocates 0 words"
+      `Quick (fun () ->
+        (* The per-packet events (a LAN delivery, a node's processing
+           delay) are calls of top-level functions: scheduling one
+           stores its function and arguments in the queue's slot, and a
+           closure would cost the caller words per event. *)
+        let n = 10_000 in
+        let e = Engine.create () in
+        let fired = ref 0 in
+        let call_all () =
+          for i = 1 to n do
+            ignore
+              (Engine.call_after e ~delay:(Time.of_us (i mod 97)) add_to fired
+                 i)
+          done
+        in
+        (* grow the queue to depth [n] first *)
+        call_all ();
+        Engine.run e;
+        let words =
+          minor_words_during (fun () ->
+              call_all ();
+              Engine.run e)
+        in
+        check Alcotest.int "all fired" (n * (n + 1)) !fired;
+        check (Alcotest.float 0.0) "words to schedule and run them" 0.0
+          words);
     Alcotest.test_case "a periodic series allocates nothing per tick" `Quick
       (fun () ->
         let e = Engine.create () in

@@ -326,10 +326,16 @@ let of_hex h =
   Bytes.init (String.length h / 2) (fun i ->
       Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
 
-(* The golden wire corpus: real encodings of every message kind. *)
+(* The golden wire corpus: real encodings of every message kind.  Found
+   from [dune runtest]'s directory (the test directory) or from the
+   repository root, whence [dune exec test/test_main.exe] runs. *)
 let golden_corpus =
   lazy
-    (In_channel.with_open_text "golden/wire_corpus.hex" In_channel.input_all
+    (let path =
+       List.find Sys.file_exists
+         ["golden/wire_corpus.hex"; "test/golden/wire_corpus.hex"]
+     in
+     In_channel.with_open_text path In_channel.input_all
      |> String.split_on_char '\n'
      |> List.filter_map (fun line ->
          match String.split_on_char ' ' line with
