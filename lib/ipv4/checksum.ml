@@ -62,7 +62,7 @@ let valid ?(off = 0) ?len buf = of_bytes ~off ?len buf = 0
 
 let set buf ~at ~off ~len =
   Bytes.set_uint16_be buf at 0;
-  Bytes.set_uint16_be buf at (of_bytes ~off ~len buf)
+  Bytes.set_uint16_be buf at (of_range buf ~off ~len)
 
 (* Incremental update (RFC 1624 idea, done in plain arithmetic): the
    stored checksum is ~S where S is the folded one's-complement sum of

@@ -11,60 +11,71 @@ type t =
 let location_update_type = 41
 let agent_advertisement_type = 9
 
-let type_code = function
-  | Echo_reply _ -> (0, 0)
-  | Dest_unreachable { code; _ } -> (3, code)
-  | Redirect _ -> (5, 1) (* redirect for host *)
-  | Echo_request _ -> (8, 0)
-  | Time_exceeded { code; _ } -> (11, code)
-  | Location_update _ -> (location_update_type, 0)
-  | Agent_advertisement _ -> (9, 0)
-  | Agent_solicitation -> (10, 0)
+let kind = function
+  | Echo_reply _ -> 0
+  | Dest_unreachable _ -> 3
+  | Redirect _ -> 5
+  | Echo_request _ -> 8
+  | Time_exceeded _ -> 11
+  | Location_update _ -> location_update_type
+  | Agent_advertisement _ -> agent_advertisement_type
+  | Agent_solicitation -> 10
+
+let code = function
+  | Dest_unreachable { code; _ } | Time_exceeded { code; _ } -> code
+  | Redirect _ -> 1 (* redirect for host *)
+  | Echo_reply _ | Echo_request _ | Location_update _ | Agent_advertisement _
+  | Agent_solicitation -> 0
+
+let type_code t = (kind t, code t)
 
 let host_unreachable ~original = Dest_unreachable { code = 1; original }
 
-let body = function
-  | Echo_request { data; _ } | Echo_reply { data; _ } -> data
+let length = function
+  | Echo_request { data; _ } | Echo_reply { data; _ } -> 8 + Bytes.length data
   | Dest_unreachable { original; _ }
   | Time_exceeded { original; _ }
-  | Redirect { original; _ } -> original
-  | Location_update _ | Agent_advertisement _ | Agent_solicitation ->
-    Bytes.empty
+  | Redirect { original; _ } -> 8 + Bytes.length original
+  | Location_update _ | Agent_advertisement _ -> 16
+  | Agent_solicitation -> 8
+
+(* Every byte of the message is written, the unused ones zeroed: the
+   buffer need not be clean. *)
+let write t buf ~off ~len =
+  if len < length t || off < 0 || off > Bytes.length buf - len then
+    invalid_arg "Icmp.write: range";
+  Bytes.set_uint8 buf off (kind t);
+  Bytes.set_uint8 buf (off + 1) (code t);
+  Bytes.set_uint16_be buf (off + 4) 0;
+  Bytes.set_uint16_be buf (off + 6) 0;
+  (match t with
+   | Echo_request { ident; seq; data } | Echo_reply { ident; seq; data } ->
+     Bytes.set_uint16_be buf (off + 4) ident;
+     Bytes.set_uint16_be buf (off + 6) seq;
+     Bytes.blit data 0 buf (off + 8) (Bytes.length data)
+   | Dest_unreachable { original; _ } | Time_exceeded { original; _ } ->
+     Bytes.blit original 0 buf (off + 8) (Bytes.length original)
+   | Redirect { gateway; original } ->
+     Addr.set buf (off + 4) gateway;
+     Bytes.blit original 0 buf (off + 8) (Bytes.length original)
+   | Location_update { mobile; foreign_agent } ->
+     Addr.set buf (off + 8) mobile;
+     Addr.set buf (off + 12) foreign_agent
+   | Agent_advertisement { agent; home; foreign } ->
+     Addr.set buf (off + 8) agent;
+     Bytes.set_uint8 buf (off + 12)
+       ((if home then 1 else 0) lor (if foreign then 2 else 0));
+     Bytes.set_uint8 buf (off + 13) 0;
+     Bytes.set_uint16_be buf (off + 14) 0
+   | Agent_solicitation -> ());
+  Checksum.set buf ~at:(off + 2) ~off ~len
 
 let encode ?ext t =
-  let ty, code = type_code t in
-  let data = body t in
-  let ext_len = match ext with None -> 0 | Some e -> Bytes.length e in
-  let len = 8 + Bytes.length data
-            + (match t with
-               | Location_update _ | Agent_advertisement _ -> 8
-               | _ -> 0)
-            + ext_len in
-  let buf = Bytes.make len '\000' in
-  Bytes.set buf 0 (Char.chr ty);
-  Bytes.set buf 1 (Char.chr code);
-  (* checksum at 2..3 *)
-  (match t with
-   | Echo_request { ident; seq; _ } | Echo_reply { ident; seq; _ } ->
-     Bytes.set_uint16_be buf 4 ident;
-     Bytes.set_uint16_be buf 6 seq
-   | Dest_unreachable _ | Time_exceeded _ -> () (* 4 unused bytes *)
-   | Redirect { gateway; _ } -> Addr.set buf 4 gateway
-   | Location_update { mobile; foreign_agent } ->
-     Addr.set buf 8 mobile;
-     Addr.set buf 12 foreign_agent
-   | Agent_advertisement { agent; home; foreign } ->
-     Addr.set buf 8 agent;
-     Bytes.set_uint8 buf 12
-       ((if home then 1 else 0) lor (if foreign then 2 else 0))
-   | Agent_solicitation -> ());
-  (match t with
-   | Location_update _ | Agent_advertisement _ | Agent_solicitation -> ()
-   | _ -> Bytes.blit data 0 buf 8 (Bytes.length data));
-  (match ext with
-   | None -> ()
-   | Some e -> Bytes.blit e 0 buf (len - ext_len) ext_len);
-  Checksum.set buf ~at:2 ~off:0 ~len;
+  let n = length t in
+  let len = match ext with None -> n | Some e -> n + Bytes.length e in
+  let buf = Bytes.create len in
+  (match ext with None -> () | Some e -> Bytes.blit e 0 buf n (len - n));
+  write t buf ~off:0 ~len;
   buf
 
 (* The body after the 8-byte header, copied only by the types that keep

@@ -38,12 +38,24 @@ val agent_advertisement_type : int
 val host_unreachable : original:bytes -> t
 (** [Dest_unreachable] with code 1. *)
 
+val length : t -> int
+(** The message's length on the wire, without an extension. *)
+
+val write : t -> bytes -> off:int -> len:int -> unit
+(** Write the message's {!length} bytes at [off] and its checksum over
+    the [len] bytes at [off]: the message alone, or the message and an
+    extension the caller has already written after it.  A sender writes
+    its message straight into its packet buffer this way.  Raises
+    [Invalid_argument] if [len] is shorter than the message or the
+    range lies outside the buffer. *)
+
 val encode : ?ext:bytes -> t -> bytes
-(** [ext] is appended after the message body and covered by the ICMP
-    checksum — the carriage slot for the MHRP authentication extension
-    on location updates.  Decoding ignores trailing bytes, so receivers
-    without the extension still parse the message (the same
-    backward-compatibility argument as the type number). *)
+(** {!write} into a fresh buffer.  [ext] is appended after the message
+    body and covered by the ICMP checksum — the carriage slot for the
+    MHRP authentication extension on location updates.  Decoding
+    ignores trailing bytes, so receivers without the extension still
+    parse the message (the same backward-compatibility argument as the
+    type number). *)
 
 val decode : bytes -> t
 (** Raises [Invalid_argument] on malformed input, bad checksum, or an ICMP

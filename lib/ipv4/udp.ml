@@ -8,18 +8,21 @@ let header_length = 8
 
 let make ~src_port ~dst_port data = { src_port; dst_port; data }
 
-let encode t =
-  if t.src_port < 0 || t.src_port > 0xFFFF || t.dst_port < 0
-     || t.dst_port > 0xFFFF
+let write buf ~off ~src_port ~dst_port ~len =
+  if src_port < 0 || src_port > 0xFFFF || dst_port < 0 || dst_port > 0xFFFF
   then invalid_arg "Udp.encode: port out of range";
-  let len = header_length + Bytes.length t.data in
   if len > 0xFFFF then invalid_arg "Udp.encode: datagram too long";
-  let buf = Bytes.make len '\000' in
-  Bytes.set_uint16_be buf 0 t.src_port;
-  Bytes.set_uint16_be buf 2 t.dst_port;
-  Bytes.set_uint16_be buf 4 len;
-  Bytes.blit t.data 0 buf 8 (Bytes.length t.data);
-  Checksum.set buf ~at:6 ~off:0 ~len;
+  Bytes.set_uint16_be buf off src_port;
+  Bytes.set_uint16_be buf (off + 2) dst_port;
+  Bytes.set_uint16_be buf (off + 4) len;
+  Checksum.set buf ~at:(off + 6) ~off ~len
+
+let encode t =
+  let n = Bytes.length t.data in
+  let buf = Bytes.create (header_length + n) in
+  Bytes.blit t.data 0 buf header_length n;
+  write buf ~off:0 ~src_port:t.src_port ~dst_port:t.dst_port
+    ~len:(header_length + n);
   buf
 
 let length_at buf ~off ~len =

@@ -11,10 +11,18 @@ val header_length : int
 
 val make : src_port:int -> dst_port:int -> bytes -> t
 
+val write :
+  bytes -> off:int -> src_port:int -> dst_port:int -> len:int -> unit
+(** Complete the [len]-byte datagram at [off] whose data the caller has
+    already written at [off + 8]: ports, length, and the checksum over
+    header and data (pseudo-header omitted: the simulator never
+    corrupts packets in ways a pseudo-header would catch).  A sender
+    writes its datagram straight into its packet buffer this way.
+    Raises [Invalid_argument] for a port outside 16 bits or [len] over
+    65,535. *)
+
 val encode : t -> bytes
-(** Checksum is computed over header+data (pseudo-header omitted: the
-    simulator never corrupts packets in ways a pseudo-header would
-    catch). *)
+(** {!write} into a fresh buffer holding the data. *)
 
 val length_at : bytes -> off:int -> len:int -> int
 (** Check the datagram in the [len] bytes at [off] without decoding it:

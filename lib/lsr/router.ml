@@ -67,7 +67,7 @@ let transmit t ~iface ~src payload =
   in
   let c = t.counters in
   c.Counters.bytes_sent <- c.Counters.bytes_sent + Ipv4.Packet.total_length pkt;
-  Node.broadcast_ip t.node ~iface pkt
+  Node.broadcast_ip t.node ~iface (Ipv4.Packet.encode pkt)
 
 let send_hello t ~iface ~src =
   let c = t.counters in

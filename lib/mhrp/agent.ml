@@ -98,11 +98,6 @@ let auth_ext t ~mobile payload =
               ~spi:sa.Auth.Sa_table.spi ~timestamp:(now t)
               ~nonce:(next_nonce t) payload))
 
-let auth_append t ~mobile payload =
-  match auth_ext t ~mobile payload with
-  | None -> payload
-  | Some ext -> Bytes.cat payload ext
-
 (* With [Config.authenticate] on, gate a state mutation on the
    extension at the tail of [wire], which must authenticate [canonical]
    — the message's canonical re-encoding, not the wire prefix, so a
@@ -177,6 +172,59 @@ let region_peer_claims t dst =
 
 let claims t dst = ha_claims t dst || region_peer_claims t dst
 
+(* --- originated packets, each written once ---
+
+   A packet this node originates is one buffer: the IP header (or a
+   sender-built tunnel's header) followed by a gap the sender writes its
+   payload into, so no intermediate encoding is built and copied.  The
+   payload's last bytes are an authentication extension, if any. *)
+
+(* The buffer of a packet with a [len]-byte payload, left for the caller
+   to write in the buffer's last [len] bytes: a sender-built tunnel to
+   [fa] when there is one (the [sender_tunnel] decision below), else
+   plain IP. *)
+let originate ?id ~proto ~src ~dst ~len fa =
+  let pkt = Packet.make ?id ~proto ~src ~dst Bytes.empty in
+  match fa with
+  | Some fa -> Encap.tunnel_by_sender_into ~reserve:len ~foreign_agent:fa pkt
+  | None -> Packet.encode_with_gap pkt ~gap:len
+
+let ext_length = function None -> 0 | Some ext -> Bytes.length ext
+
+(* Copy [ext], if any, to the end of [wire]. *)
+let put_ext wire = function
+  | None -> ()
+  | Some ext ->
+    let n = Bytes.length ext in
+    Bytes.blit ext 0 wire (Bytes.length wire - n) n
+
+(* An ICMP message and its extension, one checksum over both. *)
+let icmp_wire ~src ~dst msg ext =
+  let len = Ipv4.Icmp.length msg + ext_length ext in
+  let wire = originate ~proto:Ipv4.Proto.icmp ~src ~dst ~len None in
+  put_ext wire ext;
+  Ipv4.Icmp.write msg wire ~off:(Bytes.length wire - len) ~len;
+  wire
+
+(* A control message travels as a UDP datagram to [Control.port]: the
+   message, then its extension. *)
+let control_length msg ext =
+  Ipv4.Udp.header_length + Control.length msg + ext_length ext
+
+let write_control wire msg ext =
+  let len = control_length msg ext in
+  let off = Bytes.length wire - len in
+  Control.write msg wire ~off:(off + Ipv4.Udp.header_length);
+  put_ext wire ext;
+  Ipv4.Udp.write wire ~off ~src_port:Control.port ~dst_port:Control.port ~len
+
+(* The extension signs the message's own encoding, built only under
+   [Config.authenticate]. *)
+let control_ext t msg =
+  if t.config.Config.authenticate then
+    auth_ext t ~mobile:(Control.mobile msg) (Control.encode msg)
+  else None
+
 (* --- location updates (Section 4.3) --- *)
 
 let send_location_update t ~dst ~mobile ~foreign_agent =
@@ -192,12 +240,12 @@ let send_location_update t ~dst ~mobile ~foreign_agent =
       let msg = Ipv4.Icmp.Location_update { mobile; foreign_agent } in
       (* The MAC covers the extension-free encoding; the wire carries
          message + extension under one checksum. *)
-      let ext = auth_ext t ~mobile (Ipv4.Icmp.encode msg) in
-      let pkt =
-        Packet.make ~proto:Ipv4.Proto.icmp ~src:(address t) ~dst
-          (Ipv4.Icmp.encode ?ext msg)
+      let ext =
+        if t.config.Config.authenticate then
+          auth_ext t ~mobile (Ipv4.Icmp.encode msg)
+        else None
       in
-      Node.send t.node pkt
+      Node.send_wire t.node (icmp_wire ~src:(address t) ~dst msg ext)
     end
 
 let cache_update t ~mobile ~foreign_agent =
@@ -212,19 +260,20 @@ let cache_update t ~mobile ~foreign_agent =
 (* --- control-message plumbing --- *)
 
 let control_datagram t msg =
-  Ipv4.Udp.encode
-    (Ipv4.Udp.make ~src_port:Control.port ~dst_port:Control.port
-       (auth_append t ~mobile:(Control.mobile msg) (Control.encode msg)))
+  let ext = control_ext t msg in
+  let buf = Bytes.create (control_length msg ext) in
+  write_control buf msg ext;
+  buf
 
-let send_control t ~dst msg =
-  t.counters.Counters.control_messages <-
-    t.counters.Counters.control_messages + 1;
-  if tracing t then tracef t "ctrl-tx" "to %a: %a" Addr.pp dst Control.pp msg;
-  let pkt =
-    Packet.make ~proto:Ipv4.Proto.udp ~src:(address t) ~dst
-      (control_datagram t msg)
+(* A control message's packet to [dst], tunneled to [fa] if any. *)
+let control_wire t ~dst msg fa =
+  let ext = control_ext t msg in
+  let wire =
+    originate ~proto:Ipv4.Proto.udp ~src:(address t) ~dst
+      ~len:(control_length msg ext) fa
   in
-  Node.send t.node pkt
+  write_control wire msg ext;
+  wire
 
 (* Section 2's capture: gratuitous ARP for [addr] on [iface], "perhaps
    retransmitted a few times for reliability" — [gratuitous_arp_count]
@@ -302,27 +351,40 @@ let send t (pkt : Packet.t) =
     send_tunnel t (Encap.tunnel_by_sender_into ~foreign_agent:fa pkt)
   | None -> Node.send t.node pkt
 
-(* The buffer is sized for the decision, and [write] fills the payload
-   before anything is counted or sent. *)
+(* The send of an [originate]d buffer, its payload written. *)
+let send_originated t fa wire =
+  match fa with
+  | Some _ -> send_tunnel t wire
+  | None -> Node.send_wire t.node wire
+
+(* A reply that rides the mobile host's tunnel, to the foreign agent
+   [fa] when the sender knows one. *)
+let send_control_via t ~dst msg fa =
+  send_originated t fa (control_wire t ~dst msg fa)
+
+let send_control t ~dst msg =
+  t.counters.Counters.control_messages <-
+    t.counters.Counters.control_messages + 1;
+  if tracing t then tracef t "ctrl-tx" "to %a: %a" Addr.pp dst Control.pp msg;
+  send_control_via t ~dst msg None
+
 let send_written t ~id ~proto ~dst ~len write =
-  let pkt = Packet.make ~id ~proto ~src:(address t) ~dst Bytes.empty in
-  match sender_tunnel t dst with
-  | Some fa ->
-    let wire =
-      Encap.tunnel_by_sender_into ~reserve:len ~foreign_agent:fa pkt
-    in
-    write wire (Bytes.length wire - len);
-    send_tunnel t wire
-  | None ->
-    let wire = Packet.encode_with_gap pkt ~gap:len in
-    write wire (Bytes.length wire - len);
-    Node.send_wire t.node wire
+  let fa = sender_tunnel t dst in
+  let wire = originate ~id ~proto ~src:(address t) ~dst ~len fa in
+  write wire (Bytes.length wire - len);
+  send_originated t fa wire
 
 let send_udp t ?(src_port = 4000) ?(dst_port = 4000) ?(id = 0) ~dst data =
-  let udp = Ipv4.Udp.make ~src_port ~dst_port data in
-  send t
-    (Packet.make ~id ~proto:Ipv4.Proto.udp ~src:(address t) ~dst
-       (Ipv4.Udp.encode udp))
+  let n = Bytes.length data in
+  let len = Ipv4.Udp.header_length + n in
+  let fa = sender_tunnel t dst in
+  let wire =
+    originate ~id ~proto:Ipv4.Proto.udp ~src:(address t) ~dst ~len fa
+  in
+  let off = Bytes.length wire - len in
+  Bytes.blit data 0 wire (off + Ipv4.Udp.header_length) n;
+  Ipv4.Udp.write wire ~off ~src_port ~dst_port ~len;
+  send_originated t fa wire
 
 let send_ping t ?(id = 0) ?(seq = 0) ~dst () =
   let msg =
@@ -846,38 +908,37 @@ let handle_icmp_error t (msg : Ipv4.Icmp.t) quoted_bytes =
 
 (* --- agent discovery (Section 3) --- *)
 
+(* Advertise on every addressed interface; the walks over the interface
+   list are top-level, so a broadcast round allocates only its
+   messages. *)
+let rec advertise_on t ~home ~foreign = function
+  | [] -> ()
+  | (_, _, None) :: rest -> advertise_on t ~home ~foreign rest
+  | (i, _, Some agent) :: rest ->
+    t.counters.Counters.control_messages <-
+      t.counters.Counters.control_messages + 1;
+    Node.broadcast_ip t.node ~iface:i
+      (icmp_wire ~src:agent ~dst:Addr.broadcast
+         (Ipv4.Icmp.Agent_advertisement { agent; home; foreign })
+         None);
+    advertise_on t ~home ~foreign rest
+
 let broadcast_advert t =
   let home = t.ha <> None in
   let foreign = t.fa <> None in
-  if home || foreign then
-    List.iter
-      (fun (i, _, addr) ->
-         match addr with
-         | None -> ()
-         | Some agent ->
-           t.counters.Counters.control_messages <-
-             t.counters.Counters.control_messages + 1;
-           let msg =
-             Ipv4.Icmp.Agent_advertisement { agent; home; foreign }
-           in
-           let pkt =
-             Packet.make ~proto:Ipv4.Proto.icmp ~src:agent
-               ~dst:Addr.broadcast (Ipv4.Icmp.encode msg)
-           in
-           Node.broadcast_ip t.node ~iface:i pkt)
-      (Node.ifaces t.node)
+  if home || foreign then advertise_on t ~home ~foreign (Node.ifaces t.node)
 
-let solicit t =
-  List.iter
-    (fun (i, _, _) ->
-       t.counters.Counters.control_messages <-
-         t.counters.Counters.control_messages + 1;
-       let pkt =
-         Packet.make ~proto:Ipv4.Proto.icmp ~src:(address t)
-           ~dst:Addr.broadcast (Ipv4.Icmp.encode Ipv4.Icmp.Agent_solicitation)
-       in
-       Node.broadcast_ip t.node ~iface:i pkt)
-    (Node.ifaces t.node)
+let rec solicit_on t = function
+  | [] -> ()
+  | (i, _, _) :: rest ->
+    t.counters.Counters.control_messages <-
+      t.counters.Counters.control_messages + 1;
+    Node.broadcast_ip t.node ~iface:i
+      (icmp_wire ~src:(address t) ~dst:Addr.broadcast
+         Ipv4.Icmp.Agent_solicitation None);
+    solicit_on t rest
+
+let solicit t = solicit_on t (Node.ifaces t.node)
 
 let start_advert_timer t =
   if not t.advert_timer then begin
@@ -1157,12 +1218,19 @@ let ha_handle_registration t ha ~mobile ~foreign_agent =
     register_mobile t ~mobile ~foreign_agent;
     t.registration_tap ~mobile ~foreign_agent;
     (* The reply reaches a visiting host through its new tunnel. *)
-    send t
-      (Packet.make ~proto:Ipv4.Proto.udp ~src:(address t) ~dst:mobile
-         (control_datagram t (Control.Reg_reply { mobile; accepted = true })));
+    send_control_via t ~dst:mobile
+      (Control.Reg_reply { mobile; accepted = true })
+      (sender_tunnel t mobile);
     t.counters.Counters.control_messages <-
       t.counters.Counters.control_messages + 1
   end
+
+(* The interface whose LAN [mac] is attached to, else [default]. *)
+let rec iface_with_station mac ~default = function
+  | [] -> default
+  | (i, lan, _) :: rest ->
+    if Net.Lan.attached lan mac then i
+    else iface_with_station mac ~default rest
 
 let fa_handle_connect t ~mobile ~mac =
   match t.fa with
@@ -1171,11 +1239,7 @@ let fa_handle_connect t ~mobile ~mac =
     (* Find the interface whose LAN the mobile host's link address is
        attached to; default to the serving interface. *)
     let iface =
-      List.find_map
-        (fun (i, lan, _) ->
-           if Net.Lan.attached lan mac then Some i else None)
-        (Node.ifaces t.node)
-      |> Option.value ~default:fa_iface
+      iface_with_station mac ~default:fa_iface (Node.ifaces t.node)
     in
     Foreign_agent.add fa_state
       { Foreign_agent.mobile; mac = Some mac; iface };
@@ -1196,11 +1260,8 @@ let fa_handle_connect t ~mobile ~mac =
               Option.value t.regional_backup_parent ~default:Addr.zero }
       | _ -> Control.Fa_connect_ack { mobile }
     in
-    let ack =
-      Packet.make ~proto:Ipv4.Proto.udp ~src:(address t) ~dst:mobile
-        (control_datagram t ack_msg)
-    in
-    Node.send_ip_to_mac t.node ~iface ~dst_mac:mac ack
+    Node.send_wire_to_mac t.node ~iface ~dst_mac:mac
+      (control_wire t ~dst:mobile ack_msg None)
 
 let fa_handle_disconnect t ~mobile ~new_foreign_agent =
   match t.fa with
@@ -1371,11 +1432,8 @@ let regional_handle_registration t ~mobile ~foreign_agent ~lifetime_s =
          wrote, exactly as the home agent's reply rides its tunnel *)
       t.counters.Counters.control_messages <-
         t.counters.Counters.control_messages + 1;
-      let reply =
-        Packet.make ~proto:Ipv4.Proto.udp ~src:(address t) ~dst:mobile
-          (control_datagram t (Control.Reg_region_ack { mobile }))
-      in
-      send_tunnel t (Encap.tunnel_by_sender_into ~foreign_agent reply)
+      send_control_via t ~dst:mobile (Control.Reg_region_ack { mobile })
+        (Some foreign_agent)
     end
 
 (* Backup regional agent: apply a mirrored binding without re-propagating

@@ -117,6 +117,9 @@ val send_written :
 val send_udp :
   t -> ?src_port:int -> ?dst_port:int -> ?id:int -> dst:Ipv4.Addr.t ->
   bytes -> unit
+(** {!send} of a UDP datagram, written once: the header and the data go
+    straight into the buffer {!send_written} sizes, so on a cache hit the
+    sender-built tunnel is the only copy of the data. *)
 
 val send_ping : t -> ?id:int -> ?seq:int -> dst:Ipv4.Addr.t -> unit -> unit
 
@@ -178,6 +181,11 @@ val control_datagram : t -> Control.t -> bytes
     measurements of E15. *)
 
 (** {1 Internals exposed for tests and experiments} *)
+
+val send_control : t -> dst:Ipv4.Addr.t -> Control.t -> unit
+(** Send a control message as a UDP datagram to [Control.port], plain
+    IP: the packet buffer is allocated once, and the datagram and
+    message are written straight into it. *)
 
 val send_location_update :
   t -> dst:Ipv4.Addr.t -> mobile:Ipv4.Addr.t ->

@@ -25,61 +25,71 @@ type t =
   | Region_sync_ack of { mobile : Ipv4.Addr.t }
   | Region_forward of { mobile : Ipv4.Addr.t; new_regional : Ipv4.Addr.t }
 
-(* A [len]-byte message: its type code, then the mobile's address; the
-   cases below write any further fields from offset 5. *)
-let message code len mobile =
-  let buf = Bytes.make len '\000' in
-  Bytes.set_uint8 buf 0 code;
-  Ipv4.Addr.set buf 1 mobile;
-  buf
+let length = function
+  | Fa_connect_ack _ | Ha_sync_ack _ | Reg_region_ack _ | Region_sync_ack _ ->
+    5
+  | Reg_reply _ -> 6
+  | Reg_request _ | Fa_disconnect _ | Ha_sync _ | Fa_visitor_miss _
+  | Region_forward _ -> 9
+  | Fa_connect _ | Reg_region _ | Region_sync _ -> 11
+  | Fa_connect_ack_r _ -> 13
 
-let with_addr code mobile a =
-  let buf = message code 9 mobile in
-  Ipv4.Addr.set buf 5 a;
-  buf
+(* Every message starts with its type code, then the mobile's address;
+   the cases below write any further fields from offset 5. *)
+let head buf off code mobile =
+  Bytes.set_uint8 buf off code;
+  Ipv4.Addr.set buf (off + 1) mobile
+
+let with_addr buf off code mobile a =
+  head buf off code mobile;
+  Ipv4.Addr.set buf (off + 5) a
 
 (* The lifetime is u16 seconds on the wire: one that does not fit is
    refused, not wrapped into a shorter (or, at 65,536 s, endless) one. *)
-let with_lifetime code mobile foreign_agent lifetime_s =
+let with_lifetime buf off code mobile foreign_agent lifetime_s =
   if lifetime_s < 0 || lifetime_s > 0xFFFF then
     invalid_arg "Control.encode: lifetime_s out of range";
-  let buf = message code 11 mobile in
-  Ipv4.Addr.set buf 5 foreign_agent;
-  Bytes.set_uint16_be buf 9 lifetime_s;
-  buf
+  with_addr buf off code mobile foreign_agent;
+  Bytes.set_uint16_be buf (off + 9) lifetime_s
 
-let encode = function
-  | Reg_request { mobile; foreign_agent } -> with_addr 1 mobile foreign_agent
+let write t buf ~off =
+  match t with
+  | Reg_request { mobile; foreign_agent } ->
+    with_addr buf off 1 mobile foreign_agent
   | Reg_reply { mobile; accepted } ->
-    let buf = message 2 6 mobile in
-    Bytes.set_uint8 buf 5 (if accepted then 1 else 0);
-    buf
+    head buf off 2 mobile;
+    Bytes.set_uint8 buf (off + 5) (if accepted then 1 else 0)
   | Fa_connect { mobile; mac } ->
-    (* the 48-bit MAC: its top 16 bits, then its low 32 *)
-    let buf = message 3 11 mobile in
+    (* the 48-bit MAC: its top 16 bits, then its low 32 as two halves *)
+    head buf off 3 mobile;
     let v = Net.Mac.to_int mac in
-    Bytes.set_uint16_be buf 5 (v lsr 32);
-    Bytes.set_int32_be buf 7 (Int32.of_int v);
-    buf
-  | Fa_connect_ack { mobile } -> message 4 5 mobile
+    Bytes.set_uint16_be buf (off + 5) (v lsr 32);
+    Bytes.set_uint16_be buf (off + 7) ((v lsr 16) land 0xFFFF);
+    Bytes.set_uint16_be buf (off + 9) (v land 0xFFFF)
+  | Fa_connect_ack { mobile } -> head buf off 4 mobile
   | Fa_disconnect { mobile; new_foreign_agent } ->
-    with_addr 5 mobile new_foreign_agent
-  | Ha_sync { mobile; foreign_agent } -> with_addr 6 mobile foreign_agent
-  | Ha_sync_ack { mobile } -> message 7 5 mobile
+    with_addr buf off 5 mobile new_foreign_agent
+  | Ha_sync { mobile; foreign_agent } ->
+    with_addr buf off 6 mobile foreign_agent
+  | Ha_sync_ack { mobile } -> head buf off 7 mobile
   | Fa_connect_ack_r { mobile; regional; backup } ->
-    let buf = message 8 13 mobile in
-    Ipv4.Addr.set buf 5 regional;
-    Ipv4.Addr.set buf 9 backup;
-    buf
+    with_addr buf off 8 mobile regional;
+    Ipv4.Addr.set buf (off + 9) backup
   | Reg_region { mobile; foreign_agent; lifetime_s } ->
-    with_lifetime 9 mobile foreign_agent lifetime_s
-  | Reg_region_ack { mobile } -> message 10 5 mobile
+    with_lifetime buf off 9 mobile foreign_agent lifetime_s
+  | Reg_region_ack { mobile } -> head buf off 10 mobile
   | Fa_visitor_miss { mobile; foreign_agent } ->
-    with_addr 11 mobile foreign_agent
+    with_addr buf off 11 mobile foreign_agent
   | Region_sync { mobile; foreign_agent; lifetime_s } ->
-    with_lifetime 12 mobile foreign_agent lifetime_s
-  | Region_sync_ack { mobile } -> message 13 5 mobile
-  | Region_forward { mobile; new_regional } -> with_addr 14 mobile new_regional
+    with_lifetime buf off 12 mobile foreign_agent lifetime_s
+  | Region_sync_ack { mobile } -> head buf off 13 mobile
+  | Region_forward { mobile; new_regional } ->
+    with_addr buf off 14 mobile new_regional
+
+let encode t =
+  let buf = Bytes.create (length t) in
+  write t buf ~off:0;
+  buf
 
 let decode_at buf ~off ~len =
   if off < 0 || len < 5 || off > Bytes.length buf - len then None

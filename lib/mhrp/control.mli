@@ -80,7 +80,17 @@ val mobile : t -> Ipv4.Addr.t
 (** The mobile host the message is about — the key under which its
     security association is looked up when authentication is on. *)
 
+val length : t -> int
+(** The message's length on the wire. *)
+
+val write : t -> bytes -> off:int -> unit
+(** Write the message's {!length} bytes at [off] — the sender's packet
+    buffer, so a control message is written once.  Raises
+    [Invalid_argument] for a lifetime that does not fit its 16 bits, or
+    a range outside the buffer. *)
+
 val encode : t -> bytes
+(** {!write} into a fresh buffer of {!length} bytes. *)
 
 val decode_at : bytes -> off:int -> len:int -> t option
 (** Decode the message in the [len] bytes at [off]: [None] on malformed

@@ -19,9 +19,9 @@ type t = {
   mtu : int;
   rng : Netsim.Rng.t option;
   stations : (Mac.t, station) Hashtbl.t;
-  mutable sorted_macs : Mac.t list option;
-  (* cache of [stations] in MAC order, invalidated on attach/detach, so
-     broadcast fan-out does not re-sort the membership per frame *)
+  mutable sorted_macs : Mac.t list;
+  (* [stations] in MAC order, kept current by attach and detach, so
+     broadcast fan-out never sorts the membership *)
   mutable monitors_rev : station list;  (* newest first *)
   mutable monitors : station list option;
   (* registration-order view of [monitors_rev], rebuilt lazily at delivery
@@ -40,7 +40,7 @@ let create ~engine ~name ?(latency = Netsim.Time.of_us 500)
   if mtu < 68 then invalid_arg "Lan.create: mtu below the IP minimum";
   let id = Atomic.fetch_and_add next_id 1 in
   { id; engine; name; prefix; latency; bandwidth_bps; loss; mtu; rng;
-    stations = Hashtbl.create 8; sorted_macs = None; monitors_rev = [];
+    stations = Hashtbl.create 8; sorted_macs = []; monitors_rev = [];
     monitors = None; up = true; frames = 0; bytes = 0 }
 
 let id t = t.id
@@ -48,17 +48,30 @@ let name t = t.name
 let prefix t = t.prefix
 let mtu t = t.mtu
 
+(* The sorted list with [mac] added or removed: the cells before its
+   place are copied, the rest shared, so a fan-out already walking the
+   old list is unaffected. *)
+let[@tail_mod_cons] rec insert_mac mac = function
+  | m :: rest when Mac.compare m mac < 0 -> m :: insert_mac mac rest
+  | after -> mac :: after
+
+let[@tail_mod_cons] rec remove_mac mac = function
+  | [] -> []
+  | m :: rest -> if Mac.equal m mac then rest else m :: remove_mac mac rest
+
 let attach t mac station =
   if Hashtbl.mem t.stations mac then
     invalid_arg
       (Printf.sprintf "Lan.attach: %s already on %s" (Mac.to_string mac)
          t.name);
   Hashtbl.replace t.stations mac station;
-  t.sorted_macs <- None
+  t.sorted_macs <- insert_mac mac t.sorted_macs
 
 let detach t mac =
-  Hashtbl.remove t.stations mac;
-  t.sorted_macs <- None
+  if Hashtbl.mem t.stations mac then begin
+    Hashtbl.remove t.stations mac;
+    t.sorted_macs <- remove_mac mac t.sorted_macs
+  end
 
 let add_monitor t monitor =
   t.monitors_rev <- monitor :: t.monitors_rev;
@@ -74,16 +87,7 @@ let monitors t =
 
 let attached t mac = Hashtbl.mem t.stations mac
 
-let stations t =
-  match t.sorted_macs with
-  | Some macs -> macs
-  | None ->
-    let macs =
-      Hashtbl.fold (fun mac _ acc -> mac :: acc) t.stations []
-      |> List.sort Mac.compare
-    in
-    t.sorted_macs <- Some macs;
-    macs
+let stations t = t.sorted_macs
 
 let tx_delay t frame =
   let bits = Frame.wire_length frame * 8 in

@@ -30,9 +30,13 @@ val name : t -> string
 val prefix : t -> Ipv4.Addr.Prefix.t
 
 val attach : t -> Mac.t -> station -> unit
-(** Raises [Invalid_argument] if the MAC is already attached. *)
+(** Raises [Invalid_argument] if the MAC is already attached.  Adds the
+    MAC to {!stations} in place, copying only the list cells of lower
+    MACs. *)
 
 val detach : t -> Mac.t -> unit
+(** Removes the MAC from {!stations} the same way; a MAC not attached
+    is ignored. *)
 
 (** Register a promiscuous tap: called for every frame the LAN delivers,
     whatever its destination MAC — a NIC in promiscuous mode on a
@@ -41,7 +45,11 @@ val detach : t -> Mac.t -> unit
     adversary. *)
 val add_monitor : t -> station -> unit
 val attached : t -> Mac.t -> bool
+
 val stations : t -> Mac.t list
+(** The attached MACs in ascending order — broadcast fan-out order.
+    Kept current by {!attach} and {!detach}, so reading it never sorts
+    or allocates. *)
 
 val send : t -> Frame.t -> unit
 (** Queue the frame for delivery.  Silently dropped when the LAN is down,

@@ -9,14 +9,17 @@ type forward_action =
 
 type icmp_quote = Quote_min | Quote_full
 
+(* A slot knows its node, so a deferred send's event is the call of a
+   top-level function on the slot and its frame. *)
 type iface_state = {
+  node : t;
   lan : Lan.t;
   mac : Mac.t;
   mutable addr : Ipv4.Addr.t option;
   mutable active : bool;
 }
 
-type t = {
+and t = {
   engine : Engine.t;
   mac_alloc : Mac.Alloc.t;
   name : string;
@@ -28,8 +31,15 @@ type t = {
   arp_entry_ttl : Time.t;
   tr : Netsim.Trace.t option;
   mutable ifaces : iface_state array;
-  (* slots are never reused: a retired one stays inactive, so a stale
-     ARP wait or route naming its index cannot reach a later LAN *)
+  mutable origin : int;
+  mutable live_from : int;
+  mutable n_ifaces : int;
+  (* Interface [i] is slot [i - origin] of [ifaces], for [i] in
+     [origin, n_ifaces).  Indices are never reused: a retired interface
+     stays inactive, so a stale ARP wait or route naming its index cannot
+     reach a later LAN.  No interface below [live_from] is active, and
+     those below [origin] are released — so however often a host has
+     moved, its table holds only the interfaces since its last move. *)
   mutable extra_addrs : Ipv4.Addr.t list;
   mutable iface_list : (int * Lan.t * Ipv4.Addr.t option) list;
   mutable addr_list : Ipv4.Addr.t list;
@@ -78,7 +88,8 @@ let create ~engine ~mac_alloc ?trace ?(router = false) ?proc_delay
   { engine; mac_alloc; name; router; proc_delay; option_slow_factor;
     icmp_quote;
     arp_timeout; arp_entry_ttl; tr = trace;
-    ifaces = [||]; extra_addrs = []; iface_list = []; addr_list = [];
+    ifaces = [||]; origin = 0; live_from = 0; n_ifaces = 0;
+    extra_addrs = []; iface_list = []; addr_list = [];
     table = Route.empty;
     arp_cache = Hashtbl.create 16;
     arp_pending = [];
@@ -123,24 +134,26 @@ let tracef t kind fmt =
 (* The cached lists are rebuilt by a walk from the last slot down:
    top-level and closure-free, it allocates only the cells for active
    interfaces, and the address list shares [extra_addrs] as its tail. *)
-let rec active_ifaces ifaces i acc =
-  if i < 0 then acc
+let get t i = Array.unsafe_get t.ifaces (i - t.origin)
+
+let rec active_ifaces t i acc =
+  if i < t.live_from then acc
   else
-    let s = Array.unsafe_get ifaces i in
-    active_ifaces ifaces (i - 1)
+    let s = get t i in
+    active_ifaces t (i - 1)
       (if s.active then (i, s.lan, s.addr) :: acc else acc)
 
-let rec iface_addrs ifaces i acc =
-  if i < 0 then acc
+let rec iface_addrs t i acc =
+  if i < t.live_from then acc
   else
-    let s = Array.unsafe_get ifaces i in
-    iface_addrs ifaces (i - 1)
+    let s = get t i in
+    iface_addrs t (i - 1)
       (match s.addr with Some a when s.active -> a :: acc | _ -> acc)
 
 let refresh_lists t =
-  let last = Array.length t.ifaces - 1 in
-  t.iface_list <- active_ifaces t.ifaces last [];
-  t.addr_list <- iface_addrs t.ifaces last t.extra_addrs
+  let last = t.n_ifaces - 1 in
+  t.iface_list <- active_ifaces t last [];
+  t.addr_list <- iface_addrs t last t.extra_addrs
 
 let addresses t = t.addr_list
 
@@ -196,10 +209,12 @@ let set_fault_filter t f = t.fault_filter <- f
 
 (* --- interface lookups --- *)
 
+let live t i = i >= t.live_from && i < t.n_ifaces && (get t i).active
+
 let iface t i =
-  if i < 0 || i >= Array.length t.ifaces || not t.ifaces.(i).active then
+  if not (live t i) then
     invalid_arg (Printf.sprintf "%s: no active interface %d" t.name i);
-  t.ifaces.(i)
+  get t i
 
 let ifaces t = t.iface_list
 
@@ -209,22 +224,21 @@ let iface_addr t i = (iface t i).addr
 
 let iface_to t prefix =
   let found = ref None in
-  Array.iteri
-    (fun i s ->
-       if s.active && !found = None
-          && Ipv4.Addr.Prefix.equal (Lan.prefix s.lan) prefix
-       then found := Some i)
-    t.ifaces;
+  for i = t.n_ifaces - 1 downto t.live_from do
+    let s = get t i in
+    if s.active && Ipv4.Addr.Prefix.equal (Lan.prefix s.lan) prefix then
+      found := Some i
+  done;
   !found
 
-let rec iface_covering ifaces next_hop i =
-  if i >= Array.length ifaces then -1
+let rec iface_covering t next_hop i =
+  if i >= t.n_ifaces then -1
   else
-    let s = Array.unsafe_get ifaces i in
+    let s = get t i in
     if s.active && Ipv4.Addr.Prefix.mem next_hop (Lan.prefix s.lan) then i
-    else iface_covering ifaces next_hop (i + 1)
+    else iface_covering t next_hop (i + 1)
 
-let iface_for_next_hop t next_hop = iface_covering t.ifaces next_hop 0
+let iface_for_next_hop t next_hop = iface_covering t next_hop t.live_from
 
 (* --- drops and counters --- *)
 
@@ -250,6 +264,15 @@ let arp_fresh t addr =
     Hashtbl.remove t.arp_cache addr;
     raise Not_found
   end
+
+(* The packets queued behind the ARP wait for [ip], oldest last,
+   removed from the queue. *)
+let take_pending t ip =
+  let waiting, rest =
+    List.partition (fun (x, _, _) -> Ipv4.Addr.equal x ip) t.arp_pending
+  in
+  t.arp_pending <- rest;
+  waiting
 
 (* --- transmit --- *)
 
@@ -283,43 +306,50 @@ let deliver_local_ref : (t -> Ipv4.Packet.t -> unit) ref =
 
 let view_of pkt = View.make (Ipv4.Packet.encode pkt)
 
-let rec frame_out t i ~dst_mac v =
+(* Whether a packet leaving with [taps] watching gets past the fault
+   filter, which decodes it only when someone is looking. *)
+let passes t taps wire =
+  match t.fault_filter, taps with
+  | None, [] -> true
+  | filter, taps ->
+    let pkt = Ipv4.Packet.decode wire in
+    (match filter with
+     | Some f when not (f t pkt) -> drop t "fault-loss" pkt; false
+     | _ -> List.iter (fun f -> f t pkt) taps; true)
+
+(* Put [frame], which carries [v], on slot [s]'s LAN: fragmented past
+   the MTU, and past the fault filter and transmit taps. *)
+let rec transmit t s (frame : Frame.t) v =
+  if View.total_length v > Lan.mtu s.lan then
+    fragment_out t s ~dst_mac:frame.Frame.dst v
+  else if passes t t.transmit_taps (View.to_wire v) then Lan.send s.lan frame
+
+and frame_out t i ~dst_mac v =
   let s = iface t i in
-  let mtu = Lan.mtu s.lan in
-  if View.total_length v > mtu then begin
-    let pkt = View.decode v in
-    if pkt.Ipv4.Packet.dont_fragment then begin
-      t.n_dropped <- t.n_dropped + 1;
-      if tracing t then
-        tracef t "drop" "needs fragmentation but DF set: %a" Ipv4.Packet.pp
-          pkt;
-      List.iter (fun f -> f t "df-mtu" pkt) t.drop_taps;
-      (* ICMP destination unreachable, "fragmentation needed and DF set"
-         (type 3 code 4) *)
-      if not (has_address t pkt.Ipv4.Packet.src) then
-        icmp_error t
-          (fun original ->
-             Ipv4.Icmp.Dest_unreachable { code = 4; original })
-          pkt
-    end
-    else
-      List.iter
-        (fun fragment -> frame_out t i ~dst_mac (view_of fragment))
-        (Ipv4.Packet.fragment pkt ~mtu)
+  transmit t s (Frame.ip ~src:s.mac ~dst:dst_mac (View.to_wire v)) v
+
+and fragment_out t s ~dst_mac v =
+  let pkt = View.decode v in
+  if pkt.Ipv4.Packet.dont_fragment then begin
+    t.n_dropped <- t.n_dropped + 1;
+    if tracing t then
+      tracef t "drop" "needs fragmentation but DF set: %a" Ipv4.Packet.pp
+        pkt;
+    List.iter (fun f -> f t "df-mtu" pkt) t.drop_taps;
+    (* ICMP destination unreachable, "fragmentation needed and DF set"
+       (type 3 code 4) *)
+    if not (has_address t pkt.Ipv4.Packet.src) then
+      icmp_error t
+        (fun original ->
+           Ipv4.Icmp.Dest_unreachable { code = 4; original })
+        pkt
   end
-  else begin
-    let pass =
-      match t.fault_filter, t.transmit_taps with
-      | None, [] -> true
-      | filter, taps ->
-        let pkt = View.decode v in
-        (match filter with
-         | Some f when not (f t pkt) -> drop t "fault-loss" pkt; false
-         | _ -> List.iter (fun f -> f t pkt) taps; true)
-    in
-    if pass then
-      Lan.send s.lan (Frame.ip ~src:s.mac ~dst:dst_mac (View.to_wire v))
-  end
+  else
+    List.iter
+      (fun fragment ->
+         let fv = view_of fragment in
+         transmit t s (Frame.ip ~src:s.mac ~dst:dst_mac (View.to_wire fv)) fv)
+      (Ipv4.Packet.fragment pkt ~mtu:(Lan.mtu s.lan))
 
 (* ICMP error generation, used by forwarding failures.  Never generated in
    response to another ICMP error (RFC 1122) or to a broadcast. *)
@@ -375,18 +405,9 @@ and arm_arp_timer t i next_hop =
          | None -> () (* resolved meanwhile *)
          | Some tries when tries < arp_max_tries ->
            Hashtbl.replace t.arp_tries next_hop (tries + 1);
-           if t.up then begin
-             send_arp_request t i next_hop;
-             arm_arp_timer t i next_hop
-           end
+           if t.up then retry_arp t i next_hop
          | Some _ ->
            Hashtbl.remove t.arp_tries next_hop;
-           let stuck, rest =
-             List.partition
-               (fun (ip, _, _) -> Ipv4.Addr.equal ip next_hop)
-               t.arp_pending
-           in
-           t.arp_pending <- rest;
            List.iter
              (fun (_, _, v) ->
                 let pkt = View.decode v in
@@ -395,7 +416,30 @@ and arm_arp_timer t i next_hop =
                   icmp_error t
                     (fun original -> Ipv4.Icmp.host_unreachable ~original)
                     pkt)
-             stuck))
+             (take_pending t next_hop)))
+
+(* A retry on an interface retired meanwhile (its host moved on) drops
+   the packets waiting for [next_hop] on a retired interface as
+   ["iface-down"].  Packets queued behind the same wait on a live
+   interface (the host came back before the timer fired) carry the
+   retry on to that interface; with none left, the wait ends. *)
+and retry_arp t i next_hop =
+  if live t i then begin
+    send_arp_request t i next_hop;
+    arm_arp_timer t i next_hop
+  end
+  else begin
+    let gone, kept =
+      List.partition
+        (fun (x, j, _) -> Ipv4.Addr.equal x next_hop && not (live t j))
+        t.arp_pending
+    in
+    t.arp_pending <- kept;
+    List.iter (fun (_, _, v) -> drop t "iface-down" (View.decode v)) gone;
+    match List.find_opt (fun (x, _, _) -> Ipv4.Addr.equal x next_hop) kept with
+    | Some (_, j, _) -> retry_arp t j next_hop
+    | None -> Hashtbl.remove t.arp_tries next_hop
+  end
 
 and route_and_send t v =
   if t.up then begin
@@ -416,9 +460,8 @@ and route_and_send t v =
                Ipv4.Icmp.Dest_unreachable { code = 0; original })
             pkt
       | Route.Direct i ->
-        (match iface t i with
-         | exception Invalid_argument _ -> drop t "iface-down" (View.decode v)
-         | _ -> resolve_and_emit t i ~next_hop:dst v)
+        if live t i then resolve_and_emit t i ~next_hop:dst v
+        else drop t "iface-down" (View.decode v)
       | Route.Via gw ->
         match iface_for_next_hop t gw with
         | -1 -> drop t "gateway-unreachable" (View.decode v)
@@ -430,9 +473,6 @@ and route_and_send t v =
 let processing_delay t ~slow =
   if slow then Time.of_us (Time.to_us t.proc_delay * t.option_slow_factor)
   else t.proc_delay
-
-let delayed t ~slow f =
-  ignore (Engine.schedule_after t.engine ~delay:(processing_delay t ~slow) f)
 
 (* Route [v] after the processing delay.  The event is the call
    [route_and_send t v] of a top-level function, which skips its work if
@@ -456,31 +496,50 @@ let send_wire t wire =
   if tracing t then tracef t "tx" "%a" pp_wire wire;
   forward_wire t wire
 
+(* A send to a known MAC or a link broadcast builds its frame at once
+   and puts it on the LAN after the processing delay: the event is the
+   call of [unicast_later] or [broadcast_later] on the slot and the
+   frame, which skips its work if the node went down meanwhile and
+   drops the packet as ["iface-down"] if the interface was retired.  A
+   send on an interface already retired drops it the same way, at the
+   same time. *)
+let retired_later t wire =
+  if t.up then drop t "iface-down" (Ipv4.Packet.decode wire)
+
+let unicast_later s (frame : Frame.t) =
+  let t = s.node in
+  match frame.Frame.content with
+  | Frame.Ip wire when t.up ->
+    if s.active then transmit t s frame (View.make wire)
+    else drop t "iface-down" (Ipv4.Packet.decode wire)
+  | Frame.Ip _ | Frame.Arp _ -> ()
+
+let broadcast_later s (frame : Frame.t) =
+  let t = s.node in
+  match frame.Frame.content with
+  | Frame.Ip wire when t.up ->
+    if not s.active then drop t "iface-down" (Ipv4.Packet.decode wire)
+    else if passes t t.broadcast_taps wire then Lan.send s.lan frame
+  | Frame.Ip _ | Frame.Arp _ -> ()
+
 let send_wire_to_mac t ~iface:i ~dst_mac wire =
-  let v = View.make wire in
-  delayed t ~slow:false (fun () -> if t.up then frame_out t i ~dst_mac v)
+  ignore
+    (if live t i then
+       let s = get t i in
+       Engine.call_after t.engine ~delay:t.proc_delay unicast_later s
+         (Frame.ip ~src:s.mac ~dst:dst_mac wire)
+     else Engine.call_after t.engine ~delay:t.proc_delay retired_later t wire)
 
 let forward_now t pkt = forward_wire t (Ipv4.Packet.encode pkt)
 let send t pkt = send_wire t (Ipv4.Packet.encode pkt)
 
-let send_ip_to_mac t ~iface ~dst_mac pkt =
-  send_wire_to_mac t ~iface ~dst_mac (Ipv4.Packet.encode pkt)
-
-let broadcast_ip t ~iface:i pkt =
-  delayed t ~slow:false (fun () ->
-      if t.up then
-        match iface t i with
-        | exception Invalid_argument _ -> drop t "iface-down" pkt
-        | s ->
-          (match t.fault_filter with
-           | Some f when not (f t pkt) -> drop t "fault-loss" pkt
-           | _ ->
-             List.iter (fun f -> f t pkt) t.broadcast_taps;
-             let frame =
-               Frame.ip ~src:s.mac ~dst:Mac.broadcast
-                 (Ipv4.Packet.encode pkt)
-             in
-             Lan.send s.lan frame))
+let broadcast_ip t ~iface:i wire =
+  ignore
+    (if live t i then
+       let s = get t i in
+       Engine.call_after t.engine ~delay:t.proc_delay broadcast_later s
+         (Frame.ip ~src:s.mac ~dst:Mac.broadcast wire)
+     else Engine.call_after t.engine ~delay:t.proc_delay retired_later t wire)
 
 let gratuitous_arp t ~iface:i ip =
   let s = iface t i in
@@ -503,16 +562,10 @@ let arp_cache_size t = Hashtbl.length t.arp_cache
 
 let flush_arp_pending t resolved_ip =
   Hashtbl.remove t.arp_tries resolved_ip;
-  let ready, rest =
-    List.partition
-      (fun (ip, _, _) -> Ipv4.Addr.equal ip resolved_ip)
-      t.arp_pending
-  in
-  t.arp_pending <- rest;
   (* restore scheduling order *)
   List.iter
     (fun (_, i, v) -> resolve_and_emit t i ~next_hop:resolved_ip v)
-    (List.rev ready)
+    (List.rev (take_pending t resolved_ip))
 
 let handle_arp t i (a : Arp.t) =
   (* Learn the sender binding from every ARP we hear: replies and
@@ -747,11 +800,27 @@ let on_frame t i (frame : Frame.t) =
 
 (* --- attachment --- *)
 
+(* A full table first releases the interfaces below [live_from], then
+   doubles if the rest still fills half of it: a mobile host, whose only
+   interface is its newest, never grows it. *)
+let make_room t s =
+  let keep = t.n_ifaces - t.live_from in
+  let cap = Array.length t.ifaces in
+  let dst =
+    if 2 * keep < cap then t.ifaces else Array.make (max 4 (2 * cap)) s
+  in
+  Array.blit t.ifaces (t.live_from - t.origin) dst 0 keep;
+  Array.fill dst keep (Array.length dst - keep) s;
+  t.ifaces <- dst;
+  t.origin <- t.live_from
+
 let attach t ?addr lan =
   let mac = Mac.Alloc.fresh t.mac_alloc in
-  let s = { lan; mac; addr; active = true } in
-  let i = Array.length t.ifaces in
-  t.ifaces <- Array.append t.ifaces [| s |];
+  let i = t.n_ifaces in
+  let s = { node = t; lan; mac; addr; active = true } in
+  if i - t.origin = Array.length t.ifaces then make_room t s;
+  t.ifaces.(i - t.origin) <- s;
+  t.n_ifaces <- i + 1;
   refresh_lists t;
   Lan.attach lan mac (fun frame -> on_frame t i frame);
   i
@@ -759,6 +828,9 @@ let attach t ?addr lan =
 let detach t i =
   let s = iface t i in
   s.active <- false;
+  while t.live_from < t.n_ifaces && not (get t t.live_from).active do
+    t.live_from <- t.live_from + 1
+  done;
   refresh_lists t;
   Lan.detach s.lan s.mac
 

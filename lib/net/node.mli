@@ -82,11 +82,19 @@ val tracef :
 
 val attach : t -> ?addr:Ipv4.Addr.t -> Lan.t -> int
 (** Attach to a LAN, returning the interface index.  [addr] is the
-    interface address; a visiting mobile host attaches without one. *)
+    interface address; a visiting mobile host attaches without one.
+    The interface table keeps only the interfaces since the node's
+    oldest active one, and doubles when those fill it, so an attach
+    costs the same however often the node has moved. *)
 
 val detach : t -> int -> unit
 (** Leave the LAN; the interface index is retired for good, so a stale
-    ARP wait or route naming it cannot reach a LAN attached later. *)
+    ARP wait or route naming it cannot reach a LAN attached later.  A
+    packet still waiting on a retired interface — for an ARP retry, or
+    as a {!send_wire_to_mac} or {!broadcast_ip} inside its processing
+    delay — is dropped as ["iface-down"].  Packets that joined the same
+    ARP wait on a live interface since (the host came back) keep
+    waiting, and the retry goes out there. *)
 
 val ifaces : t -> (int * Lan.t * Ipv4.Addr.t option) list
 (** The active interfaces, in index order.  Like {!addresses} and
@@ -213,16 +221,11 @@ val forward_now : t -> Ipv4.Packet.t -> unit
 (** Route and transmit without TTL decrement or rewrite hooks: used by
     stacks re-injecting a packet they have transformed (tunneling). *)
 
-val send_ip_to_mac : t -> iface:int -> dst_mac:Mac.t -> Ipv4.Packet.t -> unit
-(** Transmit directly to a known MAC, bypassing routing and ARP — a foreign
-    agent delivering over the last hop to a visiting mobile host whose
-    link address it learned at registration (Section 2). *)
-
 (** {2 Wire senders}
 
-    The same three senders over a packet's encoding, which they take
-    over: the caller must not touch the buffer again.  The record
-    senders above encode once and call these, so the two are
+    Senders over a packet's encoding, which they take over: the caller
+    must not touch the buffer again.  The record senders above encode
+    once and call {!send_wire} and {!forward_wire}, so the two are
     interchangeable.  A packet whose header carries options (IHL > 5)
     costs the [option_slow_factor] delay in {!send_wire} and
     {!forward_wire}, as in their record forms.  The bytes must be one
@@ -231,10 +234,23 @@ val send_ip_to_mac : t -> iface:int -> dst_mac:Mac.t -> Ipv4.Packet.t -> unit
 
 val send_wire : t -> bytes -> unit
 val forward_wire : t -> bytes -> unit
-val send_wire_to_mac : t -> iface:int -> dst_mac:Mac.t -> bytes -> unit
 
-val broadcast_ip : t -> iface:int -> Ipv4.Packet.t -> unit
-(** Link-level broadcast of an IP packet (agent advertisements). *)
+val send_wire_to_mac : t -> iface:int -> dst_mac:Mac.t -> bytes -> unit
+(** Transmit directly to a known MAC, bypassing routing and ARP — a
+    foreign agent delivering over the last hop to a visiting mobile host
+    whose link address it learned at registration (Section 2).  Builds
+    the frame at once and puts it on the LAN after the processing delay;
+    the frame is all it allocates.  An [iface] that
+    is not an active interface when the delay ends drops the packet as
+    ["iface-down"]. *)
+
+val broadcast_ip : t -> iface:int -> bytes -> unit
+(** Link-level broadcast of an encoded IP packet (agent advertisements
+    and solicitations, link-state hellos and floods), which it takes
+    over like the wire senders; it allocates only the frame.  The fault
+    filter and {!on_broadcast} taps see it decoded.  An [iface] that is
+    not an active interface when the processing delay ends drops the
+    packet as ["iface-down"]. *)
 
 val inject_local : t -> Ipv4.Packet.t -> unit
 (** Deliver a packet to this node's own stack as if it had arrived — a

@@ -18,7 +18,9 @@ type t
 
 val empty : t
 val add : t -> Ipv4.Addr.Prefix.t -> target -> t
-(** Replaces any existing entry with the same prefix. *)
+(** Replaces any existing entry with the same prefix.  One pass: the
+    entries at least as long as the new one are copied, the shorter
+    ones shared with [t]. *)
 
 val remove : t -> Ipv4.Addr.Prefix.t -> t
 val add_host : t -> Ipv4.Addr.t -> target -> t
@@ -35,14 +37,18 @@ val bulk : (Ipv4.Addr.Prefix.t * target) list -> t
 
 val find : t -> Ipv4.Addr.t -> target
 (** Longest-prefix match.  Raises [Not_found] when no entry covers the
-    address.  Allocates nothing: every routed packet runs it. *)
+    address.  Allocates nothing: every routed packet runs it.  A table
+    of at most 8 entries (a mobile host's) is searched in place; the
+    first lookup of a larger one compiles it into int-keyed tables,
+    kept with the table. *)
 
 val lookup : t -> Ipv4.Addr.t -> target option
-(** {!find} as an option. *)
+(** {!find} as an option: allocates only the [Some]. *)
 
 val host_target : t -> Ipv4.Addr.t -> target option
 (** The target of the table's /32 entry for this address, if it has
-    one — whatever a shorter prefix would say. *)
+    one — whatever a shorter prefix would say.  Allocates only the
+    [Some]. *)
 
 val entries : t -> entry list
 (** Longest prefix first. *)
@@ -52,8 +58,9 @@ val size : t -> int
 val compiled_footprint_bytes : t -> int
 (** Heap bytes pinned by the compiled lookup structures (the compact
     int-keyed tables plus the deduplicated target array; forces
-    compilation) — the E19 scale sweep's per-router state accounting.
-    With prefix-aggregated routes, a region's mobile hosts collapse to
-    one entry here regardless of population. *)
+    compilation, which a table of at most 8 entries does not keep) —
+    the E19 scale sweep's per-router state accounting.  With
+    prefix-aggregated routes, a region's mobile hosts collapse to one
+    entry here regardless of population. *)
 
 val pp : Format.formatter -> t -> unit

@@ -113,10 +113,16 @@ let lans t =
 
 let compute_routes t = Routing.compute ~nodes:(nodes t) ~lans:(lans t)
 
+let rec detach_all node = function
+  | [] -> ()
+  | (i, _, _) :: rest ->
+    Node.detach node i;
+    detach_all node rest
+
 let move_host t node new_lan =
   ignore t;
   let home = Node.primary_addr node in
-  List.iter (fun (i, _, _) -> Node.detach node i) (Node.ifaces node);
+  detach_all node (Node.ifaces node);
   let addr =
     if Ipv4.Addr.Prefix.mem home (Lan.prefix new_lan) then Some home
     else None

@@ -117,9 +117,10 @@ let ref_lookup table addr =
   go (Route.entries table)
 
 (* Random mix of /32 host routes, aggregates of random length, and a
-   default route; compiled lookup must equal the list scan for hosts
-   inside, near, and far from every prefix. *)
-let compiled_equals_reference (pairs, probes) =
+   default route; the lookup — a scan of a table of at most 8 entries,
+   the compiled form of a larger one — must equal the list scan for
+   hosts inside, near, and far from every prefix. *)
+let random_table pairs =
   let pairs =
     List.map
       (fun (net_id, len, gw) ->
@@ -129,7 +130,9 @@ let compiled_equals_reference (pairs, probes) =
          (p, Route.Via (Addr.host (gw mod 600) 254)))
       pairs
   in
-  let table = Route.bulk ((Addr.Prefix.make Addr.zero 0, Route.Direct 0) :: pairs) in
+  Route.bulk ((Addr.Prefix.make Addr.zero 0, Route.Direct 0) :: pairs)
+
+let lookup_equals_reference table probes =
   List.for_all
     (fun (net_id, host_id) ->
        let a = Addr.host (net_id mod 600) (host_id mod 256) in
@@ -138,6 +141,18 @@ let compiled_equals_reference (pairs, probes) =
        | None, None -> true
        | _ -> false)
     probes
+
+let compiled_equals_reference (pairs, probes) =
+  lookup_equals_reference (random_table pairs) probes
+
+(* The same check with [sizes] tallying the tables on each side of the
+   limit. *)
+let split_equals_reference sizes (pairs, probes) =
+  let table = random_table pairs in
+  let small, large = !sizes in
+  sizes :=
+    if Route.size table <= 8 then (small + 1, large) else (small, large + 1);
+  lookup_equals_reference table probes
 
 (* One region prefix vs one /32 per host must route identically for
    every host of the region — the aggregation the E19 topology relies
@@ -163,6 +178,58 @@ let aggregate_equals_host_routes (net_id, gw_net) =
   && Route.lookup aggregated (Addr.host ((net_id + 1) mod 600) 9)
      = Route.lookup per_host (Addr.host ((net_id + 1) mod 600) 9)
 
+(* The filter/partition [Route.add] over entry lists, kept as the
+   reference for the one-pass insertion: drop the same prefix, then put
+   the entry after every entry at least as long. *)
+let reference_add entries prefix target =
+  let rest =
+    List.filter
+      (fun (e : Route.entry) -> not (Addr.Prefix.equal e.prefix prefix))
+      entries
+  in
+  let longer (e : Route.entry) =
+    e.prefix.Addr.Prefix.len >= prefix.Addr.Prefix.len
+  in
+  let before, after = List.partition longer rest in
+  before @ ({ Route.prefix; target } :: after)
+
+let reference_remove entries prefix =
+  List.filter
+    (fun (e : Route.entry) -> not (Addr.Prefix.equal e.prefix prefix))
+    entries
+
+(* Any run of adds and removes, from an empty or a bulk-built table,
+   gives the reference's entry list.  Prefixes come from a small space
+   (/0, /16, /24, /32 over a few networks and hosts), so replacements
+   of an existing prefix are frequent. *)
+let add_equals_reference (start, ops) =
+  let prefix_of (kind, net, host) =
+    match kind mod 4 with
+    | 0 -> Addr.Prefix.make Addr.zero 0
+    | 1 -> Addr.net_len (net mod 4) 16
+    | 2 -> Addr.net (net mod 4)
+    | _ -> Addr.Prefix.make (Addr.host (net mod 4) (host mod 6)) 32
+  in
+  let target_of g =
+    if g mod 2 = 0 then Route.Direct g else Route.Via (Addr.host 0 g)
+  in
+  let init = List.map (fun (p, g) -> (prefix_of p, target_of g)) start in
+  let table = Route.bulk init in
+  let table, entries =
+    List.fold_left
+      (fun (table, entries) (add, p, g) ->
+         let prefix = prefix_of p in
+         if add then
+           (Route.add table prefix (target_of g),
+            reference_add entries prefix (target_of g))
+         else (Route.remove table prefix, reference_remove entries prefix))
+      (table, Route.entries table)
+      ops
+  in
+  Route.entries table = entries
+
+let arb_prefix = QCheck.(triple small_nat small_nat small_nat)
+
 let route_tests =
   [ qtest
       (QCheck.Test.make
@@ -173,6 +240,36 @@ let route_tests =
              (small_list (triple small_nat small_nat small_nat))
              (small_list (pair small_nat small_nat)))
          compiled_equals_reference);
+    Alcotest.test_case "lookup = reference on both sides of the 8-entry limit"
+      `Quick (fun () ->
+        (* Up to 24 random routes plus the default: tables of 1 to 25
+           entries (fewer after deduplication), searched in place up to
+           8 and compiled beyond.  The fixed seed makes the split a
+           known figure: 178 of the 400 tables are searched in place and
+           222 compiled; each side must get at least 120. *)
+        let sizes = ref (0, 0) in
+        QCheck.Test.check_exn ~rand:(Random.State.make [| 25 |])
+          (QCheck.Test.make ~name:"lookup = first-match reference" ~count:400
+             QCheck.(
+               pair
+                 (list_of_size Gen.(int_range 0 24)
+                    (triple small_nat small_nat small_nat))
+                 (small_list (pair small_nat small_nat)))
+             (split_equals_reference sizes));
+        let small, large = !sizes in
+        check Alcotest.bool
+          (Printf.sprintf "%d tables of at most 8 entries, %d larger" small
+             large)
+          true
+          (small >= 120 && large >= 120));
+    qtest
+      (QCheck.Test.make
+         ~name:"one-pass add = filter/partition reference" ~count:500
+         QCheck.(
+           pair
+             (small_list (pair arb_prefix small_nat))
+             (small_list (triple bool arb_prefix small_nat)))
+         add_equals_reference);
     qtest
       (QCheck.Test.make
          ~name:"prefix-aggregated lookup = per-/32 lookup" ~count:100
@@ -277,7 +374,88 @@ let alloc_tests =
                   (Sys.opaque_identity (Route.find table probes.(i mod 3)))
               done)
         in
-        check (Alcotest.float 0.0) "minor words" 0.0 words) ]
+        check (Alcotest.float 0.0) "minor words" 0.0 words);
+    Alcotest.test_case "a table of at most 8 entries is searched in place"
+      `Quick (fun () ->
+        (* A mobile host's table is rebuilt at every move, and its first
+           lookup used to compile it: about 200 words per handoff.  On a
+           table of up to 8 entries [find] scans the list and allocates
+           nothing, from the first lookup after an [add] on; [lookup]
+           and [host_target] allocate only the [Some] they return. *)
+        let direct = Route.Direct 0 and gw = Route.Via (Addr.host 4 1) in
+        let mobile () =
+          Route.add_default (Route.add Route.empty (Addr.net 4) direct) gw
+        in
+        let eight () =
+          List.fold_left
+            (fun t k ->
+               Route.add_host t (Addr.host 4 (10 + k))
+                 (Route.Via (Addr.host 4 k)))
+            (mobile ()) (List.init 6 Fun.id)
+        in
+        (* on the LAN, off it, and the host route of [eight] *)
+        let probes = [| Addr.host 4 9; Addr.host 9 9; Addr.host 4 12 |] in
+        List.iter
+          (fun (name, build, size) ->
+             let t = build () in
+             check Alcotest.int (name ^ " entries") size (Route.size t);
+             let words =
+               minor_words_during (fun () ->
+                   for i = 0 to 2999 do
+                     ignore
+                       (Sys.opaque_identity (Route.find t probes.(i mod 3)))
+                   done)
+             in
+             check (Alcotest.float 0.0) (name ^ ": find words") 0.0 words;
+             let words =
+               minor_words_during (fun () ->
+                   for i = 0 to 2999 do
+                     ignore
+                       (Sys.opaque_identity (Route.lookup t probes.(i mod 3)));
+                     ignore
+                       (Sys.opaque_identity
+                          (Route.host_target t probes.(i mod 3)))
+                   done)
+             in
+             check Alcotest.bool
+               (Printf.sprintf "%s: %.0f words for 6000 lookups" name words)
+               true (words <= 2.0 *. 6000.0);
+             Array.iter
+               (fun a ->
+                  check Alcotest.bool (name ^ ": lookup = reference") true
+                    (Route.lookup t a = ref_lookup t a))
+               probes)
+          [ ("mobile", mobile, 2); ("eight", eight, 8) ];
+        check Alcotest.bool "host route" true
+          (Route.host_target (eight ()) (Addr.host 4 12)
+           = Some (Route.Via (Addr.host 4 2))));
+    Alcotest.test_case "add onto a 1-entry table: <= 15 words" `Quick
+      (fun () ->
+        (* One pass copies the cells before the new entry's place and
+           shares the rest: the entry, at most two list cells and the
+           table.  Filtering, partitioning and appending cost up to
+           37. *)
+        let one = Route.add Route.empty (Addr.net 4) (Route.Direct 0) in
+        let gw = Route.Via (Addr.host 4 1) in
+        let default = Addr.Prefix.make Addr.zero 0 in
+        let host = Addr.Prefix.make (Addr.host 4 7) 32 in
+        let words_per_add prefix =
+          minor_words_during (fun () ->
+              for _ = 1 to 1000 do
+                ignore (Sys.opaque_identity (Route.add one prefix gw))
+              done)
+          /. 1000.0
+        in
+        List.iter
+          (fun (name, prefix, size) ->
+             check Alcotest.int name size
+               (Route.size (Route.add one prefix gw));
+             let words = words_per_add prefix in
+             check Alcotest.bool
+               (Printf.sprintf "%s: %.1f words per add" name words)
+               true (words <= 15.0))
+          [ ("after it", default, 2); ("before it", host, 2);
+            ("in its place", Addr.net 4, 1) ]) ]
 
 let suite =
   [ ("compact-addr-keys", addr_key_tests);

@@ -9,6 +9,7 @@ module Lan = Net.Lan
 module Node = Net.Node
 module Route = Net.Route
 module Topology = Net.Topology
+module TG = Workload.Topo_gen
 
 let check = Alcotest.check
 let addr_testable = Alcotest.testable Addr.pp Addr.equal
@@ -153,20 +154,61 @@ let lan_tests =
                with Invalid_argument _ -> true)));
     Alcotest.test_case "stations list tracks attach and detach" `Quick
       (fun () ->
-         (* The sorted station list is cached; every mutation must
-            invalidate it. *)
+         (* The sorted station list is kept by attach and detach; every
+            mutation must show in it: at the head, the middle and the
+            tail, and not at all for an absent MAC. *)
          with_lan (fun _ lan ->
-             List.iter
-               (fun i -> Lan.attach lan (Mac.of_int i) (fun _ -> ()))
-               [3; 1; 2];
-             check (Alcotest.list mac_testable) "sorted"
-               (List.map Mac.of_int [1; 2; 3]) (Lan.stations lan);
-             Lan.detach lan (Mac.of_int 2);
-             check (Alcotest.list mac_testable) "after detach"
-               (List.map Mac.of_int [1; 3]) (Lan.stations lan);
-             Lan.attach lan (Mac.of_int 2) (fun _ -> ());
-             check (Alcotest.list mac_testable) "after reattach"
-               (List.map Mac.of_int [1; 2; 3]) (Lan.stations lan)));
+             let expect name l =
+               check (Alcotest.list mac_testable) name (List.map Mac.of_int l)
+                 (Lan.stations lan)
+             in
+             let attach i = Lan.attach lan (Mac.of_int i) (fun _ -> ()) in
+             let detach i = Lan.detach lan (Mac.of_int i) in
+             expect "empty" [];
+             List.iter attach [3; 1; 2];
+             expect "sorted" [1; 2; 3];
+             detach 2;
+             expect "after detach" [1; 3];
+             attach 2;
+             expect "after reattach" [1; 2; 3];
+             List.iter attach [9; 0; 5];
+             expect "head, middle and tail" [0; 1; 2; 3; 5; 9];
+             detach 0;
+             detach 9;
+             expect "head and tail gone" [1; 2; 3; 5];
+             detach 7;
+             expect "absent MAC ignored" [1; 2; 3; 5];
+             List.iter detach [1; 2; 3; 5];
+             expect "all gone" [];
+             attach 4;
+             expect "reattached" [4]));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"stations = sorted membership after any attach/detach run"
+         ~count:300
+         QCheck.(small_list (pair bool (int_bound 23)))
+         (fun ops ->
+            with_lan (fun _ lan ->
+                let members = Hashtbl.create 8 in
+                List.iter
+                  (fun (attach, i) ->
+                     if attach && not (Hashtbl.mem members i) then begin
+                       Lan.attach lan (Mac.of_int i) (fun _ -> ());
+                       Hashtbl.replace members i ()
+                     end
+                     else if not attach then begin
+                       Lan.detach lan (Mac.of_int i);
+                       Hashtbl.remove members i
+                     end)
+                  ops;
+                let sorted =
+                  Hashtbl.fold (fun i () acc -> i :: acc) members []
+                  |> List.sort Int.compare
+                in
+                List.map Mac.to_int (Lan.stations lan) = sorted
+                && List.for_all
+                     (fun i -> Lan.attached lan (Mac.of_int i))
+                     sorted)));
     Alcotest.test_case "monitors fire in registration order" `Quick
       (fun () ->
          with_lan (fun engine lan ->
@@ -589,7 +631,88 @@ let node_tests =
         Node.set_proto_handler b Ipv4.Proto.udp (fun _ _ -> incr got);
         Node.send a (udp_to ~src:a ~dst_addr:(Node.primary_addr b) Bytes.empty);
         Topology.run topo;
-        check Alcotest.int "forwarded after reboot" 1 !got) ]
+        check Alcotest.int "forwarded after reboot" 1 !got);
+    Alcotest.test_case "an ARP retry on a retired interface drops iface-down"
+      `Quick (fun () ->
+        (* Figure 1: M sends to host 200 of its home net B, which never
+           answers, and moves to net D before the first retry at 1.5 s.
+           The retry's interface is gone, so the packet waiting on it
+           is dropped — once — and the run goes on. *)
+        let f = TG.figure1_plain () in
+        let topo = f.TG.p_topo and m = f.TG.p_m in
+        let drops = ref [] in
+        Node.on_drop m (fun _ reason _ -> drops := reason :: !drops);
+        let at sec f =
+          ignore
+            (Netsim.Engine.schedule (Topology.engine topo)
+               ~at:(Time.of_sec sec) f)
+        in
+        at 1.0 (fun () ->
+            Node.send m
+              (udp_to ~src:m ~dst_addr:(Addr.host 2 200) (Bytes.make 8 'x')));
+        at 1.1 (fun () -> Topology.move_host topo m f.TG.p_net_d);
+        Topology.run ~until:(Time.of_sec 3.0) topo;
+        check (Alcotest.list Alcotest.string) "drops" ["iface-down"] !drops);
+    Alcotest.test_case "a host back on its LAN keeps its ARP wait" `Quick
+      (fun () ->
+        (* As above, but M comes back to net B at 1.2 s and sends to
+           host 200 again at 1.3 s: the second packet joins the wait on
+           the new interface and sends no request.  Host 200 appears
+           at 1.4 s.  The retry at 1.5 s drops only the packet on the
+           retired interface, asks on the live one, and the second
+           packet is delivered. *)
+        let f = TG.figure1_plain () in
+        let topo = f.TG.p_topo and m = f.TG.p_m and net_b = f.TG.p_net_b in
+        let home = Node.primary_addr m in
+        let drops = ref [] and got = ref 0 in
+        Node.on_drop m (fun _ reason _ -> drops := reason :: !drops);
+        let at sec f =
+          ignore
+            (Netsim.Engine.schedule (Topology.engine topo)
+               ~at:(Time.of_sec sec) f)
+        in
+        let send () =
+          Node.send m
+            (udp_to ~src:m ~dst_addr:(Addr.host 2 200) (Bytes.make 8 'x'))
+        in
+        at 1.0 send;
+        at 1.1 (fun () -> Topology.move_host topo m f.TG.p_net_d);
+        at 1.2 (fun () ->
+            List.iter (fun (i, _, _) -> Node.detach m i) (Node.ifaces m);
+            let i = Node.attach m ~addr:home net_b in
+            Node.update_routes m (fun r ->
+                Route.add r (Lan.prefix net_b) (Route.Direct i)));
+        at 1.3 send;
+        at 1.4 (fun () ->
+            let x = Topology.add_host topo "X" net_b 200 in
+            Node.set_proto_handler x Ipv4.Proto.udp (fun _ _ -> incr got));
+        Topology.run ~until:(Time.of_sec 3.0) topo;
+        check (Alcotest.list Alcotest.string) "drops" ["iface-down"] !drops;
+        check Alcotest.int "the second packet delivered" 1 !got);
+    Alcotest.test_case "a send to a MAC, then a move, drops iface-down"
+      `Quick (fun () ->
+        (* M hands R2 a packet for its MAC and leaves net B in the same
+           event: when the processing delay ends, the interface is
+           gone. *)
+        let f = TG.figure1_plain () in
+        let topo = f.TG.p_topo and m = f.TG.p_m and r2 = f.TG.p_r2 in
+        let drops = ref [] in
+        Node.on_drop m (fun _ reason _ -> drops := reason :: !drops);
+        let r2_mac =
+          Node.iface_mac r2
+            (Option.get (Node.iface_to r2 (Lan.prefix f.TG.p_net_b)))
+        in
+        ignore
+          (Netsim.Engine.schedule (Topology.engine topo)
+             ~at:(Time.of_sec 1.0) (fun () ->
+               let i, _, _ = List.hd (Node.ifaces m) in
+               Node.send_wire_to_mac m ~iface:i ~dst_mac:r2_mac
+                 (Packet.encode
+                    (udp_to ~src:m ~dst_addr:(Node.primary_addr r2)
+                       (Bytes.make 8 'x')));
+               Topology.move_host topo m f.TG.p_net_d));
+        Topology.run ~until:(Time.of_sec 2.0) topo;
+        check (Alcotest.list Alcotest.string) "drops" ["iface-down"] !drops) ]
 
 (* --- Routing computation --- *)
 
@@ -877,7 +1000,118 @@ let node_alloc_tests =
         in
         check Alcotest.bool
           (Printf.sprintf "%.2f words per extra hop" per_hop)
-          true (per_hop <= 6.0)) ]
+          true (per_hop <= 6.0));
+    Alcotest.test_case
+      "a detach, an attach and a broadcast on a 32-station LAN sort nothing"
+      `Quick (fun () ->
+        (* Fan-out walks the MAC-ordered station list that attach and
+           detach keep.  Re-attaching the 16th station copies the 15
+           list cells before it twice and adds its own (3 words each),
+           plus one hashtable cell (4 words); the broadcast after it
+           allocates nothing.  Re-sorting the membership instead costs
+           about 700 words on the first broadcast after every change. *)
+        let engine = Netsim.Engine.create () in
+        let lan = Lan.create ~engine ~name:"cell" (Addr.net 1) in
+        let heard = ref 0 in
+        let station _ = incr heard in
+        for k = 1 to 32 do
+          Lan.attach lan (Mac.of_int (2 * k)) station
+        done;
+        let frame =
+          Net.Frame.ip ~src:(Mac.of_int 1) ~dst:Mac.broadcast
+            (Bytes.create 28)
+        in
+        Lan.send lan frame;
+        Netsim.Engine.run engine;
+        let mid = Mac.of_int 32 in
+        let w0 = Gc.minor_words () in
+        Lan.detach lan mid;
+        Lan.attach lan mid station;
+        let w1 = Gc.minor_words () in
+        Lan.send lan frame;
+        Netsim.Engine.run engine;
+        let w2 = Gc.minor_words () in
+        check Alcotest.int "every station heard both" 64 !heard;
+        check (Alcotest.list Alcotest.int) "MAC order"
+          (List.init 32 (fun k -> 2 * (k + 1)))
+          (List.map Mac.to_int (Lan.stations lan));
+        check (Alcotest.float 0.0) "broadcast words" 0.0 (w2 -. w1);
+        check Alcotest.bool
+          (Printf.sprintf "%.0f words for the detach and attach" (w1 -. w0))
+          true
+          (w1 -. w0 <= float_of_int ((3 * ((2 * 15) + 1)) + 4)));
+    Alcotest.test_case
+      "a host's moves 1,001-1,100 cost what its moves 11-110 do" `Quick
+      (fun () ->
+        (* Words put on the major heap count too: a table of every
+           interface the host ever had, copied at each attach, costs
+           its 1,000th move over 1,000 words there. *)
+        let topo = Topology.create () in
+        let home = Topology.add_lan topo ~net:1 "home" in
+        let away = Topology.add_lan topo ~net:2 "away" in
+        let h = Topology.add_host topo "h" home 10 in
+        Node.add_address h (Node.primary_addr h);
+        let move k =
+          Topology.move_host topo h (if k mod 2 = 1 then away else home)
+        in
+        let allocated () =
+          let _, promoted, major = Gc.counters () in
+          Gc.minor_words () +. major -. promoted
+        in
+        let per_move first last =
+          let w0 = allocated () in
+          for k = first to last do move k done;
+          (allocated () -. w0) /. float_of_int (last - first + 1)
+        in
+        for k = 1 to 10 do move k done;
+        let early = per_move 11 110 in
+        for k = 111 to 1000 do move k done;
+        let late = per_move 1001 1100 in
+        check Alcotest.bool
+          (Printf.sprintf "%.1f words per late move, %.1f per early one" late
+             early)
+          true (late <= early +. 2.0);
+        check Alcotest.int "one interface" 1 (List.length (Node.ifaces h)));
+    Alcotest.test_case "send_wire_to_mac and broadcast_ip allocate their frame"
+      `Quick (fun () ->
+        (* Each builds its 6-word frame at the call, and the
+           processing-delay event is the call of a top-level function
+           on the interface and the frame.  Scheduling a closure that
+           builds the frame when it fires costs 13 words per send.  The
+           frames go to a MAC nobody holds, or out on an otherwise empty
+           LAN, so delivery costs nothing. *)
+        let topo = Topology.create () in
+        let lan = Topology.add_lan topo ~net:1 "l" in
+        let h = Topology.add_host topo "h" lan 1 in
+        let i, _, _ = List.hd (Node.ifaces h) in
+        let wire =
+          Packet.encode
+            (udp_to ~src:h ~dst_addr:(Addr.host 1 2) (Bytes.make 8 'x'))
+        in
+        let nobody = Mac.of_int 0x777 in
+        let n = 1000 in
+        let per_send f =
+          let w0 = Gc.minor_words () in
+          for _ = 1 to n do f () done;
+          Topology.run topo;
+          (Gc.minor_words () -. w0) /. float_of_int n
+        in
+        let unicast () =
+          Node.send_wire_to_mac h ~iface:i ~dst_mac:nobody wire
+        in
+        let broadcast () = Node.broadcast_ip h ~iface:i wire in
+        (* the first rounds grow the event queue to the burst's depth *)
+        ignore (per_send unicast);
+        ignore (per_send broadcast);
+        let unicast_words = per_send unicast in
+        let broadcast_words = per_send broadcast in
+        check Alcotest.int "frames" (4 * n) (Lan.frames_sent lan);
+        check Alcotest.bool
+          (Printf.sprintf "%.1f words per send_wire_to_mac" unicast_words)
+          true (unicast_words <= 6.0);
+        check Alcotest.bool
+          (Printf.sprintf "%.1f words per broadcast_ip" broadcast_words)
+          true (broadcast_words <= 6.0)) ]
 
 let suite =
   [ ("mac", mac_tests); ("arp-frame", arp_tests); ("lan", lan_tests);
