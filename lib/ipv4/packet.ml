@@ -24,8 +24,11 @@ let make ?(tos = 0) ?(id = 0) ?(dont_fragment = false)
 
 let is_fragment t = t.more_fragments || t.frag_offset > 0
 
-let options_bytes t =
-  match t.options with [] -> Bytes.empty | opts -> Ip_option.encode_all opts
+let encode_options = function
+  | [] -> Bytes.empty
+  | opts -> Ip_option.encode_all opts
+
+let options_bytes t = encode_options t.options
 
 let header_length t = 20 + Bytes.length (options_bytes t)
 let total_length t = header_length t + Bytes.length t.payload
@@ -35,36 +38,52 @@ let check_field name v max =
   if v < 0 || v > max then
     invalid_arg (Printf.sprintf "Packet.encode: %s out of range" name)
 
-let encode_with_gap t ~gap =
-  check_field "tos" t.tos 0xFF;
-  check_field "id" t.id 0xFFFF;
-  check_field "ttl" t.ttl 0xFF;
-  check_field "proto" t.proto 0xFF;
-  let opts = options_bytes t in
+(* The one header writer, so the layout and the range checks exist
+   once: a fresh buffer for a packet with a [gap]-byte payload, its
+   header written and checksummed and the payload left zero.  [flags]
+   is the 16-bit flags-and-offset word.  The header checksum does not
+   cover the payload, so the caller may write it afterwards. *)
+let header ~tos ~id ~flags ~ttl ~proto ~src ~dst ~options ~gap =
+  check_field "tos" tos 0xFF;
+  check_field "id" id 0xFFFF;
+  check_field "ttl" ttl 0xFF;
+  check_field "proto" proto 0xFF;
+  let opts = encode_options options in
   let hlen = 20 + Bytes.length opts in
   let ihl = hlen / 4 in
   if ihl > 15 then invalid_arg "Packet.encode: header too long";
-  let tlen = hlen + gap + Bytes.length t.payload in
+  let tlen = hlen + gap in
   if tlen > 0xFFFF then invalid_arg "Packet.encode: packet too long";
   let buf = Bytes.make tlen '\000' in
   Bytes.set_uint8 buf 0 ((4 lsl 4) lor ihl);
-  Bytes.set_uint8 buf 1 t.tos;
+  Bytes.set_uint8 buf 1 tos;
   Bytes.set_uint16_be buf 2 tlen;
-  Bytes.set_uint16_be buf 4 t.id;
+  Bytes.set_uint16_be buf 4 id;
+  Bytes.set_uint16_be buf 6 flags;
+  Bytes.set_uint8 buf 8 ttl;
+  Bytes.set_uint8 buf 9 proto;
+  Addr.set buf 12 src;
+  Addr.set buf 16 dst;
+  Bytes.blit opts 0 buf 20 (Bytes.length opts);
+  Checksum.set buf ~at:10 ~off:0 ~len:hlen;
+  buf
+
+let encode_header ~id ~proto ~src ~dst ~gap =
+  header ~tos:0 ~id ~flags:0 ~ttl:default_ttl ~proto ~src ~dst
+    ~options:[] ~gap
+
+let encode_with_gap t ~gap =
+  let plen = Bytes.length t.payload in
   let flags =
     (if t.dont_fragment then 0x4000 else 0)
     lor (if t.more_fragments then 0x2000 else 0)
     lor (t.frag_offset / 8)
   in
-  Bytes.set_uint16_be buf 6 flags;
-  Bytes.set_uint8 buf 8 t.ttl;
-  Bytes.set_uint8 buf 9 t.proto;
-  (* checksum at 10..11, set below *)
-  Addr.set buf 12 t.src;
-  Addr.set buf 16 t.dst;
-  Bytes.blit opts 0 buf 20 (Bytes.length opts);
-  Bytes.blit t.payload 0 buf (hlen + gap) (Bytes.length t.payload);
-  Checksum.set buf ~at:10 ~off:0 ~len:hlen;
+  let buf =
+    header ~tos:t.tos ~id:t.id ~flags ~ttl:t.ttl ~proto:t.proto ~src:t.src
+      ~dst:t.dst ~options:t.options ~gap:(gap + plen)
+  in
+  Bytes.blit t.payload 0 buf (Bytes.length buf - plen) plen;
   buf
 
 let encode t = encode_with_gap t ~gap:0

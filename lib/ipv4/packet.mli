@@ -77,6 +77,16 @@ val encode_with_gap : t -> gap:int -> bytes
     limits: the caller writes an encapsulation header there (it lies
     outside the IP header checksum), so the payload is copied once. *)
 
+val encode_header :
+  id:int -> proto:Proto.t -> src:Addr.t -> dst:Addr.t -> gap:int -> bytes
+(** The buffer of a packet a node originates, written from its fields:
+    [encode_with_gap (make ~id ~proto ~src ~dst Bytes.empty) ~gap],
+    with no record built.  Its last [gap] bytes are the payload, left
+    zero for the caller to write (they lie outside the header
+    checksum); once written, the buffer is [encode] of the packet
+    carrying them.  The same writer and range checks as {!encode}:
+    [Invalid_argument] where that would raise. *)
+
 val decode : bytes -> t
 (** Raises [Invalid_argument] on malformed input or bad checksum. *)
 

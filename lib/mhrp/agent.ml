@@ -182,12 +182,12 @@ let claims t dst = ha_claims t dst || region_peer_claims t dst
 (* The buffer of a packet with a [len]-byte payload, left for the caller
    to write in the buffer's last [len] bytes: a sender-built tunnel to
    [fa] when there is one (the [sender_tunnel] decision below), else
-   plain IP. *)
-let originate ?id ~proto ~src ~dst ~len fa =
-  let pkt = Packet.make ?id ~proto ~src ~dst Bytes.empty in
+   plain IP.  Written from the fields, so no packet record is built. *)
+let originate ~id ~proto ~src ~dst ~len fa =
   match fa with
-  | Some fa -> Encap.tunnel_by_sender_into ~reserve:len ~foreign_agent:fa pkt
-  | None -> Packet.encode_with_gap pkt ~gap:len
+  | Some fa ->
+    Encap.sender_tunnel_header ~id ~proto ~src ~dst ~foreign_agent:fa ~gap:len
+  | None -> Packet.encode_header ~id ~proto ~src ~dst ~gap:len
 
 let ext_length = function None -> 0 | Some ext -> Bytes.length ext
 
@@ -201,7 +201,7 @@ let put_ext wire = function
 (* An ICMP message and its extension, one checksum over both. *)
 let icmp_wire ~src ~dst msg ext =
   let len = Ipv4.Icmp.length msg + ext_length ext in
-  let wire = originate ~proto:Ipv4.Proto.icmp ~src ~dst ~len None in
+  let wire = originate ~id:0 ~proto:Ipv4.Proto.icmp ~src ~dst ~len None in
   put_ext wire ext;
   Ipv4.Icmp.write msg wire ~off:(Bytes.length wire - len) ~len;
   wire
@@ -269,7 +269,7 @@ let control_datagram t msg =
 let control_wire t ~dst msg fa =
   let ext = control_ext t msg in
   let wire =
-    originate ~proto:Ipv4.Proto.udp ~src:(address t) ~dst
+    originate ~id:0 ~proto:Ipv4.Proto.udp ~src:(address t) ~dst
       ~len:(control_length msg ext) fa
   in
   write_control wire msg ext;
@@ -708,19 +708,21 @@ let fa_probe_missing_visitor t ~mobile =
   | _ -> ()
 
 (* Dispatch a tunneled packet through our regional role: retunnel to the
-   bound foreign agent, chase an inter-region forwarding pointer, or
-   [fallback].  Shared by the pure-regional node and the combined
-   home-and-regional node, whose home-agent location entry names one of
-   its own addresses.  Overflow notifications report this agent's own
-   address, not the inner foreign agent — the region stays opaque, so
-   external caches survive intra-region handoffs. *)
-let regional_dispatch t v (header : Mhrp_header.t) ~fallback =
+   bound foreign agent or chase an inter-region forwarding pointer, and
+   answer whether it did; on [false] the caller serves the packet.
+   Shared by the pure-regional node and the combined home-and-regional
+   node, whose home-agent location entry names one of its own
+   addresses.  Overflow notifications report this agent's own address,
+   not the inner foreign agent — the region stays opaque, so external
+   caches survive intra-region handoffs. *)
+let regional_dispatch t v (header : Mhrp_header.t) =
   let mobile = header.Mhrp_header.mobile in
   match regional_binding t mobile with
   | Some fa when not (Node.has_address t.node fa) ->
     t.counters.Counters.regional_retunnels <-
       t.counters.Counters.regional_retunnels + 1;
-    do_retunnel t v header ~mobile ~new_dst:fa ~report_fa:(Some (address t))
+    do_retunnel t v header ~mobile ~new_dst:fa ~report_fa:(Some (address t));
+    true
   | _ ->
     match regional_forward t mobile with
     | Some target ->
@@ -732,8 +734,9 @@ let regional_dispatch t v (header : Mhrp_header.t) ~fallback =
       if tracing t then
         tracef t "regional" "forwarding %a to new region %a" Addr.pp mobile
           Addr.pp target;
-      do_retunnel t v header ~mobile ~new_dst:target ~report_fa:(Some target)
-    | None -> fallback ()
+      do_retunnel t v header ~mobile ~new_dst:target ~report_fa:(Some target);
+      true
+    | None -> false
 
 (* A tunnel this node built to one of its own addresses, looped straight
    back by the network layer: the home agent and the regional agent are
@@ -798,14 +801,14 @@ let handle_mhrp t v =
                both its home and regional agent: serve the regional
                role — the home-agent path would bounce the packet at
                ourselves as a loop *)
-            regional_dispatch t v header
-              ~fallback:(fun () -> ha_handle_tunneled t ha v header)
+            (if not (regional_dispatch t v header) then
+               ha_handle_tunneled t ha v header)
           else ha_handle_tunneled t ha v header
         | _ ->
-          regional_dispatch t v header
-            ~fallback:(fun () ->
-                fa_probe_missing_visitor t ~mobile;
-                retunnel_stale t v header)
+          if not (regional_dispatch t v header) then begin
+            fa_probe_missing_visitor t ~mobile;
+            retunnel_stale t v header
+          end
 
 (* --- Section 4.5: returned ICMP errors --- *)
 

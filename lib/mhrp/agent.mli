@@ -105,10 +105,10 @@ val send_written :
     node's address whose [len]-byte payload the caller writes straight
     into the outgoing buffer: [write wire off] must fill
     [\[off, off + len)] of [wire].  The tunnel decision is {!send}'s, and
-    the buffer is sized for it — plain IP
-    ({!Ipv4.Packet.encode_with_gap}) or a sender-built tunnel
-    ({!Encap.tunnel_by_sender_into} with a [len]-byte reserve) — so the
-    packet on the wire is the one {!send} would send for
+    the buffer is written for it from the fields, with no packet record
+    built — plain IP ({!Ipv4.Packet.encode_header}) or a sender-built
+    tunnel ({!Encap.sender_tunnel_header}) — so the packet on the wire
+    is the one {!send} would send for
     [Packet.make ~id ~proto ~src ~dst payload].  Nothing is counted or
     sent until [write] returns: an exception from [write] propagates
     with [tunnels_built] unchanged and nothing on the wire.  The

@@ -144,27 +144,29 @@ let header_at v =
     Mhrp_header.decode_at (View.buffer v) ~off:(View.payload_offset v)
       ~len:(View.payload_length v)
 
-let tunnel_by_sender_into ?(reserve = 0) ~foreign_agent (pkt : Ipv4.Packet.t)
-  =
-  let payload = pkt.Ipv4.Packet.payload in
-  let plen = Bytes.length payload in
-  let buf =
-    Ipv4.Packet.encode_with_gap
-      { pkt with
-        Ipv4.Packet.proto = Ipv4.Proto.mhrp;
-        dst = foreign_agent;
-        payload = Bytes.empty }
-      ~gap:(Mhrp_header.fixed_length + plen + reserve)
-  in
-  (* the gap holds the MHRP header — count 0 (already zero), the
-     original protocol and destination — then the payload, then the
-     reserve, left zero for the caller *)
+(* Section 4.1's edit, made on the wire: [buf] holds a packet encoded
+   with an MHRP header's worth of zero bytes after its IP header.  Move
+   the protocol and destination into a sender-built header there (its
+   count, 0, is already zero) and address the packet to
+   [foreign_agent]. *)
+let to_sender_tunnel buf ~foreign_agent =
   let h = (Bytes.get_uint8 buf 0 land 0xF) * 4 in
-  Bytes.set_uint8 buf (h + 1) pkt.Ipv4.Packet.proto;
-  Ipv4.Addr.set buf (h + 4) pkt.Ipv4.Packet.dst;
+  Bytes.set_uint8 buf (h + 1) (Bytes.get_uint8 buf 9);
+  Bytes.blit buf 16 buf (h + 4) 4;
   Ipv4.Checksum.set buf ~at:(h + 2) ~off:h ~len:Mhrp_header.fixed_length;
-  Bytes.blit payload 0 buf (h + Mhrp_header.fixed_length) plen;
+  Bytes.set_uint8 buf 9 Ipv4.Proto.mhrp;
+  Ipv4.Addr.set buf 16 foreign_agent;
+  Ipv4.Checksum.set buf ~at:10 ~off:0 ~len:h;
   buf
+
+let tunnel_by_sender_into ~foreign_agent pkt =
+  to_sender_tunnel ~foreign_agent
+    (Ipv4.Packet.encode_with_gap pkt ~gap:Mhrp_header.fixed_length)
+
+let sender_tunnel_header ~id ~proto ~src ~dst ~foreign_agent ~gap =
+  to_sender_tunnel ~foreign_agent
+    (Ipv4.Packet.encode_header ~id ~proto ~src ~dst
+       ~gap:(Mhrp_header.fixed_length + gap))
 
 let tunnel_by_agent_into ~agent ~foreign_agent v =
   if View.has_options v then

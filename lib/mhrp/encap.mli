@@ -59,13 +59,14 @@ val added_bytes : original:Ipv4.Packet.t -> tunneled:Ipv4.Packet.t -> int
 (** {1 Tunnels built on wire bytes}
 
     The agents' tunnel path.  Each builder writes the outgoing packet
-    from the bytes it is given — a received {!Ipv4.Packet.View}, or a
-    record being sent — into one exact-size buffer: new IP envelope and
-    MHRP header, the transport payload copied once, checksums computed
-    in place.  No intermediate record is built.  The output is
-    byte-identical to {!Ipv4.Packet.encode} of the record function's
-    result (QCheck-verified), and the record functions above remain the
-    reference.  The single-blit layout has a 20-byte envelope, so a
+    from what it is given — a received {!Ipv4.Packet.View}, a record
+    being sent, or the fields of a packet the agent originates — into
+    one exact-size buffer: new IP envelope and MHRP header, the
+    transport payload copied once (or left for the sender to write),
+    checksums computed in place.  No intermediate record is built.
+    The output is byte-identical to {!Ipv4.Packet.encode} of the record
+    function's result (QCheck-verified), and the record functions above
+    remain the reference.  The single-blit layout has a 20-byte envelope, so a
     view carrying IP options (which the record functions keep in the
     envelope) is decoded and served by the record function instead.
     The returned buffer belongs to the caller, who hands it to a frame
@@ -78,14 +79,25 @@ val header_at : Ipv4.Packet.View.t -> Mhrp_header.t option
     corrupt. *)
 
 val tunnel_by_sender_into :
-  ?reserve:int -> foreign_agent:Ipv4.Addr.t -> Ipv4.Packet.t -> bytes
-(** [Packet.encode (tunnel_by_sender ~foreign_agent pkt)], encoded in
-    one pass ({!Ipv4.Packet.encode_with_gap}) with the same range
-    checks: [Invalid_argument] where that encode would raise.  With
-    [reserve] (default 0), the buffer ends in [reserve] more zero
-    bytes, counted in the IP length as payload: a sender writes its
-    transport bytes there, and the result is then the encoding of the
-    tunnel of [pkt] with those bytes appended to its payload. *)
+  foreign_agent:Ipv4.Addr.t -> Ipv4.Packet.t -> bytes
+(** [Packet.encode (tunnel_by_sender ~foreign_agent pkt)], written in
+    one pass: [pkt] encoded with the MHRP header's 8 bytes left between
+    its header and its payload ({!Ipv4.Packet.encode_with_gap}), then
+    its protocol and destination moved into that header.  The range
+    checks are that encoding's: [Invalid_argument] where it would raise,
+    which includes an original protocol outside 8 bits (the record
+    function would cut it to its low byte). *)
+
+val sender_tunnel_header :
+  id:int -> proto:Ipv4.Proto.t -> src:Ipv4.Addr.t -> dst:Ipv4.Addr.t ->
+  foreign_agent:Ipv4.Addr.t -> gap:int -> bytes
+(** The buffer of a sender-built tunnel of a packet this node
+    originates, written from its fields with no record built
+    ({!Ipv4.Packet.encode_header}): [tunnel_by_sender_into
+    ~foreign_agent (Packet.make ~id ~proto ~src ~dst payload)] for a
+    [gap]-byte [payload], left zero in the buffer's last [gap] bytes
+    for the caller to write (no checksum covers them).  The same range
+    checks. *)
 
 val tunnel_by_agent_into :
   agent:Ipv4.Addr.t -> foreign_agent:Ipv4.Addr.t -> Ipv4.Packet.View.t ->

@@ -12,7 +12,10 @@
     {!ack} confirms every generation sent so far.  Timers are fire and
     check: a chain whose exchange was acknowledged (or superseded) meanwhile
     does nothing when its next timer fires, so nothing is ever
-    cancelled. *)
+    cancelled.  A chain is one record holding its next delay and the
+    retries left, and each timer is the call of a top-level function on
+    it ({!Netsim.Engine.call_after}): arming and firing one allocate
+    nothing beyond what [resend] and [give_up] do. *)
 
 type t
 

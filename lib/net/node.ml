@@ -9,6 +9,17 @@ type forward_action =
 
 type icmp_quote = Quote_min | Quote_full
 
+(* An ARP wait: the address being resolved, the interface its next
+   request goes out on and the requests sent so far.  Its timer carries
+   the record itself, so a timer acts only for the wait it was armed
+   for: not for a later wait on the same address once this one was
+   answered, nor across a reboot. *)
+type arp_wait = {
+  target : Ipv4.Addr.t;
+  mutable on_iface : int;
+  mutable tries : int;
+}
+
 (* A slot knows its node, so a deferred send's event is the call of a
    top-level function on the slot and its frame. *)
 type iface_state = {
@@ -50,7 +61,7 @@ and t = {
   (* binding plus the time it was learned *)
   mutable arp_pending : (Ipv4.Addr.t * int * View.t) list;
   reassembly : Ipv4.Packet.Reassembly.t;
-  arp_tries : (Ipv4.Addr.t, int) Hashtbl.t;
+  arp_waits : (Ipv4.Addr.t, arp_wait) Hashtbl.t;
   proto_handlers : (int, t -> View.t -> unit) Hashtbl.t;
   (* Header-level hooks (node.mli): they see a destination or a view,
      so a hop need not decode the packet to consult them. *)
@@ -94,7 +105,7 @@ let create ~engine ~mac_alloc ?trace ?(router = false) ?proc_delay
     arp_cache = Hashtbl.create 16;
     arp_pending = [];
     reassembly = Ipv4.Packet.Reassembly.create ();
-    arp_tries = Hashtbl.create 8;
+    arp_waits = Hashtbl.create 8;
     proto_handlers = Hashtbl.create 8;
     accept_ip = (fun _ _ -> false);
     rewrite_forward = (fun _ _ -> Forward);
@@ -392,41 +403,47 @@ and resolve_and_emit t i ~next_hop v =
   | mac -> frame_out t i ~dst_mac:mac v
   | exception Not_found ->
     t.arp_pending <- (next_hop, i, v) :: t.arp_pending;
-    if not (Hashtbl.mem t.arp_tries next_hop) then begin
-      Hashtbl.replace t.arp_tries next_hop 1;
+    if not (Hashtbl.mem t.arp_waits next_hop) then begin
+      let w = { target = next_hop; on_iface = i; tries = 1 } in
+      Hashtbl.replace t.arp_waits next_hop w;
       send_arp_request t i next_hop;
-      arm_arp_timer t i next_hop
+      arm_arp_timer t w
     end
 
-and arm_arp_timer t i next_hop =
-  ignore
-    (Engine.schedule_after t.engine ~delay:t.arp_timeout (fun () ->
-         match Hashtbl.find_opt t.arp_tries next_hop with
-         | None -> () (* resolved meanwhile *)
-         | Some tries when tries < arp_max_tries ->
-           Hashtbl.replace t.arp_tries next_hop (tries + 1);
-           if t.up then retry_arp t i next_hop
-         | Some _ ->
-           Hashtbl.remove t.arp_tries next_hop;
-           List.iter
-             (fun (_, _, v) ->
-                let pkt = View.decode v in
-                drop t "arp-timeout" pkt;
-                if t.router && not (has_address t pkt.Ipv4.Packet.src) then
-                  icmp_error t
-                    (fun original -> Ipv4.Icmp.host_unreachable ~original)
-                    pkt)
-             (take_pending t next_hop)))
+and arm_arp_timer t w =
+  ignore (Engine.call_after t.engine ~delay:t.arp_timeout arp_expired t w)
+
+(* A wait that was answered, or cleared by a reboot, is no longer the
+   one its address maps to: its timer does nothing. *)
+and arp_expired t w =
+  match Hashtbl.find t.arp_waits w.target with
+  | current when current != w -> ()
+  | _ when w.tries < arp_max_tries ->
+    w.tries <- w.tries + 1;
+    if t.up then retry_arp t w
+  | _ ->
+    Hashtbl.remove t.arp_waits w.target;
+    List.iter
+      (fun (_, _, v) ->
+         let pkt = View.decode v in
+         drop t "arp-timeout" pkt;
+         if t.router && not (has_address t pkt.Ipv4.Packet.src) then
+           icmp_error t
+             (fun original -> Ipv4.Icmp.host_unreachable ~original)
+             pkt)
+      (take_pending t w.target)
+  | exception Not_found -> ()
 
 (* A retry on an interface retired meanwhile (its host moved on) drops
-   the packets waiting for [next_hop] on a retired interface as
+   the packets waiting for the target on a retired interface as
    ["iface-down"].  Packets queued behind the same wait on a live
    interface (the host came back before the timer fired) carry the
    retry on to that interface; with none left, the wait ends. *)
-and retry_arp t i next_hop =
-  if live t i then begin
-    send_arp_request t i next_hop;
-    arm_arp_timer t i next_hop
+and retry_arp t w =
+  let next_hop = w.target in
+  if live t w.on_iface then begin
+    send_arp_request t w.on_iface next_hop;
+    arm_arp_timer t w
   end
   else begin
     let gone, kept =
@@ -437,8 +454,10 @@ and retry_arp t i next_hop =
     t.arp_pending <- kept;
     List.iter (fun (_, _, v) -> drop t "iface-down" (View.decode v)) gone;
     match List.find_opt (fun (x, _, _) -> Ipv4.Addr.equal x next_hop) kept with
-    | Some (_, j, _) -> retry_arp t j next_hop
-    | None -> Hashtbl.remove t.arp_tries next_hop
+    | Some (_, j, _) ->
+      w.on_iface <- j;
+      retry_arp t w
+    | None -> Hashtbl.remove t.arp_waits next_hop
   end
 
 and route_and_send t v =
@@ -561,7 +580,7 @@ let arp_cache_size t = Hashtbl.length t.arp_cache
 (* --- receive path --- *)
 
 let flush_arp_pending t resolved_ip =
-  Hashtbl.remove t.arp_tries resolved_ip;
+  Hashtbl.remove t.arp_waits resolved_ip;
   (* restore scheduling order *)
   List.iter
     (fun (_, i, v) -> resolve_and_emit t i ~next_hop:resolved_ip v)
@@ -841,7 +860,7 @@ let set_up t v = t.up <- v
 
 let reboot t =
   Hashtbl.reset t.arp_cache;
-  Hashtbl.reset t.arp_tries;
+  Hashtbl.reset t.arp_waits;
   t.arp_pending <- [];
   if tracing t then tracef t "reboot" "state cleared";
   List.iter (fun f -> f t) t.reboot_hooks

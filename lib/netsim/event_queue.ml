@@ -26,6 +26,10 @@
 
 type handle = int
 
+(* No slot is ever this large, and no generation this high: [is_live]
+   rejects it on either count. *)
+let no_handle = -1
+
 let slot_bits = 30
 let slot_mask = (1 lsl slot_bits) - 1
 let gen_mask = max_int lsr slot_bits

@@ -44,6 +44,11 @@ type calls
 type handle
 (** Identifies a scheduled event so it can be cancelled. *)
 
+val no_handle : handle
+(** A handle of no event, for a field that holds one only at times:
+    {!cancel} of it returns [false].  Handles are immediates, so [==]
+    tells it apart without a call. *)
+
 val create : unit -> 'a t
 
 val is_empty : 'a t -> bool

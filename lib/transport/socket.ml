@@ -76,8 +76,9 @@ type t = {
   mutable ooo : (int * bytes) list;
   mutable peer_fin_seq : int option;
   mutable peer_fin_done : bool;
-  (* One retransmission timer per connection, exponential backoff. *)
-  mutable timer : Netsim.Event_queue.handle option;
+  (* One retransmission timer per connection, exponential backoff:
+     [Netsim.Event_queue.no_handle] while none is armed. *)
+  mutable timer : Netsim.Event_queue.handle;
   mutable rto_cur : Time.t;
   mutable retries : int;
   mutable established_cb : (unit -> unit) option;
@@ -115,7 +116,7 @@ let make_sock stack ~local_port ~remote ~remote_port ~iss ~mss ~window ~rto
     ooo = [];
     peer_fin_seq = None;
     peer_fin_done = false;
-    timer = None;
+    timer = Netsim.Event_queue.no_handle;
     rto_cur = rto;
     retries = 0;
     established_cb = None;
@@ -157,11 +158,8 @@ let control t ?(retransmit = false) ~flags ~seq () =
 let send_ack t = control t ~flags:ack ~seq:t.snd_nxt ()
 
 let cancel_timer t =
-  match t.timer with
-  | Some h ->
-    ignore (Engine.cancel t.engine h);
-    t.timer <- None
-  | None -> ()
+  ignore (Engine.cancel t.engine t.timer);
+  t.timer <- Netsim.Event_queue.no_handle
 
 let unregister t =
   Stack.unregister_conn t.stack ~local_port:t.local_port ~remote:t.remote
@@ -218,13 +216,17 @@ let rec try_send t =
   | _ -> ());
   arm_timer t
 
+(* The timer is the call [rto_expired t ()], so arming it allocates
+   nothing. *)
 and arm_timer t =
-  if t.timer = None && t.snd_una < t.snd_nxt && timer_allowed t then
-    t.timer <-
-      Some
-        (Engine.schedule_after t.engine ~delay:t.rto_cur (fun () ->
-             t.timer <- None;
-             on_timer t))
+  if t.timer == Netsim.Event_queue.no_handle && t.snd_una < t.snd_nxt
+     && timer_allowed t
+  then
+    t.timer <- Engine.call_after t.engine ~delay:t.rto_cur rto_expired t ()
+
+and rto_expired t () =
+  t.timer <- Netsim.Event_queue.no_handle;
+  on_timer t
 
 and on_timer t =
   if t.snd_una < t.snd_nxt && timer_allowed t then

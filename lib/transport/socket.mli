@@ -14,7 +14,9 @@
     the send stream straight into the outgoing packet, with its header
     written around it; a received segment is read in place, and its
     data copied once, into the chunk [recv_cb] gets or into the
-    out-of-order buffer.
+    out-of-order buffer.  The RTO timer is the call of a top-level
+    function on the socket ({!Netsim.Engine.call_after}), so arming it
+    allocates nothing.
 
     No application-level code should construct raw TCP segments;
     {!Stack}'s low-level hooks exist only for this module.

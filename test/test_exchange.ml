@@ -106,6 +106,22 @@ let tests =
           check Alcotest.bool "acknowledged" false (Exchange.pending x);
           start_at ~config:Mhrp.Config.default w x 1.0 "b";
           check log "never resent" [] (run w);
-          check Alcotest.bool "pending again" true (Exchange.pending x)) ]
+          check Alcotest.bool "pending again" true (Exchange.pending x));
+    Alcotest.test_case "a firing allocates nothing" `Quick (fun () ->
+        (* Each timeout resends and arms the next timer, the call of a
+           top-level function on the chain: a closure per arm cost 7
+           words. *)
+        let w = world () in
+        let x = Exchange.create () in
+        let resends = ref 0 in
+        Exchange.start x w.node reliable w.counters
+          ~resend:(fun () -> incr resends)
+          ~give_up:ignore;
+        let until = Some (Time.of_sec 5.0) in
+        let w0 = Gc.minor_words () in
+        Engine.run ?until w.engine;
+        let words = Gc.minor_words () -. w0 in
+        check Alcotest.int "four firings" 4 !resends;
+        check (Alcotest.float 0.0) "minor words" 0.0 words) ]
 
 let suite = [ ("exchange", tests) ]

@@ -208,20 +208,52 @@ let encap_into_equals_record seed =
     | Some h, Some h' -> Header.equal h h'
     | _ -> false
   in
-  (* a reserve is payload the caller writes after the build *)
-  let ok_reserve =
-    let extra =
-      Bytes.init (Rng.int rng 64) (fun _ -> Char.chr (Rng.int rng 256))
-    in
-    let n = Bytes.length extra in
-    let wire = Encap.tunnel_by_sender_into ~reserve:n ~foreign_agent p in
-    Bytes.blit extra 0 wire (Bytes.length wire - n) n;
-    Bytes.equal wire
-      (Packet.encode
-         (Encap.tunnel_by_sender ~foreign_agent
-            { p with Packet.payload = Bytes.cat p.Packet.payload extra }))
+  ok_agent && ok_sender && ok_lists && ok_plain
+
+(* The field writers an originating node uses == the record encoders
+   they replace, kept as the reference: random identification,
+   protocol, addresses and payload, the payload written into the gap
+   after the build.  The identification and the protocol are each out
+   of range one draw in eight, and the length is at the IP limit one
+   draw in eight, either side of it for both writers: an invalid field
+   must raise the reference's [Invalid_argument]. *)
+let field_writers_equal_records seed =
+  let rng = Rng.of_int seed in
+  let out_of_range max =
+    if Rng.int rng 8 = 0 then max + 1 + Rng.int rng 100
+    else Rng.int rng (max + 1)
   in
-  ok_agent && ok_sender && ok_reserve && ok_lists && ok_plain
+  let id = out_of_range 0xFFFF in
+  let proto = out_of_range 0xFF in
+  let src = random_addr rng and dst = random_addr rng in
+  let foreign_agent = random_addr rng in
+  let len =
+    if Rng.int rng 8 = 0 then 0xFFFF - 36 + Rng.int rng 24 else Rng.int rng 64
+  in
+  let payload = Bytes.init len (fun _ -> Char.chr (Rng.int rng 256)) in
+  let record = Packet.make ~id ~proto ~src ~dst payload in
+  let outcome f =
+    match f () with b -> Ok b | exception Invalid_argument msg -> Error msg
+  in
+  let agree written reference =
+    match outcome written, outcome reference with
+    | Ok wire, Ok expected ->
+      Bytes.blit payload 0 wire (Bytes.length wire - len) len;
+      Bytes.equal wire expected
+    | Error a, Error b -> String.equal a b
+    | Ok _, Error msg ->
+      QCheck.Test.fail_reportf "the writer accepted what raised %S" msg
+    | Error msg, Ok _ ->
+      QCheck.Test.fail_reportf "the writer raised %S on a valid packet" msg
+  in
+  agree
+    (fun () -> Packet.encode_header ~id ~proto ~src ~dst ~gap:len)
+    (fun () -> Packet.encode record)
+  && agree
+       (fun () ->
+          Encap.sender_tunnel_header ~id ~proto ~src ~dst ~foreign_agent
+            ~gap:len)
+       (fun () -> Encap.tunnel_by_sender_into ~foreign_agent record)
 
 (* --- end-to-end: a transit chain with the fast path on vs off ------ *)
 
@@ -603,6 +635,11 @@ let suite =
           (QCheck.Test.make
              ~name:"wire-built tunnels == record tunnels, encoded"
              ~count:200 arb_seed encap_into_equals_record);
+        qtest
+          (QCheck.Test.make
+             ~name:"originated headers written from fields == records, \
+                    encoded"
+             ~count:500 arb_seed field_writers_equal_records);
         Alcotest.test_case "fast and slow chains are byte-equivalent"
           `Quick chains_equivalent;
         Alcotest.test_case "agent-router chains are byte-equivalent"

@@ -334,6 +334,41 @@ let udp_to ~src ~dst_addr data =
     ~dst:dst_addr
     (Ipv4.Udp.encode (Ipv4.Udp.make ~src_port:1 ~dst_port:2 data))
 
+(* On Figure 1, with [script f ~at ~send] scheduling the events ([at
+   sec g] runs [g] at [sec], [send ()] sends a datagram from M to host
+   200 of its home net B): the times, in ms, of M's ARP requests for
+   host 200 and of M's drops. *)
+let arp_timeline script =
+  let f = TG.figure1_plain () in
+  let topo = f.TG.p_topo and m = f.TG.p_m in
+  let target = Addr.host 2 200 in
+  let ms () = Time.to_us (Topology.now topo) / 1000 in
+  let asks = ref [] and drops = ref [] in
+  Lan.add_monitor f.TG.p_net_b (fun fr ->
+      match fr.Net.Frame.content with
+      | Net.Frame.Arp { Net.Arp.op = Net.Arp.Request; sender_ip; target_ip; _ }
+        when Addr.equal sender_ip (Node.primary_addr m)
+             && Addr.equal target_ip target ->
+        asks := ms () :: !asks
+      | _ -> ());
+  Node.on_drop m (fun _ reason _ -> drops := (reason, ms ()) :: !drops);
+  let at sec g =
+    ignore
+      (Netsim.Engine.schedule (Topology.engine topo) ~at:(Time.of_sec sec) g)
+  in
+  let send () =
+    Node.send m (udp_to ~src:m ~dst_addr:target (Bytes.make 8 'x'))
+  in
+  script f ~at ~send;
+  Topology.run ~until:(Time.of_sec 4.0) topo;
+  (List.rev !asks, List.rev !drops)
+
+let check_arp_timeline (asks, drops) ~asks:expected ~dropped_at =
+  check (Alcotest.list Alcotest.int) "M's requests (ms)" expected asks;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "drops (ms)" [("arp-timeout", dropped_at)] drops
+
 let node_tests =
   [ Alcotest.test_case "same-LAN delivery with ARP resolution" `Quick
       (fun () ->
@@ -689,6 +724,38 @@ let node_tests =
         Topology.run ~until:(Time.of_sec 3.0) topo;
         check (Alcotest.list Alcotest.string) "drops" ["iface-down"] !drops;
         check Alcotest.int "the second packet delivered" 1 !got);
+    Alcotest.test_case "an answered ARP wait's timer leaves the next wait alone"
+      `Quick (fun () ->
+        (* M sends to host 200 at 1.0 s, and host 200 answers.  At 1.1 s
+           host 200 goes down, a probe drops M's entry, and M sends
+           again: a new wait, whose retries are due at 1.6 s and 2.1 s
+           and whose drop at 2.6 s.  The first wait's timer, due at
+           1.5 s, is not its own: acting on it re-asked at 1.5 s and
+           dropped the packet at 2.0 s. *)
+        check_arp_timeline
+          (arp_timeline (fun f ~at ~send ->
+               let x = Topology.add_host f.TG.p_topo "X" f.TG.p_net_b 200 in
+               Node.set_proto_handler x Ipv4.Proto.udp (fun _ _ -> ());
+               at 1.0 send;
+               at 1.1 (fun () ->
+                   Node.set_up x false;
+                   let i, _, _ = List.hd (Node.ifaces f.TG.p_m) in
+                   Node.arp_probe f.TG.p_m ~iface:i (Node.primary_addr x);
+                   send ())))
+          ~asks:[1000; 1100; 1100; 1600; 2100] ~dropped_at:2600);
+    Alcotest.test_case "a rebooted node's ARP timers leave its next wait alone"
+      `Quick (fun () ->
+        (* As above, but host 200 never answers and M reboots at 1.2 s,
+           clearing its wait, then sends again at 1.3 s: retries at
+           1.8 s and 2.3 s, the drop at 2.8 s.  The cleared wait's
+           timer, due at 1.5 s, re-asked then and dropped the packet at
+           2.0 s. *)
+        check_arp_timeline
+          (arp_timeline (fun f ~at ~send ->
+               at 1.0 send;
+               at 1.2 (fun () -> Node.reboot f.TG.p_m);
+               at 1.3 send))
+          ~asks:[1000; 1300; 1800; 2300] ~dropped_at:2800);
     Alcotest.test_case "a send to a MAC, then a move, drops iface-down"
       `Quick (fun () ->
         (* M hands R2 a packet for its MAC and leaves net B in the same

@@ -639,26 +639,35 @@ let wire_tests =
 
 (* --- allocation --- *)
 
+(* The quiet Figure 1 world of the alloc experiment's transport part:
+   one connection from S to M, established, and the count of stream
+   bytes M has received. *)
+let quiet_connection () =
+  let f = setup () in
+  let server = Stack.create f.TG.m in
+  let client = Stack.create f.TG.s in
+  let received = ref 0 in
+  ignore
+    (Socket.listen server ~port:7 (fun sock ->
+         Socket.recv_cb sock (fun b ->
+             received := !received + Bytes.length b)));
+  let sock =
+    Socket.connect client ~dst:(Agent.address f.TG.m) ~dst_port:7 ()
+  in
+  Topology.run ~until:(Time.of_sec 1.0) f.TG.topo;
+  (f.TG.topo, client, sock, received)
+
 let alloc_tests =
   [ Alcotest.test_case
-      "a 256-byte send-and-ack round trip allocates at most 450 words" `Quick
+      "a 256-byte send-and-ack round trip allocates at most 185 words" `Quick
       (fun () ->
-        (* the quiet Figure 1 world of the alloc experiment's transport
-           part: one established connection, each op queues 256 bytes
-           and runs until the ack is back *)
-        let f = setup () in
-        let topo = f.TG.topo in
-        let server = Stack.create f.TG.m in
-        let client = Stack.create f.TG.s in
-        let received = ref 0 in
-        ignore
-          (Socket.listen server ~port:7 (fun sock ->
-               Socket.recv_cb sock (fun b ->
-                   received := !received + Bytes.length b)));
-        let sock =
-          Socket.connect client ~dst:(Agent.address f.TG.m) ~dst_port:7 ()
-        in
-        Topology.run ~until:(Time.of_sec 1.0) topo;
+        (* each op queues 256 bytes and runs until the ack is back: the
+           data segment and the ack, each written straight into its
+           packet buffer, and their frames.  A packet record and a
+           boxed identification behind each header cost 14 words a
+           segment, and a closure behind the retransmission timer's
+           arm 7. *)
+        let topo, client, sock, received = quiet_connection () in
         let chunk = Bytes.create 256 in
         let send_op () =
           Socket.send sock chunk;
@@ -676,7 +685,41 @@ let alloc_tests =
           (Stack.counters client).Transport.Counters.retransmissions;
         check Alcotest.bool
           (Printf.sprintf "%.0f words per round trip" words)
-          true (words <= 450.0)) ]
+          true (words <= 185.0));
+    Alcotest.test_case "arming the retransmission timer allocates nothing"
+      `Quick (fun () ->
+        (* Two equal sends back to back, each round: the first arms the
+           timer, the second finds it armed, so the words between them
+           are the arm's.  The timer is the call of a top-level
+           function; a closure and its [Some] cost 7 words an arm. *)
+        let topo, client, sock, received = quiet_connection () in
+        let run_for ms =
+          Topology.run ~until:(Time.add (Topology.now topo) (Time.of_ms ms))
+            topo
+        in
+        (* the stream buffer grows to 16 KiB here, enough for every
+           later send: growing it costs a record on the minor heap *)
+        Socket.send sock (Bytes.create 8200);
+        run_for 500;
+        let chunk = Bytes.create 64 in
+        let rounds = 50 in
+        let arming = ref 0.0 and armed = ref 0.0 in
+        for _ = 1 to rounds do
+          let w0 = Gc.minor_words () in
+          Socket.send sock chunk;
+          let w1 = Gc.minor_words () in
+          Socket.send sock chunk;
+          let w2 = Gc.minor_words () in
+          arming := !arming +. (w1 -. w0);
+          armed := !armed +. (w2 -. w1);
+          run_for 50
+        done;
+        check Alcotest.int "every byte delivered" (8200 + (rounds * 128))
+          !received;
+        check Alcotest.int "no retransmissions" 0
+          (Stack.counters client).Transport.Counters.retransmissions;
+        check (Alcotest.float 0.0) "words per arm" 0.0
+          ((!arming -. !armed) /. float_of_int rounds)) ]
 
 let suite =
   [ ("transport.socket", socket_tests);
