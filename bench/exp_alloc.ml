@@ -412,7 +412,8 @@ let part_transport () =
      established connection, each op queues 256 stream bytes and runs the
      engine until the ack returns — the segment written from the send
      stream into its packet, two ARP-warm hops, the in-place receive and
-     its delivery copy, ack processing and timer churn included.
+     delivery (recv_cb gets the packet's bytes, no copy), ack processing
+     and timer churn included.
      Retransmissions must be exactly zero: an idle-path RTO misfire would
      silently double the cost. *)
   let f =
@@ -424,8 +425,8 @@ let part_transport () =
   let received = ref 0 in
   ignore
     (Transport.Socket.listen server ~port:7 (fun sock ->
-         Transport.Socket.recv_cb sock (fun b ->
-             received := !received + Bytes.length b)));
+         Transport.Socket.recv_cb sock (fun _ _ len ->
+             received := !received + len)));
   let sock =
     Transport.Socket.connect client
       ~dst:(Mhrp.Agent.address f.Workload.Topo_gen.m) ~dst_port:7 ()

@@ -33,6 +33,7 @@ let length_at buf ~off ~len =
     else if not (Checksum.valid_range buf ~off ~len:n) then -3
     else n
 
+let src_port_at buf ~off = Bytes.get_uint16_be buf off
 let dst_port_at buf ~off = Bytes.get_uint16_be buf (off + 2)
 
 let decode buf =

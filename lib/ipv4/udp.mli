@@ -31,9 +31,10 @@ val length_at : bytes -> off:int -> len:int -> int
     (truncated, or a range outside the buffer), [-2] (bad length) or
     [-3] (bad checksum).  Total: never raises, whatever the bytes. *)
 
+val src_port_at : bytes -> off:int -> int
 val dst_port_at : bytes -> off:int -> int
-(** The destination port of the datagram at [off], after {!length_at}
-    accepted it. *)
+(** The source and destination ports of the datagram at [off], after
+    {!length_at} accepted it. *)
 
 val decode : bytes -> t
 (** {!length_at} over the whole buffer, then the fields.  Raises

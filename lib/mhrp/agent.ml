@@ -183,11 +183,14 @@ let claims t dst = ha_claims t dst || region_peer_claims t dst
    to write in the buffer's last [len] bytes: a sender-built tunnel to
    [fa] when there is one (the [sender_tunnel] decision below), else
    plain IP.  Written from the fields, so no packet record is built. *)
-let originate ~id ~proto ~src ~dst ~len fa =
+let originate_from ~id ~proto ~src ~dst ~len fa =
   match fa with
   | Some fa ->
     Encap.sender_tunnel_header ~id ~proto ~src ~dst ~foreign_agent:fa ~gap:len
   | None -> Packet.encode_header ~id ~proto ~src ~dst ~gap:len
+
+let originate t ~id ~proto ~dst ~len fa =
+  originate_from ~id ~proto ~src:(address t) ~dst ~len fa
 
 let ext_length = function None -> 0 | Some ext -> Bytes.length ext
 
@@ -201,7 +204,9 @@ let put_ext wire = function
 (* An ICMP message and its extension, one checksum over both. *)
 let icmp_wire ~src ~dst msg ext =
   let len = Ipv4.Icmp.length msg + ext_length ext in
-  let wire = originate ~id:0 ~proto:Ipv4.Proto.icmp ~src ~dst ~len None in
+  let wire =
+    originate_from ~id:0 ~proto:Ipv4.Proto.icmp ~src ~dst ~len None
+  in
   put_ext wire ext;
   Ipv4.Icmp.write msg wire ~off:(Bytes.length wire - len) ~len;
   wire
@@ -269,8 +274,8 @@ let control_datagram t msg =
 let control_wire t ~dst msg fa =
   let ext = control_ext t msg in
   let wire =
-    originate ~id:0 ~proto:Ipv4.Proto.udp ~src:(address t) ~dst
-      ~len:(control_length msg ext) fa
+    originate t ~id:0 ~proto:Ipv4.Proto.udp ~dst ~len:(control_length msg ext)
+      fa
   in
   write_control wire msg ext;
   wire
@@ -368,19 +373,11 @@ let send_control t ~dst msg =
   if tracing t then tracef t "ctrl-tx" "to %a: %a" Addr.pp dst Control.pp msg;
   send_control_via t ~dst msg None
 
-let send_written t ~id ~proto ~dst ~len write =
-  let fa = sender_tunnel t dst in
-  let wire = originate ~id ~proto ~src:(address t) ~dst ~len fa in
-  write wire (Bytes.length wire - len);
-  send_originated t fa wire
-
 let send_udp t ?(src_port = 4000) ?(dst_port = 4000) ?(id = 0) ~dst data =
   let n = Bytes.length data in
   let len = Ipv4.Udp.header_length + n in
   let fa = sender_tunnel t dst in
-  let wire =
-    originate ~id ~proto:Ipv4.Proto.udp ~src:(address t) ~dst ~len fa
-  in
+  let wire = originate t ~id ~proto:Ipv4.Proto.udp ~dst ~len fa in
   let off = Bytes.length wire - len in
   Bytes.blit data 0 wire (off + Ipv4.Udp.header_length) n;
   Ipv4.Udp.write wire ~off ~src_port ~dst_port ~len;

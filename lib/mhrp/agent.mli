@@ -98,27 +98,40 @@ val send : t -> Ipv4.Packet.t -> unit
     (Section 6.2), or authoritatively from the home-agent database;
     otherwise plain IP. *)
 
-val send_written :
+val sender_tunnel : t -> Ipv4.Addr.t -> Ipv4.Addr.t option
+(** The tunnel decision {!send} makes for a packet this node originates
+    to a destination: the foreign agent to tunnel it to — authoritatively
+    when this node is the destination's home agent, else on a
+    location-cache hit (which counts as the cache's hit) — or [None] for
+    plain IP.  The first step of a wire-level send: {!sender_tunnel},
+    then {!originate}, then {!send_originated} with the same decision. *)
+
+val originate :
   t -> id:int -> proto:Ipv4.Proto.t -> dst:Ipv4.Addr.t -> len:int ->
-  (bytes -> int -> unit) -> unit
-(** [send_written t ~id ~proto ~dst ~len write] sends a packet from this
-    node's address whose [len]-byte payload the caller writes straight
-    into the outgoing buffer: [write wire off] must fill
-    [\[off, off + len)] of [wire].  The tunnel decision is {!send}'s, and
-    the buffer is written for it from the fields, with no packet record
-    built — plain IP ({!Ipv4.Packet.encode_header}) or a sender-built
-    tunnel ({!Encap.sender_tunnel_header}) — so the packet on the wire
-    is the one {!send} would send for
-    [Packet.make ~id ~proto ~src ~dst payload].  Nothing is counted or
-    sent until [write] returns: an exception from [write] propagates
-    with [tunnels_built] unchanged and nothing on the wire.  The
-    transport's segment path. *)
+  Ipv4.Addr.t option -> bytes
+(** [originate t ~id ~proto ~dst ~len fa] is the buffer of a packet from
+    this node's address to [dst] with a [len]-byte payload, sized for the
+    tunnel decision [fa]: plain IP ({!Ipv4.Packet.encode_header}) for
+    [None], a sender-built tunnel to the foreign agent
+    ({!Encap.sender_tunnel_header}) for [Some].  The header is written
+    from the fields, with no packet record built; the caller writes the
+    payload into the buffer's last [len] bytes with the codec's writer,
+    and the packet on the wire is then the one {!send} would send for
+    [Packet.make ~id ~proto ~src ~dst payload].  Counts and sends
+    nothing. *)
+
+val send_originated : t -> Ipv4.Addr.t option -> bytes -> unit
+(** Send an {!originate}d buffer, its payload written, under the same
+    tunnel decision: counts [tunnels_built] for a sender-built tunnel.
+    A caller whose payload writer raises never gets here, so nothing is
+    counted or on the wire.  The transport's segment path
+    ({!Transport.Stack.send_segment}). *)
 
 val send_udp :
   t -> ?src_port:int -> ?dst_port:int -> ?id:int -> dst:Ipv4.Addr.t ->
   bytes -> unit
 (** {!send} of a UDP datagram, written once: the header and the data go
-    straight into the buffer {!send_written} sizes, so on a cache hit the
+    straight into the buffer {!originate} sizes, so on a cache hit the
     sender-built tunnel is the only copy of the data. *)
 
 val send_ping : t -> ?id:int -> ?seq:int -> dst:Ipv4.Addr.t -> unit -> unit

@@ -82,7 +82,7 @@ type t = {
   mutable rto_cur : Time.t;
   mutable retries : int;
   mutable established_cb : (unit -> unit) option;
-  mutable recv : (bytes -> unit) option;
+  mutable recv : (bytes -> int -> int -> unit) option;
   mutable drained_cb : (unit -> unit) option;
   mutable peer_close_cb : (unit -> unit) option;
   mutable error_cb : (string -> unit) option;
@@ -127,10 +127,15 @@ let make_sock stack ~local_port ~remote ~remote_port ~iss ~mss ~window ~rto
     closed_cb = None }
 
 (* Every count lands both on the connection and on its stack's
-   aggregate. *)
+   aggregate.  [f] is a function literal that captures nothing, so a
+   bump allocates nothing; [bump_by] passes it the amount to add. *)
 let bump t f =
   f t.counters;
   f (Stack.counters t.stack)
+
+let bump_by t f n =
+  f t.counters n;
+  f (Stack.counters t.stack) n
 
 let data_end t = t.iss + 1 + Buffer.length t.sendbuf
 
@@ -142,8 +147,9 @@ let emit t ~retransmit ~flags ~seq ~len =
   if len > 0 then begin
     bump t (fun c ->
         c.Counters.data_segs_sent <- c.Counters.data_segs_sent + 1);
-    bump t (fun c ->
-        c.Counters.data_bytes_sent <- c.Counters.data_bytes_sent + len)
+    bump_by t
+      (fun c n -> c.Counters.data_bytes_sent <- c.Counters.data_bytes_sent + n)
+      len
   end;
   if retransmit then
     bump t (fun c ->
@@ -271,8 +277,9 @@ let establish t =
   try_send t
 
 (* The received segment is the [len] bytes at [off] of [buf], valid
-   only for the call: its fields are read in place, and only data the
-   stream delivers or buffers out of order is copied. *)
+   only for the call: its fields are read in place, in-order data is
+   handed to [recv_cb] in place, and only an out-of-order segment is
+   copied, to be kept. *)
 let handle_ack t buf ~off ~len ~flags =
   if flags land ack <> 0 then begin
     t.peer_wnd <- Tcp.window_at buf ~off;
@@ -304,11 +311,12 @@ let handle_ack t buf ~off ~len ~flags =
     end
   end
 
-let deliver t data =
-  bump t (fun c ->
-      c.Counters.data_bytes_received <-
-        c.Counters.data_bytes_received + Bytes.length data);
-  match t.recv with Some f -> f data | None -> ()
+let deliver t buf off len =
+  bump_by t
+    (fun c n ->
+       c.Counters.data_bytes_received <- c.Counters.data_bytes_received + n)
+    len;
+  match t.recv with Some f -> f buf off len | None -> ()
 
 let insert_ooo t seq buf ~off ~len =
   if List.mem_assoc seq t.ooo then
@@ -321,15 +329,15 @@ let insert_ooo t seq buf ~off ~len =
         ((seq, Bytes.sub buf off len) :: t.ooo)
   end
 
-(* Buffered segments are the connection's own copies: one that starts
-   at the cursor is delivered as it is. *)
+(* Buffered segments are the connection's own copies, delivered from
+   the cursor on. *)
 let rec drain_ooo t =
   match t.ooo with
   | (s, d) :: rest when s <= t.rcv_nxt ->
     let len = Bytes.length d in
     if s + len > t.rcv_nxt then begin
       let skip = t.rcv_nxt - s in
-      deliver t (if skip = 0 then d else Bytes.sub d skip (len - skip));
+      deliver t d skip (len - skip);
       t.rcv_nxt <- s + len
     end;
     t.ooo <- rest;
@@ -364,7 +372,7 @@ let handle_data t buf ~off ~len ~flags =
        else if seq > t.rcv_nxt then insert_ooo t seq buf ~off:data_off ~len:dlen
        else begin
          let skip = t.rcv_nxt - seq in
-         deliver t (Bytes.sub buf (data_off + skip) (dlen - skip));
+         deliver t buf (data_off + skip) (dlen - skip);
          t.rcv_nxt <- seg_end;
          drain_ooo t
        end);
@@ -419,7 +427,8 @@ let connect stack ?src_port ?(mss = default_mss) ?(window = default_window)
   let local_port =
     match src_port with
     | Some p -> p
-    | None -> Stack.fresh_ephemeral_port stack
+    | None ->
+      Stack.fresh_ephemeral_port stack ~remote:dst ~remote_port:dst_port
   in
   let t =
     make_sock stack ~local_port ~remote:dst ~remote_port:dst_port
@@ -544,6 +553,7 @@ module Dgram = struct
     Stack.transmit_udp t.d_stack ?id ?tap:t.d_tap ~dst udp
 
   let on_recv t f =
-    Stack.register_udp t.d_stack ~port:t.d_port (fun ~src udp ->
-        f ~src ~src_port:udp.Ipv4.Udp.src_port udp.Ipv4.Udp.data)
+    Stack.register_udp t.d_stack ~port:t.d_port (fun ~src buf ~off ~len ->
+        f ~src ~src_port:(Ipv4.Udp.src_port_at buf ~off) buf
+          (off + Ipv4.Udp.header_length) (len - Ipv4.Udp.header_length))
 end

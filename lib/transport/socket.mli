@@ -7,16 +7,18 @@
     go-back-N retransmission on an exponentially-backed-off RTO timer,
     and an orderly FIN teardown — all over {!Ipv4.Tcp_lite} segments
     carried by the MHRP agent's mobility-aware send
-    ({!Mhrp.Agent.send_written}), so connections survive hand-offs
+    ({!Mhrp.Agent.originate}), so connections survive hand-offs
     transparently.
 
     Segments live on wire bytes.  A segment's data is copied once, from
     the send stream straight into the outgoing packet, with its header
     written around it; a received segment is read in place, and its
-    data copied once, into the chunk [recv_cb] gets or into the
-    out-of-order buffer.  The RTO timer is the call of a top-level
-    function on the socket ({!Netsim.Engine.call_after}), so arming it
-    allocates nothing.
+    in-order data handed to [recv_cb] in place — never copied.  Only an
+    out-of-order segment is copied, because the socket must keep it
+    until the gap fills.  Counting and demultiplexing allocate nothing,
+    and the RTO timer is the call of a top-level function on the socket
+    ({!Netsim.Engine.call_after}), so arming it allocates nothing
+    either: a segment costs its packet and the frames that carry it.
 
     No application-level code should construct raw TCP segments;
     {!Stack}'s low-level hooks exist only for this module.
@@ -48,10 +50,12 @@ val connect :
   dst_port:int -> unit -> t
 (** Active open: sends the SYN immediately and returns the socket in the
     syn-sent state.  [send] may be called right away — bytes queue and
-    flush once established.  Defaults: an ephemeral [src_port],
-    [mss] 512 bytes, [window] 4096 bytes in flight, [rto] 300 ms doubling
-    up to [rto_max] 5 s, giving up after [max_retries] 12 consecutive
-    unacknowledged timeouts. *)
+    flush once established.  Defaults: an ephemeral [src_port] (the
+    stack's next one not in use to [dst]:[dst_port], see
+    {!Stack.fresh_ephemeral_port}, which raises [Failure] when all are),
+    [mss] 512 bytes, [window] 4096 bytes in flight, [rto] 300 ms
+    doubling up to [rto_max] 5 s, giving up after [max_retries] 12
+    consecutive unacknowledged timeouts. *)
 
 (** {1 The stream} *)
 
@@ -60,10 +64,14 @@ val send : t -> bytes -> unit
     when established, queues otherwise.  Raises [Invalid_argument] after
     [close]. *)
 
-val recv_cb : t -> (bytes -> unit) -> unit
-(** [recv_cb t f] calls [f] with each in-order chunk of the peer's
-    stream, exactly once per byte, in order — out-of-order segments are
-    buffered and delivered when the gap fills. *)
+val recv_cb : t -> (bytes -> int -> int -> unit) -> unit
+(** [recv_cb t f] calls [f buf off len] with each in-order chunk of the
+    peer's stream — the [len] bytes at [off] of [buf] — exactly once per
+    byte, in order; out-of-order segments are buffered and delivered when
+    the gap fills.  The chunk is handed over in place: [buf] is the
+    received packet's (or the out-of-order buffer's), valid only for the
+    call, like a protocol handler's view.  [f] must not write to it, and
+    copies out what it keeps ([Buffer.add_subbytes], [Bytes.sub]). *)
 
 val close : t -> unit
 (** Orderly shutdown: a FIN is sent once all queued data has been
@@ -124,7 +132,11 @@ module Dgram : sig
       fresh-id counter. *)
 
   val on_recv :
-    t -> (src:Ipv4.Addr.t -> src_port:int -> bytes -> unit) -> unit
+    t -> (src:Ipv4.Addr.t -> src_port:int -> bytes -> int -> int -> unit) ->
+    unit
   (** Bind the port for receiving (this installs the stack's receive
-      tap).  Raises [Invalid_argument] if the port is already bound. *)
+      tap): [f ~src ~src_port buf off len] gets each datagram's data, the
+      [len] bytes at [off] of [buf], in place and valid only for the
+      call, as {!recv_cb} gets a stream's.  Raises [Invalid_argument] if
+      the port is already bound. *)
 end

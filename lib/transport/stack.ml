@@ -1,16 +1,45 @@
 module Tcp = Ipv4.Tcp_lite
 module Packet = Ipv4.Packet
+module Udp = Ipv4.Udp
 module View = Ipv4.Packet.View
 module Addr = Ipv4.Addr
 
 type tcp_rx = src:Addr.t -> bytes -> off:int -> len:int -> unit
-type udp_rx = src:Addr.t -> Ipv4.Udp.t -> unit
+type udp_rx = src:Addr.t -> bytes -> off:int -> len:int -> unit
+
+(* A connection's key: the three fields of its 4-tuple that vary (the
+   local address is the stack's), hashed and compared as ints.  A
+   lookup fills the stack's one probe key instead of building a tuple,
+   and [find] raises rather than return an option, so demultiplexing a
+   segment allocates nothing.  Only the probe is ever mutated: a key in
+   the table is built when its connection registers and never changes
+   (so the probe is never what [add] stores). *)
+module Tuple = struct
+  type t = {
+    mutable local_port : int;
+    mutable remote : int;  (* [Addr.to_key] *)
+    mutable remote_port : int;
+  }
+
+  let equal a b =
+    a.local_port = b.local_port && a.remote = b.remote
+    && a.remote_port = b.remote_port
+
+  (* Int_table's multiplicative hash, over the remote endpoint (48
+     bits) and then the local port. *)
+  let hash k =
+    let h = (k.remote lor (k.remote_port lsl 32)) * 0x9E3779B97F4A7C1 in
+    let h = (h + k.local_port) * 0x9E3779B97F4A7C1 in
+    (h lxor (h lsr 29)) land max_int
+end
+
+module Conns = Hashtbl.Make (Tuple)
 
 type t = {
   agent : Mhrp.Agent.t;
   engine : Netsim.Engine.t;
-  conns : (int * int * int, tcp_rx) Hashtbl.t;
-  (* (local port, packed remote addr, remote port) -> connection *)
+  conns : tcp_rx Conns.t;
+  probe : Tuple.t;
   listeners : (int, tcp_rx) Hashtbl.t;
   udp_ports : (int, udp_rx) Hashtbl.t;
   counters : Counters.t;
@@ -22,17 +51,20 @@ type t = {
 
 let first_iss = 1000
 let iss_stride = 1_000_000
+let first_ephemeral = 49152
+let ephemeral_ports = 0x10000 - first_ephemeral
 
 let create agent =
   { agent;
     engine = Net.Node.engine (Mhrp.Agent.node agent);
-    conns = Hashtbl.create 16;
+    conns = Conns.create 16;
+    probe = { Tuple.local_port = 0; remote = 0; remote_port = 0 };
     listeners = Hashtbl.create 4;
     udp_ports = Hashtbl.create 4;
     counters = Counters.create ();
     ip_id = 0;
     iss = first_iss;
-    ephemeral = 49152;
+    ephemeral = first_ephemeral;
     tap_installed = false }
 
 let agent t = t.agent
@@ -61,10 +93,30 @@ let fresh_iss t =
   t.iss <- (if next >= 1 lsl 31 then first_iss else next);
   v
 
-let fresh_ephemeral_port t =
-  let p = t.ephemeral in
-  t.ephemeral <- (if p >= 0xFFFF then 49152 else p + 1);
-  p
+(* The probe key, filled for one lookup ([remote] packed). *)
+let probe t ~local_port ~remote ~remote_port =
+  let k = t.probe in
+  k.Tuple.local_port <- local_port;
+  k.Tuple.remote <- remote;
+  k.Tuple.remote_port <- remote_port;
+  k
+
+(* Ephemeral ports are handed out in turn, 49152-65535 and around again,
+   skipping any that already holds a connection to the same remote
+   endpoint. *)
+let rec take_ephemeral t ~remote ~remote_port tried =
+  if tried = ephemeral_ports then
+    failwith "Transport.Stack: every ephemeral port is in use"
+  else begin
+    let p = t.ephemeral in
+    t.ephemeral <- (if p >= 0xFFFF then first_ephemeral else p + 1);
+    if Conns.mem t.conns (probe t ~local_port:p ~remote ~remote_port) then
+      take_ephemeral t ~remote ~remote_port (tried + 1)
+    else p
+  end
+
+let fresh_ephemeral_port t ~remote ~remote_port =
+  take_ephemeral t ~remote:(Addr.to_key remote) ~remote_port 0
 
 (* A segment written straight into the outgoing packet: [len] data
    bytes from [stream] at [pos], then the header around them.  An
@@ -73,12 +125,16 @@ let fresh_ephemeral_port t =
 let send_segment t ~dst ~src_port ~dst_port ~seq ~ack ~flags ~window stream
     ~pos ~len =
   let seg_len = Tcp.header_length + len in
-  Mhrp.Agent.send_written t.agent ~id:(fresh_ip_id t) ~proto:Ipv4.Proto.tcp
-    ~dst ~len:seg_len (fun wire off ->
-        if len > 0 then
-          Buffer.blit stream pos wire (off + Tcp.header_length) len;
-        Tcp.write wire ~off ~src_port ~dst_port ~seq ~ack ~flags ~window
-          ~len:seg_len)
+  let fa = Mhrp.Agent.sender_tunnel t.agent dst in
+  let wire =
+    Mhrp.Agent.originate t.agent ~id:(fresh_ip_id t) ~proto:Ipv4.Proto.tcp
+      ~dst ~len:seg_len fa
+  in
+  let off = Bytes.length wire - seg_len in
+  if len > 0 then Buffer.blit stream pos wire (off + Tcp.header_length) len;
+  Tcp.write wire ~off ~src_port ~dst_port ~seq ~ack ~flags ~window
+    ~len:seg_len;
+  Mhrp.Agent.send_originated t.agent fa wire
 
 let transmit_udp t ?id ?tap ~dst udp =
   let id = match id with Some id -> id | None -> fresh_ip_id t in
@@ -122,34 +178,33 @@ let send_rst_for t ~src buf ~off ~len =
 
 let dispatch_tcp t ~src buf ~off ~len =
   let dst_port = Tcp.dst_port_at buf ~off in
-  let key = (dst_port, Addr.to_key src, Tcp.src_port_at buf ~off) in
-  match Hashtbl.find_opt t.conns key with
-  | Some rx -> rx ~src buf ~off ~len
-  | None ->
+  let key =
+    probe t ~local_port:dst_port ~remote:(Addr.to_key src)
+      ~remote_port:(Tcp.src_port_at buf ~off)
+  in
+  match Conns.find t.conns key with
+  | rx -> rx ~src buf ~off ~len
+  | exception Not_found ->
     (match Hashtbl.find_opt t.listeners dst_port with
      | Some rx -> rx ~src buf ~off ~len
      | None -> send_rst_for t ~src buf ~off ~len)
 
-let dispatch_udp t ~src (udp : Ipv4.Udp.t) =
-  match Hashtbl.find_opt t.udp_ports udp.Ipv4.Udp.dst_port with
-  | Some rx -> rx ~src udp
-  | None -> ()
-
-(* A segment is checked and demultiplexed in place; a datagram is
-   decoded. *)
+(* A segment or a datagram is checked and demultiplexed in place. *)
 let handle_view t v =
   let proto = View.proto v in
+  let buf = View.buffer v in
+  let off = View.payload_offset v and len = View.payload_length v in
   if proto = Ipv4.Proto.tcp then begin
-    let buf = View.buffer v in
-    let off = View.payload_offset v and len = View.payload_length v in
     if Tcp.valid_at buf ~off ~len then
       dispatch_tcp t ~src:(View.src v) buf ~off ~len
   end
-  else if proto = Ipv4.Proto.udp then
-    let pkt = View.decode v in
-    match Ipv4.Udp.decode pkt.Packet.payload with
-    | udp -> dispatch_udp t ~src:pkt.Packet.src udp
-    | exception Invalid_argument _ -> ()
+  else if proto = Ipv4.Proto.udp then begin
+    let n = Udp.length_at buf ~off ~len in
+    if n >= 0 then
+      match Hashtbl.find_opt t.udp_ports (Udp.dst_port_at buf ~off) with
+      | Some rx -> rx ~src:(View.src v) buf ~off ~len:n
+      | None -> ()
+  end
 
 (* The app tap is claimed lazily, on the first registration that needs
    to receive: a send-only stack (datagram generators) leaves the
@@ -162,14 +217,15 @@ let ensure_tap t =
   end
 
 let register_conn t ~local_port ~remote ~remote_port rx =
-  let key = (local_port, Addr.to_key remote, remote_port) in
-  if Hashtbl.mem t.conns key then
+  let remote = Addr.to_key remote in
+  if Conns.mem t.conns (probe t ~local_port ~remote ~remote_port) then
     invalid_arg "Transport.Stack: connection already registered";
   ensure_tap t;
-  Hashtbl.replace t.conns key rx
+  Conns.add t.conns { Tuple.local_port; remote; remote_port } rx
 
 let unregister_conn t ~local_port ~remote ~remote_port =
-  Hashtbl.remove t.conns (local_port, Addr.to_key remote, remote_port)
+  Conns.remove t.conns
+    (probe t ~local_port ~remote:(Addr.to_key remote) ~remote_port)
 
 let register_listener t ~port rx =
   if Hashtbl.mem t.listeners port then
@@ -185,4 +241,4 @@ let register_udp t ~port rx =
   ensure_tap t;
   Hashtbl.replace t.udp_ports port rx
 
-let connections t = Hashtbl.length t.conns
+let connections t = Conns.length t.conns

@@ -39,7 +39,10 @@ type tcp_rx = src:Ipv4.Addr.t -> bytes -> off:int -> len:int -> unit
     bytes are the received packet's, valid only for the call: a
     receiver copies out what it keeps. *)
 
-type udp_rx = src:Ipv4.Addr.t -> Ipv4.Udp.t -> unit
+type udp_rx = src:Ipv4.Addr.t -> bytes -> off:int -> len:int -> unit
+(** A received datagram, header included: the [len] bytes at [off],
+    already accepted by {!Ipv4.Udp.length_at} ([len] is its length
+    field).  Valid only for the call, as a segment is. *)
 
 val register_conn :
   t -> local_port:int -> remote:Ipv4.Addr.t -> remote_port:int -> tcp_rx ->
@@ -53,6 +56,14 @@ val register_listener : t -> port:int -> tcp_rx -> unit
 val unregister_listener : t -> port:int -> unit
 val register_udp : t -> port:int -> udp_rx -> unit
 
+val handle_view : t -> Ipv4.Packet.View.t -> unit
+(** The receive tap the stack installs on its agent: a received packet,
+    read in place.  A segment {!Ipv4.Tcp_lite.valid_at} accepts goes to
+    the connection on its 4-tuple — found with no allocation — else to
+    its port's listener, else is answered with a reset
+    ({!send_rst_for}); a datagram {!Ipv4.Udp.length_at} accepts goes to
+    its port's receiver, if any.  Anything else is dropped. *)
+
 val fresh_iss : t -> int
 (** The next initial sequence number: 1000, then one 1,000,000 stride
     per connection, wrapping back to 1000 before reaching 2^31 — so
@@ -60,19 +71,26 @@ val fresh_iss : t -> int
     Connections whose sequence spaces overlap are told apart by their
     4-tuple. *)
 
-val fresh_ephemeral_port : t -> int
+val fresh_ephemeral_port : t -> remote:Ipv4.Addr.t -> remote_port:int -> int
+(** The next of the ports 49152–65535, in turn and wrapping, that holds
+    no connection to [remote]:[remote_port]; a port in use to that
+    endpoint is skipped.  Raises [Failure] when all 16,384 are. *)
 
 val send_segment :
   t -> dst:Ipv4.Addr.t -> src_port:int -> dst_port:int -> seq:int ->
   ack:int -> flags:int -> window:int -> Buffer.t -> pos:int -> len:int ->
   unit
 (** One segment carrying the [len] stream bytes at [pos] of the buffer,
-    written straight into a fresh-ID IP packet by
-    {!Mhrp.Agent.send_written} (mobility-transparent: tunneled when
-    needed): the data is copied once, and the header is written around
-    it by {!Ipv4.Tcp_lite.write}.  [flags] is the wire's flag byte.  An
-    out-of-range field raises {!Ipv4.Tcp_lite.encode}'s
-    [Invalid_argument] before anything is counted or sent. *)
+    written straight into a fresh-ID IP packet: the buffer is
+    {!Mhrp.Agent.originate}d for the agent's tunnel decision
+    (mobility-transparent: tunneled when needed), the data copied into
+    it once, and the header written around it by
+    {!Ipv4.Tcp_lite.write}; only then is it counted and sent
+    ({!Mhrp.Agent.send_originated}).  Allocates the packet and, for a
+    tunnel decided on a location-cache hit, the decision's [Some].
+    [flags] is the wire's flag byte.  An out-of-range field raises
+    {!Ipv4.Tcp_lite.encode}'s [Invalid_argument] before anything is
+    counted or sent. *)
 
 val transmit_udp :
   t -> ?id:int -> ?tap:(Ipv4.Packet.t -> unit) -> dst:Ipv4.Addr.t ->

@@ -6,22 +6,35 @@ module Stack = Transport.Stack
 let at engine time f = ignore (Engine.schedule engine ~at:time f)
 let now_us engine = Time.to_us (Engine.now engine)
 
-(* Cut a byte stream into fixed-size messages: calls [f] with each
-   complete [size]-byte message as the stream accumulates. *)
+(* Cut a byte stream into fixed-size messages: [f buf off] gets each
+   complete [size]-byte message as the stream accumulates, the [size]
+   bytes at [off] of [buf], valid only for the call ({!Socket.recv_cb}'s
+   contract).  A message inside one chunk is handed over in place; only
+   one split across chunks is copied, into the framer's own buffer. *)
 let framer size f =
-  let buf = Buffer.create (2 * size) in
-  let off = ref 0 in
-  fun data ->
-    Buffer.add_bytes buf data;
-    while Buffer.length buf - !off >= size do
-      let msg = Bytes.create size in
-      Buffer.blit buf !off msg 0 size;
-      f msg;
-      off := !off + size
+  let partial = Bytes.create size in
+  let have = ref 0 in
+  fun buf off len ->
+    let off = ref off and len = ref len in
+    if !have > 0 then begin
+      let n = min !len (size - !have) in
+      Bytes.blit buf !off partial !have n;
+      have := !have + n;
+      off := !off + n;
+      len := !len - n;
+      if !have = size then begin
+        have := 0;
+        f partial 0
+      end
+    end;
+    while !len >= size do
+      f buf !off;
+      off := !off + size;
+      len := !len - size
     done;
-    if !off = Buffer.length buf then begin
-      Buffer.clear buf;
-      off := 0
+    if !len > 0 then begin
+      Bytes.blit buf !off partial 0 !len;
+      have := !len
     end
 
 module Rpc = struct
@@ -39,7 +52,7 @@ module Rpc = struct
     ignore
       (Socket.listen stack ~port (fun sock ->
            Socket.recv_cb sock
-             (framer req_bytes (fun _req ->
+             (framer req_bytes (fun _ _ ->
                   Socket.send sock (Bytes.create resp_bytes)))))
 
   let start ~client ~server ?(port = 80) ?(req_bytes = 64)
@@ -60,7 +73,7 @@ module Rpc = struct
         in
         t.sock <- Some sock;
         Socket.recv_cb sock
-          (framer resp_bytes (fun _resp ->
+          (framer resp_bytes (fun _ _ ->
                t.responses <- t.responses + 1;
                match Queue.take_opt t.sent_at with
                | Some sent ->
@@ -101,7 +114,8 @@ module Chat = struct
       (Socket.listen stack ~port (fun sock ->
            r.members <- sock :: r.members;
            Socket.recv_cb sock
-             (framer msg_bytes (fun msg ->
+             (framer msg_bytes (fun buf off ->
+                  let msg = Bytes.sub buf off msg_bytes in
                   List.iter
                     (fun peer ->
                       if peer != sock && not (Socket.is_closed peer) then begin
@@ -132,9 +146,9 @@ module Chat = struct
         let sock = Socket.connect stack ~dst:server ~dst_port:port () in
         m.sock <- Some sock;
         Socket.recv_cb sock
-          (framer msg_bytes (fun msg ->
+          (framer msg_bytes (fun buf off ->
                m.received <- m.received + 1;
-               let sent_us = Int64.to_int (Bytes.get_int64_be msg 0) in
+               let sent_us = Int64.to_int (Bytes.get_int64_be buf off) in
                m.lat_us <-
                  float_of_int (now_us engine - sent_us) :: m.lat_us)));
     m
@@ -195,17 +209,19 @@ module Bulk = struct
         let sock = Socket.connect stack ~dst:server ~dst_port:port () in
         t.sock <- Some sock;
         Socket.on_peer_close sock (fun () -> Socket.close sock);
-        Socket.recv_cb sock (fun data ->
+        Socket.recv_cb sock (fun buf off len ->
             let now = Engine.now engine in
             (* a transfer's longest silence = its hand-off stall *)
             let gap = Time.to_us now - Time.to_us t.last_byte_at in
             if gap > t.max_gap_us then t.max_gap_us <- gap;
             t.last_byte_at <- now;
-            for i = 0 to Bytes.length data - 1 do
-              if Bytes.get data i <> Char.chr ((t.received + i) land 0xFF)
+            for i = 0 to len - 1 do
+              if
+                Bytes.get buf (off + i)
+                <> Char.chr ((t.received + i) land 0xFF)
               then t.intact <- false
             done;
-            t.received <- t.received + Bytes.length data;
+            t.received <- t.received + len;
             if t.received = t.total && t.completed_at = None then
               t.completed_at <- Some now));
     t

@@ -47,7 +47,7 @@ let start ?(chunk = 512) ?(window = 8) ?(rto = Time.of_ms 300) ~sender
   ignore
     (Socket.listen receiver_stack ~port:5002 ~mss:chunk
        ~window:(window * chunk) ~rto ~max_retries:retry_budget (fun sock ->
-         Socket.recv_cb sock (fun b -> Buffer.add_bytes t.recvbuf b)));
+         Socket.recv_cb sock (Buffer.add_subbytes t.recvbuf)));
   let sender_stack = Stack.create sender in
   ignore
     (Engine.schedule engine ~at (fun () ->

@@ -23,6 +23,119 @@ let at topo sec f =
 
 (* --- socket basics --- *)
 
+(* The connection table against the tuple-keyed [Hashtbl] it replaced:
+   random registrations, removals, listeners and received segments on
+   one stack.  Ports and addresses come from small pools holding the
+   extremes, so 4-tuples collide and several local ports share a remote
+   endpoint. *)
+type demux_op =
+  | Register of (int * int * int)  (* local port, remote, remote port *)
+  | Unregister of (int * int * int)
+  | Listen of int
+  | Unlisten of int
+  | Segment of (int * int * int)
+
+let demux_remotes =
+  Ipv4.Addr.
+    [| zero; broadcast; of_string "10.0.0.1"; of_string "10.0.0.2";
+       of_string "192.168.255.254" |]
+
+let demux_model =
+  let open QCheck in
+  let local = Gen.oneofl [ 0; 1; 7; 80; 49152; 49153; 65535 ] in
+  let remote = Gen.int_bound (Array.length demux_remotes - 1) in
+  let remote_port = Gen.oneofl [ 0; 1; 7; 1234; 65535 ] in
+  let tuple = Gen.triple local remote remote_port in
+  let op =
+    Gen.frequency
+      [ (4, Gen.map (fun k -> Register k) tuple);
+        (2, Gen.map (fun k -> Unregister k) tuple);
+        (1, Gen.map (fun p -> Listen p) local);
+        (1, Gen.map (fun p -> Unlisten p) local);
+        (5, Gen.map (fun k -> Segment k) tuple) ]
+  in
+  let pp = function
+    | Register (l, r, p) -> Printf.sprintf "register %d %d %d" l r p
+    | Unregister (l, r, p) -> Printf.sprintf "unregister %d %d %d" l r p
+    | Listen l -> Printf.sprintf "listen %d" l
+    | Unlisten l -> Printf.sprintf "unlisten %d" l
+    | Segment (l, r, p) -> Printf.sprintf "segment %d %d %d" l r p
+  in
+  let world = lazy (setup ()) in
+  Test.make
+    ~name:"the connection table demultiplexes as a tuple-keyed Hashtbl"
+    ~count:300
+    (make ~print:(Print.list pp) Gen.(list_size (1 -- 120) op))
+    (fun ops ->
+      let f = Lazy.force world in
+      let stack = Stack.create f.TG.m in
+      let model = Hashtbl.create 16 and listeners = Hashtbl.create 4 in
+      let reached = ref "" in
+      let next_id = ref 0 in
+      let rx name ~src:_ _ ~off:_ ~len:_ = reached := name in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Register ((l, r, p) as k) ->
+             let name = Printf.sprintf "conn %d" !next_id in
+             incr next_id;
+             let registered =
+               match
+                 Stack.register_conn stack ~local_port:l
+                   ~remote:demux_remotes.(r) ~remote_port:p (rx name)
+               with
+               | () -> true
+               | exception Invalid_argument msg ->
+                 check Alcotest.string "the duplicate's error"
+                   "Transport.Stack: connection already registered" msg;
+                 false
+             in
+             if registered = Hashtbl.mem model k then
+               Alcotest.failf "%s: raised %b" (pp op) (not registered);
+             if registered then Hashtbl.replace model k name
+           | Unregister ((l, r, p) as k) ->
+             Stack.unregister_conn stack ~local_port:l
+               ~remote:demux_remotes.(r) ~remote_port:p;
+             Hashtbl.remove model k
+           | Listen l ->
+             if not (Hashtbl.mem listeners l) then begin
+               Stack.register_listener stack ~port:l
+                 (rx (Printf.sprintf "listener %d" l));
+               Hashtbl.replace listeners l ()
+             end
+           | Unlisten l ->
+             Stack.unregister_listener stack ~port:l;
+             Hashtbl.remove listeners l
+           | Segment ((l, r, p) as k) ->
+             let resets () =
+               (Stack.counters stack).Transport.Counters.resets_sent
+             in
+             let before = resets () in
+             reached := "";
+             let seg =
+               Tcp.encode
+                 (Tcp.make ~seq:5 ~ack:9 ~flags:[ Tcp.Ack ] ~src_port:p
+                    ~dst_port:l Bytes.empty)
+             in
+             Stack.handle_view stack
+               (Ipv4.Packet.View.make
+                  (Ipv4.Packet.encode
+                     (Ipv4.Packet.make ~proto:Ipv4.Proto.tcp
+                        ~src:demux_remotes.(r) ~dst:(Agent.address f.TG.m)
+                        seg)));
+             let expected =
+               match Hashtbl.find_opt model k with
+               | Some name -> name
+               | None ->
+                 if Hashtbl.mem listeners l then Printf.sprintf "listener %d" l
+                 else "reset"
+             in
+             let got = if resets () > before then "reset" else !reached in
+             if got <> expected then
+               Alcotest.failf "%s reached %S, not %S" (pp op) got expected);
+          Stack.connections stack = Hashtbl.length model)
+        ops)
+
 let socket_tests =
   [ Alcotest.test_case "handshake, echo stream, orderly close" `Quick
       (fun () ->
@@ -32,7 +145,8 @@ let socket_tests =
          (* server echoes everything back *)
          ignore
            (Socket.listen server ~port:7 (fun sock ->
-                Socket.recv_cb sock (fun b -> Socket.send sock b);
+                Socket.recv_cb sock (fun buf off len ->
+                    Socket.send sock (Bytes.sub buf off len));
                 Socket.on_peer_close sock (fun () -> Socket.close sock)));
          let echoed = Buffer.create 64 in
          let established = ref false in
@@ -43,7 +157,7 @@ let socket_tests =
                  ()
              in
              Socket.on_established sock (fun () -> established := true);
-             Socket.recv_cb sock (fun b -> Buffer.add_bytes echoed b);
+             Socket.recv_cb sock (Buffer.add_subbytes echoed);
              Socket.on_closed sock (fun () -> closed := true);
              Socket.send sock (Bytes.of_string "hello through MHRP");
              Socket.on_drained sock (fun () -> Socket.close sock));
@@ -86,7 +200,7 @@ let socket_tests =
          let received = Buffer.create 4096 in
          ignore
            (Socket.listen server ~port:7 (fun sock ->
-                Socket.recv_cb sock (fun b -> Buffer.add_bytes received b)));
+                Socket.recv_cb sock (Buffer.add_subbytes received)));
          let client = Stack.create f.TG.s in
          let data = Bytes.init 100_000 (fun i -> Char.chr (i land 0xFF)) in
          at f.TG.topo 0.5 (fun () ->
@@ -204,8 +318,8 @@ let socket_tests =
         let receiver = Stack.create f.TG.m in
         let got = ref [] in
         let d_in = Socket.Dgram.create receiver ~port:4000 in
-        Socket.Dgram.on_recv d_in (fun ~src:_ ~src_port b ->
-            got := (src_port, Bytes.to_string b) :: !got);
+        Socket.Dgram.on_recv d_in (fun ~src:_ ~src_port buf off len ->
+            got := (src_port, Bytes.sub_string buf off len) :: !got);
         let d_out = Socket.Dgram.create sender ~port:4099 in
         at f.TG.topo 1.0 (fun () ->
             Socket.Dgram.sendto d_out ~dst:(Agent.address f.TG.m)
@@ -233,7 +347,36 @@ let socket_tests =
         check Alcotest.int "all opened" 5000
           (Stack.counters client).Transport.Counters.conns_opened;
         check Alcotest.int "none left registered" 0
-          (Stack.connections client)) ]
+          (Stack.connections client));
+    Alcotest.test_case "ephemeral ports wrap past a port still in use"
+      `Quick (fun () ->
+        let f = setup () in
+        let client = Stack.create f.TG.s in
+        let dst = Agent.address f.TG.m in
+        let connect dst_port = Socket.connect client ~dst ~dst_port () in
+        let held = connect 7 in
+        check Alcotest.int "the first ephemeral port" 49152
+          (Socket.local_port held);
+        for _ = 1 to 16_383 do
+          Socket.close (connect 7)
+        done;
+        (* the 16,385th connect comes round to 49152, still [held]'s *)
+        check Alcotest.int "the port in use is skipped" 49153
+          (Socket.local_port (connect 7));
+        for _ = 1 to 16_382 do
+          ignore (connect 7)
+        done;
+        check Alcotest.int "every port bound to the server" 16_384
+          (Stack.connections client);
+        check Alcotest.bool "none is left for it" true
+          (match connect 7 with
+           | _ -> false
+           | exception Failure _ -> true);
+        check Alcotest.int "another endpoint takes the next in turn" 49152
+          (Socket.local_port (connect 9));
+        check Alcotest.int "opened" (1 + 16_383 + 1 + 16_382 + 1)
+          (Stack.counters client).Transport.Counters.conns_opened);
+    qtest demux_model ]
 
 (* --- codec properties --- *)
 
@@ -302,7 +445,7 @@ let run_lossy_transfer ~bytes ~window ~flaps =
   let received = Buffer.create bytes in
   ignore
     (Socket.listen server ~port:4321 ~max_retries:1000 (fun sock ->
-         Socket.recv_cb sock (fun b -> Buffer.add_bytes received b)));
+         Socket.recv_cb sock (Buffer.add_subbytes received)));
   let client = Stack.create f.TG.s in
   let data = Bytes.init bytes (fun i -> Char.chr (i * 7 land 0xFF)) in
   at topo 0.2 (fun () ->
@@ -612,7 +755,7 @@ let wire_tests =
         let got = Buffer.create 16 in
         ignore
           (Socket.listen server ~port:7 (fun sock ->
-               Socket.recv_cb sock (fun b -> Buffer.add_bytes got b)));
+               Socket.recv_cb sock (Buffer.add_subbytes got)));
         let client = Stack.create f.TG.s in
         let sock = ref None in
         at f.TG.topo 0.5 (fun () ->
@@ -649,24 +792,31 @@ let quiet_connection () =
   let received = ref 0 in
   ignore
     (Socket.listen server ~port:7 (fun sock ->
-         Socket.recv_cb sock (fun b ->
-             received := !received + Bytes.length b)));
+         Socket.recv_cb sock (fun _ _ len -> received := !received + len)));
   let sock =
     Socket.connect client ~dst:(Agent.address f.TG.m) ~dst_port:7 ()
   in
   Topology.run ~until:(Time.of_sec 1.0) f.TG.topo;
   (f.TG.topo, client, sock, received)
 
+(* A received packet from [src] carrying [seg], as the agent's tap gets
+   it. *)
+let segment_view ~src ~dst seg =
+  Ipv4.Packet.View.make
+    (Ipv4.Packet.encode
+       (Ipv4.Packet.make ~proto:Ipv4.Proto.tcp ~src ~dst (Tcp.encode seg)))
+
 let alloc_tests =
   [ Alcotest.test_case
-      "a 256-byte send-and-ack round trip allocates at most 185 words" `Quick
+      "a 256-byte send-and-ack round trip allocates at most 100 words" `Quick
       (fun () ->
         (* each op queues 256 bytes and runs until the ack is back: the
            data segment and the ack, each written straight into its
-           packet buffer, and their frames.  A packet record and a
-           boxed identification behind each header cost 14 words a
-           segment, and a closure behind the retransmission timer's
-           arm 7. *)
+           packet buffer, and their frames.  A writer closure behind
+           each segment's send cost 14 words, a tuple key and its
+           [Some] behind each demultiplexed segment 6, a counter closure
+           capturing a length 4 at each end, and the copy of the 256
+           bytes [recv_cb] got 34. *)
         let topo, client, sock, received = quiet_connection () in
         let chunk = Bytes.create 256 in
         let send_op () =
@@ -685,7 +835,63 @@ let alloc_tests =
           (Stack.counters client).Transport.Counters.retransmissions;
         check Alcotest.bool
           (Printf.sprintf "%.0f words per round trip" words)
-          true (words <= 185.0));
+          true (words <= 100.0));
+    Alcotest.test_case
+      "demultiplexing a segment to its connection allocates 0 words" `Quick
+      (fun () ->
+        (* a table of 64 connections, several on each remote endpoint;
+           the segment checked in place and looked up by its 4-tuple *)
+        let f = setup () in
+        let stack = Stack.create f.TG.m in
+        let src = Agent.address f.TG.s and dst = Agent.address f.TG.m in
+        let hits = ref 0 in
+        for k = 0 to 63 do
+          Stack.register_conn stack ~local_port:(7 + (k mod 4)) ~remote:src
+            ~remote_port:(49152 + (k / 4))
+            (fun ~src:_ _ ~off:_ ~len:_ -> incr hits)
+        done;
+        let v =
+          segment_view ~src ~dst
+            (Tcp.make ~seq:1001 ~ack:1001 ~flags:[ Tcp.Ack ] ~src_port:49160
+               ~dst_port:9 Bytes.empty)
+        in
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 100 do
+          Stack.handle_view stack v
+        done;
+        let words = Gc.minor_words () -. w0 in
+        check Alcotest.int "every segment reached it" 100 !hits;
+        check (Alcotest.float 0.0) "minor words" 0.0 words);
+    Alcotest.test_case "an in-order data segment reaches recv_cb with no copy"
+      `Quick (fun () ->
+        let f = setup () in
+        let server = Stack.create f.TG.m in
+        let got = ref [] in
+        ignore
+          (Socket.listen server ~port:7 (fun sock ->
+               Socket.recv_cb sock (fun buf off len ->
+                   got := (buf, off, Bytes.sub_string buf off len) :: !got)));
+        let client = Stack.create f.TG.s in
+        let src = Agent.address f.TG.s and dst = Agent.address f.TG.m in
+        let sock = Socket.connect client ~dst ~dst_port:7 () in
+        Topology.run ~until:(Time.of_sec 1.0) f.TG.topo;
+        check Alcotest.bool "established" true (Socket.is_established sock);
+        (* the client's first data byte is iss + 1 = 1001, and the
+           server's first ISS is 1000 too *)
+        let v =
+          segment_view ~src ~dst
+            (Tcp.make ~seq:1001 ~ack:1001 ~flags:[ Tcp.Psh; Tcp.Ack ]
+               ~src_port:(Socket.local_port sock) ~dst_port:7
+               (Bytes.of_string "in place"))
+        in
+        Stack.handle_view server v;
+        match !got with
+        | [ (buf, off, data) ] ->
+          check Alcotest.bool "the received packet's own bytes" true
+            (buf == Ipv4.Packet.View.buffer v);
+          check Alcotest.int "after the IP and TCP headers" 40 off;
+          check Alcotest.string "the data" "in place" data
+        | l -> Alcotest.failf "%d deliveries" (List.length l));
     Alcotest.test_case "arming the retransmission timer allocates nothing"
       `Quick (fun () ->
         (* Two equal sends back to back, each round: the first arms the
