@@ -57,12 +57,14 @@ type t = {
   max_retries : int;
   counters : Counters.t;
   mutable state : state;
-  (* Send side.  The stream is a Buffer that is never trimmed: the byte
-     with sequence number [s] lives at index [s - (iss + 1)], so
-     retransmission needs no separate queue, and each segment's data is
-     copied straight from it into the outgoing packet. *)
+  (* Send side.  The stream is the application's chunks that still hold
+     a byte from [snd_una] on, kept by reference and addressed by
+     sequence number: a chunk is released once all of it is
+     acknowledged, a retransmission reads from [snd_una], and each
+     segment's data is copied straight from the chunks into the
+     outgoing packet. *)
   iss : int;
-  sendbuf : Buffer.t;
+  sendq : Send_queue.t;
   mutable snd_una : int;
   mutable snd_nxt : int;
   mutable peer_wnd : int;
@@ -104,7 +106,7 @@ let make_sock stack ~local_port ~remote ~remote_port ~iss ~mss ~window ~rto
     counters = Counters.create ();
     state;
     iss;
-    sendbuf = Buffer.create 256;
+    sendq = Send_queue.create ~seq:(iss + 1);
     snd_una = iss;
     snd_nxt = iss;
     peer_wnd = adv_window;
@@ -137,7 +139,7 @@ let bump_by t f n =
   f t.counters n;
   f (Stack.counters t.stack) n
 
-let data_end t = t.iss + 1 + Buffer.length t.sendbuf
+let data_end t = Send_queue.end_seq t.sendq
 
 (* One segment of [len] stream bytes starting at [seq] (none for a
    control segment). *)
@@ -156,7 +158,7 @@ let emit t ~retransmit ~flags ~seq ~len =
         c.Counters.retransmissions <- c.Counters.retransmissions + 1);
   Stack.send_segment t.stack ~dst:t.remote ~src_port:t.local_port
     ~dst_port:t.remote_port ~seq ~ack:ack_no ~flags ~window:adv_window
-    t.sendbuf ~pos:(seq - (t.iss + 1)) ~len
+    t.sendq ~len
 
 let control t ?(retransmit = false) ~flags ~seq () =
   emit t ~retransmit ~flags ~seq ~len:0
@@ -171,20 +173,24 @@ let unregister t =
   Stack.unregister_conn t.stack ~local_port:t.local_port ~remote:t.remote
     ~remote_port:t.remote_port
 
+(* Every way into [Closed]: no timer, no demultiplexing entry, and no
+   stream kept for a retransmission that will never come. *)
+let shut t =
+  t.state <- Closed;
+  cancel_timer t;
+  unregister t;
+  Send_queue.clear t.sendq
+
 let become_closed t =
   if t.state <> Closed then begin
-    t.state <- Closed;
-    cancel_timer t;
-    unregister t;
+    shut t;
     match t.closed_cb with Some f -> f () | None -> ()
   end
 
 let fail t reason =
   if t.state <> Closed then begin
     bump t (fun c -> c.Counters.conns_failed <- c.Counters.conns_failed + 1);
-    cancel_timer t;
-    t.state <- Closed;
-    unregister t;
+    shut t;
     (match t.error_cb with Some f -> f reason | None -> ());
     match t.closed_cb with Some f -> f () | None -> ()
   end
@@ -289,6 +295,7 @@ let handle_ack t buf ~off ~len ~flags =
     let ack_no = Tcp.ack_at buf ~off in
     if ack_no > t.snd_una && ack_no <= t.snd_nxt then begin
       t.snd_una <- ack_no;
+      Send_queue.release t.sendq ~upto:ack_no;
       t.retries <- 0;
       t.rto_cur <- t.rto_init;
       cancel_timer t;
@@ -318,16 +325,21 @@ let deliver t buf off len =
     len;
   match t.recv with Some f -> f buf off len | None -> ()
 
+(* [ooo] with a copy of the segment at its place in seq order, in one
+   pass; [Exit] if a segment with its [seq] is already held. *)
+let rec ooo_insert seq buf off len = function
+  | ((s, _) as held) :: rest when s < seq ->
+    held :: ooo_insert seq buf off len rest
+  | (s, _) :: _ when s = seq -> raise_notrace Exit
+  | later -> (seq, Bytes.sub buf off len) :: later
+
 let insert_ooo t seq buf ~off ~len =
-  if List.mem_assoc seq t.ooo then
-    bump t (fun c -> c.Counters.duplicates <- c.Counters.duplicates + 1)
-  else begin
+  match ooo_insert seq buf off len t.ooo with
+  | ooo ->
     bump t (fun c -> c.Counters.out_of_order <- c.Counters.out_of_order + 1);
-    t.ooo <-
-      List.sort
-        (fun (a, _) (b, _) -> compare a b)
-        ((seq, Bytes.sub buf off len) :: t.ooo)
-  end
+    t.ooo <- ooo
+  | exception Exit ->
+    bump t (fun c -> c.Counters.duplicates <- c.Counters.duplicates + 1)
 
 (* Buffered segments are the connection's own copies, delivered from
    the cursor on. *)
@@ -369,6 +381,10 @@ let handle_data t buf ~off ~len ~flags =
        let seg_end = seq + dlen in
        if seg_end <= t.rcv_nxt then
          bump t (fun c -> c.Counters.duplicates <- c.Counters.duplicates + 1)
+       else if seq >= t.rcv_nxt + adv_window then
+         (* beyond the window we advertise, where no sender's segment
+            starts: acked, but not kept *)
+         ()
        else if seq > t.rcv_nxt then insert_ooo t seq buf ~off:data_off ~len:dlen
        else begin
          let skip = t.rcv_nxt - seq in
@@ -494,7 +510,7 @@ let send t data =
   | _ when t.fin_queued ->
     invalid_arg "Transport.Socket.send: close already requested"
   | _ -> ());
-  Buffer.add_bytes t.sendbuf data;
+  Send_queue.push t.sendq data;
   match t.state with Established | Close_wait -> try_send t | _ -> ()
 
 let close t =
@@ -503,9 +519,7 @@ let close t =
   | _ when t.fin_queued -> ()
   | Syn_sent ->
     (* nothing the peer has acted on yet: quietly drop *)
-    cancel_timer t;
-    t.state <- Closed;
-    unregister t
+    shut t
   | _ ->
     t.fin_queued <- true;
     try_send t
@@ -516,9 +530,7 @@ let abort t =
   | _ ->
     bump t (fun c -> c.Counters.resets_sent <- c.Counters.resets_sent + 1);
     control t ~flags:rst ~seq:t.snd_nxt ();
-    cancel_timer t;
-    t.state <- Closed;
-    unregister t;
+    shut t;
     (match t.closed_cb with Some f -> f () | None -> ())
 
 let recv_cb t f = t.recv <- Some f

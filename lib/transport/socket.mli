@@ -10,12 +10,17 @@
     ({!Mhrp.Agent.originate}), so connections survive hand-offs
     transparently.
 
-    Segments live on wire bytes.  A segment's data is copied once, from
-    the send stream straight into the outgoing packet, with its header
-    written around it; a received segment is read in place, and its
-    in-order data handed to [recv_cb] in place — never copied.  Only an
-    out-of-order segment is copied, because the socket must keep it
-    until the gap fills.  Counting and demultiplexing allocate nothing,
+    Segments live on wire bytes.  The send stream is the application's
+    own chunks, held by reference ({!Send_queue}) and each released once
+    the peer has acknowledged its last byte, so a connection holds the
+    chunks that still contain an unacknowledged byte, each of them
+    whole.  A segment's data is copied once,
+    from those chunks straight into the outgoing packet, with its
+    header written around it; a received segment is read in place, and
+    its in-order data handed to [recv_cb] in place — never copied.  Only
+    an out-of-order segment is copied, because the socket must keep it
+    until the gap fills, and only one that starts inside the window the
+    socket advertises.  Counting and demultiplexing allocate nothing,
     and the RTO timer is the call of a top-level function on the socket
     ({!Netsim.Engine.call_after}), so arming it allocates nothing
     either: a segment costs its packet and the frames that carry it.
@@ -60,9 +65,15 @@ val connect :
 (** {1 The stream} *)
 
 val send : t -> bytes -> unit
-(** Append to the send stream.  Transmits up to the window immediately
-    when established, queues otherwise.  Raises [Invalid_argument] after
-    [close]. *)
+(** Append [data] to the send stream, by reference: the socket keeps
+    [data] itself, not a copy, until every byte of it is acknowledged
+    (or the connection closes), and reads it for each transmission and
+    retransmission.  So the caller must not write to [data] afterwards;
+    sending one unchanging buffer many times is fine.  Never pass
+    [recv_cb]'s [buf], which is valid only for the call: copy the chunk
+    out first ([Bytes.sub buf off len]).  Transmits up to the window
+    immediately when established, queues otherwise.  Raises
+    [Invalid_argument] after [close]. *)
 
 val recv_cb : t -> (bytes -> int -> int -> unit) -> unit
 (** [recv_cb t f] calls [f buf off len] with each in-order chunk of the

@@ -118,12 +118,12 @@ let rec take_ephemeral t ~remote ~remote_port tried =
 let fresh_ephemeral_port t ~remote ~remote_port =
   take_ephemeral t ~remote:(Addr.to_key remote) ~remote_port 0
 
-(* A segment written straight into the outgoing packet: [len] data
-   bytes from [stream] at [pos], then the header around them.  An
-   out-of-range field raises from [Tcp.write], before the agent counts
-   or sends anything. *)
-let send_segment t ~dst ~src_port ~dst_port ~seq ~ack ~flags ~window stream
-    ~pos ~len =
+(* A segment written straight into the outgoing packet: the [len]
+   stream bytes from [seq] on, gathered from the send queue's chunks,
+   then the header around them.  An out-of-range field raises from
+   [Tcp.write], before the agent counts or sends anything. *)
+let send_segment t ~dst ~src_port ~dst_port ~seq ~ack ~flags ~window queue
+    ~len =
   let seg_len = Tcp.header_length + len in
   let fa = Mhrp.Agent.sender_tunnel t.agent dst in
   let wire =
@@ -131,7 +131,8 @@ let send_segment t ~dst ~src_port ~dst_port ~seq ~ack ~flags ~window stream
       ~dst ~len:seg_len fa
   in
   let off = Bytes.length wire - seg_len in
-  if len > 0 then Buffer.blit stream pos wire (off + Tcp.header_length) len;
+  if len > 0 then
+    Send_queue.blit queue ~seq wire ~off:(off + Tcp.header_length) ~len;
   Tcp.write wire ~off ~src_port ~dst_port ~seq ~ack ~flags ~window
     ~len:seg_len;
   Mhrp.Agent.send_originated t.agent fa wire
@@ -145,7 +146,6 @@ let transmit_udp t ?id ?tap ~dst udp =
   (match tap with Some f -> f pkt | None -> ());
   Mhrp.Agent.send t.agent pkt
 
-let no_data = Buffer.create 0
 let fin = Tcp.flag_bit Tcp.Fin
 let syn = Tcp.flag_bit Tcp.Syn
 let rst = Tcp.flag_bit Tcp.Rst
@@ -173,7 +173,7 @@ let send_rst_for t ~src buf ~off ~len =
     t.counters.Counters.segs_sent <- t.counters.Counters.segs_sent + 1;
     send_segment t ~dst:src ~src_port:(Tcp.dst_port_at buf ~off)
       ~dst_port:(Tcp.src_port_at buf ~off) ~seq ~ack:ack_no
-      ~flags:reply_flags ~window:8192 no_data ~pos:0 ~len:0
+      ~flags:reply_flags ~window:8192 (Send_queue.create ~seq) ~len:0
   end
 
 let dispatch_tcp t ~src buf ~off ~len =

@@ -78,13 +78,14 @@ val fresh_ephemeral_port : t -> remote:Ipv4.Addr.t -> remote_port:int -> int
 
 val send_segment :
   t -> dst:Ipv4.Addr.t -> src_port:int -> dst_port:int -> seq:int ->
-  ack:int -> flags:int -> window:int -> Buffer.t -> pos:int -> len:int ->
-  unit
-(** One segment carrying the [len] stream bytes at [pos] of the buffer,
-    written straight into a fresh-ID IP packet: the buffer is
+  ack:int -> flags:int -> window:int -> Send_queue.t -> len:int -> unit
+(** One segment carrying the [len] stream bytes from sequence number
+    [seq] on, written straight into a fresh-ID IP packet: the buffer is
     {!Mhrp.Agent.originate}d for the agent's tunnel decision
-    (mobility-transparent: tunneled when needed), the data copied into
-    it once, and the header written around it by
+    (mobility-transparent: tunneled when needed), the data gathered
+    into it once from the queue's chunks ({!Send_queue.blit}, which
+    raises [Invalid_argument] for bytes the queue no longer holds), and
+    the header written around it by
     {!Ipv4.Tcp_lite.write}; only then is it counted and sent
     ({!Mhrp.Agent.send_originated}).  Allocates the packet and, for a
     tunnel decided on a location-cache hit, the decision's [Some].

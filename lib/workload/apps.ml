@@ -48,12 +48,15 @@ module Rpc = struct
     mutable lat_us : float list;  (* reverse completion order *)
   }
 
+  (* Nothing reads a request's or a response's contents, so each
+     connection sends one buffer over and over: the socket only reads
+     what it is handed ({!Socket.send}). *)
   let serve stack ~port ~req_bytes ~resp_bytes =
     ignore
       (Socket.listen stack ~port (fun sock ->
+           let resp = Bytes.create resp_bytes in
            Socket.recv_cb sock
-             (framer req_bytes (fun _ _ ->
-                  Socket.send sock (Bytes.create resp_bytes)))))
+             (framer req_bytes (fun _ _ -> Socket.send sock resp))))
 
   let start ~client ~server ?(port = 80) ?(req_bytes = 64)
       ?(resp_bytes = 256) ?rto ~start ~interval ~count () =
@@ -72,6 +75,7 @@ module Rpc = struct
           Socket.connect client ?rto ~dst:server ~dst_port:port ()
         in
         t.sock <- Some sock;
+        let req = Bytes.create req_bytes in
         Socket.recv_cb sock
           (framer resp_bytes (fun _ _ ->
                t.responses <- t.responses + 1;
@@ -90,7 +94,7 @@ module Rpc = struct
                 (* latency clock starts at the intended send time, so
                    hand-off stalls in the send path count too *)
                 Queue.add (Engine.now engine) t.sent_at;
-                Socket.send sock (Bytes.create req_bytes)
+                Socket.send sock req
               end)
         done);
     t
@@ -172,12 +176,26 @@ module Chat = struct
 end
 
 module Bulk = struct
-  let pattern bytes = Bytes.init bytes (fun i -> Char.chr (i land 0xFF))
+  (* Byte [i] of every transfer is [i land 0xFF]: a 64 KiB page, a
+     whole number of that 256-byte period, repeats it exactly. *)
+  let page_bytes = 65536
 
+  (* Each connection builds one page and sends it by reference as often
+     as its transfer needs; the page goes once its last chunk is
+     acknowledged. *)
   let serve stack ~port ~bytes =
     ignore
       (Socket.listen stack ~port (fun sock ->
-           Socket.send sock (pattern bytes);
+           let page =
+             Bytes.init (min bytes page_bytes) (fun i -> Char.chr (i land 0xFF))
+           in
+           let left = ref bytes in
+           while !left > 0 do
+             let n = min !left (Bytes.length page) in
+             Socket.send sock
+               (if n = Bytes.length page then page else Bytes.sub page 0 n);
+             left := !left - n
+           done;
            Socket.close sock))
 
   type fetch = {

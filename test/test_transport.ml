@@ -12,6 +12,7 @@ module TG = Workload.Topo_gen
 module Stack = Transport.Stack
 module Socket = Transport.Socket
 module Tcp = Ipv4.Tcp_lite
+module Send_queue = Transport.Send_queue
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -20,6 +21,13 @@ let setup () = TG.figure1 ()
 
 let at topo sec f =
   ignore (Engine.schedule (Topology.engine topo) ~at:(Time.of_sec sec) f)
+
+(* A received packet from [src] carrying [seg], as the agent's tap gets
+   it. *)
+let segment_view ~src ~dst seg =
+  Ipv4.Packet.View.make
+    (Ipv4.Packet.encode
+       (Ipv4.Packet.make ~proto:Ipv4.Proto.tcp ~src ~dst (Tcp.encode seg)))
 
 (* --- socket basics --- *)
 
@@ -376,6 +384,81 @@ let socket_tests =
           (Socket.local_port (connect 9));
         check Alcotest.int "opened" (1 + 16_383 + 1 + 16_382 + 1)
           (Stack.counters client).Transport.Counters.conns_opened);
+    Alcotest.test_case
+      "odd-sized sends survive a lost segment: go-back-N from inside a chunk"
+      `Quick (fun () ->
+        (* four sends queued before the handshake, so the 512-byte
+           segments cut across them: bytes 0-511 are the first two
+           chunks, 512-1023 most of the third, and 1024-1535 the third's
+           last byte and the fourth's first 511.  That third segment is
+           lost; the resend starts at its first byte, inside a chunk. *)
+        let f = setup () in
+        let server = Stack.create f.TG.m in
+        let received = Buffer.create 2048 in
+        ignore
+          (Socket.listen server ~port:7 (fun sock ->
+               Socket.recv_cb sock (Buffer.add_subbytes received)));
+        let client = Stack.create f.TG.s in
+        let sizes = [ 1; 511; 513; 700 ] in
+        let total = List.fold_left ( + ) 0 sizes in
+        let stream = Bytes.init total (fun i -> Char.chr (i * 13 land 0xFF)) in
+        let lost_seq = 1001 + 1024 in
+        let lost = ref 0 in
+        Net.Node.set_fault_filter (Agent.node f.TG.s)
+          (Some
+             (fun _ pkt ->
+               match Tcp.decode pkt.Ipv4.Packet.payload with
+               | Some seg
+                 when pkt.Ipv4.Packet.proto = Ipv4.Proto.tcp && !lost = 0
+                      && seg.Tcp.seq = lost_seq
+                      && Bytes.length seg.Tcp.data > 0 ->
+                 incr lost;
+                 false
+               | _ -> true));
+        let sock = ref None in
+        at f.TG.topo 1.0 (fun () ->
+            let s =
+              Socket.connect client ~dst:(Agent.address f.TG.m) ~dst_port:7 ()
+            in
+            sock := Some s;
+            ignore
+              (List.fold_left
+                 (fun pos n ->
+                   Socket.send s (Bytes.sub stream pos n);
+                   pos + n)
+                 0 sizes));
+        Topology.run ~until:(Time.of_sec 10.0) f.TG.topo;
+        check Alcotest.int "the third segment was lost once" 1 !lost;
+        check Alcotest.bool "resent" true
+          ((Stack.counters client).Transport.Counters.retransmissions > 0);
+        check Alcotest.string "delivered byte-exact" (Bytes.to_string stream)
+          (Buffer.contents received);
+        check Alcotest.int "all acknowledged" 0
+          (Socket.bytes_queued (Option.get !sock)));
+    Alcotest.test_case "a segment past the advertised window is acked, not kept"
+      `Quick (fun () ->
+        let f = setup () in
+        let server = Stack.create f.TG.m in
+        let accepted = ref None in
+        ignore (Socket.listen server ~port:7 (fun s -> accepted := Some s));
+        let client = Stack.create f.TG.s in
+        let src = Agent.address f.TG.s and dst = Agent.address f.TG.m in
+        let sock = Socket.connect client ~dst ~dst_port:7 () in
+        Topology.run ~until:(Time.of_sec 1.0) f.TG.topo;
+        let peer = Option.get !accepted in
+        check Alcotest.bool "established" true (Socket.is_established peer);
+        let c = Socket.counters peer in
+        let sent = c.Transport.Counters.segs_sent in
+        (* the client's next byte is 1001: 70,000 bytes on is past the
+           65,535 the server advertises, where no sender starts a
+           segment *)
+        Stack.handle_view server
+          (segment_view ~src ~dst
+             (Tcp.make ~seq:(1001 + 70_000) ~ack:1001
+                ~flags:[ Tcp.Psh; Tcp.Ack ] ~src_port:(Socket.local_port sock)
+                ~dst_port:7 (Bytes.of_string "far ahead")));
+        check Alcotest.int "acked" (sent + 1) c.Transport.Counters.segs_sent;
+        check Alcotest.int "not kept" 0 c.Transport.Counters.out_of_order);
     qtest demux_model ]
 
 (* --- codec properties --- *)
@@ -582,14 +665,21 @@ let route_via ww ~tunneled =
     Mhrp.Location_cache.update cache ~mobile:(Agent.address ww.w.TG.m)
       ~foreign_agent:(Agent.address ww.w.TG.r4)
 
+(* The segment's data sits in a send queue behind a 14-byte prefix,
+   split across two chunks at its middle (a 1-byte segment starts at
+   the second chunk's first byte), with a suffix after it. *)
 let send_segment ww (seg : Tcp.t) =
-  let data = Buffer.create 16 in
-  Buffer.add_string data "stream prefix/";
-  Buffer.add_bytes data seg.Tcp.data;
+  let d = seg.Tcp.data in
+  let n = Bytes.length d and half = Bytes.length d / 2 in
+  let queue = Send_queue.create ~seq:(seg.Tcp.seq - 14) in
+  Send_queue.push queue
+    (Bytes.cat (Bytes.of_string "stream prefix/") (Bytes.sub d 0 half));
+  Send_queue.push queue
+    (Bytes.cat (Bytes.sub d half (n - half)) (Bytes.of_string "/suffix"));
   Stack.send_segment ww.stack ~dst:(Agent.address ww.w.TG.m)
     ~src_port:seg.Tcp.src_port ~dst_port:seg.Tcp.dst_port ~seq:seg.Tcp.seq
     ~ack:seg.Tcp.ack ~flags:(flag_byte seg.Tcp.flags) ~window:seg.Tcp.window
-    data ~pos:14 ~len:(Bytes.length seg.Tcp.data)
+    queue ~len:n
 
 let tunnels ww = (Agent.counters ww.w.TG.s).Mhrp.Counters.tunnels_built
 
@@ -597,8 +687,78 @@ let drain ww =
   let topo = ww.w.TG.topo in
   Topology.run ~until:(Time.add (Topology.now topo) (Time.of_ms 20)) topo
 
+(* A send queue against the stream it was pushed: chunks of 0-700
+   bytes, releases at random acknowledged points, and gathers of random
+   held ranges, compared with the same bytes of the whole stream. *)
+let send_queue_model =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [ (3, map (fun n -> `Push n) (int_bound 700));
+          (1, map (fun k -> `Release k) (int_bound 1000));
+          (3, map2 (fun a b -> `Blit (a, b)) (int_bound 1000) (int_bound 1000)) ])
+  in
+  Test.make ~name:"a send queue gathers what was pushed, across chunks"
+    ~count:300
+    (make Gen.(list_size (1 -- 80) op))
+    (fun ops ->
+      let first = 1001 in
+      let q = Send_queue.create ~seq:first in
+      let whole = Buffer.create 4096 in
+      let acked = ref first in
+      List.for_all
+        (fun op ->
+          let end_seq = first + Buffer.length whole in
+          match op with
+          | `Push n ->
+            let chunk =
+              Bytes.init n (fun i -> Char.chr ((end_seq + i) * 7 land 0xFF))
+            in
+            Send_queue.push q chunk;
+            Buffer.add_bytes whole chunk;
+            Send_queue.end_seq q = end_seq + n
+          | `Release k ->
+            acked := !acked + (k * (end_seq - !acked) / 1000);
+            Send_queue.release q ~upto:!acked;
+            true
+          | `Blit (a, b) ->
+            let held = end_seq - !acked in
+            let seq = !acked + (a * held / 1000) in
+            let len = b * (end_seq - seq) / 1000 in
+            let dst = Bytes.make (len + 2) '.' in
+            Send_queue.blit q ~seq dst ~off:1 ~len;
+            Bytes.sub_string dst 1 len
+            = Buffer.sub whole (seq - first) len
+            && Bytes.get dst 0 = '.'
+            && Bytes.get dst (len + 1) = '.')
+        ops
+      && (Send_queue.clear q;
+          Send_queue.end_seq q = first + Buffer.length whole))
+
 let wire_tests =
-  [ qtest
+  [ qtest send_queue_model;
+    Alcotest.test_case "a send queue gathers only the bytes it holds" `Quick
+      (fun () ->
+        let q = Send_queue.create ~seq:100 in
+        Send_queue.push q (Bytes.of_string "abcd");
+        Send_queue.push q Bytes.empty;
+        Send_queue.push q (Bytes.of_string "efgh");
+        let gather seq len =
+          let dst = Bytes.create len in
+          match Send_queue.blit q ~seq dst ~off:0 ~len with
+          | () -> Bytes.to_string dst
+          | exception Invalid_argument _ -> "raised"
+        in
+        check Alcotest.string "across the chunks" "cdef" (gather 102 4);
+        check Alcotest.string "past the end" "raised" (gather 106 3);
+        Send_queue.release q ~upto:105;
+        check Alcotest.string "the second chunk only" "fgh" (gather 105 3);
+        check Alcotest.string "a released chunk" "raised" (gather 103 3);
+        Send_queue.clear q;
+        check Alcotest.int "end kept" 108 (Send_queue.end_seq q);
+        check Alcotest.string "nothing after clear" "raised" (gather 107 1));
+    qtest
       (QCheck.Test.make ~name:"in-place readers and writer agree with the codec"
          ~count:300
          (QCheck.pair arb_segment QCheck.(int_bound 40))
@@ -799,13 +959,6 @@ let quiet_connection () =
   Topology.run ~until:(Time.of_sec 1.0) f.TG.topo;
   (f.TG.topo, client, sock, received)
 
-(* A received packet from [src] carrying [seg], as the agent's tap gets
-   it. *)
-let segment_view ~src ~dst seg =
-  Ipv4.Packet.View.make
-    (Ipv4.Packet.encode
-       (Ipv4.Packet.make ~proto:Ipv4.Proto.tcp ~src ~dst (Tcp.encode seg)))
-
 let alloc_tests =
   [ Alcotest.test_case
       "a 256-byte send-and-ack round trip allocates at most 100 words" `Quick
@@ -903,8 +1056,8 @@ let alloc_tests =
           Topology.run ~until:(Time.add (Topology.now topo) (Time.of_ms ms))
             topo
         in
-        (* the stream buffer grows to 16 KiB here, enough for every
-           later send: growing it costs a record on the minor heap *)
+        (* the send queue's ring of chunks grows here, enough for every
+           later round's two: growing it costs an array *)
         Socket.send sock (Bytes.create 8200);
         run_for 500;
         let chunk = Bytes.create 64 in
@@ -925,7 +1078,29 @@ let alloc_tests =
         check Alcotest.int "no retransmissions" 0
           (Stack.counters client).Transport.Counters.retransmissions;
         check (Alcotest.float 0.0) "words per arm" 0.0
-          ((!arming -. !armed) /. float_of_int rounds)) ]
+          ((!arming -. !armed) /. float_of_int rounds));
+    Alcotest.test_case "an acknowledged stream is not kept" `Quick (fun () ->
+        (* the peer acknowledges a 1 MiB stream and the connection stays
+           open: a socket that kept its stream would hold all of it *)
+        let topo, _, sock, received = quiet_connection () in
+        let stream = 1 lsl 20 in
+        let stream_words = stream / (Sys.word_size / 8) in
+        Gc.full_major ();
+        let live0 = (Gc.stat ()).Gc.live_words in
+        Socket.send sock (Bytes.make stream 's');
+        Topology.run ~until:(Time.add (Topology.now topo) (Time.of_sec 30.0))
+          topo;
+        Gc.full_major ();
+        let grown = (Gc.stat ()).Gc.live_words - live0 in
+        check Alcotest.int "every byte delivered" stream !received;
+        check Alcotest.int "every byte acknowledged" 0
+          (Socket.bytes_queued sock);
+        check Alcotest.bool "still open" true (Socket.is_established sock);
+        check Alcotest.bool
+          (Printf.sprintf "%d live words more, for a %d-word stream" grown
+             stream_words)
+          true
+          (grown < stream_words / 8)) ]
 
 let suite =
   [ ("transport.socket", socket_tests);

@@ -109,7 +109,30 @@ let reqresp_tests =
              the visiting server were tunneled, responses travelled as
              plain IP, and no raw segments were tracked as datagrams *)
           check Alcotest.int "no raw packet records" 0
-            (List.length (Workload.Metrics.records metrics))) ]
+            (List.length (Workload.Metrics.records metrics)));
+    Alcotest.test_case
+      "bulk: 100,000 bytes, a page and a tail, arrive intact twice" `Quick
+      (fun () ->
+        (* the server sends one 64 KiB page and a 34,464-byte tail to
+           each connection; the second starts while the first is in
+           flight *)
+        let f = TG.figure1 () in
+        Workload.Apps.Bulk.serve (Transport.Stack.create f.TG.s) ~port:8080
+          ~bytes:100_000;
+        let fetch agent at =
+          Workload.Apps.Bulk.fetch (Transport.Stack.create agent)
+            ~server:(Agent.address f.TG.s) ~bytes:100_000
+            ~at:(Time.of_sec at) ()
+        in
+        let first = fetch f.TG.m 1.0 and second = fetch f.TG.r1 1.05 in
+        Topology.run ~until:(Time.of_sec 20.0) f.TG.topo;
+        List.iter
+          (fun (name, b) ->
+            check Alcotest.int (name ^ ": every byte") 100_000
+              (Workload.Apps.Bulk.received b);
+            check Alcotest.bool (name ^ ": intact") true
+              (Workload.Apps.Bulk.intact b))
+          [ ("first", first); ("second", second) ]) ]
 
 let mobility_tests =
   [ Alcotest.test_case "itinerary visits the scripted stops" `Quick
