@@ -63,7 +63,8 @@ let wire_of_payload n =
     (Ipv4.Packet.make ~id:1 ~proto:Ipv4.Proto.udp ~src:(Addr.host 1 10)
        ~dst:(Addr.host 2 10)
        (Ipv4.Udp.encode
-          (Ipv4.Udp.make ~src_port:4000 ~dst_port:4000 (Bytes.create n))))
+          (Ipv4.Udp.make ~src_port:4000 ~dst_port:4000
+             (Bytes.make n '\000'))))
 
 let wire_mid = wire_of_payload 484
 let wire_big = wire_of_payload 1444  (* 1472B total, fits a 1500B MTU *)
@@ -344,7 +345,7 @@ let tunnel_words size =
   let dst = Mhrp.Agent.address m in
   let received = ref 0 in
   Mhrp.Agent.on_app_receive m (fun _ -> incr received);
-  let data = Bytes.create size in
+  let data = Bytes.make size '\000' in
   let burst ~until =
     Mhrp.Location_cache.update (Mhrp.Agent.cache s) ~mobile:dst ~foreign_agent;
     for _ = 1 to tunnel_packets do Mhrp.Agent.send_udp s ~dst data done;
@@ -433,7 +434,7 @@ let part_transport () =
   in
   Topology.run ~until:(Time.of_sec 1.0) topo;
   assert (Transport.Socket.is_established sock);
-  let chunk = Bytes.create 256 in
+  let chunk = Bytes.make 256 '\000' in
   let send_op () =
     Transport.Socket.send sock chunk;
     Topology.run ~until:(Time.add (Topology.now topo) (Time.of_ms 50)) topo

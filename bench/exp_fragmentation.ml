@@ -16,7 +16,8 @@ let udp_packet payload =
   Packet.make ~id:1 ~proto:Ipv4.Proto.udp ~src:(Addr.host 1 10)
     ~dst:(Addr.host 2 10)
     (Ipv4.Udp.encode
-       (Ipv4.Udp.make ~src_port:4000 ~dst_port:4000 (Bytes.create payload)))
+       (Ipv4.Udp.make ~src_port:4000 ~dst_port:4000
+          (Bytes.make payload '\000')))
 
 let encapsulations =
   [ ("plain IP", 0, fun pkt -> pkt);

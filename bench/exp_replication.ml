@@ -9,6 +9,19 @@ open Exp_util
 module TGm = Workload.Topo_gen
 module Time = Netsim.Time
 
+(* The [Ha_sync] messages [node] puts on the wire. *)
+let count_ha_syncs node =
+  let n = ref 0 in
+  Node.on_transmit node (fun _ pkt ->
+      if pkt.Ipv4.Packet.proto = Ipv4.Proto.udp then
+        match Ipv4.Udp.decode pkt.Ipv4.Packet.payload with
+        | { Ipv4.Udp.dst_port; data; _ } when dst_port = Mhrp.Control.port ->
+          (match Mhrp.Control.decode data with
+           | Some (Mhrp.Control.Ha_sync _) -> incr n
+           | Some _ | None -> ())
+        | _ | (exception Invalid_argument _) -> ());
+  n
+
 let run_case ~replicated =
   let f = TGm.figure1 () in
   let topo = f.TGm.topo in
@@ -20,18 +33,19 @@ let run_case ~replicated =
   let pn = Topology.add_host topo "P" f.TGm.net_b 30 in
   Topology.compute_routes topo;
   let p_agent = Agent.create pn in
-  let syncs = ref 0 in
-  (if replicated then begin
-     let h2n = Topology.add_host topo "H2" f.TGm.net_b 2 in
-     Topology.compute_routes topo;
-     let h2 = Agent.create h2n in
-     Agent.enable_home_agent h2;
-     let grp = Mhrp.Replication.group [f.TGm.r2; h2] in
-     Agent.add_mobile h2 m_addr;
-     ignore grp;
-     Workload.Traffic.at traffic (Time.of_sec 10.0) (fun () ->
-         syncs := Mhrp.Replication.sync_messages grp)
-   end);
+  (* the primary and its replica each mirror to the other *)
+  let syncs =
+    if not replicated then ref 0
+    else begin
+      let h2n = Topology.add_host topo "H2" f.TGm.net_b 2 in
+      Topology.compute_routes topo;
+      let h2 = Agent.create h2n in
+      Agent.enable_home_agent ~replicas:[Agent.address f.TGm.r2] h2;
+      Agent.enable_home_agent ~replicas:[Agent.address h2] f.TGm.r2;
+      Agent.add_mobile h2 m_addr;
+      count_ha_syncs (Agent.node f.TGm.r2)
+    end
+  in
   Workload.Mobility.move_at topo f.TGm.m ~at:(Time.of_sec 1.0) f.TGm.net_d;
   (* the primary home-agent process dies (node keeps routing) *)
   Workload.Traffic.at traffic (Time.of_sec 2.0) (fun () ->

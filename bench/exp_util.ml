@@ -100,7 +100,7 @@ let ms_of_us us = Printf.sprintf "%.2f" (us /. 1000.0)
 let sample_packet ?(id = 1) ~src ~dst () =
   Ipv4.Packet.make ~id ~proto:Ipv4.Proto.udp ~src ~dst
     (Ipv4.Udp.encode (Ipv4.Udp.make ~src_port:4000 ~dst_port:4000
-                        (Bytes.create 64)))
+                        (Bytes.make 64 '\000')))
 
 type fig_env = {
   f : TG.figure1;

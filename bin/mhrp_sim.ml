@@ -239,7 +239,8 @@ let run_loop seed size max_list =
   let pkt =
     Ipv4.Packet.make ~id:1 ~proto:Ipv4.Proto.udp ~src:(Ipv4.Addr.host 200 1)
       ~dst:mobile
-      (Ipv4.Udp.encode (Ipv4.Udp.make ~src_port:1 ~dst_port:2 (Bytes.create 16)))
+      (Ipv4.Udp.encode
+         (Ipv4.Udp.make ~src_port:1 ~dst_port:2 (Bytes.make 16 '\000')))
   in
   Node.inject_local (Agent.node ring.(0))
     (Mhrp.Encap.tunnel_by_sender ~foreign_agent:(Agent.address ring.(0)) pkt);

@@ -60,7 +60,7 @@ let () =
         Ipv4.Packet.make ~id:901 ~proto:Ipv4.Proto.udp
           ~src:(Agent.address f.TG.s) ~dst:m_addr
           (Ipv4.Udp.encode
-             (Ipv4.Udp.make ~src_port:1 ~dst_port:2 (Bytes.create 16)))
+             (Ipv4.Udp.make ~src_port:1 ~dst_port:2 (Bytes.make 16 '\000')))
       in
       Workload.Metrics.note_send metrics pkt;
       Node.send (Agent.node f.TG.s)

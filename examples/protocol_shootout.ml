@@ -39,7 +39,7 @@ let mk_pkt ~id ~src ~dst =
   Packet.make ~id ~proto:Ipv4.Proto.udp ~src ~dst
     (Ipv4.Udp.encode
        (Ipv4.Udp.make ~src_port:4000 ~dst_port:4000
-          (Bytes.create payload_bytes)))
+          (Bytes.make payload_bytes '\000')))
 
 let finish name topo metrics ~sent ~ctrl =
   Topology.run ~until:(Time.of_sec 10.0) topo;

@@ -10,6 +10,11 @@ module Node = Net.Node
    open (zero is taken: it means "at home"). *)
 let disconnected_marker = Addr.broadcast
 
+(* A peer that keeps a copy of this node's bindings — a replica home
+   agent, or the standby regional agent — and the exchange of each
+   mobile host's mirrored binding with it, keyed by packed address. *)
+type mirror = { peer : Addr.t; syncs : (int, Exchange.t) Hashtbl.t }
+
 type t = {
   node : Node.t;
   config : Config.t;
@@ -21,27 +26,24 @@ type t = {
   cache_agent : bool;
   snoop : bool;
   mutable ha : Home_agent.t option;
+  mutable replicas : mirror list;  (* HA role: replica home agents *)
   mutable fa : (Foreign_agent.t * int) option;  (* state, serving iface *)
   mutable mh : Mobile_host.t option;
   mutable regional : Regional.t option;  (* Config.hierarchy *)
   mutable regional_parent : Addr.t option;  (* FA role: my regional agent *)
   mutable regional_backup_parent : Addr.t option;
       (* FA role: standby regional agent advertised at connect time *)
-  mutable region_sync_peer : Addr.t option;
+  mutable region_mirror : mirror option;
       (* regional role: backup to mirror binding writes to *)
   mutable region_peer_captured : bool;
       (* regional role: we captured an unresponsive peer's address *)
-  region_syncs : (int, Exchange.t) Hashtbl.t;
-      (* packed mobile -> Region_sync exchange with the backup *)
   fa_miss_probes : (int, unit) Hashtbl.t;
       (* packed mobile -> visitor-miss ARP probe in flight *)
   mutable regional_sweep_timer : bool;
   mutable app_tap : View.t -> unit;
   mutable update_tap : mobile:Addr.t -> foreign_agent:Addr.t -> unit;
   mutable registered_tap : Addr.t -> unit;
-  mutable registration_tap : mobile:Addr.t -> foreign_agent:Addr.t -> unit;
   mutable icmp_error_tap : Ipv4.Icmp.t -> Packet.t option -> unit;
-  mutable ha_sync_ack_tap : peer:Addr.t -> mobile:Addr.t -> unit;
   mutable advert_timer : bool;
 }
 
@@ -60,9 +62,7 @@ let on_app_receive t f = t.app_tap <- (fun v -> f (View.decode v))
 let on_app_receive_view t f = t.app_tap <- f
 let on_location_update t f = t.update_tap <- f
 let on_registered t f = t.registered_tap <- f
-let on_registration t f = t.registration_tap <- f
 let on_icmp_error t f = t.icmp_error_tap <- f
-let on_ha_sync_ack t f = t.ha_sync_ack_tap <- f
 
 let engine t = Node.engine t.node
 let now t = Engine.now (engine t)
@@ -166,8 +166,8 @@ let ha_claims t dst =
    answers for it until the peer is heard from again. *)
 let region_peer_claims t dst =
   t.region_peer_captured
-  && (match t.region_sync_peer with
-      | Some peer -> Addr.equal peer dst
+  && (match t.region_mirror with
+      | Some m -> Addr.equal m.peer dst
       | None -> false)
 
 let claims t dst = ha_claims t dst || region_peer_claims t dst
@@ -263,12 +263,6 @@ let cache_update t ~mobile ~foreign_agent =
   end
 
 (* --- control-message plumbing --- *)
-
-let control_datagram t msg =
-  let ext = control_ext t msg in
-  let buf = Bytes.create (control_length msg ext) in
-  write_control buf msg ext;
-  buf
 
 (* A control message's packet to [dst], tunneled to [fa] if any. *)
 let control_wire t ~dst msg fa =
@@ -373,6 +367,32 @@ let send_control t ~dst msg =
   if tracing t then tracef t "ctrl-tx" "to %a: %a" Addr.pp dst Control.pp msg;
   send_control_via t ~dst msg None
 
+(* Every acknowledged message — the mobile host's connect notification
+   and registrations, and both mirrors' syncs — goes out here, the one
+   start of an {!Exchange}: sent now and, under
+   [Config.reliable_control], again at each timeout, each resend counted
+   by [resent], until acknowledged or [give_up]. *)
+let send_acked ?supersede t x ~dst msg ~resent ~give_up =
+  send_control t ~dst msg;
+  Exchange.start ?supersede x t.node t.config t.counters
+    ~resend:(fun () ->
+        resent t.counters;
+        send_control t ~dst msg)
+    ~give_up
+
+let mirror_to peer = { peer; syncs = Hashtbl.create 4 }
+
+(* Mirror [msg], a binding of [mobile], to [m]'s peer. *)
+let send_sync ?supersede t m ~mobile msg ~resent ~give_up =
+  send_acked ?supersede t (Exchange.find m.syncs (Addr.to_key mobile))
+    ~dst:m.peer msg ~resent ~give_up
+
+(* The peer confirmed every binding of [mobile] mirrored to it so far. *)
+let sync_acked m ~mobile =
+  match Hashtbl.find_opt m.syncs (Addr.to_key mobile) with
+  | Some x -> Exchange.ack x
+  | None -> ()
+
 let send_udp t ?(src_port = 4000) ?(dst_port = 4000) ?(id = 0) ~dst data =
   let n = Bytes.length data in
   let len = Ipv4.Udp.header_length + n in
@@ -385,7 +405,7 @@ let send_udp t ?(src_port = 4000) ?(dst_port = 4000) ?(id = 0) ~dst data =
 
 let send_ping t ?(id = 0) ?(seq = 0) ~dst () =
   let msg =
-    Ipv4.Icmp.Echo_request { ident = id; seq; data = Bytes.create 16 }
+    Ipv4.Icmp.Echo_request { ident = id; seq; data = Bytes.make 16 '\000' }
   in
   send t
     (Packet.make ~id ~proto:Ipv4.Proto.icmp ~src:(address t) ~dst
@@ -1019,16 +1039,10 @@ let complete_registration t mh ~foreign_agent =
    implicit-disconnection watchdog only re-solicits from a settled phase,
    never from mid-registration). *)
 let register_with_home_agent t mh ~foreign_agent =
-  let request () =
-    send_control t ~dst:mh.Mobile_host.home_agent
-      (Control.Reg_request { mobile = mh.Mobile_host.home; foreign_agent })
-  in
-  request ();
-  Exchange.start mh.Mobile_host.home_reg t.node t.config t.counters
-    ~resend:(fun () ->
-        t.counters.Counters.reg_retransmissions <-
-          t.counters.Counters.reg_retransmissions + 1;
-        request ())
+  send_acked t mh.Mobile_host.home_reg ~dst:mh.Mobile_host.home_agent
+    (Control.Reg_request { mobile = mh.Mobile_host.home; foreign_agent })
+    ~resent:(fun c ->
+        c.Counters.reg_retransmissions <- c.Counters.reg_retransmissions + 1)
     ~give_up:ignore
 
 (* Bind to the serving foreign agent at the regional agent
@@ -1036,18 +1050,13 @@ let register_with_home_agent t mh ~foreign_agent =
    sends.  Exhausting the retransmissions ([Config.reliable_control])
    declares the regional agent dead and fails over. *)
 let rec register_with_region t mh ~regional ~foreign_agent =
-  let lifetime_s = regional_lifetime_s t in
-  let request () =
-    send_control t ~dst:regional
-      (Control.Reg_region
-         { mobile = mh.Mobile_host.home; foreign_agent; lifetime_s })
-  in
-  request ();
-  Exchange.start mh.Mobile_host.region_reg t.node t.config t.counters
-    ~resend:(fun () ->
-        t.counters.Counters.region_retransmissions <-
-          t.counters.Counters.region_retransmissions + 1;
-        request ())
+  send_acked t mh.Mobile_host.region_reg ~dst:regional
+    (Control.Reg_region
+       { mobile = mh.Mobile_host.home; foreign_agent;
+         lifetime_s = regional_lifetime_s t })
+    ~resent:(fun c ->
+        c.Counters.region_retransmissions <-
+          c.Counters.region_retransmissions + 1)
     ~give_up:(fun () -> region_failover t mh ~failed:regional)
 
 (* Regional-agent crash recovery: the retransmission loop gave up, so the
@@ -1114,26 +1123,26 @@ let withdraw_regional ?new_regional t mh =
               lifetime_s = 0 }));
     mh.Mobile_host.regional <- None
 
-let connect_via_foreign_agent t mh fa_addr =
-  mh.Mobile_host.phase <- Mobile_host.Registering fa_addr;
-  let i, lan = current_iface t in
+(* A mobile host's routes on the [lan] it reaches through interface
+   [i]: the LAN direct, everything else via [gateway]. *)
+let set_attached_routes t i lan ~gateway =
   Node.set_routes t.node
     (Net.Route.add_default
        (Net.Route.add Net.Route.empty (Net.Lan.prefix lan)
           (Net.Route.Direct i))
-       (Net.Route.Via fa_addr));
+       (Net.Route.Via gateway))
+
+let connect_via_foreign_agent t mh fa_addr =
+  mh.Mobile_host.phase <- Mobile_host.Registering fa_addr;
+  let i, lan = current_iface t in
+  set_attached_routes t i lan ~gateway:fa_addr;
   t.counters.Counters.fa_connects <- t.counters.Counters.fa_connects + 1;
-  let connect () =
-    send_control t ~dst:fa_addr
-      (Control.Fa_connect
-         { mobile = mh.Mobile_host.home; mac = Node.iface_mac t.node i })
-  in
-  connect ();
-  Exchange.start mh.Mobile_host.connect t.node t.config t.counters
-    ~resend:(fun () ->
-        t.counters.Counters.connect_retransmissions <-
-          t.counters.Counters.connect_retransmissions + 1;
-        connect ())
+  send_acked t mh.Mobile_host.connect ~dst:fa_addr
+    (Control.Fa_connect
+       { mobile = mh.Mobile_host.home; mac = Node.iface_mac t.node i })
+    ~resent:(fun c ->
+        c.Counters.connect_retransmissions <-
+          c.Counters.connect_retransmissions + 1)
     ~give_up:(fun () ->
         (* fall back to agent discovery: the next advertisement (from
            this or any other agent) restarts the connection attempt *)
@@ -1142,11 +1151,7 @@ let connect_via_foreign_agent t mh fa_addr =
 let connect_home t mh ha_addr =
   mh.Mobile_host.phase <- Mobile_host.Registering Addr.zero;
   let i, lan = current_iface t in
-  Node.set_routes t.node
-    (Net.Route.add_default
-       (Net.Route.add Net.Route.empty (Net.Lan.prefix lan)
-          (Net.Route.Direct i))
-       (Net.Route.Via ha_addr));
+  set_attached_routes t i lan ~gateway:ha_addr;
   (* Reconnecting to the home network: broadcast gratuitous ARP replies so
      neighbours (and the home agent) replace the home agent's link address
      with ours again (Section 2), retransmitted for reliability — until
@@ -1213,10 +1218,24 @@ let register_mobile t ~mobile ~foreign_agent =
      | _ -> ())
   | Some _ -> ()
 
+(* Section 2's replicated home agents: an accepted registration is
+   mirrored to every replica, each replica's exchange per mobile host
+   superseded by the next registration.  Top-level, so an agent without
+   replicas builds nothing. *)
+let rec sync_replicas t ~mobile ~foreign_agent = function
+  | [] -> ()
+  | m :: rest ->
+    send_sync t m ~mobile (Control.Ha_sync { mobile; foreign_agent })
+      ~resent:(fun c ->
+          c.Counters.sync_retransmissions <-
+            c.Counters.sync_retransmissions + 1)
+      ~give_up:ignore;
+    sync_replicas t ~mobile ~foreign_agent rest
+
 let ha_handle_registration t ha ~mobile ~foreign_agent =
   if Home_agent.serves ha mobile then begin
     register_mobile t ~mobile ~foreign_agent;
-    t.registration_tap ~mobile ~foreign_agent;
+    sync_replicas t ~mobile ~foreign_agent t.replicas;
     (* The reply reaches a visiting host through its new tunnel. *)
     send_control_via t ~dst:mobile
       (Control.Reg_reply { mobile; accepted = true })
@@ -1353,23 +1372,19 @@ let mh_handle_reg_region_ack t ~mobile =
    later queries.  Released the moment the peer is heard from again
    (its own post-reboot syncs, or an ack to ours). *)
 let region_peer_takeover t =
-  match t.region_sync_peer with
-  | Some peer when not t.region_peer_captured ->
+  match t.region_mirror with
+  | Some m when not t.region_peer_captured ->
     t.region_peer_captured <- true;
     t.counters.Counters.region_takeovers <-
       t.counters.Counters.region_takeovers + 1;
     if tracing t then
       tracef t "regional" "peer %a unresponsive: capturing its address"
-        Addr.pp peer;
-    garp_burst_covering t peer
+        Addr.pp m.peer;
+    garp_burst_covering t m.peer
   | _ -> ()
 
 let region_peer_release t ~peer =
-  if t.region_peer_captured
-     && (match t.region_sync_peer with
-         | Some p -> Addr.equal p peer
-         | None -> false)
-  then begin
+  if region_peer_claims t peer then begin
     t.region_peer_captured <- false;
     if tracing t then
       tracef t "regional" "peer %a is back: releasing its address" Addr.pp
@@ -1380,23 +1395,19 @@ let region_peer_release t ~peer =
    can take over the region on a crash, retransmitted under
    [Config.reliable_control] until the backup confirms. *)
 let sync_region_binding t ~mobile ~foreign_agent ~lifetime_s =
-  match t.region_sync_peer with
+  match t.region_mirror with
   | None -> ()
-  | Some peer ->
-    let msg = Control.Region_sync { mobile; foreign_agent; lifetime_s } in
-    send_control t ~dst:peer msg;
+  | Some m ->
     (* A newer generation superseding this one must NOT cancel the retry
        chain: any ack covers every earlier generation, so only an ack
        (or a reboot) counts as the peer answering.  Otherwise a refresh
        cadence shorter than the full retry schedule would re-arm forever
        and the peer's death would never surface. *)
-    Exchange.start ~supersede:false
-      (Exchange.find t.region_syncs (Addr.to_key mobile))
-      t.node t.config t.counters
-      ~resend:(fun () ->
-          t.counters.Counters.region_sync_retransmissions <-
-            t.counters.Counters.region_sync_retransmissions + 1;
-          send_control t ~dst:peer msg)
+    send_sync ~supersede:false t m ~mobile
+      (Control.Region_sync { mobile; foreign_agent; lifetime_s })
+      ~resent:(fun c ->
+          c.Counters.region_sync_retransmissions <-
+            c.Counters.region_sync_retransmissions + 1)
       ~give_up:(fun () -> region_peer_takeover t)
 
 let regional_handle_registration t ~mobile ~foreign_agent ~lifetime_s =
@@ -1458,8 +1469,8 @@ let regional_handle_sync t ~src ~mobile ~foreign_agent ~lifetime_s =
 
 let regional_handle_sync_ack t ~src ~mobile =
   region_peer_release t ~peer:src;
-  match Hashtbl.find_opt t.region_syncs (Addr.to_key mobile) with
-  | Some x -> Exchange.ack x
+  match t.region_mirror with
+  | Some m -> sync_acked m ~mobile
   | None -> ()
 
 (* The hierarchical invalidation bounce: the serving foreign agent says
@@ -1530,7 +1541,10 @@ let handle_control t v ~off ~len =
         register_mobile t ~mobile ~foreign_agent;
         if t.config.Config.reliable_control then
           send_control t ~dst:src (Control.Ha_sync_ack { mobile })
-      | Control.Ha_sync_ack { mobile } -> t.ha_sync_ack_tap ~peer:src ~mobile
+      | Control.Ha_sync_ack { mobile } ->
+        (match List.find_opt (fun m -> Addr.equal m.peer src) t.replicas with
+         | Some m -> sync_acked m ~mobile
+         | None -> ())
       | Control.Fa_connect_ack_r { mobile; regional; backup } ->
         mh_handle_connect_ack_r t ~mobile ~regional ~backup
       | Control.Reg_region { mobile; foreign_agent; lifetime_s } ->
@@ -1688,17 +1702,14 @@ let create ?(config = Config.default) ?(cache_agent = true)
       sa = Auth.Sa_table.create ~window:(Time.of_sec 2.0) ~capacity:64;
       auth_nonce = 0;
       cache_agent; snoop;
-      ha = None; fa = None; mh = None;
+      ha = None; replicas = []; fa = None; mh = None;
       regional = None; regional_parent = None;
-      regional_backup_parent = None; region_sync_peer = None;
+      regional_backup_parent = None; region_mirror = None;
       region_peer_captured = false;
-      region_syncs = Hashtbl.create 4;
       fa_miss_probes = Hashtbl.create 4; regional_sweep_timer = false;
       app_tap = (fun _ -> ());
       update_tap = (fun ~mobile:_ ~foreign_agent:_ -> ());
       registered_tap = (fun _ -> ());
-      registration_tap = (fun ~mobile:_ ~foreign_agent:_ -> ());
-      ha_sync_ack_tap = (fun ~peer:_ ~mobile:_ -> ());
       icmp_error_tap = (fun _ _ -> ());
       advert_timer = false }
   in
@@ -1721,13 +1732,15 @@ let create ?(config = Config.default) ?(cache_agent = true)
       (match t.regional with Some r -> Regional.clear r | None -> ());
       t.region_peer_captured <- false;
       (* and so is every binding mirror still being retried *)
-      Hashtbl.iter (fun _ x -> Exchange.ack x) t.region_syncs;
+      (match t.region_mirror with
+       | Some m -> Hashtbl.iter (fun _ x -> Exchange.ack x) m.syncs
+       | None -> ());
       Hashtbl.reset t.fa_miss_probes;
       Location_cache.clear t.cache;
       (* A mirrored regional agent reclaims its own address: the peer
          may have captured it with gratuitous ARP while this node was
          down (the same burst, in reverse, repairs neighbour caches) *)
-      (match t.regional, t.region_sync_peer with
+      (match t.regional, t.region_mirror with
        | Some _, Some _ ->
          List.iter
            (fun (i, _, addr) ->
@@ -1738,12 +1751,13 @@ let create ?(config = Config.default) ?(cache_agent = true)
        | _ -> ()));
   t
 
-let enable_home_agent t =
+let enable_home_agent ?(replicas = []) t =
   if t.ha = None then begin
     t.ha <-
       Some (Home_agent.create ~persistent:t.config.Config.ha_persistent ());
     start_advert_timer t
-  end
+  end;
+  if replicas <> [] then t.replicas <- List.map mirror_to replicas
 
 let enable_foreign_agent t ~iface =
   (match t.fa with
@@ -1754,7 +1768,7 @@ let enable_foreign_agent t ~iface =
 let enable_regional_agent ?backup t =
   if t.regional = None then t.regional <- Some (Regional.create ());
   (match backup with
-   | Some peer -> t.region_sync_peer <- Some peer
+   | Some peer -> t.region_mirror <- Some (mirror_to peer)
    | None -> ());
   (* Soft-state sweep: evict bindings whose lifetime ran out unrefreshed.
      Swept at a quarter lifetime so an expired binding lingers at most
@@ -1927,12 +1941,7 @@ let move_to ~topo ?own_fa_temp t lan =
       in
       (match gateway with
        | None -> invalid_arg "Agent.move_to: no router on target LAN"
-       | Some gw ->
-         Node.set_routes t.node
-           (Net.Route.add_default
-              (Net.Route.add Net.Route.empty (Net.Lan.prefix lan)
-                 (Net.Route.Direct i))
-              (Net.Route.Via gw)));
+       | Some gw -> set_attached_routes t i lan ~gateway:gw);
       mh.Mobile_host.phase <- Mobile_host.Registering temp;
       if tracing t then
         tracef t "move" "to %s as own fa %a" (Net.Lan.name lan) Addr.pp temp;

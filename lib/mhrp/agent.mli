@@ -35,7 +35,19 @@ val address : t -> Ipv4.Addr.t
 
 (** {1 Roles} *)
 
-val enable_home_agent : t -> unit
+val enable_home_agent : ?replicas:Ipv4.Addr.t list -> t -> unit
+(** Serve as a home agent.  [replicas] names the other home agents of a
+    replicated group by their {!address}es (Section 2: replicas "must
+    cooperate to provide a consistent view of the database"), replacing
+    any named before: every
+    registration this agent accepts is mirrored to each
+    ([Control.Ha_sync], retransmitted under [Config.reliable_control]
+    until that replica's [Ha_sync_ack], resends counted in
+    [Counters.sync_retransmissions]).  A replica applies a sync without
+    mirroring it on, so each group member names the others; with
+    several members on the home LAN, whichever is up answers proxy ARP
+    for a departed host and intercepts its traffic. *)
+
 val enable_foreign_agent : t -> iface:int -> unit
 (** Serve visiting mobile hosts on the LAN of this interface. *)
 
@@ -154,20 +166,9 @@ val on_registered : t -> (Ipv4.Addr.t -> unit) -> unit
 (** Mobile host: registration completed with the given foreign agent
     (zero = home). *)
 
-val on_registration :
-  t -> (mobile:Ipv4.Addr.t -> foreign_agent:Ipv4.Addr.t -> unit) -> unit
-(** Home agent: a mobile host (re)registered.  {!Replication} mirrors the
-    database to replica home agents from this tap. *)
-
 val on_icmp_error : t -> (Ipv4.Icmp.t -> Ipv4.Packet.t option -> unit) -> unit
 (** An ICMP error reached this node as original sender; the packet is the
     reconstructed offending packet when enough of it was quoted. *)
-
-val on_ha_sync_ack :
-  t -> (peer:Ipv4.Addr.t -> mobile:Ipv4.Addr.t -> unit) -> unit
-(** Home agent: a replica confirmed one of our [Ha_sync] messages
-    ([Config.reliable_control]).  {!Replication} stops retransmitting the
-    mirrored registration from this tap. *)
 
 (** {1 Authentication (RFC 2002-style extension, experiment E15)}
 
@@ -187,18 +188,16 @@ val install_key :
 (** Provision the security association for a mobile host (key
     distribution itself is outside the protocol, as in Mobile IP). *)
 
-val control_datagram : t -> Control.t -> bytes
-(** The UDP datagram bytes (header + message + extension when
-    authenticating) this agent would send for a control message — the
-    real serializer, used by {!Replication} and the overhead
-    measurements of E15. *)
-
 (** {1 Internals exposed for tests and experiments} *)
 
 val send_control : t -> dst:Ipv4.Addr.t -> Control.t -> unit
 (** Send a control message as a UDP datagram to [Control.port], plain
     IP: the packet buffer is allocated once, and the datagram and
-    message are written straight into it. *)
+    message are written straight into it.  Counted in
+    [Counters.control_messages] and traced as ["ctrl-tx"], as is every
+    transmission of an acknowledged message (registrations, connect
+    notifications and both mirrors' syncs), which all go out through
+    this one sender and one {!Exchange} start. *)
 
 val send_location_update :
   t -> dst:Ipv4.Addr.t -> mobile:Ipv4.Addr.t ->

@@ -552,17 +552,13 @@ let bytes_queued t =
   data_end t - max (t.iss + 1) (min t.snd_una (data_end t))
 
 module Dgram = struct
-  type nonrec t = {
-    d_stack : Stack.t;
-    d_port : int;
-    d_tap : (Ipv4.Packet.t -> unit) option;
-  }
+  type nonrec t = { d_stack : Stack.t; d_port : int }
 
-  let create ?tap stack ~port = { d_stack = stack; d_port = port; d_tap = tap }
+  let create stack ~port = { d_stack = stack; d_port = port }
 
-  let sendto t ?id ~dst ~dst_port data =
-    let udp = Ipv4.Udp.make ~src_port:t.d_port ~dst_port data in
-    Stack.transmit_udp t.d_stack ?id ?tap:t.d_tap ~dst udp
+  let sendto t ~dst ~dst_port data =
+    Mhrp.Agent.send_udp (Stack.agent t.d_stack) ~src_port:t.d_port ~dst_port
+      ~id:(Stack.fresh_ip_id t.d_stack) ~dst data
 
   let on_recv t f =
     Stack.register_udp t.d_stack ~port:t.d_port (fun ~src buf ~off ~len ->

@@ -125,22 +125,20 @@ val bytes_queued : t -> int
 
 (** {1 Datagrams}
 
-    The unreliable little sibling, for workloads that want tracked
-    one-shot packets (constant-bit-rate generators, probes). *)
+    The unreliable little sibling, for one-shot packets (probes). *)
 
 module Dgram : sig
   type t
 
-  val create : ?tap:(Ipv4.Packet.t -> unit) -> Stack.t -> port:int -> t
-  (** A datagram endpoint bound to [port] for sending; [tap] observes
-      each outgoing packet (e.g. {!Workload.Metrics.note_send}).
-      Creating one claims nothing — a send-only endpoint leaves the
-      agent's receive tap alone. *)
+  val create : Stack.t -> port:int -> t
+  (** A datagram endpoint bound to [port] for sending.  Creating one
+      claims nothing — a send-only endpoint leaves the agent's receive
+      tap alone. *)
 
-  val sendto : t -> ?id:int -> dst:Ipv4.Addr.t -> dst_port:int -> bytes -> unit
-  (** One UDP datagram.  [id] pins the IP identification (workload
-      generators track their own id sequences); default is the stack's
-      fresh-id counter. *)
+  val sendto : t -> dst:Ipv4.Addr.t -> dst_port:int -> bytes -> unit
+  (** One UDP datagram, written once into its packet
+      ({!Mhrp.Agent.send_udp}) under the stack's next IP identification
+      ({!Stack.fresh_ip_id}). *)
 
   val on_recv :
     t -> (src:Ipv4.Addr.t -> src_port:int -> bytes -> int -> int -> unit) ->

@@ -1,5 +1,4 @@
 module Tcp = Ipv4.Tcp_lite
-module Packet = Ipv4.Packet
 module Udp = Ipv4.Udp
 module View = Ipv4.Packet.View
 module Addr = Ipv4.Addr
@@ -136,15 +135,6 @@ let send_segment t ~dst ~src_port ~dst_port ~seq ~ack ~flags ~window queue
   Tcp.write wire ~off ~src_port ~dst_port ~seq ~ack ~flags ~window
     ~len:seg_len;
   Mhrp.Agent.send_originated t.agent fa wire
-
-let transmit_udp t ?id ?tap ~dst udp =
-  let id = match id with Some id -> id | None -> fresh_ip_id t in
-  let pkt =
-    Packet.make ~id ~proto:Ipv4.Proto.udp ~src:(address t) ~dst
-      (Ipv4.Udp.encode udp)
-  in
-  (match tap with Some f -> f pkt | None -> ());
-  Mhrp.Agent.send t.agent pkt
 
 let fin = Tcp.flag_bit Tcp.Fin
 let syn = Tcp.flag_bit Tcp.Syn

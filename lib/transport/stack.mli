@@ -64,6 +64,11 @@ val handle_view : t -> Ipv4.Packet.View.t -> unit
     ({!send_rst_for}); a datagram {!Ipv4.Udp.length_at} accepts goes to
     its port's receiver, if any.  Anything else is dropped. *)
 
+val fresh_ip_id : t -> int
+(** The next IP identification of a packet this stack sends: 1 to
+    0xFFFF in turn, wrapping past 0xFFFF to 1 (never 0), one per
+    transmission — retransmissions included. *)
+
 val fresh_iss : t -> int
 (** The next initial sequence number: 1000, then one 1,000,000 stride
     per connection, wrapping back to 1000 before reaching 2^31 — so
@@ -92,13 +97,6 @@ val send_segment :
     [flags] is the wire's flag byte.  An out-of-range field raises
     {!Ipv4.Tcp_lite.encode}'s [Invalid_argument] before anything is
     counted or sent. *)
-
-val transmit_udp :
-  t -> ?id:int -> ?tap:(Ipv4.Packet.t -> unit) -> dst:Ipv4.Addr.t ->
-  Ipv4.Udp.t -> unit
-(** [id] overrides the stack's IP-id counter (workload generators keep
-    their own tracked id sequences); [tap] sees the application-level
-    packet just before it is sent. *)
 
 val send_rst_for : t -> src:Ipv4.Addr.t -> bytes -> off:int -> len:int -> unit
 (** Reset whatever connection the peer thinks the received segment at

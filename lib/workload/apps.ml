@@ -54,7 +54,7 @@ module Rpc = struct
   let serve stack ~port ~req_bytes ~resp_bytes =
     ignore
       (Socket.listen stack ~port (fun sock ->
-           let resp = Bytes.create resp_bytes in
+           let resp = Bytes.make resp_bytes '\000' in
            Socket.recv_cb sock
              (framer req_bytes (fun _ _ -> Socket.send sock resp))))
 
@@ -75,7 +75,7 @@ module Rpc = struct
           Socket.connect client ?rto ~dst:server ~dst_port:port ()
         in
         t.sock <- Some sock;
-        let req = Bytes.create req_bytes in
+        let req = Bytes.make req_bytes '\000' in
         Socket.recv_cb sock
           (framer resp_bytes (fun _ _ ->
                t.responses <- t.responses + 1;

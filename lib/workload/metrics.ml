@@ -79,19 +79,23 @@ let create topo =
   Net.Topology.on_node_added topo watch;
   t
 
-let note_send t (pkt : Packet.t) =
-  let key = (pkt.Packet.src, pkt.Packet.id) in
+let note_sent t ~src ~id ~bytes =
+  let key = (src, id) in
   let r =
     { key;
       sent_at = Netsim.Engine.now t.engine;
-      sent_bytes = Packet.total_length pkt;
+      sent_bytes = bytes;
       hops = 0;
-      max_bytes = Packet.total_length pkt;
+      max_bytes = bytes;
       delivered_at = None;
       dropped = None }
   in
   Hashtbl.replace t.tbl key r;
   t.order <- r :: t.order
+
+let note_send t (pkt : Packet.t) =
+  note_sent t ~src:pkt.Packet.src ~id:pkt.Packet.id
+    ~bytes:(Packet.total_length pkt)
 
 let note_delivery t (pkt : Packet.t) =
   match find_record t pkt with

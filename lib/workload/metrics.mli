@@ -22,9 +22,15 @@ type t
 val create : Net.Topology.t -> t
 (** Installs forward/drop taps on every node currently in the topology. *)
 
+val note_sent : t -> src:Ipv4.Addr.t -> id:int -> bytes:int -> unit
+(** Track a packet about to be sent, from its fields: its source, IP id
+    and total length before any tunneling — for a sender that writes
+    the packet straight onto the wire ({!Mhrp.Agent.send_udp}) and
+    builds no record. *)
+
 val note_send : t -> Ipv4.Packet.t -> unit
-(** Call with the application-level packet just before handing it to
-    {!Mhrp.Agent.send} (or {!Net.Node.send}). *)
+(** {!note_sent} of the application-level packet just before handing it
+    to {!Mhrp.Agent.send} (or {!Net.Node.send}). *)
 
 val note_delivery : t -> Ipv4.Packet.t -> unit
 (** Call from the destination's app-receive tap. *)

@@ -2,11 +2,10 @@ type t = {
   metrics : Metrics.t;
   engine : Netsim.Engine.t;
   mutable next_id : int;
-  dgrams : (int, Transport.Socket.Dgram.t) Hashtbl.t;
 }
 
 let create ?(first_id = 1) metrics engine =
-  { metrics; engine; next_id = first_id; dgrams = Hashtbl.create 8 }
+  { metrics; engine; next_id = first_id }
 
 let fresh_id t =
   let id = t.next_id in
@@ -14,27 +13,16 @@ let fresh_id t =
   t.next_id <- (if id >= 0xFFFF then 1 else id + 1);
   id
 
-(* One transport stack and datagram endpoint per distinct source agent,
-   created on first use.  Datagram sources never claim the agent's
-   receive tap, so [Metrics.watch_receiver] on the same simulation keeps
-   seeing deliveries. *)
-let dgram_for t agent =
-  let key = Ipv4.Addr.to_key (Mhrp.Agent.address agent) in
-  match Hashtbl.find_opt t.dgrams key with
-  | Some d -> d
-  | None ->
-    let d =
-      Transport.Socket.Dgram.create
-        ~tap:(Metrics.note_send t.metrics)
-        (Transport.Stack.create agent) ~port:4000
-    in
-    Hashtbl.replace t.dgrams key d;
-    d
-
+(* A datagram is noted from its fields — an option-free IP header, the
+   UDP header and [size] zero bytes — and written once into its packet.
+   Sending claims no receive tap, so [Metrics.watch_receiver] on the
+   same simulation keeps seeing deliveries. *)
 let send_udp t ~src ~dst ?(size = 64) () =
   let id = fresh_id t in
-  Transport.Socket.Dgram.sendto (dgram_for t src) ~id ~dst ~dst_port:4000
-    (Bytes.create size)
+  Metrics.note_sent t.metrics ~src:(Mhrp.Agent.address src) ~id
+    ~bytes:(20 + Ipv4.Udp.header_length + size);
+  Mhrp.Agent.send_udp src ~src_port:4000 ~dst_port:4000 ~id ~dst
+    (Bytes.make size '\000')
 
 let at t time f = ignore (Netsim.Engine.schedule t.engine ~at:time f)
 
@@ -51,7 +39,8 @@ let ping t ~src ~dst ~at:time =
   at t time (fun () ->
       let id = fresh_id t in
       let msg =
-        Ipv4.Icmp.Echo_request { ident = id; seq = 0; data = Bytes.create 16 }
+        Ipv4.Icmp.Echo_request
+          { ident = id; seq = 0; data = Bytes.make 16 '\000' }
       in
       let pkt =
         Ipv4.Packet.make ~id ~proto:Ipv4.Proto.icmp

@@ -1,10 +1,10 @@
-(** Datagram traffic generation over the transport layer, wired into
-    {!Metrics}.
+(** Datagram traffic generation, wired into {!Metrics}.
 
-    Datagrams go through {!Transport.Socket.Dgram} endpoints (one per
-    source agent, created lazily); connected request/response traffic is
-    {!Apps.Rpc}'s.  Application code here never constructs raw UDP wire
-    bytes.
+    Each datagram is written once into its packet by
+    {!Mhrp.Agent.send_udp} and noted from its fields
+    ({!Metrics.note_sent}); connected request/response traffic is
+    {!Apps.Rpc}'s.  Payloads are zero bytes, so a run's packets are the
+    same on every execution.
 
     Each datagram and ping gets its own IP id (16-bit, from [first_id],
     wrapping past 0xFFFF to 1, never 0), so each is individually
@@ -16,9 +16,8 @@ val create : ?first_id:int -> Metrics.t -> Netsim.Engine.t -> t
 
 val send_udp : t -> src:Mhrp.Agent.t -> dst:Ipv4.Addr.t -> ?size:int ->
   unit -> unit
-(** Send one UDP datagram now ([size] bytes of payload, default 64),
-    recording it in the metrics.  Backed by a per-source
-    {!Transport.Socket.Dgram} endpoint on port 4000. *)
+(** Send one UDP datagram now ([size] zero bytes of payload, default
+    64) from port 4000 to port 4000, recording it in the metrics. *)
 
 val at : t -> Netsim.Time.t -> (unit -> unit) -> unit
 (** Schedule an action at an absolute time. *)

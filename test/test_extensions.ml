@@ -11,40 +11,42 @@ module TG = Workload.Topo_gen
 let check = Alcotest.check
 let addr_testable = Alcotest.testable Addr.pp Addr.equal
 
-(* Figure 1 plus a second home agent H2 (a support host on network B). *)
+(* Figure 1 plus a second home agent H2 (a support host on network B),
+   the two mirroring their registrations to each other. *)
 let replicated_env () =
   let f = TG.figure1 () in
   let topo = f.TG.topo in
   let h2n = Topology.add_host topo ~router:false "H2" f.TG.net_b 2 in
   Topology.compute_routes topo;
   let h2 = Agent.create h2n in
-  Agent.enable_home_agent h2;
-  let grp = Mhrp.Replication.group [f.TG.r2; h2] in
+  Agent.enable_home_agent ~replicas:[Agent.address f.TG.r2] h2;
+  Agent.enable_home_agent ~replicas:[Agent.address h2] f.TG.r2;
   (* R2's figure1 setup already added M; mirror that on H2 *)
   Agent.add_mobile h2 (Agent.address f.TG.m);
   let metrics = Workload.Metrics.create topo in
   let traffic = Workload.Traffic.create metrics (Topology.engine topo) in
   Workload.Metrics.watch_receiver metrics f.TG.m;
-  (f, grp, h2, metrics, traffic)
+  (f, h2, metrics, traffic)
+
+let ha_location a mobile =
+  match Agent.home_agent a with
+  | Some ha -> Mhrp.Home_agent.location ha mobile
+  | None -> None
 
 let replication_tests =
   [ Alcotest.test_case "registrations are mirrored to every replica"
       `Quick (fun () ->
-          let f, grp, h2, _metrics, _traffic = replicated_env () in
+          let f, h2, _metrics, _traffic = replicated_env () in
           let m_addr = Agent.address f.TG.m in
           Workload.Mobility.move_at f.TG.topo f.TG.m ~at:(Time.of_sec 1.0)
             f.TG.net_d;
           Topology.run ~until:(Time.of_sec 3.0) f.TG.topo;
-          check Alcotest.bool "consistent" true
-            (Mhrp.Replication.consistent grp m_addr);
-          (match Agent.home_agent h2 with
-           | Some ha ->
-             check (Alcotest.option addr_testable) "replica knows"
-               (Some (Addr.host 4 1))
-               (Mhrp.Home_agent.location ha m_addr)
-           | None -> Alcotest.fail "h2 must be a home agent");
+          check (Alcotest.option addr_testable) "consistent"
+            (ha_location f.TG.r2 m_addr) (ha_location h2 m_addr);
+          check (Alcotest.option addr_testable) "replica knows"
+            (Some (Addr.host 4 1)) (ha_location h2 m_addr);
           check Alcotest.bool "sync traffic flowed" true
-            (Mhrp.Replication.sync_messages grp > 0));
+            ((Agent.counters h2).Mhrp.Counters.registrations > 0));
     Alcotest.test_case
       "traffic still intercepted when the primary home agent is out"
       `Quick (fun () ->
@@ -53,7 +55,7 @@ let replication_tests =
              interception: take the whole node down would cut the LAN.
              Instead the sender sits ON network B so interception happens
              by ARP, where either replica can answer. *)
-          let f, _grp, h2, metrics, traffic = replicated_env () in
+          let f, h2, metrics, traffic = replicated_env () in
           let m_addr = Agent.address f.TG.m in
           let pn = Topology.add_host f.TG.topo "P" f.TG.net_b 30 in
           Topology.compute_routes f.TG.topo;
@@ -86,19 +88,7 @@ let replication_tests =
                (fun r -> r.Workload.Metrics.delivered_at <> None)
                (Workload.Metrics.records metrics));
           check Alcotest.bool "replica tunneled" true
-            ((Agent.counters h2).Mhrp.Counters.tunnels_built > 0));
-    Alcotest.test_case "group validation" `Quick (fun () ->
-        check Alcotest.bool "empty refused" true
-          (try
-             ignore (Mhrp.Replication.group []);
-             false
-           with Invalid_argument _ -> true);
-        let f = TG.figure1 () in
-        check Alcotest.bool "non-HA refused" true
-          (try
-             ignore (Mhrp.Replication.group [f.TG.s]);
-             false
-           with Invalid_argument _ -> true)) ]
+            ((Agent.counters h2).Mhrp.Counters.tunnels_built > 0)) ]
 
 (* Host-specific routes: one home agent serving a domain of two home
    networks (B and B2), with no agent on B2's LAN. *)

@@ -39,6 +39,102 @@ let drop_first_control_per_peer node =
           else true));
   dropped
 
+(* The control message a port-434 datagram carries, if [pkt] is one. *)
+let control_of (pkt : Ipv4.Packet.t) =
+  if pkt.Ipv4.Packet.proto <> Ipv4.Proto.udp then None
+  else
+    match Ipv4.Udp.decode pkt.Ipv4.Packet.payload with
+    | u when u.Ipv4.Udp.dst_port = Mhrp.Control.port ->
+      Mhrp.Control.decode u.Ipv4.Udp.data
+    | _ | (exception Invalid_argument _) -> None
+
+(* A binding mirror under reliable control, with one move of the mobile
+   host it mirrors scheduled: the [primary] syncs each binding to its
+   [peer], [is_sync] tells its syncs, [resent] reads the primary's
+   resend counter and [binding] an agent's copy of the binding. *)
+type mirror_world = {
+  topo : Topology.t;
+  primary : Agent.t;
+  peer : Agent.t;
+  is_sync : Mhrp.Control.t -> bool;
+  resent : Mhrp.Counters.t -> int;
+  binding : Agent.t -> Addr.t option;
+}
+
+(* Section 2's replicated home agents: R2 and a replica on network B. *)
+let replica_world () =
+  let f = TG.figure1 ~config:reliable_config () in
+  let topo = f.TG.topo in
+  let h2n = Topology.add_host topo ~router:false "H2" f.TG.net_b 2 in
+  Topology.compute_routes topo;
+  let h2 = Agent.create ~config:reliable_config h2n in
+  Agent.enable_home_agent ~replicas:[Agent.address f.TG.r2] h2;
+  Agent.enable_home_agent ~replicas:[Agent.address h2] f.TG.r2;
+  let m = Agent.address f.TG.m in
+  Agent.add_mobile h2 m;
+  Workload.Mobility.move_at topo f.TG.m ~at:(Time.of_sec 1.0) f.TG.net_d;
+  { topo; primary = f.TG.r2; peer = h2;
+    is_sync = (function Mhrp.Control.Ha_sync _ -> true | _ -> false);
+    resent = (fun c -> c.Mhrp.Counters.sync_retransmissions);
+    binding =
+      (fun a ->
+         match Agent.home_agent a with
+         | Some ha -> Mhrp.Home_agent.location ha m
+         | None -> None) }
+
+(* The hierarchy's standby: region 1's regional agent and its backup,
+   M0 visiting a cell of region 1. *)
+let backup_world () =
+  let config =
+    Mhrp.Config.make ~hierarchy:true ~reliable_control:true
+      ~control_rto:(Time.of_ms 300) ~control_retries:5 ()
+  in
+  let rg =
+    TG.regions ~config ~backups:true ~regions:2 ~cells:2
+      ~mobiles_per_region:1 ~correspondents:1 ()
+  in
+  let m0 = rg.TG.rg_mobiles.(0) in
+  let m = Agent.address m0 in
+  Workload.Mobility.move_at rg.TG.rg_topo m0 ~at:(Time.of_sec 1.0)
+    rg.TG.rg_cells.(1).(0);
+  { topo = rg.TG.rg_topo; primary = rg.TG.rg_regionals.(1);
+    peer = rg.TG.rg_backups.(1);
+    is_sync = (function Mhrp.Control.Region_sync _ -> true | _ -> false);
+    resent = (fun c -> c.Mhrp.Counters.region_sync_retransmissions);
+    binding =
+      (fun a ->
+         match Agent.regional_agent a with
+         | Some r -> Mhrp.Regional.find r m
+         | None -> None) }
+
+(* The primary's first sync to its peer vanishes: resends alone must
+   bring the peer's copy level with the primary's.  Every sync the
+   primary sends passes its fault filter, so the originals are the
+   syncs seen there less the resends counted. *)
+let lost_sync_case name world =
+  Alcotest.test_case name `Quick (fun () ->
+      let w = world () in
+      let peer = Agent.address w.peer in
+      let on_wire = ref 0 in
+      Node.set_fault_filter (Agent.node w.primary)
+        (Some
+           (fun _ pkt ->
+              match control_of pkt with
+              | Some msg
+                when w.is_sync msg && Addr.equal pkt.Ipv4.Packet.dst peer ->
+                incr on_wire;
+                !on_wire > 1
+              | Some _ | None -> true));
+      Topology.run ~until:(Time.of_sec 8.0) w.topo;
+      let resent = w.resent (Agent.counters w.primary) in
+      check Alcotest.int "one original sync" 1 (!on_wire - resent);
+      check Alcotest.bool "sync retransmitted" true (resent >= 1);
+      check Alcotest.bool "primary holds the binding" true
+        (w.binding w.primary <> None);
+      check
+        (Alcotest.option (Alcotest.testable Addr.pp Addr.equal))
+        "peer converged anyway" (w.binding w.primary) (w.binding w.peer))
+
 let injector_tests =
   [ Alcotest.test_case "ledger records every transition, in order" `Quick
       (fun () ->
@@ -188,40 +284,10 @@ let reliable_control_tests =
          check Alcotest.int "nothing retransmitted" 0
            (c.Mhrp.Counters.reg_retransmissions
             + c.Mhrp.Counters.connect_retransmissions));
-    Alcotest.test_case "lost Ha_sync is retransmitted until the replica acks"
-      `Quick (fun () ->
-        let f = TG.figure1 ~config:reliable_config () in
-        let topo = f.TG.topo in
-        let h2n = Topology.add_host topo ~router:false "H2" f.TG.net_b 2 in
-        Topology.compute_routes topo;
-        let h2 = Agent.create ~config:reliable_config h2n in
-        Agent.enable_home_agent h2;
-        let grp = Mhrp.Replication.group [f.TG.r2; h2] in
-        Agent.add_mobile h2 (Agent.address f.TG.m);
-        let m_addr = Agent.address f.TG.m in
-        (* the primary's first sync to the replica vanishes *)
-        let h2_addr = Agent.address h2 in
-        let dropped = ref 0 in
-        Node.set_fault_filter (Agent.node f.TG.r2)
-          (Some
-             (fun _ pkt ->
-                if !dropped < 1 && Addr.equal pkt.Ipv4.Packet.dst h2_addr
-                then begin
-                  incr dropped;
-                  false
-                end
-                else true));
-        Workload.Mobility.move_at topo f.TG.m ~at:(Time.of_sec 1.0)
-          f.TG.net_d;
-        Topology.run ~until:(Time.of_sec 8.0) topo;
-        check Alcotest.int "original sync lost" 1 !dropped;
-        check Alcotest.bool "replicas converged anyway" true
-          (Mhrp.Replication.consistent grp m_addr);
-        check Alcotest.int "one original sync" 1
-          (Mhrp.Replication.sync_messages grp);
-        check Alcotest.bool "sync retransmitted" true
-          ((Agent.counters f.TG.r2).Mhrp.Counters.sync_retransmissions >= 1))
-  ]
+    lost_sync_case "lost Ha_sync is retransmitted until the replica acks"
+      replica_world;
+    lost_sync_case "lost Region_sync is retransmitted until the backup acks"
+      backup_world ]
 
 let suite =
   [ ("fault.injector", injector_tests);

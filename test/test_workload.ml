@@ -84,7 +84,35 @@ let metrics_tests =
          check (Alcotest.list Alcotest.int) "wrap" [0xFFFE; 0xFFFF; 1]
            (List.map
               (fun r -> snd r.Workload.Metrics.key)
-              (Workload.Metrics.records metrics))) ]
+              (Workload.Metrics.records metrics)));
+    Alcotest.test_case "datagram data reaches the wire zeroed" `Quick
+      (fun () ->
+         (* A buffer left unwritten holds whatever the minor heap last
+            held, pointers included, which differ from run to run: leave
+            stale words there before each send. *)
+         let f = TG.figure1 () in
+         let metrics = Workload.Metrics.create f.TG.topo in
+         let traffic =
+           Workload.Traffic.create metrics (Topology.engine f.TG.topo)
+         in
+         let received = ref 0 and nonzero = ref 0 in
+         Agent.on_app_receive f.TG.m (fun pkt ->
+             incr received;
+             Bytes.iter
+               (fun c -> if c <> '\000' then incr nonzero)
+               (Ipv4.Udp.decode pkt.Ipv4.Packet.payload).Ipv4.Udp.data);
+         for k = 1 to 10 do
+           Workload.Traffic.at traffic (Time.of_ms (100 * k)) (fun () ->
+               for i = 1 to 5_000 do
+                 ignore (Sys.opaque_identity (ref i))
+               done;
+               Gc.minor ();
+               Workload.Traffic.send_udp traffic ~src:f.TG.s
+                 ~dst:(Agent.address f.TG.m) ())
+         done;
+         Topology.run ~until:(Time.of_sec 2.0) f.TG.topo;
+         check Alcotest.int "all ten arrived" 10 !received;
+         check Alcotest.int "no data byte set" 0 !nonzero) ]
 
 let reqresp_tests =
   [ Alcotest.test_case
