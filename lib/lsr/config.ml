@@ -1,23 +1,12 @@
 type t = {
   hello_interval : Netsim.Time.t;
-  dead_count : int;
   refresh_interval : Netsim.Time.t;
-  spf_delay : Netsim.Time.t;
-  preserve_host_routes : bool;
 }
 
 let default =
   { hello_interval = Netsim.Time.of_ms 500;
-    dead_count = 3;
-    refresh_interval = Netsim.Time.of_sec 10.0;
-    spf_delay = Netsim.Time.of_ms 10;
-    preserve_host_routes = true }
+    refresh_interval = Netsim.Time.of_sec 10.0 }
 
 let make ?(hello_interval = default.hello_interval)
-    ?(dead_count = default.dead_count)
-    ?(refresh_interval = default.refresh_interval)
-    ?(spf_delay = default.spf_delay)
-    ?(preserve_host_routes = default.preserve_host_routes) () =
-  if dead_count < 1 then invalid_arg "Lsr.Config.make: dead_count < 1";
-  { hello_interval; dead_count; refresh_interval; spf_delay;
-    preserve_host_routes }
+    ?(refresh_interval = default.refresh_interval) () =
+  { hello_interval; refresh_interval }

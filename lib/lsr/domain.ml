@@ -21,12 +21,8 @@ let router t name =
   | Some r -> r
   | None -> raise Not_found
 
-let create ?(config = Config.default) ?(cold_start = true) ?nodes topo =
-  let nodes =
-    match nodes with
-    | Some ns -> ns
-    | None -> List.filter Node.is_router (Topology.nodes topo)
-  in
+let create ?(config = Config.default) topo =
+  let nodes = List.filter Node.is_router (Topology.nodes topo) in
   let hello_us = max 1 (config.Config.hello_interval : Netsim.Time.t) in
   let routers =
     List.mapi
@@ -35,7 +31,7 @@ let create ?(config = Config.default) ?(cold_start = true) ?nodes topo =
             prime, so offsets cycle through the interval without clumping
             however many routers share it. *)
          let stagger = Netsim.Time.of_us (i * 997 mod hello_us) in
-         if cold_start then Node.set_routes node Route.empty;
+         Node.set_routes node Route.empty;
          Router.create ~config ~stagger node)
       nodes
   in
@@ -102,8 +98,7 @@ let walk addr_map start p probe =
   in
   go start 0 []
 
-let check_equivalence ?routers t =
-  let sources = match routers with Some rs -> rs | None -> t.routers in
+let check_equivalence t =
   let all_nodes = Topology.nodes t.topo in
   let graph = Routing.graph_of_nodes all_nodes in
   let addr_map = Hashtbl.create 256 in
@@ -142,7 +137,7 @@ let check_equivalence ?routers t =
         | Some e -> Error e
         | None -> first_error rest)
   in
-  first_error sources
+  first_error t.routers
 
-let equivalent ?routers t =
-  match check_equivalence ?routers t with Ok () -> true | Error _ -> false
+let equivalent t =
+  match check_equivalence t with Ok () -> true | Error _ -> false

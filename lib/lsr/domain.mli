@@ -22,17 +22,14 @@
 
 type t
 
-val create :
-  ?config:Config.t -> ?cold_start:bool -> ?nodes:Net.Node.t list ->
-  Net.Topology.t -> t
-(** One router per node of the topology with {!Net.Node.is_router} set
-    (or per node of [nodes]), each with a distinct deterministic tick
-    stagger within one hello interval.  [cold_start] (default [true])
-    empties each router's table so convergence is measured from nothing
-    rather than from a previously-installed oracle state; host tables are
-    never touched — hosts keep their static (oracle-installed) routes, as
-    real hosts keep their configured gateways.  Timers do not run until
-    {!start}. *)
+val create : ?config:Config.t -> Net.Topology.t -> t
+(** One router per node of the topology with {!Net.Node.is_router} set,
+    each with a distinct deterministic tick stagger within one hello
+    interval.  Each router's table starts empty, so convergence is
+    measured from nothing rather than from a previously-installed oracle
+    state; host tables are never touched — hosts keep their static
+    (oracle-installed) routes, as real hosts keep their configured
+    gateways.  Timers do not run until {!start}. *)
 
 val start : t -> unit
 
@@ -54,14 +51,12 @@ val synchronized : t -> bool
     hold identical (origin, sequence) sets.  Crashed routers are ignored;
     [false] while any protocol work is still queued. *)
 
-val check_equivalence : ?routers:Router.t list -> t -> (unit, string) result
+val check_equivalence : t -> (unit, string) result
 (** Walk every (router, up-LAN) pair's installed route hop by hop and
     compare the delivery hop count against {!Net.Routing.path_length_graph}
     on a freshly built oracle graph.  [Error] carries the first mismatch:
     a loop, a black hole, a detour, or a route the oracle says cannot
-    exist.  [routers] (default: all) restricts the sources checked —
-    large sweeps sample.  O(sources × LANs) oracle BFS runs: exhaustive
-    on test topologies, sampled at 256 campuses. *)
+    exist.  O(routers × LANs) oracle BFS runs. *)
 
-val equivalent : ?routers:Router.t list -> t -> bool
+val equivalent : t -> bool
 (** [check_equivalence] as a predicate. *)

@@ -48,6 +48,11 @@ let lsdb_seq t origin =
 let lsdb_fold t f acc =
   Hashtbl.fold (fun o e acc -> f (Addr.of_int o) e.seq acc) t.lsdb acc
 
+(* The fixed policy config.mli states: hello periods of silence before
+   a neighbor is dead, and the hold-down that coalesces SPF runs. *)
+let dead_count = 3
+let spf_delay = Netsim.Time.of_ms 10
+
 let engine t = Node.engine t.node
 let now t = Engine.now (engine t)
 
@@ -162,14 +167,13 @@ let spf_now t =
         best []
       |> List.sort (fun (p, _) (p', _) -> Addr.Prefix.compare p p')
     in
+    (* host routes (MHRP's /32s) survive every install *)
     let preserved =
-      if not t.cfg.Config.preserve_host_routes then []
-      else
-        List.filter_map
-          (fun (e : Route.entry) ->
-             if e.prefix.Addr.Prefix.len = 32 then Some (e.prefix, e.target)
-             else None)
-          (Route.entries (Node.routes t.node))
+      List.filter_map
+        (fun (e : Route.entry) ->
+           if e.prefix.Addr.Prefix.len = 32 then Some (e.prefix, e.target)
+           else None)
+        (Route.entries (Node.routes t.node))
     in
     c.Counters.routes_installed <-
       c.Counters.routes_installed + List.length routes;
@@ -180,7 +184,7 @@ let schedule_spf t =
   if not t.spf_pending then begin
     t.spf_pending <- true;
     ignore
-      (Engine.schedule_after (engine t) ~delay:t.cfg.Config.spf_delay
+      (Engine.schedule_after (engine t) ~delay:spf_delay
          (fun () ->
             t.spf_pending <- false;
             spf_now t))
@@ -302,7 +306,7 @@ let tick t =
   if Node.is_up t.node then begin
     let c = t.counters in
     let now_ = now t in
-    let dead_after = t.cfg.Config.dead_count * t.cfg.Config.hello_interval in
+    let dead_after = dead_count * t.cfg.Config.hello_interval in
     let dead =
       Hashtbl.fold
         (fun key nb acc ->

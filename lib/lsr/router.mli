@@ -65,7 +65,7 @@ val settled : t -> bool
 
 val spf_now : t -> unit
 (** Run SPF immediately over the current database and install routes —
-    the computation the [spf_delay] timer normally coalesces.  Exposed
+    the computation the 10 ms SPF hold-down normally coalesces.  Exposed
     for micro-benchmarks; experiments let the timer drive it. *)
 
 val reoriginate : t -> unit

@@ -15,16 +15,23 @@
     Every node that "implements MHRP" — including plain correspondent
     hosts that merely want to cache mobile locations — is an [Agent];
     hosts without one ignore location updates exactly as the paper's
-    backward-compatibility argument requires. *)
+    backward-compatibility argument requires.
+
+    Each role's state is created when the role is enabled, and its
+    handlers live in one module of the library: [Home_role],
+    [Foreign_role], [Regional_role] and [Mobile_role]; [Agent_core] holds
+    what every role uses (origination, control sends and mirrors,
+    authentication, location updates and the cache, the re-tunnel,
+    discovery).  This module builds the agent and dispatches received
+    packets to the roles. *)
 
 type t
 
-val create :
-  ?config:Config.t -> ?cache_agent:bool -> ?snoop:bool -> Net.Node.t -> t
-(** [cache_agent] (default true): maintain and use a location cache.
-    [snoop] (default false): as a router, examine forwarded packets for
-    location updates and cacheable destinations — the configuration
-    option of Section 4.3. *)
+val create : ?config:Config.t -> ?snoop:bool -> Net.Node.t -> t
+(** A cache agent: it maintains and uses a location cache.  [snoop]
+    (default false): as a router, examine forwarded packets for location
+    updates and cacheable destinations — the configuration option of
+    Section 4.3. *)
 
 val node : t -> Net.Node.t
 val config : t -> Config.t
@@ -72,7 +79,8 @@ val set_regional_parent : ?backup:Ipv4.Addr.t -> t -> Ipv4.Addr.t -> unit
     ([Control.Fa_connect_ack_r]) along with the region's standby agent
     [backup] when one is provisioned — the failover target mobiles use
     when the primary stops acknowledging.  Provisioning the tree is
-    outside the protocol, like agent addresses themselves. *)
+    outside the protocol, like agent addresses themselves.  Raises
+    [Invalid_argument] before {!enable_foreign_agent}. *)
 
 val regional_agent : t -> Regional.t option
 

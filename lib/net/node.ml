@@ -36,10 +36,7 @@ and t = {
   name : string;
   router : bool;
   proc_delay : Time.t;
-  option_slow_factor : int;
   icmp_quote : icmp_quote;
-  arp_timeout : Time.t;
-  arp_entry_ttl : Time.t;
   tr : Netsim.Trace.t option;
   mutable ifaces : iface_state array;
   mutable origin : int;
@@ -86,19 +83,14 @@ and t = {
 }
 
 let arp_max_tries = 3
+let option_slow_factor = 8
+let arp_timeout = Time.of_ms 500
+let arp_entry_ttl = Time.of_sec 60.0
 
-let create ~engine ~mac_alloc ?trace ?(router = false) ?proc_delay
-    ?(option_slow_factor = 8) ?(icmp_quote = Quote_min)
-    ?(arp_timeout = Time.of_ms 500) ?(arp_entry_ttl = Time.of_sec 60.0)
-    name =
-  let proc_delay =
-    match proc_delay with
-    | Some d -> d
-    | None -> if router then Time.of_us 50 else Time.of_us 20
-  in
-  { engine; mac_alloc; name; router; proc_delay; option_slow_factor;
-    icmp_quote;
-    arp_timeout; arp_entry_ttl; tr = trace;
+let create ~engine ~mac_alloc ?trace ?(router = false)
+    ?(icmp_quote = Quote_min) name =
+  let proc_delay = if router then Time.of_us 50 else Time.of_us 20 in
+  { engine; mac_alloc; name; router; proc_delay; icmp_quote; tr = trace;
     ifaces = [||]; origin = 0; live_from = 0; n_ifaces = 0;
     extra_addrs = []; iface_list = []; addr_list = [];
     table = Route.empty;
@@ -269,7 +261,7 @@ let arp_learn t addr mac =
 let arp_fresh t addr =
   let mac, at = Hashtbl.find t.arp_cache addr in
   if Time.to_us (Engine.now t.engine) - Time.to_us at
-     < Time.to_us t.arp_entry_ttl
+     < Time.to_us arp_entry_ttl
   then mac
   else begin
     Hashtbl.remove t.arp_cache addr;
@@ -411,7 +403,7 @@ and resolve_and_emit t i ~next_hop v =
     end
 
 and arm_arp_timer t w =
-  ignore (Engine.call_after t.engine ~delay:t.arp_timeout arp_expired t w)
+  ignore (Engine.call_after t.engine ~delay:arp_timeout arp_expired t w)
 
 (* A wait that was answered, or cleared by a reboot, is no longer the
    one its address maps to: its timer does nothing. *)
@@ -490,7 +482,7 @@ and route_and_send t v =
 (* --- public senders --- *)
 
 let processing_delay t ~slow =
-  if slow then Time.of_us (Time.to_us t.proc_delay * t.option_slow_factor)
+  if slow then Time.of_us (Time.to_us t.proc_delay * option_slow_factor)
   else t.proc_delay
 
 (* Route [v] after the processing delay.  The event is the call

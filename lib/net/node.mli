@@ -43,19 +43,16 @@ type icmp_quote = Quote_min  (** IP header + 8 bytes (RFC 792). *)
 
 val create :
   engine:Netsim.Engine.t -> mac_alloc:Mac.Alloc.t ->
-  ?trace:Netsim.Trace.t -> ?router:bool -> ?proc_delay:Netsim.Time.t ->
-  ?option_slow_factor:int -> ?icmp_quote:icmp_quote ->
-  ?arp_timeout:Netsim.Time.t -> ?arp_entry_ttl:Netsim.Time.t ->
+  ?trace:Netsim.Trace.t -> ?router:bool -> ?icmp_quote:icmp_quote ->
   string -> t
 (** [create ~engine ~mac_alloc name].  [router] (default false) enables
-    forwarding.  [proc_delay] is the per-packet processing cost (default
-    50µs for routers, 20µs for hosts); packets carrying IP options cost
-    [option_slow_factor] times that (default 8) — the router "slow path" of
-    Section 7.  [arp_timeout] spaces ARP retries (default 500ms);
-    [arp_entry_ttl] ages resolved entries out of the cache (default 60s,
-    as contemporary BSD stacks did), after which a fresh ARP exchange is
-    required — without aging, a departed host's stale binding would
-    swallow frames silently forever. *)
+    forwarding.  Each packet costs 50µs of processing on a router and
+    20µs on a host; packets carrying IP options cost 8 times that — the
+    router "slow path" of Section 7.  ARP retries are 500ms apart, and
+    resolved entries age out of the cache after 60s (as contemporary BSD
+    stacks did), after which a fresh ARP exchange is required — without
+    aging, a departed host's stale binding would swallow frames silently
+    forever. *)
 
 val name : t -> string
 val engine : t -> Netsim.Engine.t
@@ -227,7 +224,7 @@ val forward_now : t -> Ipv4.Packet.t -> unit
     must not touch the buffer again.  The record senders above encode
     once and call {!send_wire} and {!forward_wire}, so the two are
     interchangeable.  A packet whose header carries options (IHL > 5)
-    costs the [option_slow_factor] delay in {!send_wire} and
+    costs the slow-path delay ({!create}) in {!send_wire} and
     {!forward_wire}, as in their record forms.  The bytes must be one
     valid packet: an MHRP agent passes the tunnels it builds on the
     wire ({!Mhrp.Encap}), never received bytes it has not copied. *)

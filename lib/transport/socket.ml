@@ -6,7 +6,7 @@ let adv_window = 0xFFFF
 let default_mss = 512
 let default_window = 4096
 let default_rto = Time.of_ms 300
-let default_rto_max = Time.of_sec 5.0
+let rto_max = Time.of_sec 5.0
 let default_max_retries = 12
 
 (* The flags, as bits of the wire's flag byte. *)
@@ -53,7 +53,6 @@ type t = {
   mss : int;
   swnd : int;  (* our in-flight cap, bytes *)
   rto_init : Time.t;
-  rto_max : Time.t;
   max_retries : int;
   counters : Counters.t;
   mutable state : state;
@@ -92,7 +91,7 @@ type t = {
 }
 
 let make_sock stack ~local_port ~remote ~remote_port ~iss ~mss ~window ~rto
-    ~rto_max ~max_retries ~state =
+    ~max_retries ~state =
   { stack;
     engine = Stack.engine stack;
     local_port;
@@ -101,7 +100,6 @@ let make_sock stack ~local_port ~remote ~remote_port ~iss ~mss ~window ~rto
     mss;
     swnd = window;
     rto_init = rto;
-    rto_max;
     max_retries;
     counters = Counters.create ();
     state;
@@ -245,7 +243,7 @@ and on_timer t =
     if t.retries >= t.max_retries then fail t "retransmission limit reached"
     else begin
       t.retries <- t.retries + 1;
-      t.rto_cur <- min (t.rto_cur * 2) t.rto_max;
+      t.rto_cur <- min (t.rto_cur * 2) rto_max;
       resend t;
       arm_timer t
     end
@@ -438,8 +436,8 @@ let rx t ~src:_ buf ~off ~len =
   end
 
 let connect stack ?src_port ?(mss = default_mss) ?(window = default_window)
-    ?(rto = default_rto) ?(rto_max = default_rto_max)
-    ?(max_retries = default_max_retries) ~dst ~dst_port () =
+    ?(rto = default_rto) ?(max_retries = default_max_retries) ~dst ~dst_port
+    () =
   let local_port =
     match src_port with
     | Some p -> p
@@ -448,7 +446,7 @@ let connect stack ?src_port ?(mss = default_mss) ?(window = default_window)
   in
   let t =
     make_sock stack ~local_port ~remote:dst ~remote_port:dst_port
-      ~iss:(Stack.fresh_iss stack) ~mss ~window ~rto ~rto_max ~max_retries
+      ~iss:(Stack.fresh_iss stack) ~mss ~window ~rto ~max_retries
       ~state:Syn_sent
   in
   Stack.register_conn stack ~local_port ~remote:dst ~remote_port:dst_port
@@ -466,8 +464,7 @@ type listener = {
 }
 
 let listen stack ~port ?(mss = default_mss) ?(window = default_window)
-    ?(rto = default_rto) ?(rto_max = default_rto_max)
-    ?(max_retries = default_max_retries) accept_cb =
+    ?(rto = default_rto) ?(max_retries = default_max_retries) accept_cb =
   let l = { l_stack = stack; l_port = port; l_open = true } in
   Stack.register_listener stack ~port (fun ~src buf ~off ~len ->
       let flags = Tcp.flags_at buf ~off in
@@ -476,8 +473,8 @@ let listen stack ~port ?(mss = default_mss) ?(window = default_window)
         let remote_port = Tcp.src_port_at buf ~off in
         let t =
           make_sock stack ~local_port:port ~remote:src ~remote_port
-            ~iss:(Stack.fresh_iss stack) ~mss ~window ~rto ~rto_max
-            ~max_retries ~state:Syn_received
+            ~iss:(Stack.fresh_iss stack) ~mss ~window ~rto ~max_retries
+            ~state:Syn_received
         in
         let seq = Tcp.seq_at buf ~off in
         t.irs <- seq;

@@ -34,17 +34,3 @@ let cbr t ~src ~dst ?size ~start ~interval ~count () =
     in
     at t time (fun () -> send_udp t ~src ~dst ?size ())
   done
-
-let ping t ~src ~dst ~at:time =
-  at t time (fun () ->
-      let id = fresh_id t in
-      let msg =
-        Ipv4.Icmp.Echo_request
-          { ident = id; seq = 0; data = Bytes.make 16 '\000' }
-      in
-      let pkt =
-        Ipv4.Packet.make ~id ~proto:Ipv4.Proto.icmp
-          ~src:(Mhrp.Agent.address src) ~dst (Ipv4.Icmp.encode msg)
-      in
-      Metrics.note_send t.metrics pkt;
-      Mhrp.Agent.send src pkt)

@@ -6,7 +6,7 @@
     {!Apps.Rpc}'s.  Payloads are zero bytes, so a run's packets are the
     same on every execution.
 
-    Each datagram and ping gets its own IP id (16-bit, from [first_id],
+    Each datagram gets its own IP id (16-bit, from [first_id],
     wrapping past 0xFFFF to 1, never 0), so each is individually
     trackable. *)
 
@@ -26,9 +26,3 @@ val cbr :
   t -> src:Mhrp.Agent.t -> dst:Ipv4.Addr.t -> ?size:int ->
   start:Netsim.Time.t -> interval:Netsim.Time.t -> count:int -> unit -> unit
 (** Constant-bit-rate flow: [count] datagrams, one per [interval]. *)
-
-val ping :
-  t -> src:Mhrp.Agent.t -> dst:Ipv4.Addr.t -> at:Netsim.Time.t -> unit
-(** One echo request (the reply is the destination's business).  ICMP
-    sits below the transport layer, so this is the one flow not on a
-    socket. *)

@@ -292,6 +292,93 @@ let recovery_tests =
           check Alcotest.int "delivery restored through the backup" 1
             !received);
     Alcotest.test_case
+      "regional crash: backup captures the silent primary's address, then \
+       releases it" `Quick (fun () ->
+          let rg =
+            TG.regions ~config:(recovery_config ()) ~backups:true
+              ~regions:2 ~cells:2 ~mobiles_per_region:1 ~correspondents:1
+              ()
+          in
+          let tr = Topology.trace rg.TG.rg_topo in
+          Netsim.Trace.set_enabled tr true;
+          move rg 1.0 (cell rg 1 0);
+          at rg 2.5 (fun () ->
+              Node.crash_for (Agent.node (regional rg)) (Time.of_sec 4.0));
+          run rg;
+          check Alcotest.int "one takeover" 1
+            (Agent.counters rg.TG.rg_backups.(1)).Mhrp.Counters
+              .region_takeovers;
+          let rb1 =
+            List.filter
+              (fun (e : Netsim.Trace.event) -> e.node = "RB1")
+              (Netsim.Trace.events tr)
+          in
+          let traced kind detail =
+            List.filter
+              (fun (e : Netsim.Trace.event) ->
+                 e.kind = kind && e.detail = detail)
+              rb1
+          in
+          let first kind detail =
+            match traced kind detail with
+            | e :: _ -> Time.to_us e.at
+            | [] -> Alcotest.failf "RB1 never traced %s %S" kind detail
+          in
+          let peer what =
+            Format.asprintf "peer %a %s" Addr.pp (Agent.address (regional rg))
+              what
+          in
+          let capture =
+            first "regional" (peer "unresponsive: capturing its address")
+          in
+          check Alcotest.int "captured once its syncs to RR1 gave up (us)"
+            6_002_660 capture;
+          check Alcotest.int "the sync exchange gave up at that instant"
+            capture
+            (first "ctrl-give-up" "control exchange abandoned");
+          let release = peer "is back: releasing its address" in
+          check Alcotest.int "released once the rebooted RR1 synced (us)"
+            6_704_917 (first "regional" release);
+          (* a claim not dropped would be "released" at every sync *)
+          check Alcotest.int "released once" 1
+            (List.length (traced "regional" release)));
+    Alcotest.test_case
+      "soft state: the sweep evicts an unrefreshed binding, armed once"
+      `Quick (fun () ->
+          let world ~twice =
+            let config =
+              Mhrp.Config.make ~hierarchy:true
+                ~regional_lifetime:(Time.of_sec 4.0) ()
+            in
+            let rg = setup ~config () in
+            if twice then Agent.enable_regional_agent (regional rg);
+            let on = ref false in
+            drop_mobile_control rg ~dst:(Agent.address (regional rg)) on;
+            move rg 1.0 (cell rg 1 0);
+            at rg 1.5 (fun () -> on := true);
+            let expirations_at sec =
+              let n = ref (-1) in
+              at rg sec (fun () ->
+                  n :=
+                    (Agent.counters (regional rg)).Mhrp.Counters
+                      .regional_expirations);
+              n
+            in
+            let before = expirations_at 5.99 in
+            let after = expirations_at 6.01 in
+            run ~until:8.0 rg;
+            (rg, !before, !after)
+          in
+          let rg, before, after = world ~twice:false in
+          check Alcotest.int "still bound before the 6.0 s pass" 0 before;
+          check Alcotest.int "evicted by the 6.0 s pass" 1 after;
+          check (Alcotest.option addr_testable) "binding gone" None
+            (regional_binding rg);
+          let rg', _, _ = world ~twice:true in
+          check Alcotest.int "a second enable arms no second sweep"
+            (Netsim.Engine.events_processed (engine rg))
+            (Netsim.Engine.events_processed (engine rg')));
+    Alcotest.test_case
       "inter-region handoff leaves a forwarding pointer that expires"
       `Quick (fun () ->
           let rg =
