@@ -1,16 +1,15 @@
 (* ALLOC: allocation and throughput of the zero-copy forwarding fast
    path (DESIGN.md Section 11).
 
-   Four measurements, all deterministic enough to gate:
+   Five measurements, each gated on its deterministic numbers:
 
    - the per-hop header operation in isolation: the classical
      decode -> decr_ttl -> encode round-trip against the view path's
      in-place TTL/checksum rewrite.  Allocation counts are exact word
      counts (gated Pct, absorbing codegen drift across compiler
      versions); the wall-clock ratio between the two loops is recorded
-     and a >= 5x flag is gated exactly — the observed margin is an
-     order of magnitude, so the flag is machine-independent in
-     practice.
+     at Info tolerance, never gated, since it moves with the machine's
+     load.  A >= 10x allocation-cut flag is gated exactly.
 
    - an eight-router chain simulation, run three times: plain transit
      routers on the view path; the same routers forced onto the record
@@ -153,9 +152,6 @@ let part_header () =
     snd (List.nth sizes 2)
   in
   let speedup = b_rec_s /. b_view_s in
-  (* gated on the full-MTU datagram, where the margin is comfortable on
-     any machine; the smaller-packet ratios are archived ungated above *)
-  Exp_util.rec_flag ~exp "fwd_speedup_ge_5x" (speedup >= 5.0);
   (* the order-of-magnitude allocation cut, machine-independent *)
   Exp_util.rec_flag ~exp "fwd_alloc_cut_ge_10x" (b_rec_w /. b_view_w >= 10.0);
   Exp_util.table
@@ -170,7 +166,7 @@ let part_header () =
             Printf.sprintf "%.1fx" (rec_s /. view_s) ])
        sizes);
   Exp_util.note
-    "full-MTU: %.1fx speedup (gate >= 5x), %.1f minor words per hop \
+    "full-MTU: %.1fx speedup, %.1f minor words per hop \
      against %.0f (gate: >= 10x fewer), %.2f Mpkt/s on the view path"
     speedup b_view_w b_rec_w (1.0 /. b_view_s /. 1e6)
 

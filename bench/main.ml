@@ -1,11 +1,11 @@
 (* The experiment harness: regenerates every table and figure in
-   EXPERIMENTS.md (see DESIGN.md Section 3 for the experiment index) and
-   the bechamel micro-benchmarks, recording every reported number into the
-   Obs registry alongside the pretty-printed tables.
+   EXPERIMENTS.md (see DESIGN.md Section 3 for the experiment index),
+   recording every reported number into the Obs registry alongside the
+   pretty-printed tables.
 
    Run everything:        dune exec bench/main.exe
    Run one experiment:    dune exec bench/main.exe -- E5
-   All incl. micro:       dune exec bench/main.exe -- tables
+   All experiments:       dune exec bench/main.exe -- tables
    Parallel sweeps:       dune exec bench/main.exe -- tables --jobs 4
    Dump metrics JSON:     dune exec bench/main.exe -- tables --json out.json
    Regression gate:       dune exec bench/main.exe -- tables \
@@ -17,8 +17,8 @@
    --jobs (default: the machine's recommended domain count); results are
    bit-identical whatever the job count, so --jobs only moves wall-clock.
 
-   The JSON schema ({schema_version, commit, experiments: {E1..E18, A,
-   micro}}) and the baseline workflow are documented in README.md and
+   The JSON schema ({schema_version, commit, experiments: {E1..E21, A,
+   alloc}}) and the baseline workflow are documented in README.md and
    DESIGN.md.  --no-info drops Info-tolerance metrics (wall-clock
    readings) from the dump, making dumps from different machines or job
    counts byte-comparable — CI's serial-vs-parallel equivalence check
@@ -48,8 +48,7 @@ let experiments : Experiment.t list =
     Exp_alloc.experiment;
     Exp_e19.experiment;
     Exp_e20.experiment;
-    Exp_e21.experiment;
-    Micro.experiment ]
+    Exp_e21.experiment ]
 
 let all_ids = List.map (fun e -> e.Experiment.id) experiments
 
@@ -85,7 +84,7 @@ let commit () =
 
 let usage () =
   Format.eprintf
-    "usage: main.exe [IDS|tables|micro|--list] [--jobs N] [--json FILE] \
+    "usage: main.exe [IDS|tables|--list] [--jobs N] [--json FILE] \
      [--no-info] [--baseline FILE] [--check]@.known ids:@.";
   List.iter
     (fun e ->

@@ -68,7 +68,3 @@ let sign ~key ~spi ~timestamp ~nonce payload =
 
 let verify ~key payload ext =
   Int64.equal ext.mac (Siphash.mac key (signed_input payload ext))
-
-let pp ppf { spi; timestamp; nonce; mac } =
-  Format.fprintf ppf "auth-ext spi=%d ts=%a nonce=%Lx mac=%Lx" spi
-    Netsim.Time.pp timestamp nonce mac

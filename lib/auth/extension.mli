@@ -50,5 +50,3 @@ val sign :
 
 val verify : key:Siphash.key -> bytes -> t -> bool
 (** Recompute the MAC over [payload ++ ext{mac=0}] and compare. *)
-
-val pp : Format.formatter -> t -> unit

@@ -3,9 +3,6 @@
     Tunneling adds a complete new IP header plus a separate 20-byte IPTP
     header — 40 bytes per packet, the figure the MHRP paper quotes. *)
 
-val overhead : int
-(** 40. *)
-
 val encap : outer_src:Ipv4.Addr.t -> outer_dst:Ipv4.Addr.t ->
   Ipv4.Packet.t -> Ipv4.Packet.t
 (** Protocol {!Ipv4.Proto.iptp}; the entire original packet rides behind

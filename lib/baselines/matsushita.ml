@@ -31,8 +31,6 @@ let create topo md =
   { topo; md; mobiles = Hashtbl.create 16; pfs_of = Hashtbl.create 16;
     senders = Hashtbl.create 16; ctrl = 0 }
 
-let mode t = t.md
-
 (* Binding notice: mobile(4) temp(4), sent PFS -> sender in autonomous
    mode so the sender can tunnel directly. *)
 let encode_notice ~mobile ~temp =

@@ -12,7 +12,6 @@ type mode = Forwarding | Autonomous
 type t
 
 val create : Net.Topology.t -> mode -> t
-val mode : t -> mode
 
 val add_pfs : t -> Net.Node.t -> unit
 (** The node (a home-network router) becomes a PFS. *)

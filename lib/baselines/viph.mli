@@ -6,9 +6,6 @@
     addresses hold the physical addresses used for routing; the VIP header
     holds the permanent identities. *)
 
-val overhead : int
-(** 28. *)
-
 type t = {
   vip_src : Ipv4.Addr.t;
   vip_dst : Ipv4.Addr.t;

@@ -21,21 +21,3 @@ type item =
     }
 
 type t = item list
-
-let pp_span ppf (at, duration) =
-  Format.fprintf ppf "at %a for %a" Netsim.Time.pp at Netsim.Time.pp duration
-
-let pp_item ppf = function
-  | Lan_down { lan; at; duration } ->
-    Format.fprintf ppf "lan-down %s %a" lan pp_span (at, duration)
-  | Crash { node; at; duration } ->
-    Format.fprintf ppf "crash %s %a" node pp_span (at, duration)
-  | Partition { lans; at; duration } ->
-    Format.fprintf ppf "partition [%s] %a" (String.concat " " lans) pp_span
-      (at, duration)
-  | Control_loss { rate; from_; until } ->
-    Format.fprintf ppf "control-loss %.2f from %a until %a" rate
-      Netsim.Time.pp from_ Netsim.Time.pp until
-
-let pp ppf t =
-  Format.pp_print_list ~pp_sep:Format.pp_print_newline pp_item ppf t

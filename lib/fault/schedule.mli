@@ -37,5 +37,3 @@ type item =
           pass. *)
 
 type t = item list
-
-val pp : Format.formatter -> t -> unit

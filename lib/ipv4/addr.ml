@@ -63,7 +63,6 @@ let broadcast = max_addr
 let is_zero t = t = 0
 let equal = Int.equal
 let compare = Int.compare
-let hash t = Hashtbl.hash t
 
 module Prefix = struct
   type addr = t

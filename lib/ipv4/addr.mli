@@ -53,7 +53,6 @@ val broadcast : t
 val is_zero : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 (** Network prefixes. *)
 module Prefix : sig

@@ -80,13 +80,3 @@ let decode_all buf =
         invalid_arg "Ip_option.decode_all: unknown option type"
   in
   go 0 []
-
-let pp ppf = function
-  | End_of_options -> Format.pp_print_string ppf "eol"
-  | Nop -> Format.pp_print_string ppf "nop"
-  | Lsrr { pointer; route } ->
-    Format.fprintf ppf "lsrr(ptr=%d,[%s])" pointer
-      (String.concat ";" (Array.to_list (Array.map Addr.to_string route)))
-  | Record_route { pointer; route } ->
-    Format.fprintf ppf "rr(ptr=%d,[%s])" pointer
-      (String.concat ";" (Array.to_list (Array.map Addr.to_string route)))

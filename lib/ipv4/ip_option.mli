@@ -29,5 +29,3 @@ val encode_all : t list -> bytes
 val decode_all : bytes -> t list
 (** Inverse of [encode_all]; trailing padding is dropped.
     Raises [Invalid_argument] on malformed input. *)
-
-val pp : Format.formatter -> t -> unit

@@ -190,7 +190,6 @@ module View = struct
 
   let header_length v = (u8 v 0 land 0xF) * 4
   let total_length v = u16 v 2
-  let tos v = u8 v 1
   let id v = u16 v 4
   let ttl v = u8 v 8
   let proto v = u8 v 9
@@ -199,7 +198,6 @@ module View = struct
   let has_options v = header_length v > 20
   let payload_offset = header_length
   let payload_length v = total_length v - header_length v
-  let dont_fragment v = u16 v 6 land 0x4000 <> 0
 
   let is_fragment v =
     let flags = u16 v 6 in

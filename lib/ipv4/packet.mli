@@ -130,9 +130,7 @@ module View : sig
 
   (** Field accessors.  Unchecked: call only after {!valid}. *)
 
-  val header_length : t -> int
   val total_length : t -> int
-  val tos : t -> int
   val id : t -> int
   val ttl : t -> int
   val proto : t -> Proto.t
@@ -141,12 +139,11 @@ module View : sig
   val has_options : t -> bool
 
   val payload_offset : t -> int
-  (** Where the payload starts in {!buffer}: its {!header_length}. *)
+  (** Where the payload starts in {!buffer}: the header's length. *)
 
   val payload_length : t -> int
-  (** [total_length - header_length]. *)
+  (** {!total_length} less the header's length. *)
 
-  val dont_fragment : t -> bool
   val is_fragment : t -> bool
 
   val set_ttl : t -> int -> unit

@@ -45,7 +45,3 @@ let decode buf =
     { src_port = Bytes.get_uint16_be buf 0;
       dst_port = Bytes.get_uint16_be buf 2;
       data = Bytes.sub buf 8 (len - 8) }
-
-let pp ppf t =
-  Format.fprintf ppf "udp %d->%d (%d bytes)" t.src_port t.dst_port
-    (Bytes.length t.data)

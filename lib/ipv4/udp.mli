@@ -40,5 +40,3 @@ val decode : bytes -> t
 (** {!length_at} over the whole buffer, then the fields.  Raises
     [Invalid_argument] on truncation, a bad length or a checksum
     mismatch. *)
-
-val pp : Format.formatter -> t -> unit

@@ -7,11 +7,9 @@ module Routing = Net.Routing
 
 type t = {
   topo : Topology.t;
-  cfg : Config.t;
   routers : Router.t list;  (* in node order *)
 }
 
-let config t = t.cfg
 let routers t = t.routers
 
 let router t name =
@@ -35,7 +33,7 @@ let create ?(config = Config.default) topo =
          Router.create ~config ~stagger node)
       nodes
   in
-  { topo; cfg = config; routers }
+  { topo; routers }
 
 let start t = List.iter Router.start t.routers
 

@@ -33,7 +33,6 @@ val create : ?config:Config.t -> Net.Topology.t -> t
 
 val start : t -> unit
 
-val config : t -> Config.t
 val routers : t -> Router.t list
 val router : t -> string -> Router.t
 (** By node name.  Raises [Not_found]. *)

@@ -35,7 +35,6 @@ type t = {
 
 let node t = t.node
 let router_id t = t.id
-let config t = t.cfg
 let counters t = t.counters
 let neighbor_count t = Hashtbl.length t.neighbors
 let lsdb_size t = Hashtbl.length t.lsdb

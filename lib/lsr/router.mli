@@ -41,7 +41,6 @@ val start : t -> unit
 
 val node : t -> Net.Node.t
 val router_id : t -> Ipv4.Addr.t
-val config : t -> Config.t
 val counters : t -> Counters.t
 
 val neighbor_count : t -> int
@@ -62,13 +61,3 @@ val settled : t -> bool
     re-origination or database synchronisation is queued.  A domain whose
     routers are all settled with identical databases has converged
     ({!Domain.synchronized}). *)
-
-val spf_now : t -> unit
-(** Run SPF immediately over the current database and install routes —
-    the computation the 10 ms SPF hold-down normally coalesces.  Exposed
-    for micro-benchmarks; experiments let the timer drive it. *)
-
-val reoriginate : t -> unit
-(** Bump the sequence number, rebuild the own LSA from live interfaces
-    and neighbors, store and flood it now.  Exposed for
-    micro-benchmarks; the tick drives it normally. *)

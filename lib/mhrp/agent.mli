@@ -34,7 +34,6 @@ val create : ?config:Config.t -> ?snoop:bool -> Net.Node.t -> t
     Section 4.3. *)
 
 val node : t -> Net.Node.t
-val config : t -> Config.t
 val counters : t -> Counters.t
 val cache : t -> Location_cache.t
 val limiter : t -> Rate_limiter.t
@@ -154,7 +153,7 @@ val send_udp :
     straight into the buffer {!originate} sizes, so on a cache hit the
     sender-built tunnel is the only copy of the data. *)
 
-val send_ping : t -> ?id:int -> ?seq:int -> dst:Ipv4.Addr.t -> unit -> unit
+val send_ping : t -> ?id:int -> dst:Ipv4.Addr.t -> unit -> unit
 
 val on_app_receive : t -> (Ipv4.Packet.t -> unit) -> unit
 (** Non-control traffic delivered to this node (after any

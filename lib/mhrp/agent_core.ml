@@ -62,7 +62,6 @@ type t = {
 }
 
 let node t = t.node
-let config t = t.config
 let counters t = t.counters
 let cache t = t.cache
 let limiter t = t.limiter
@@ -395,9 +394,10 @@ let send_icmp t ~id ~dst msg =
   let fa = sender_tunnel t dst in
   send_originated t fa (icmp_wire ~id ~src:(address t) ~dst msg None fa)
 
-let send_ping t ?(id = 0) ?(seq = 0) ~dst () =
+let send_ping t ?(id = 0) ~dst () =
   send_icmp t ~id ~dst
-    (Ipv4.Icmp.Echo_request { ident = id; seq; data = Bytes.make 16 '\000' })
+    (Ipv4.Icmp.Echo_request
+       { ident = id; seq = 0; data = Bytes.make 16 '\000' })
 
 (* Host unreachable, for a disconnected host's traffic. *)
 let send_unreachable t (offending : Packet.t) =

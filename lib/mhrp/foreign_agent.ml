@@ -12,10 +12,6 @@ let remove t mobile = Hashtbl.remove t.tbl mobile
 let find t mobile = Hashtbl.find_opt t.tbl mobile
 let mem t mobile = Hashtbl.mem t.tbl mobile
 
-let visitors t =
-  Hashtbl.fold (fun _ v acc -> v :: acc) t.tbl []
-  |> List.sort (fun a b -> Ipv4.Addr.compare a.mobile b.mobile)
-
 let clear t = Hashtbl.reset t.tbl
 let count t = Hashtbl.length t.tbl
 let state_bytes t = 12 * Hashtbl.length t.tbl

@@ -20,7 +20,6 @@ val add : t -> visitor -> unit
 val remove : t -> Ipv4.Addr.t -> unit
 val find : t -> Ipv4.Addr.t -> visitor option
 val mem : t -> Ipv4.Addr.t -> bool
-val visitors : t -> visitor list
 val clear : t -> unit
 val count : t -> int
 val state_bytes : t -> int

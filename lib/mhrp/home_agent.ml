@@ -36,12 +36,6 @@ let away_mobiles t =
     t.db []
   |> List.sort Ipv4.Addr.compare
 
-let mobiles t =
-  Ipv4.Int_table.fold
-    (fun mobile _ acc -> Ipv4.Addr.of_key mobile :: acc)
-    t.db []
-  |> List.sort Ipv4.Addr.compare
-
 let reboot t = if not t.persistent then Ipv4.Int_table.reset t.db
 let state_bytes t = 8 * Ipv4.Int_table.length t.db
 let footprint_bytes t = Ipv4.Int_table.footprint_bytes t.db

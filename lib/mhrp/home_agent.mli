@@ -27,7 +27,6 @@ val location : t -> Ipv4.Addr.t -> Ipv4.Addr.t option
 
 val is_away : t -> Ipv4.Addr.t -> bool
 val away_mobiles : t -> Ipv4.Addr.t list
-val mobiles : t -> Ipv4.Addr.t list
 val reboot : t -> unit
 (** Clears the database unless persistent. *)
 

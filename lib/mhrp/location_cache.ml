@@ -34,7 +34,6 @@ let create ~capacity =
     tbl = Ipv4.Int_table.create ~capacity:(min capacity 4096) ();
     tick = 0; hits = 0; misses = 0; evictions = 0 }
 
-let capacity t = t.capacity
 let size t = Ipv4.Int_table.length t.tbl
 
 let renormalize t =

@@ -12,7 +12,6 @@ type t
 val create : capacity:int -> t
 (** Raises [Invalid_argument] if [capacity <= 0]. *)
 
-val capacity : t -> int
 val size : t -> int
 
 val find : t -> Ipv4.Addr.t -> Ipv4.Addr.t option

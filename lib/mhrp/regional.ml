@@ -93,14 +93,6 @@ let find t mobile =
   | -1 -> None
   | fa -> Some (Ipv4.Addr.of_key fa)
 
-let expires_at t mobile =
-  match t.expiry with
-  | None -> None
-  | Some e ->
-    (match Ipv4.Int_table.find e (Ipv4.Addr.to_key mobile) ~default:(-1) with
-     | -1 -> None
-     | at -> Some at)
-
 let expire t ~now =
   match t.expiry with
   | None -> []
@@ -151,13 +143,6 @@ let forwards_size t =
 
 let size t = Ipv4.Int_table.length t.bindings
 
-let bindings t =
-  Ipv4.Int_table.fold
-    (fun mobile fa acc ->
-       (Ipv4.Addr.of_key mobile, Ipv4.Addr.of_key fa) :: acc)
-    t.bindings []
-  |> List.sort (fun (a, _) (b, _) -> Ipv4.Addr.compare a b)
-
 let clear t =
   Ipv4.Int_table.reset t.bindings;
   (match t.expiry with Some e -> Ipv4.Int_table.reset e | None -> ());
@@ -171,14 +156,6 @@ let refreshes t = t.refreshes
 let withdrawals t = t.withdrawals
 let expirations t = t.expirations
 let invalidations t = t.invalidations
-
-let state_bytes t =
-  let expiry_len =
-    match t.expiry with None -> 0 | Some e -> Ipv4.Int_table.length e
-  in
-  (8 * Ipv4.Int_table.length t.bindings)
-  + (4 * expiry_len)
-  + (8 * forwards_size t)
 
 let footprint_bytes t =
   let opt = function

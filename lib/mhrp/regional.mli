@@ -48,9 +48,6 @@ val invalidate : t -> mobile:Ipv4.Addr.t -> foreign_agent:Ipv4.Addr.t -> bool
 
 val find : t -> Ipv4.Addr.t -> Ipv4.Addr.t option
 
-val expires_at : t -> Ipv4.Addr.t -> Netsim.Time.t option
-(** The binding's current expiry, if it has a lifetime. *)
-
 val expire : t -> now:Netsim.Time.t -> (Ipv4.Addr.t * Ipv4.Addr.t) list
 (** Evict every binding whose lifetime has passed; returns the evicted
     (mobile, foreign agent) pairs sorted by mobile address.  O(lifetimed
@@ -80,9 +77,6 @@ val clear : t -> unit
     table is soft state, rebuilt by re-registrations), keeping the
     counters. *)
 
-val bindings : t -> (Ipv4.Addr.t * Ipv4.Addr.t) list
-(** (mobile, foreign agent), sorted by mobile address. *)
-
 val registrations : t -> int
 (** Bindings written fresh or moved (intra-region registrations absorbed
     here instead of reaching the home agent — E19's aggregation metric).
@@ -98,11 +92,6 @@ val expirations : t -> int
 
 val invalidations : t -> int
 (** Bindings dropped by {!invalidate} (visitor-list-miss bounces). *)
-
-val state_bytes : t -> int
-(** Modeled 8 bytes per binding (two addresses), mirroring
-    {!Home_agent.state_bytes}, plus 4 per lifetime and 8 per forwarding
-    pointer. *)
 
 val footprint_bytes : t -> int
 (** Actual heap bytes pinned by the backing {!Ipv4.Int_table}s.  The

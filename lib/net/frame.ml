@@ -20,11 +20,3 @@ let wire_length t =
     | Arp _ -> Arp.wire_length
   in
   payload + ethernet_overhead
-
-let pp ppf t =
-  match t.content with
-  | Ip b ->
-    Format.fprintf ppf "%a -> %a ip(%d bytes)" Mac.pp t.src Mac.pp t.dst
-      (Bytes.length b)
-  | Arp a -> Format.fprintf ppf "%a -> %a %a" Mac.pp t.src Mac.pp t.dst
-               Arp.pp a

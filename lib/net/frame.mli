@@ -16,5 +16,3 @@ val arp : src:Mac.t -> dst:Mac.t -> Arp.t -> t
 val wire_length : t -> int
 (** Payload bytes plus the 18-byte Ethernet header/FCS, for byte and
     serialization-time accounting. *)
-
-val pp : Format.formatter -> t -> unit

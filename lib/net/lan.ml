@@ -2,7 +2,7 @@ type station = Frame.t -> unit
 
 (* Unique id per LAN instance, used as an O(1) identity hash key by the
    routing graph builder (structural hashing of a LAN would walk the
-   engine and rng it embeds).  Atomic so topologies may be constructed
+   engine it embeds).  Atomic so topologies may be constructed
    concurrently from several domains (the parallel sweep runner builds
    one per trial); ids are only ever compared for equality or hashed, so
    the values a trial draws cannot affect simulation results. *)
@@ -15,9 +15,7 @@ type t = {
   prefix : Ipv4.Addr.Prefix.t;
   latency : Netsim.Time.t;
   bandwidth_bps : int;
-  loss : float;
   mtu : int;
-  rng : Netsim.Rng.t option;
   stations : (Mac.t, station) Hashtbl.t;
   mutable sorted_macs : Mac.t list;
   (* [stations] in MAC order, kept current by attach and detach, so
@@ -32,14 +30,11 @@ type t = {
 }
 
 let create ~engine ~name ?(latency = Netsim.Time.of_us 500)
-    ?(bandwidth_bps = 10_000_000) ?(loss = 0.0) ?(mtu = 1500) ?rng prefix =
-  if loss < 0.0 || loss >= 1.0 then invalid_arg "Lan.create: loss";
-  if loss > 0.0 && rng = None then
-    invalid_arg "Lan.create: loss > 0 requires rng";
+    ?(bandwidth_bps = 10_000_000) ?(mtu = 1500) prefix =
   if bandwidth_bps <= 0 then invalid_arg "Lan.create: bandwidth";
   if mtu < 68 then invalid_arg "Lan.create: mtu below the IP minimum";
   let id = Atomic.fetch_and_add next_id 1 in
-  { id; engine; name; prefix; latency; bandwidth_bps; loss; mtu; rng;
+  { id; engine; name; prefix; latency; bandwidth_bps; mtu;
     stations = Hashtbl.create 8; sorted_macs = []; monitors_rev = [];
     monitors = None; up = true; frames = 0; bytes = 0 }
 
@@ -93,12 +88,6 @@ let tx_delay t frame =
   let bits = Frame.wire_length frame * 8 in
   Netsim.Time.of_us (bits * 1_000_000 / t.bandwidth_bps)
 
-let lost t =
-  t.loss > 0.0
-  && (match t.rng with
-      | Some rng -> Netsim.Rng.float rng 1.0 < t.loss
-      | None -> false)
-
 (* Per-frame helpers are top-level and closure-free, the station lookup
    uses [Hashtbl.find] rather than [find_opt], and the delivery event is
    the call [deliver t frame]: a delivery allocates nothing beyond the
@@ -130,7 +119,7 @@ let deliver t frame =
   end
 
 let send t frame =
-  if t.up && not (lost t) then begin
+  if t.up then begin
     t.frames <- t.frames + 1;
     t.bytes <- t.bytes + Frame.wire_length frame;
     let delay = Netsim.Time.add t.latency (tx_delay t frame) in

@@ -15,10 +15,8 @@ type station = Frame.t -> unit
 
 val create :
   engine:Netsim.Engine.t -> name:string -> ?latency:Netsim.Time.t ->
-  ?bandwidth_bps:int -> ?loss:float -> ?mtu:int -> ?rng:Netsim.Rng.t ->
-  Ipv4.Addr.Prefix.t -> t
-(** Defaults: 500µs latency, 10 Mb/s, no loss, 1500-byte MTU.  [rng] is
-    required when [loss > 0]. *)
+  ?bandwidth_bps:int -> ?mtu:int -> Ipv4.Addr.Prefix.t -> t
+(** Defaults: 500µs latency, 10 Mb/s, 1500-byte MTU. *)
 
 val mtu : t -> int
 
@@ -52,9 +50,8 @@ val stations : t -> Mac.t list
     or allocates. *)
 
 val send : t -> Frame.t -> unit
-(** Queue the frame for delivery.  Silently dropped when the LAN is down,
-    the destination is absent (like real Ethernet), or the loss draw
-    fires. *)
+(** Queue the frame for delivery.  Silently dropped when the LAN is down
+    or the destination is absent (like real Ethernet). *)
 
 val set_up : t -> bool -> unit
 val is_up : t -> bool

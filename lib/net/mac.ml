@@ -11,7 +11,6 @@ let to_int t = t
 let is_broadcast t = t = broadcast
 let equal = Int.equal
 let compare = Int.compare
-let hash = Hashtbl.hash
 
 let to_string t =
   Printf.sprintf "%02x:%02x:%02x:%02x:%02x:%02x"

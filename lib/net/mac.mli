@@ -11,7 +11,6 @@ val to_int : t -> int
 val is_broadcast : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

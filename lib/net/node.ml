@@ -872,9 +872,3 @@ let packets_fast_forwarded t = t.n_fast_forwarded
 let packets_delivered t = t.n_delivered
 let packets_originated t = t.n_originated
 let packets_dropped t = t.n_dropped
-
-let pp ppf t =
-  Format.fprintf ppf "%s%s [%s] fwd=%d rx=%d tx=%d drop=%d" t.name
-    (if t.router then " (router)" else "")
-    (String.concat "," (List.map Ipv4.Addr.to_string (addresses t)))
-    t.n_forwarded t.n_delivered t.n_originated t.n_dropped

@@ -303,5 +303,3 @@ val packets_fast_forwarded : t -> int
 val packets_delivered : t -> int
 val packets_originated : t -> int
 val packets_dropped : t -> int
-
-val pp : Format.formatter -> t -> unit

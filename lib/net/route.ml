@@ -231,16 +231,3 @@ let compiled_footprint_bytes t =
     (Ipv4.Int_table.footprint_bytes c.hosts
      + ((Array.length c.targets + 1) * 8))
     c.len_tbls
-
-let pp_target ppf = function
-  | Direct i -> Format.fprintf ppf "direct(if%d)" i
-  | Via a -> Format.fprintf ppf "via %a" Ipv4.Addr.pp a
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun e ->
-       Format.fprintf ppf "%-18s %a@," (Ipv4.Addr.Prefix.to_string e.prefix)
-         pp_target e.target)
-    t.entries;
-  Format.fprintf ppf "@]"

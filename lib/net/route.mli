@@ -62,5 +62,3 @@ val compiled_footprint_bytes : t -> int
     the E19 scale sweep's per-router state accounting.  With
     prefix-aggregated routes, a region's mobile hosts collapse to one
     entry here regardless of population. *)
-
-val pp : Format.formatter -> t -> unit

@@ -40,14 +40,17 @@ let rng t = t.rng
 
 let registration_ops t = t.reg_ops
 
-let add_lan t ?latency ?bandwidth_bps ?loss ?mtu ?(prefix_len = 24) ~net
-    name =
+let add_lan t ?latency ?bandwidth_bps ?mtu ?(prefix_len = 24) ~net name =
   t.reg_ops <- t.reg_ops + 1;
   if Hashtbl.mem t.lan_index name then
     invalid_arg ("Topology.add_lan: duplicate name " ^ name);
+  (* Each LAN advances [t.rng] by one split whose stream nothing uses:
+     every later draw from [t.rng], and so every seed's results, depend
+     on it. *)
+  ignore (Netsim.Rng.split t.rng);
   let lan =
-    Lan.create ~engine:t.engine ~name ?latency ?bandwidth_bps ?loss ?mtu
-      ~rng:(Netsim.Rng.split t.rng) (Ipv4.Addr.net_len net prefix_len)
+    Lan.create ~engine:t.engine ~name ?latency ?bandwidth_bps ?mtu
+      (Ipv4.Addr.net_len net prefix_len)
   in
   Hashtbl.replace t.lan_index name lan;
   t.lans_rev <- lan :: t.lans_rev;

@@ -19,8 +19,8 @@ val trace : t -> Netsim.Trace.t
 val rng : t -> Netsim.Rng.t
 
 val add_lan :
-  t -> ?latency:Netsim.Time.t -> ?bandwidth_bps:int -> ?loss:float ->
-  ?mtu:int -> ?prefix_len:int -> net:int -> string -> Lan.t
+  t -> ?latency:Netsim.Time.t -> ?bandwidth_bps:int -> ?mtu:int ->
+  ?prefix_len:int -> net:int -> string -> Lan.t
 (** A LAN whose prefix is {!Ipv4.Addr.net_len}[ net prefix_len]
     (default prefix length 24, i.e. {!Ipv4.Addr.net}[ net]).  Pass a
     shorter [prefix_len] — on a base clear of the /24 plan — for

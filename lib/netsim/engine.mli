@@ -2,19 +2,20 @@
 
     An engine owns the clock and an event queue.  An event is a function
     and two arguments, stored in the queue's slot table as they are
-    ({!Event_queue}).  Components schedule calls ({!call}) or thunks
-    ({!schedule}, the call of a thunk runner on the thunk and [()]) at
-    absolute or relative times; [run] drains the queue in timestamp
-    order, advancing the clock to each event as it fires.
+    ({!Event_queue}).  Components schedule calls ({!call_after}) at
+    relative times, and thunks ({!schedule}, the call of a thunk runner on
+    the thunk and [()]) at absolute or relative times; [run] drains the
+    queue in timestamp order, advancing the clock to each event as it
+    fires.
 
     {1 Allocation}
 
-    [call] of a top-level function allocates nothing, so a per-packet
-    event should be one.  [schedule] allocates nothing either, but its
-    thunk is usually a closure, built by the caller for each event.
-    Firing an event allocates nothing, and the queue keeps no cancelled
-    event's function or arguments reachable, nor a fired one's once it
-    has run.
+    [call_after] of a top-level function allocates nothing, so a
+    per-packet event should be one.  [schedule] allocates nothing
+    either, but its thunk is usually a closure, built by the caller for
+    each event.  Firing an event allocates nothing, and the queue keeps
+    no cancelled event's function or arguments reachable, nor a fired
+    one's once it has run.
 
     {1 Domain safety}
 
@@ -36,13 +37,9 @@ val rng : t -> Rng.t
 (** The engine's root random stream.  Components needing isolation should
     [Rng.split] it once at setup. *)
 
-val call :
-  t -> at:Time.t -> ('a -> 'b -> unit) -> 'a -> 'b -> Event_queue.handle
-(** [call t ~at f a b] runs [f a b] at the absolute time [at], which must
-    be [>= now]. *)
-
 val call_after :
   t -> delay:Time.t -> ('a -> 'b -> unit) -> 'a -> 'b -> Event_queue.handle
+(** [call_after t ~delay f a b] runs [f a b] [delay] after {!now}. *)
 
 val schedule : t -> at:Time.t -> (unit -> unit) -> Event_queue.handle
 (** Schedule a thunk at an absolute time, which must be [>= now]. *)

@@ -36,8 +36,6 @@ let float t bound =
   (* 53 random bits -> [0, 1) *)
   Int64.to_float v /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let exponential t mean =
   if mean <= 0.0 then invalid_arg "Rng.exponential: mean <= 0";
   let u = float t 1.0 in

@@ -7,10 +7,8 @@
 
 type t
 
-val create : int64 -> t
-(** [create seed] is a fresh generator. *)
-
 val of_int : int -> t
+(** [of_int seed] is a fresh generator. *)
 
 val split : t -> t
 (** [split t] derives an independent generator; [t] advances. *)
@@ -26,8 +24,6 @@ val int_in : t -> int -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
 
 val exponential : t -> float -> float
 (** [exponential t mean] draws from Exp(1/mean); used for inter-arrival

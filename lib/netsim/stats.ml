@@ -1,19 +1,3 @@
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-}
-
-let summary_to_json s =
-  Obs.Json.Obj
-    [ ("count", Obs.Json.Int s.count);
-      ("mean", Obs.Json.Float s.mean);
-      ("stddev", Obs.Json.Float s.stddev);
-      ("min", Obs.Json.Float s.min);
-      ("max", Obs.Json.Float s.max) ]
-
 module Acc = struct
   type t = {
     mutable n : int;
@@ -42,21 +26,6 @@ module Acc = struct
 
   let min t = if t.n = 0 then invalid_arg "Stats.Acc.min: empty" else t.min
   let max t = if t.n = 0 then invalid_arg "Stats.Acc.max: empty" else t.max
-
-  let summary t =
-    { count = t.n;
-      mean = mean t;
-      stddev = stddev t;
-      min = (if t.n = 0 then nan else t.min);
-      max = (if t.n = 0 then nan else t.max) }
-
-  let pp ppf t =
-    if t.n = 0 then Format.fprintf ppf "n=0"
-    else
-      Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f"
-        t.n (mean t) (stddev t) t.min t.max
-
-  let to_json t = summary_to_json (summary t)
 end
 
 module Samples = struct
@@ -82,12 +51,6 @@ module Samples = struct
     let rank = if rank < 0 then 0 else rank in
     arr.(rank)
 
-  let mean t =
-    if t.n = 0 then 0.0
-    else List.fold_left ( +. ) 0.0 t.xs /. float_of_int t.n
-
-  let to_list t = List.rev t.xs
-
   let to_metric ?(tol = Obs.Metric.Exact) t =
     { Obs.Metric.value = Obs.Metric.hist_of_samples t.xs; tol }
 end
@@ -103,7 +66,6 @@ module Hist = struct
     t.n <- t.n + 1
 
   let count t = t.n
-  let get t v = Option.value ~default:0 (Hashtbl.find_opt t.tbl v)
 
   let buckets t =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl []
@@ -117,15 +79,4 @@ module Hist = struct
         (0, -1) (buckets t)
     in
     best
-
-  let pp ppf t =
-    Format.fprintf ppf "@[<v>";
-    List.iter (fun (k, v) -> Format.fprintf ppf "%6d: %d@," k v) (buckets t);
-    Format.fprintf ppf "@]"
-
-  let to_json t =
-    Obs.Json.Obj
-      (List.map
-         (fun (k, v) -> (string_of_int k, Obs.Json.Int v))
-         (buckets t))
 end

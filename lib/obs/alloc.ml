@@ -4,8 +4,6 @@ type t = {
   promoted_words : float;
 }
 
-let zero = { minor_words = 0.0; major_words = 0.0; promoted_words = 0.0 }
-
 (* On OCaml 5 [Gc.quick_stat]'s allocation counters are only flushed at
    minor collections, so an unflushed delta is quantized to whole minor
    heaps (~256k words) — near-zero measurements would read 0 or one
@@ -28,7 +26,3 @@ let per t n =
   { minor_words = t.minor_words /. d;
     major_words = t.major_words /. d;
     promoted_words = t.promoted_words /. d }
-
-let pp ppf t =
-  Format.fprintf ppf "minor=%.1fw major=%.1fw promoted=%.1fw" t.minor_words
-    t.major_words t.promoted_words

@@ -14,8 +14,6 @@ type t = {
   promoted_words : float;  (** Words surviving a minor collection. *)
 }
 
-val zero : t
-
 val measure : (unit -> 'a) -> 'a * t
 (** [measure f] runs [f] and returns its result with the allocation
     delta across the call.  A minor collection is forced on each side
@@ -28,5 +26,3 @@ val measure : (unit -> 'a) -> 'a * t
 val per : t -> int -> t
 (** [per t n] divides every field by [n] operations.  Raises
     [Invalid_argument] when [n <= 0]. *)
-
-val pp : Format.formatter -> t -> unit

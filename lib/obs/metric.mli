@@ -12,7 +12,8 @@ type tol =
   | Pct of float  (** Timing-derived values: allowed to move by the given
                       percentage of the baseline magnitude. *)
   | Info  (** Recorded and archived but never gated — wall-clock numbers
-              (micro-benchmark ns/run) that vary across machines. *)
+              (sweep and phase times, packets per second, speed-up
+              ratios) that vary across machines. *)
 
 type value =
   | Counter of int  (** Monotone integer measurement. *)

@@ -2,7 +2,6 @@ type t = { tbl : (string, (string, Metric.t) Hashtbl.t) Hashtbl.t }
 
 let create () = { tbl = Hashtbl.create 32 }
 let default = create ()
-let reset t = Hashtbl.reset t.tbl
 
 let key name labels =
   match labels with
@@ -30,9 +29,9 @@ let counter t ~exp ?labels ?(tol = Metric.Exact) name v =
 let gauge t ~exp ?labels ?(tol = Metric.Exact) name v =
   set t ~exp ?labels name { Metric.value = Metric.Gauge v; tol }
 
-let hist t ~exp ?labels ?(tol = Metric.Exact) name samples =
-  set t ~exp ?labels name
-    { Metric.value = Metric.hist_of_samples samples; tol }
+let hist t ~exp name samples =
+  set t ~exp name
+    { Metric.value = Metric.hist_of_samples samples; tol = Metric.Exact }
 
 exception Duplicate_metric of string
 
@@ -64,10 +63,6 @@ let metrics t ~exp =
   | Some tbl ->
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let find t ~exp name =
-  Option.bind (Hashtbl.find_opt t.tbl exp) (fun tbl ->
-      Hashtbl.find_opt tbl name)
 
 let schema_version = 1
 

@@ -1,6 +1,6 @@
-(** The metric registry: every experiment and micro-benchmark records each
-    number it reports here, keyed by experiment id and metric name, with
-    optional labels (protocol name, parameter sweep values).
+(** The metric registry: every experiment records each number it reports
+    here, keyed by experiment id and metric name, with optional labels
+    (protocol name, parameter sweep values).
 
     The registry is what [bench/main.exe --json] serializes and what the
     baseline checker compares.  A process-wide {!default} registry serves
@@ -18,7 +18,6 @@ type t
 
 val create : unit -> t
 val default : t
-val reset : t -> unit
 
 val key : string -> (string * string) list -> string
 (** [key name labels] renders ["name{k=v,k2=v2}"] (just [name] when
@@ -36,10 +35,9 @@ val gauge :
     simulator is deterministic, so even float-valued results reproduce
     bit-for-bit; pass [~tol:(Pct 20.0)] for timing-derived values. *)
 
-val hist :
-  t -> exp:string -> ?labels:(string * string) list -> ?tol:Metric.tol ->
-  string -> float list -> unit
-(** Summarize samples into a p50/p95/max histogram metric. *)
+val hist : t -> exp:string -> string -> float list -> unit
+(** Summarize samples into a p50/p95/max histogram metric, tolerance
+    {!Metric.Exact}. *)
 
 val set :
   t -> exp:string -> ?labels:(string * string) list -> string -> Metric.t ->
@@ -64,10 +62,6 @@ val experiments : t -> string list
 
 val metrics : t -> exp:string -> (string * Metric.t) list
 (** Metrics of one experiment, sorted by key; [] for unknown ids. *)
-
-val find : t -> exp:string -> string -> Metric.t option
-
-val schema_version : int
 
 val to_json : ?include_info:bool -> t -> commit:string -> Json.t
 (** [{schema_version; commit; experiments: {id: {key: metric}}}] with

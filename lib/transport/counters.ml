@@ -41,12 +41,3 @@ let add ~into c =
   into.conns_established <- into.conns_established + c.conns_established;
   into.conns_closed <- into.conns_closed + c.conns_closed;
   into.conns_failed <- into.conns_failed + c.conns_failed
-
-let pp ppf c =
-  Format.fprintf ppf
-    "segs=%d/%d data=%d(%dB) rtx=%d acks=%d ooo=%d dup=%d rst=%d/%d \
-     conns=%d/%d est=%d closed=%d failed=%d"
-    c.segs_sent c.segs_received c.data_segs_sent c.data_bytes_sent
-    c.retransmissions c.acks_received c.out_of_order c.duplicates
-    c.resets_sent c.resets_received c.conns_opened c.conns_accepted
-    c.conns_established c.conns_closed c.conns_failed

@@ -26,4 +26,3 @@ type t = {
 
 val create : unit -> t
 val add : into:t -> t -> unit
-val pp : Format.formatter -> t -> unit

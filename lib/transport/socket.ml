@@ -32,18 +32,6 @@ type state =
   | Time_wait
   | Closed
 
-let state_name = function
-  | Syn_sent -> "syn-sent"
-  | Syn_received -> "syn-received"
-  | Established -> "established"
-  | Fin_wait_1 -> "fin-wait-1"
-  | Fin_wait_2 -> "fin-wait-2"
-  | Close_wait -> "close-wait"
-  | Closing -> "closing"
-  | Last_ack -> "last-ack"
-  | Time_wait -> "time-wait"
-  | Closed -> "closed"
-
 type t = {
   stack : Stack.t;
   engine : Engine.t;
@@ -537,13 +525,9 @@ let on_peer_close t f = t.peer_close_cb <- Some f
 let on_error t f = t.error_cb <- Some f
 let on_closed t f = t.closed_cb <- Some f
 let counters t = t.counters
-let state t = state_name t.state
 let is_established t = t.state = Established
 let is_closed t = t.state = Closed
 let local_port t = t.local_port
-let remote t = t.remote
-let remote_port t = t.remote_port
-let stack t = t.stack
 (* unacknowledged stream bytes: neither the SYN nor the FIN counts *)
 let bytes_queued t =
   data_end t - max (t.iss + 1) (min t.snd_una (data_end t))

@@ -111,13 +111,9 @@ val on_closed : t -> (unit -> unit) -> unit
 val counters : t -> Counters.t
 (** This connection's counters; the stack aggregates them too. *)
 
-val state : t -> string
 val is_established : t -> bool
 val is_closed : t -> bool
 val local_port : t -> int
-val remote : t -> Ipv4.Addr.t
-val remote_port : t -> int
-val stack : t -> Stack.t
 
 val bytes_queued : t -> int
 (** Stream bytes not yet acknowledged (queued or in flight). *)

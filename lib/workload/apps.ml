@@ -41,8 +41,6 @@ module Rpc = struct
   type client = {
     engine : Engine.t;
     resp_bytes : int;
-    expected : int;
-    mutable sock : Socket.t option;
     sent_at : Time.t Queue.t;
     mutable responses : int;
     mutable lat_us : float list;  (* reverse completion order *)
@@ -59,22 +57,17 @@ module Rpc = struct
              (framer req_bytes (fun _ _ -> Socket.send sock resp))))
 
   let start ~client ~server ?(port = 80) ?(req_bytes = 64)
-      ?(resp_bytes = 256) ?rto ~start ~interval ~count () =
+      ?(resp_bytes = 256) ~start ~interval ~count () =
     let engine = Stack.engine client in
     let t =
       { engine;
         resp_bytes;
-        expected = count;
-        sock = None;
         sent_at = Queue.create ();
         responses = 0;
         lat_us = [] }
     in
     at engine start (fun () ->
-        let sock =
-          Socket.connect client ?rto ~dst:server ~dst_port:port ()
-        in
-        t.sock <- Some sock;
+        let sock = Socket.connect client ~dst:server ~dst_port:port () in
         let req = Bytes.make req_bytes '\000' in
         Socket.recv_cb sock
           (framer resp_bytes (fun _ _ ->
@@ -100,9 +93,7 @@ module Rpc = struct
     t
 
   let responses t = t.responses
-  let expected t = t.expected
   let latencies_us t = List.rev t.lat_us
-  let socket t = t.sock
 end
 
 module Chat = struct
@@ -207,7 +198,6 @@ module Bulk = struct
     mutable received : int;
     mutable intact : bool;
     mutable completed_at : Time.t option;
-    mutable sock : Socket.t option;
   }
 
   let fetch stack ~server ?(port = 8080) ~bytes ~at:t0 () =
@@ -220,12 +210,10 @@ module Bulk = struct
         max_gap_us = 0;
         received = 0;
         intact = true;
-        completed_at = None;
-        sock = None }
+        completed_at = None }
     in
     at engine t0 (fun () ->
         let sock = Socket.connect stack ~dst:server ~dst_port:port () in
-        t.sock <- Some sock;
         Socket.on_peer_close sock (fun () -> Socket.close sock);
         Socket.recv_cb sock (fun buf off len ->
             let now = Engine.now engine in
@@ -260,6 +248,4 @@ module Bulk = struct
     | Some us when us > 0 ->
       Some (float_of_int (8 * t.total) /. (float_of_int us /. 1000.))
     | _ -> None
-
-  let socket t = t.sock
 end

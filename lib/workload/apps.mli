@@ -22,18 +22,14 @@ module Rpc : sig
 
   val start :
     client:Transport.Stack.t -> server:Ipv4.Addr.t -> ?port:int ->
-    ?req_bytes:int -> ?resp_bytes:int -> ?rto:Netsim.Time.t ->
-    start:Netsim.Time.t -> interval:Netsim.Time.t -> count:int -> unit ->
-    client
+    ?req_bytes:int -> ?resp_bytes:int -> start:Netsim.Time.t ->
+    interval:Netsim.Time.t -> count:int -> unit -> client
   (** One connection, [count] requests, one per [interval]. *)
 
   val responses : client -> int
-  val expected : client -> int
 
   val latencies_us : client -> float list
   (** Request-to-response latencies in completion order. *)
-
-  val socket : client -> Transport.Socket.t option
 end
 
 module Chat : sig
@@ -89,5 +85,4 @@ module Bulk : sig
 
   val received : fetch -> int
   val goodput_kbps : fetch -> float option
-  val socket : fetch -> Transport.Socket.t option
 end

@@ -109,7 +109,6 @@ let note_delivery t (pkt : Packet.t) =
 let watch_receiver t agent =
   Mhrp.Agent.on_app_receive agent (fun pkt -> note_delivery t pkt)
 
-let find t key = Hashtbl.find_opt t.tbl key
 let records t = List.rev t.order
 let delivered t = List.filter (fun r -> r.delivered_at <> None) (records t)
 let dropped t = List.filter (fun r -> r.dropped <> None) (records t)

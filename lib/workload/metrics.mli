@@ -38,7 +38,6 @@ val note_delivery : t -> Ipv4.Packet.t -> unit
 val watch_receiver : t -> Mhrp.Agent.t -> unit
 (** Register [note_delivery] as the agent's app tap. *)
 
-val find : t -> key -> record option
 val records : t -> record list
 (** In send order. *)
 

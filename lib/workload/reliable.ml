@@ -27,9 +27,9 @@ type t = {
    backoff cap bounds the retry interval, so a huge retry budget means
    "never give up within a simulation". *)
 let retry_budget = 1_000
+let rto = Time.of_ms 300
 
-let start ?(chunk = 512) ?(window = 8) ?(rto = Time.of_ms 300) ~sender
-    ~receiver ~bytes ~at () =
+let start ?(chunk = 512) ?(window = 8) ~sender ~receiver ~bytes ~at () =
   if chunk <= 0 || window <= 0 || bytes <= 0 then invalid_arg "Reliable.start";
   let engine = Net.Node.engine (Mhrp.Agent.node sender) in
   let data = Bytes.init bytes (fun i -> Char.chr (i land 0xFF)) in

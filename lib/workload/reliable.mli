@@ -23,9 +23,8 @@ type stats = {
 }
 
 val start :
-  ?chunk:int -> ?window:int -> ?rto:Netsim.Time.t ->
-  sender:Mhrp.Agent.t -> receiver:Mhrp.Agent.t -> bytes:int ->
-  at:Netsim.Time.t -> unit -> t
+  ?chunk:int -> ?window:int -> sender:Mhrp.Agent.t ->
+  receiver:Mhrp.Agent.t -> bytes:int -> at:Netsim.Time.t -> unit -> t
 (** Begin transferring [bytes] of data at time [at]: the sender connects
     to the receiver's port 5002, writes the whole payload, and the
     socket's sliding window does the rest.  [chunk] becomes the

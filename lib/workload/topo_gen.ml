@@ -61,7 +61,7 @@ let figure1_world ?icmp_quote ~seed () =
     p_net_d = net_d; p_backbone = backbone; p_s; p_m; p_r1; p_r2; p_r3;
     p_r4 }
 
-let figure1_plain ?(seed = 42) () = figure1_world ~seed ()
+let figure1_plain () = figure1_world ~seed:42 ()
 
 let figure1 ?(config = Mhrp.Config.default) ?(seed = 42)
     ?(snoop_routers = true) ?icmp_quote () =
@@ -345,9 +345,9 @@ type chain = {
   ch_links : Lan.t array;
 }
 
-let chain ?(config = Mhrp.Config.default) ?(seed = 42) ~n () =
+let chain ?(config = Mhrp.Config.default) ~n () =
   if n < 2 then invalid_arg "Topo_gen.chain: need at least two routers";
-  let topo = Topology.create ~seed () in
+  let topo = Topology.create ~seed:42 () in
   let stubs =
     Array.init n (fun i ->
         Topology.add_lan topo ~net:(10 + i) (Printf.sprintf "stub%d" i))

@@ -54,7 +54,7 @@ type plain = {
   p_r4 : Net.Node.t;
 }
 
-val figure1_plain : ?seed:int -> unit -> plain
+val figure1_plain : unit -> plain
 
 (** A backbone with [campuses] campus routers, each serving one home
     network with [mobiles_per_campus] mobile hosts and one wireless cell
@@ -140,4 +140,4 @@ type chain = {
   ch_links : Net.Lan.t array;
 }
 
-val chain : ?config:Mhrp.Config.t -> ?seed:int -> n:int -> unit -> chain
+val chain : ?config:Mhrp.Config.t -> n:int -> unit -> chain

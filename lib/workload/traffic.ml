@@ -26,11 +26,11 @@ let send_udp t ~src ~dst ?(size = 64) () =
 
 let at t time f = ignore (Netsim.Engine.schedule t.engine ~at:time f)
 
-let cbr t ~src ~dst ?size ~start ~interval ~count () =
+let cbr t ~src ~dst ~start ~interval ~count () =
   for k = 0 to count - 1 do
     let time =
       Netsim.Time.add start
         (Netsim.Time.of_us (k * Netsim.Time.to_us interval))
     in
-    at t time (fun () -> send_udp t ~src ~dst ?size ())
+    at t time (fun () -> send_udp t ~src ~dst ())
   done

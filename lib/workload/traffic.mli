@@ -23,6 +23,7 @@ val at : t -> Netsim.Time.t -> (unit -> unit) -> unit
 (** Schedule an action at an absolute time. *)
 
 val cbr :
-  t -> src:Mhrp.Agent.t -> dst:Ipv4.Addr.t -> ?size:int ->
-  start:Netsim.Time.t -> interval:Netsim.Time.t -> count:int -> unit -> unit
-(** Constant-bit-rate flow: [count] datagrams, one per [interval]. *)
+  t -> src:Mhrp.Agent.t -> dst:Ipv4.Addr.t -> start:Netsim.Time.t ->
+  interval:Netsim.Time.t -> count:int -> unit -> unit
+(** Constant-bit-rate flow: [count] datagrams of {!send_udp}'s default
+    size, one per [interval]. *)

@@ -71,22 +71,27 @@ let prop_jobs_invariant =
 
 (* --- end-to-end: the experiment harness across --jobs --- *)
 
-let bench_exe = "../bench/main.exe"
+(* The harness is built beside this executable (test/dune's deps), so
+   it is found from this executable's path, whatever the working
+   directory. *)
+let bench_exe =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bench" "main.exe")
 
 let bench_dump jobs =
   let out = Filename.temp_file "sweep_eq" ".json" in
-  let null = if Sys.win32 then "NUL" else "/dev/null" in
-  let cmd =
-    Filename.quote_command bench_exe ~stdout:null
-      [ "E6"; "E17"; "--jobs"; string_of_int jobs; "--no-info"; "--json";
-        out ]
-  in
-  (match Sys.command cmd with
-   | 0 -> ()
-   | n -> Alcotest.failf "%s exited with %d" cmd n);
-  let s = In_channel.with_open_bin out In_channel.input_all in
-  Sys.remove out;
-  s
+  Fun.protect ~finally:(fun () -> Sys.remove out) (fun () ->
+      let null = if Sys.win32 then "NUL" else "/dev/null" in
+      let cmd =
+        Filename.quote_command bench_exe ~stdout:null
+          [ "E6"; "E17"; "--jobs"; string_of_int jobs; "--no-info"; "--json";
+            out ]
+      in
+      (match Sys.command cmd with
+       | 0 -> ()
+       | n -> Alcotest.failf "%s exited with %d" cmd n);
+      In_channel.with_open_bin out In_channel.input_all)
 
 let test_bench_equivalence () =
   Alcotest.(check string) "E6/E17 dumps byte-identical across --jobs"
