@@ -109,8 +109,8 @@ type fig_env = {
   m_addr : Addr.t;
 }
 
-let fig_setup ?config ?snoop_routers ?seed () =
-  let f = TG.figure1 ?config ?snoop_routers ?seed () in
+let fig_setup ?config ?snoop_routers () =
+  let f = TG.figure1 ?config ?snoop_routers () in
   let metrics = Workload.Metrics.create f.TG.topo in
   let traffic = Workload.Traffic.create metrics (Topology.engine f.TG.topo) in
   Workload.Metrics.watch_receiver metrics f.TG.m;

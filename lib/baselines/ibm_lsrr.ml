@@ -11,7 +11,6 @@ type base = {
 }
 
 type mobile = {
-  mo_node : Node.t;
   mo_home_base : base;
   mutable mo_base : base;  (* current *)
 }
@@ -90,7 +89,7 @@ let add_base t node ~lan =
 let make_mobile t node ~home_base =
   Node.add_address node (Node.primary_addr node);
   Hashtbl.replace t.mobiles (Node.primary_addr node)
-    { mo_node = node; mo_home_base = home_base; mo_base = home_base };
+    { mo_home_base = home_base; mo_base = home_base };
   Hashtbl.replace t.current_base (Node.primary_addr node)
     home_base.b_addr
 

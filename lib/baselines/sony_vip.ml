@@ -12,7 +12,6 @@ type host = {
 }
 
 type router = {
-  r_node : Node.t;
   amt : (Addr.t, Addr.t * int) Hashtbl.t;
   (* vip -> (phys, timestamp): snooped bindings are guarded by the VIP
      header's timestamp so an old packet still in flight cannot regress a
@@ -51,7 +50,7 @@ let learn tbl ~vip ~phys ~stamp =
     else Hashtbl.remove tbl vip
 
 let add_router t node =
-  let r = { r_node = node; amt = Hashtbl.create 32 } in
+  let r = { amt = Hashtbl.create 32 } in
   t.routers <- t.routers @ [r];
   (* the home router answers ARP for its hosts' VIPs while they hold a
      different physical address, and claims those packets for rewrite *)

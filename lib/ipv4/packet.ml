@@ -271,7 +271,7 @@ module Reassembly = struct
     mutable chunks : (int * bytes) list;  (* offset, data *)
     mutable total : int option;  (* payload length, known from last frag *)
     mutable first : packet option;  (* fragment with offset 0 *)
-    mutable started_at : int;
+    started_at : int;
   }
 
   type nonrec t = {

@@ -26,7 +26,7 @@ type iface_state = {
   node : t;
   lan : Lan.t;
   mac : Mac.t;
-  mutable addr : Ipv4.Addr.t option;
+  addr : Ipv4.Addr.t option;
   mutable active : bool;
 }
 

@@ -79,11 +79,12 @@ let remove_host t addr = remove t (Ipv4.Addr.Prefix.make addr 32)
 let default_prefix = Ipv4.Addr.Prefix.make Ipv4.Addr.zero 0
 let add_default t target = add t default_prefix target
 
-(* Bulk construction for the route computation, which otherwise pays
-   O(n) [add]s of O(n) each per node.  Reproduces the fold-of-[add]
-   result exactly: a later duplicate prefix replaces the earlier one and
-   sits at the position of its last insertion; entries are ordered by
-   descending prefix length, insertion-ordered within a length. *)
+(* Bulk construction of a whole table (a link-state router's SPF
+   result), which otherwise pays O(n) [add]s of O(n) each.  Reproduces
+   the fold-of-[add] result exactly: a later duplicate prefix replaces
+   the earlier one and sits at the position of its last insertion;
+   entries are ordered by descending prefix length, insertion-ordered
+   within a length. *)
 let bulk pairs =
   let last : (Ipv4.Addr.Prefix.t, int * target) Hashtbl.t =
     Hashtbl.create 64

@@ -32,8 +32,13 @@ val add_default : t -> target -> t
 
 val bulk : (Ipv4.Addr.Prefix.t * target) list -> t
 (** The table [List.fold_left (fun t (p, tg) -> add t p tg) empty pairs],
-    built in O(n log n) instead of O(n²) — the route computation's bulk
-    path. *)
+    built in O(n log n) instead of O(n²) — a whole table at once, such
+    as a link-state router's SPF result. *)
+
+val of_entries : entry list -> t
+(** The table of exactly these entries, which must already be in table
+    order: descending prefix length, no prefix twice (not checked).  The
+    route computation writes every node's entries in that order. *)
 
 val find : t -> Ipv4.Addr.t -> target
 (** Longest-prefix match.  Raises [Not_found] when no entry covers the

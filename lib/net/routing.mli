@@ -2,9 +2,10 @@
 
     The paper assumes ordinary IP routing delivers packets to a host's
     network; MHRP rides on top.  We provide that substrate with a global
-    shortest-path computation (one BFS per node over the LAN-adjacency
-    graph, transit through routers only), filling every node's routing
-    table with one entry per reachable network prefix.
+    shortest-path computation (one BFS per node over the node-LAN
+    incidence graph, every LAN one hop, transit through routers only),
+    filling every node's routing table with one entry per reachable
+    network prefix.
 
     Host-specific (/32) routes installed later by protocol code survive
     only until the next [compute]; recompute before protocol setup.
@@ -20,11 +21,13 @@
     LSR's per-router SPF counts. *)
 
 type graph
-(** The LAN-adjacency graph over a snapshot of nodes and LANs, plus the
-    BFS scratch state.  Building it is O(N·I + E); reuse one graph across
-    queries instead of rebuilding per call.  A graph goes stale when
-    topology changes (attach/detach, LANs going up or down) — rebuild it
-    then. *)
+(** A snapshot of which nodes are attached to which up LANs, the order
+    every table lists its prefixes in, and the BFS scratch state.
+    Building it is O(N·I + L log L); a search from one node is
+    O(N·I + ΣM), each LAN expanded once ([ΣM] the LAN memberships).
+    Reuse one graph across queries instead of rebuilding per call.  A
+    graph goes stale when topology changes (attach/detach, LANs going
+    up or down) — rebuild it then. *)
 
 val build : nodes:Node.t list -> lans:Lan.t list -> graph
 (** Snapshot the adjacency of [nodes] across the (up) [lans].  The LAN

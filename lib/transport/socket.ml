@@ -5,7 +5,7 @@ module Engine = Netsim.Engine
 let adv_window = 0xFFFF
 let default_mss = 512
 let default_window = 4096
-let default_rto = Time.of_ms 300
+let rto_init = Time.of_ms 300
 let rto_max = Time.of_sec 5.0
 let default_max_retries = 12
 
@@ -40,7 +40,6 @@ type t = {
   remote_port : int;
   mss : int;
   swnd : int;  (* our in-flight cap, bytes *)
-  rto_init : Time.t;
   max_retries : int;
   counters : Counters.t;
   mutable state : state;
@@ -60,7 +59,6 @@ type t = {
   mutable drain_mark : int;
   (* Receive side: a cumulative-ack cursor plus a seq-sorted
      out-of-order list drained when the gap fills. *)
-  mutable irs : int;
   mutable rcv_nxt : int;
   mutable ooo : (int * bytes) list;
   mutable peer_fin_seq : int option;
@@ -78,7 +76,7 @@ type t = {
   mutable closed_cb : (unit -> unit) option;
 }
 
-let make_sock stack ~local_port ~remote ~remote_port ~iss ~mss ~window ~rto
+let make_sock stack ~local_port ~remote ~remote_port ~iss ~mss ~window
     ~max_retries ~state =
   { stack;
     engine = Stack.engine stack;
@@ -87,7 +85,6 @@ let make_sock stack ~local_port ~remote ~remote_port ~iss ~mss ~window ~rto
     remote_port;
     mss;
     swnd = window;
-    rto_init = rto;
     max_retries;
     counters = Counters.create ();
     state;
@@ -99,13 +96,12 @@ let make_sock stack ~local_port ~remote ~remote_port ~iss ~mss ~window ~rto
     fin_queued = false;
     fin_sent = false;
     drain_mark = iss + 1;
-    irs = 0;
     rcv_nxt = 0;
     ooo = [];
     peer_fin_seq = None;
     peer_fin_done = false;
     timer = Netsim.Event_queue.no_handle;
-    rto_cur = rto;
+    rto_cur = rto_init;
     retries = 0;
     established_cb = None;
     recv = None;
@@ -283,7 +279,7 @@ let handle_ack t buf ~off ~len ~flags =
       t.snd_una <- ack_no;
       Send_queue.release t.sendq ~upto:ack_no;
       t.retries <- 0;
-      t.rto_cur <- t.rto_init;
+      t.rto_cur <- rto_init;
       cancel_timer t;
       if t.state = Syn_received && t.snd_una > t.iss then establish t;
       let de = data_end t in
@@ -402,12 +398,11 @@ let rx t ~src:_ buf ~off ~len =
           && Tcp.ack_at buf ~off = t.iss + 1
         then begin
           let seq = Tcp.seq_at buf ~off in
-          t.irs <- seq;
           t.rcv_nxt <- seq + 1;
           t.peer_wnd <- Tcp.window_at buf ~off;
           t.snd_una <- Tcp.ack_at buf ~off;
           t.retries <- 0;
-          t.rto_cur <- t.rto_init;
+          t.rto_cur <- rto_init;
           cancel_timer t;
           send_ack t;
           establish t
@@ -424,8 +419,7 @@ let rx t ~src:_ buf ~off ~len =
   end
 
 let connect stack ?src_port ?(mss = default_mss) ?(window = default_window)
-    ?(rto = default_rto) ?(max_retries = default_max_retries) ~dst ~dst_port
-    () =
+    ?(max_retries = default_max_retries) ~dst ~dst_port () =
   let local_port =
     match src_port with
     | Some p -> p
@@ -434,8 +428,7 @@ let connect stack ?src_port ?(mss = default_mss) ?(window = default_window)
   in
   let t =
     make_sock stack ~local_port ~remote:dst ~remote_port:dst_port
-      ~iss:(Stack.fresh_iss stack) ~mss ~window ~rto ~max_retries
-      ~state:Syn_sent
+      ~iss:(Stack.fresh_iss stack) ~mss ~window ~max_retries ~state:Syn_sent
   in
   Stack.register_conn stack ~local_port ~remote:dst ~remote_port:dst_port
     (rx t);
@@ -452,7 +445,7 @@ type listener = {
 }
 
 let listen stack ~port ?(mss = default_mss) ?(window = default_window)
-    ?(rto = default_rto) ?(max_retries = default_max_retries) accept_cb =
+    ?(max_retries = default_max_retries) accept_cb =
   let l = { l_stack = stack; l_port = port; l_open = true } in
   Stack.register_listener stack ~port (fun ~src buf ~off ~len ->
       let flags = Tcp.flags_at buf ~off in
@@ -461,11 +454,10 @@ let listen stack ~port ?(mss = default_mss) ?(window = default_window)
         let remote_port = Tcp.src_port_at buf ~off in
         let t =
           make_sock stack ~local_port:port ~remote:src ~remote_port
-            ~iss:(Stack.fresh_iss stack) ~mss ~window ~rto ~max_retries
+            ~iss:(Stack.fresh_iss stack) ~mss ~window ~max_retries
             ~state:Syn_received
         in
         let seq = Tcp.seq_at buf ~off in
-        t.irs <- seq;
         t.rcv_nxt <- seq + 1;
         t.peer_wnd <- Tcp.window_at buf ~off;
         Stack.register_conn stack ~local_port:port ~remote:src ~remote_port

@@ -39,8 +39,8 @@ type t
 type listener
 
 val listen :
-  Stack.t -> port:int -> ?mss:int -> ?window:int -> ?rto:Netsim.Time.t ->
-  ?max_retries:int -> (t -> unit) -> listener
+  Stack.t -> port:int -> ?mss:int -> ?window:int -> ?max_retries:int ->
+  (t -> unit) -> listener
 (** [listen stack ~port accept] accepts connections on [port].  [accept]
     runs when the SYN arrives — before the SYN|ACK is sent and before
     any data can exist — so callbacks installed there never miss bytes.
@@ -50,16 +50,16 @@ val close_listener : listener -> unit
 (** Stop accepting; established connections are unaffected. *)
 
 val connect :
-  Stack.t -> ?src_port:int -> ?mss:int -> ?window:int -> ?rto:Netsim.Time.t ->
-  ?max_retries:int -> dst:Ipv4.Addr.t -> dst_port:int -> unit -> t
+  Stack.t -> ?src_port:int -> ?mss:int -> ?window:int -> ?max_retries:int ->
+  dst:Ipv4.Addr.t -> dst_port:int -> unit -> t
 (** Active open: sends the SYN immediately and returns the socket in the
     syn-sent state.  [send] may be called right away — bytes queue and
     flush once established.  Defaults: an ephemeral [src_port] (the
     stack's next one not in use to [dst]:[dst_port], see
     {!Stack.fresh_ephemeral_port}, which raises [Failure] when all are),
-    [mss] 512 bytes, [window] 4096 bytes in flight, [rto] 300 ms
-    doubling up to 5 s, giving up after [max_retries] 12
-    consecutive unacknowledged timeouts. *)
+    [mss] 512 bytes, [window] 4096 bytes in flight, and giving up
+    after [max_retries] 12 consecutive unacknowledged timeouts.  The
+    retransmission timeout starts at 300 ms and doubles up to 5 s. *)
 
 (** {1 The stream} *)
 

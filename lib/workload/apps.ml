@@ -39,8 +39,6 @@ let framer size f =
 
 module Rpc = struct
   type client = {
-    engine : Engine.t;
-    resp_bytes : int;
     sent_at : Time.t Queue.t;
     mutable responses : int;
     mutable lat_us : float list;  (* reverse completion order *)
@@ -60,9 +58,7 @@ module Rpc = struct
       ?(resp_bytes = 256) ~start ~interval ~count () =
     let engine = Stack.engine client in
     let t =
-      { engine;
-        resp_bytes;
-        sent_at = Queue.create ();
+      { sent_at = Queue.create ();
         responses = 0;
         lat_us = [] }
     in
@@ -98,13 +94,12 @@ end
 
 module Chat = struct
   type room = {
-    r_msg_bytes : int;
     mutable members : Socket.t list;  (* reverse join order *)
     mutable relayed : int;
   }
 
   let room stack ~port ~msg_bytes =
-    let r = { r_msg_bytes = msg_bytes; members = []; relayed = 0 } in
+    let r = { members = []; relayed = 0 } in
     ignore
       (Socket.listen stack ~port (fun sock ->
            r.members <- sock :: r.members;
@@ -190,9 +185,8 @@ module Bulk = struct
            Socket.close sock))
 
   type fetch = {
-    engine : Engine.t;
     total : int;
-    mutable started_at : Time.t;
+    started_at : Time.t;
     mutable last_byte_at : Time.t;
     mutable max_gap_us : int;
     mutable received : int;
@@ -203,8 +197,7 @@ module Bulk = struct
   let fetch stack ~server ?(port = 8080) ~bytes ~at:t0 () =
     let engine = Stack.engine stack in
     let t =
-      { engine;
-        total = bytes;
+      { total = bytes;
         started_at = t0;
         last_byte_at = t0;
         max_gap_us = 0;

@@ -12,8 +12,6 @@ type stats = {
 }
 
 type t = {
-  engine : Engine.t;
-  chunk : int;
   total_chunks : int;
   bytes : int;
   data : bytes;
@@ -27,16 +25,13 @@ type t = {
    backoff cap bounds the retry interval, so a huge retry budget means
    "never give up within a simulation". *)
 let retry_budget = 1_000
-let rto = Time.of_ms 300
 
 let start ?(chunk = 512) ?(window = 8) ~sender ~receiver ~bytes ~at () =
   if chunk <= 0 || window <= 0 || bytes <= 0 then invalid_arg "Reliable.start";
   let engine = Net.Node.engine (Mhrp.Agent.node sender) in
   let data = Bytes.init bytes (fun i -> Char.chr (i land 0xFF)) in
   let t =
-    { engine;
-      chunk;
-      total_chunks = (bytes + chunk - 1) / chunk;
+    { total_chunks = (bytes + chunk - 1) / chunk;
       bytes;
       data;
       recvbuf = Buffer.create bytes;
@@ -46,14 +41,14 @@ let start ?(chunk = 512) ?(window = 8) ~sender ~receiver ~bytes ~at () =
   let receiver_stack = Stack.create receiver in
   ignore
     (Socket.listen receiver_stack ~port:5002 ~mss:chunk
-       ~window:(window * chunk) ~rto ~max_retries:retry_budget (fun sock ->
+       ~window:(window * chunk) ~max_retries:retry_budget (fun sock ->
          Socket.recv_cb sock (Buffer.add_subbytes t.recvbuf)));
   let sender_stack = Stack.create sender in
   ignore
     (Engine.schedule engine ~at (fun () ->
          let sock =
            Socket.connect sender_stack ~src_port:5001 ~mss:chunk
-             ~window:(window * chunk) ~rto ~max_retries:retry_budget
+             ~window:(window * chunk) ~max_retries:retry_budget
              ~dst:(Mhrp.Agent.address receiver) ~dst_port:5002 ()
          in
          t.sock <- Some sock;

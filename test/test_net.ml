@@ -909,6 +909,301 @@ let routing_tests =
                 e1 e2)
            (Topology.nodes t1) (Topology.nodes t2)) ]
 
+(* --- the route computation against its clique reference --- *)
+
+(* [Routing.compute] as it was before it expanded each LAN once per
+   source: one BFS per node over the LAN-adjacency clique, neighbours
+   sorted by (node index, LAN name), and each table assembled by
+   [Route.bulk].  The incidence search and its one-pass table writing
+   must reproduce these tables entry for entry, order included. *)
+module Clique_reference = struct
+  let tables ~nodes ~lans =
+    let nodes =
+      List.sort (fun a b -> String.compare (Node.name a) (Node.name b)) nodes
+      |> Array.of_list
+    in
+    let n = Array.length nodes in
+    let seen = Hashtbl.create 16 in
+    let uniq_lans =
+      List.filter
+        (fun lan ->
+           if Hashtbl.mem seen (Lan.id lan) then false
+           else begin
+             Hashtbl.replace seen (Lan.id lan) ();
+             true
+           end)
+        lans
+    in
+    let members_rev = Hashtbl.create 64 in
+    Array.iteri
+      (fun i node ->
+         let seen_lans = ref [] in
+         List.iter
+           (fun (_, lan, _) ->
+              let id = Lan.id lan in
+              if not (List.mem id !seen_lans) then begin
+                seen_lans := id :: !seen_lans;
+                let prev =
+                  Option.value ~default:[] (Hashtbl.find_opt members_rev id)
+                in
+                Hashtbl.replace members_rev id (i :: prev)
+              end)
+           (Node.ifaces node))
+      nodes;
+    let members lan =
+      match Hashtbl.find_opt members_rev (Lan.id lan) with
+      | Some l -> List.rev l
+      | None -> []
+    in
+    let adj = Array.make n [] in
+    List.iter
+      (fun lan ->
+         if Lan.is_up lan then begin
+           let ms = members lan in
+           List.iter
+             (fun u ->
+                List.iter
+                  (fun v -> if u <> v then adj.(u) <- (v, lan) :: adj.(u))
+                  ms)
+             ms
+         end)
+      uniq_lans;
+    Array.iteri
+      (fun i l ->
+         adj.(i) <-
+           List.sort
+             (fun (a, la) (b, lb) ->
+                match Int.compare a b with
+                | 0 -> String.compare (Lan.name la) (Lan.name lb)
+                | c -> c)
+             l)
+      adj;
+    let routers_on lan =
+      List.filter (fun i -> Node.is_router nodes.(i)) (members lan)
+    in
+    let bfs s =
+      let dist = Array.make n max_int and prev = Array.make n (-1)
+      and via_lan = Array.make n None in
+      dist.(s) <- 0;
+      let q = Queue.create () in
+      Queue.push s q;
+      while not (Queue.is_empty q) do
+        let u = Queue.pop q in
+        if u = s || Node.is_router nodes.(u) then
+          List.iter
+            (fun (v, lan) ->
+               if dist.(v) = max_int then begin
+                 dist.(v) <- dist.(u) + 1;
+                 prev.(v) <- u;
+                 via_lan.(v) <- Some lan;
+                 Queue.push v q
+               end)
+            adj.(u)
+      done;
+      (dist, prev, via_lan)
+    in
+    let addr_on node lan =
+      List.find_map
+        (fun (_, l, addr) -> if l == lan then addr else None)
+        (Node.ifaces node)
+    in
+    let iface_on node lan =
+      List.find_map
+        (fun (i, l, _) -> if l == lan then Some i else None)
+        (Node.ifaces node)
+    in
+    let first_hop prev s target =
+      let rec walk v = if prev.(v) = s then v else walk prev.(v) in
+      if prev.(target) = -1 then None
+      else if target = s then None
+      else Some (walk target)
+    in
+    Array.to_list
+      (Array.mapi
+         (fun s node ->
+            let dist, prev, via_lan = bfs s in
+            let pairs = ref [] in
+            let add prefix target = pairs := (prefix, target) :: !pairs in
+            List.iter
+              (fun lan ->
+                 if Lan.is_up lan then begin
+                   let prefix = Lan.prefix lan in
+                   match iface_on node lan with
+                   | Some i -> add prefix (Route.Direct i)
+                   | None ->
+                     let best =
+                       List.fold_left
+                         (fun acc r ->
+                            if dist.(r) = max_int then acc
+                            else
+                              match acc with
+                              | None -> Some r
+                              | Some b ->
+                                if dist.(r) < dist.(b) then Some r else acc)
+                         None (routers_on lan)
+                     in
+                     match best with
+                     | None -> ()
+                     | Some egress ->
+                       let hop =
+                         match first_hop prev s egress with
+                         | Some h -> h
+                         | None -> egress
+                       in
+                       let connecting =
+                         if prev.(hop) = s then via_lan.(hop) else None
+                       in
+                       let connecting =
+                         match connecting with
+                         | Some l -> Some l
+                         | None ->
+                           List.find_map
+                             (fun (v, l) -> if v = hop then Some l else None)
+                             adj.(s)
+                       in
+                       match connecting with
+                       | None -> ()
+                       | Some l ->
+                         match addr_on nodes.(hop) l with
+                         | None -> ()
+                         | Some gw -> add prefix (Route.Via gw)
+                 end)
+              lans;
+            (node, Route.entries (Route.bulk (List.rev !pairs))))
+         nodes)
+end
+
+(* Every node of [tables] holds, after [compute], exactly the
+   reference's entries, in the reference's order. *)
+let same_tables reference =
+  List.for_all
+    (fun (node, expected) ->
+       let got = Route.entries (Node.routes node) in
+       List.length got = List.length expected
+       && List.for_all2
+            (fun (a : Route.entry) (b : Route.entry) ->
+               Addr.Prefix.equal a.Route.prefix b.Route.prefix
+               && a.Route.target = b.Route.target)
+            got expected)
+    reference
+
+let check_against_reference name ~nodes ~lans compute =
+  let reference = Clique_reference.tables ~nodes ~lans in
+  compute ();
+  check Alcotest.bool name true (same_tables reference)
+
+(* A random internetwork with the corners of the search and the table
+   order: multi-homed routers (twice on one LAN, or once without an
+   address), hosts made routers and hosts on a second LAN (with or
+   without an address), LANs set down, duplicate nets, /16s among /24s,
+   and LANs outside the topology whose names repeat its own.  Returns
+   the topology and every LAN, those outside it included. *)
+let random_world rs =
+  let int n = Random.State.int rs n in
+  let topo = Topology.create () in
+  let pick a = a.(int (Array.length a)) in
+  let lans =
+    Array.init (1 + int 10) (fun i ->
+        let name = "l" ^ string_of_int i in
+        if int 5 = 0 then
+          Topology.add_lan topo ~prefix_len:16 ~net:(0x100 * (1 + int 2)) name
+        else Topology.add_lan topo ~net:(pick [| 1; 2; 3; 4; 5; 0x100; 0x101 |])
+            name)
+  in
+  let outside =
+    Array.init (int 3) (fun _ ->
+        Lan.create ~engine:(Topology.engine topo)
+          ~name:(Lan.name (pick lans))
+          (Addr.net (pick [| 1; 2; 6; 0x100 |])))
+  in
+  let all = Array.append lans outside in
+  let next_id = ref 0 in
+  let fresh () = incr next_id; !next_id in
+  for i = 0 to int 7 do
+    let attachments =
+      List.init (1 + int 3) (fun _ -> (pick all, fresh ()))
+    in
+    let r = Topology.add_router topo ("r" ^ string_of_int i) attachments in
+    if int 6 = 0 then ignore (Node.attach r (pick all))
+  done;
+  for i = 0 to int 8 do
+    let lan = pick all in
+    let h =
+      Topology.add_host topo ~router:(int 4 = 0) ("h" ^ string_of_int i) lan
+        (fresh ())
+    in
+    if int 3 = 0 then begin
+      let lan2 = pick all in
+      let addr =
+        if int 2 = 0 then None
+        else Some (Addr.Prefix.host (Lan.prefix lan2) (fresh ()))
+      in
+      ignore (Node.attach h ?addr lan2)
+    end
+  done;
+  Array.iter (fun lan -> if int 6 = 0 then Lan.set_up lan false) all;
+  (topo, Array.to_list all)
+
+let arb_world_seed =
+  QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+
+let routing_reference_tests =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"compute_routes = clique reference on random worlds"
+         arb_world_seed (fun seed ->
+             let rs = Random.State.make [| seed |] in
+             let topo, _ = random_world rs in
+             let nodes = Topology.nodes topo and lans = Topology.lans topo in
+             let reference = Clique_reference.tables ~nodes ~lans in
+             Topology.compute_routes topo;
+             same_tables reference));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"compute = clique reference on LAN lists with repeats"
+         arb_world_seed (fun seed ->
+             (* Some of the nodes, and a LAN list that repeats LANs (as
+                [graph_of_nodes] collects it from interfaces) and names
+                LANs outside the topology. *)
+             let rs = Random.State.make [| seed |] in
+             let topo, all = random_world rs in
+             let nodes =
+               List.filter (fun _ -> Random.State.int rs 4 > 0)
+                 (Topology.nodes topo)
+             in
+             let lans =
+               List.concat_map
+                 (fun n -> List.map (fun (_, l, _) -> l) (Node.ifaces n))
+                 nodes
+               @ List.filter (fun _ -> Random.State.bool rs) all
+               @ List.filter (fun _ -> Random.State.bool rs) all
+             in
+             let reference = Clique_reference.tables ~nodes ~lans in
+             Net.Routing.compute ~nodes ~lans;
+             same_tables reference));
+    Alcotest.test_case "campuses (/16 backbone) = clique reference" `Quick
+      (fun () ->
+         let w =
+           TG.campuses ~backbone_prefix_len:16 ~campuses:256
+             ~mobiles_per_campus:1 ~correspondents:3 ()
+         in
+         let topo = w.TG.c_topo in
+         check_against_reference "campuses" ~nodes:(Topology.nodes topo)
+           ~lans:(Topology.lans topo) (fun () -> Topology.compute_routes topo));
+    Alcotest.test_case "regions with backups = clique reference" `Quick
+      (fun () ->
+         let w =
+           TG.regions ~backups:true ~regions:3 ~cells:2 ~mobiles_per_region:2
+             ~correspondents:2 ()
+         in
+         let topo = w.TG.rg_topo in
+         check_against_reference "regions" ~nodes:(Topology.nodes topo)
+           ~lans:(Topology.lans topo) (fun () -> Topology.compute_routes topo));
+    Alcotest.test_case "figure1 = clique reference" `Quick (fun () ->
+        let topo = (TG.figure1 ()).TG.topo in
+        check_against_reference "figure1" ~nodes:(Topology.nodes topo)
+          ~lans:(Topology.lans topo) (fun () -> Topology.compute_routes topo)) ]
+
 (* --- Topology registration cost --- *)
 
 let topology_tests =
@@ -1184,4 +1479,6 @@ let suite =
   [ ("mac", mac_tests); ("arp-frame", arp_tests); ("lan", lan_tests);
     ("route", route_tests); ("node", node_tests);
     ("node-alloc", node_alloc_tests);
-    ("routing", routing_tests); ("topology", topology_tests) ]
+    ("routing", routing_tests);
+    ("routing-reference", routing_reference_tests);
+    ("topology", topology_tests) ]
